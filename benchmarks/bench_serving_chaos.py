@@ -28,6 +28,7 @@ from repro.serving import (
     TrafficProfile,
     generate_trace,
     run_scenario,
+    wrong_answer_ids,
 )
 from repro.utils.clock import SimulatedClock, Stopwatch
 from repro.utils.tables import format_table
@@ -76,17 +77,13 @@ def _run():
     wall_s = watch.elapsed()
 
     served = [r for r in responses if r.ok]
-    wrong = 0
-    late = 0
-    for resp in served:
-        ref = clf.predict(requests[resp.request_id].X)
-        if not np.array_equal(resp.predictions, ref):
-            wrong += 1
-        if (
-            requests[resp.request_id].deadline_s is not None
-            and resp.finish_s > requests[resp.request_id].deadline_s
-        ):
-            late += 1
+    divergence = wrong_answer_ids(front, requests, responses)
+    wrong = sum(len(ids) for ids in divergence.values())
+    late = sum(
+        resp.finish_s > requests[resp.request_id].deadline_s
+        for resp in served
+        if requests[resp.request_id].deadline_s is not None
+    )
 
     # --- chaos determinism -------------------------------------------
     scenario = ChaosScenario(

@@ -9,10 +9,11 @@ counters trustworthy (they are derived from genuinely correct traversals).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.forest.random_forest import vote_counts
 from repro.forest.tree import DecisionTree
 from repro.utils.validation import check_array_2d
 
@@ -22,12 +23,7 @@ def reference_votes(trees: Sequence[DecisionTree], X: np.ndarray) -> np.ndarray:
     if len(trees) == 0:
         raise ValueError("need at least one tree")
     X = check_array_2d(X, "X")
-    n_classes = max(t.n_classes for t in trees)
-    votes = np.zeros((X.shape[0], n_classes), dtype=np.int64)
-    rows = np.arange(X.shape[0], dtype=np.int64)
-    for tree in trees:
-        votes[rows, tree.predict(X)] += 1
-    return votes
+    return vote_counts(trees, X, max(t.n_classes for t in trees))
 
 
 def reference_predict(trees: Sequence[DecisionTree], X: np.ndarray) -> np.ndarray:

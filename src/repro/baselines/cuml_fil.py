@@ -26,6 +26,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.fastpath.engine import lower
 from repro.forest.tree import LEAF, DecisionTree
 from repro.gpusim.engine import WarpGrid
 from repro.gpusim.memory import CoalescingTracker
@@ -98,13 +99,15 @@ class FILForest:
             vals.append(v.astype(np.float32))
             lefts.append(lc.astype(np.int32))
             offsets[ti + 1] = offsets[ti] + n
-        return cls(
+        layout = cls(
             feature=np.concatenate(feats),
             value=np.concatenate(vals),
             left_child=np.concatenate(lefts),
             tree_offset=offsets,
             n_classes=max(t.n_classes for t in trees),
         )
+        lower(layout)
+        return layout
 
     @property
     def n_trees(self) -> int:
@@ -113,33 +116,6 @@ class FILForest:
     @property
     def total_nodes(self) -> int:
         return int(self.feature.shape[0])
-
-    def predict_tree(self, X: np.ndarray, tree: int) -> np.ndarray:
-        """Reference traversal of one tree (for tests)."""
-        X = np.ascontiguousarray(X, dtype=np.float32)
-        base = self.tree_offset[tree]
-        n = X.shape[0]
-        cur = np.zeros(n, dtype=np.int64)
-        out = np.full(n, -1, dtype=np.int64)
-        active = np.ones(n, dtype=bool)
-        rows = np.arange(n, dtype=np.int64)
-        while np.any(active):
-            g = base + cur[active]
-            feats = self.feature[g]
-            leaf = feats == LEAF
-            act = np.flatnonzero(active)
-            if np.any(leaf):
-                done = act[leaf]
-                out[done] = self.value[base + cur[done]].astype(np.int64)
-                active[done] = False
-                act = act[~leaf]
-                if act.size == 0:
-                    break
-                g = base + cur[act]
-                feats = self.feature[g]
-            go_left = X[rows[act], feats] < self.value[g]
-            cur[act] = self.left_child[g] + np.where(go_left, 0, 1)
-        return out
 
 
 class CuMLFILKernel(GPUKernel):

@@ -12,8 +12,9 @@ depth, gather/where over the packed node-record arrays, one
 
 Predictions are bit-identical to the trace path and the CPU host-tree
 oracle (the golden suite in ``tests/test_fastpath.py`` pins this for every
-registered (platform, variant) pair).  Layout families each get their own
-traversal:
+registered (platform, variant) pair).  This is the one inference core:
+outside the trace kernels, nothing else walks a layout.  Each layout
+family gets its own lowering to the shared edge table:
 
 * :mod:`repro.fastpath.hierpath` — hierarchical subtree layout
   (``independent`` / ``collaborative`` / ``hybrid`` variants);

@@ -1,8 +1,9 @@
 """Edge-table lowering of the CSR children-array layout.
 
-Semantics are exactly :meth:`CSRForest.predict_tree` — per step one
-``children_arr_idx`` indirection and one ``children_arr`` load, node ids
-tree-local.  The double indirection is resolved *once*, at build time,
+Stepping rule: inner node ``i`` of tree ``t`` goes to the tree-local node
+``children_arr[tree_children_offset[t] + children_arr_idx[i] + went_right]``
+— one ``children_arr_idx`` indirection and one ``children_arr`` load per
+step.  The double indirection is resolved *once*, at layout build time,
 into the flat successor table of an
 :class:`~repro.fastpath.engine.EdgeTable`; the shared
 :func:`~repro.fastpath.engine.traverse_edges` core then steps every
@@ -15,49 +16,39 @@ import numpy as np
 
 from repro.fastpath.engine import (
     EdgeTable,
-    cached_edges,
+    edge_table,
     make_stats,
-    quantized_channels,
+    select_trees,
     traverse_edges,
 )
-from repro.forest.tree import LEAF
 from repro.layout.csr import CSRForest
 
 
 def build_edges(layout: CSRForest) -> EdgeTable:
     """Lower the CSR arrays to flat successor-table form."""
     tree_nodes = layout.tree_node_offset.astype(np.int64)
-    tree_children = layout.tree_children_offset.astype(np.int64)
-    n_slots = int(layout.feature_id.shape[0])
     n_trees = int(tree_nodes.shape[0] - 1)
-    owner = np.repeat(np.arange(n_trees, dtype=np.int64), np.diff(tree_nodes))
     inner = layout.feature_id >= 0
     # children_arr positions are gathered on the inner subset only:
     # ``children_arr_idx`` is -1 on leaves, and a leaf-only tree has no
     # children entries at all to index into.
-    child_pos = (tree_children[owner] + layout.children_arr_idx.astype(np.int64))[inner]
-    tree_base = tree_nodes[owner][inner]
-    tgt_left = np.arange(n_slots, dtype=np.int64)  # terminals self-loop
-    tgt_right = tgt_left.copy()
-    tgt_left[inner] = tree_base + layout.children_arr[child_pos].astype(np.int64)
-    tgt_right[inner] = tree_base + layout.children_arr[child_pos + 1].astype(np.int64)
-    succ = np.empty(2 * n_slots, dtype=np.int32)
-    succ[0::2] = tgt_left.astype(np.int32)
-    succ[1::2] = tgt_right.astype(np.int32)
-    return EdgeTable(
-        feature=layout.feature_id.astype(np.int32),
-        value=layout.value.astype(np.float32),
-        label=np.where(layout.feature_id == LEAF, layout.value, 0).astype(np.int32),
-        succ=succ,
-        roots=tree_nodes[:-1].astype(np.int32),
-        n_classes=int(layout.n_classes),
-        **quantized_channels(layout),
+    owner = np.repeat(np.arange(n_trees, dtype=np.int64), np.diff(tree_nodes))[inner]
+    tree_children = layout.tree_children_offset.astype(np.int64)
+    child_pos = tree_children[owner] + layout.children_arr_idx[inner].astype(np.int64)
+    base = tree_nodes[owner]
+    return edge_table(
+        layout,
+        layout.feature_id,
+        inner,
+        base + layout.children_arr[child_pos],
+        base + layout.children_arr[child_pos + 1],
+        tree_nodes[:-1],
     )
 
 
-def traverse(layout: CSRForest, X: np.ndarray):
-    """Predict ``X`` over every tree; returns ``(predictions, stats)``."""
-    table = cached_edges(layout, build_edges)
+def traverse(layout: CSRForest, X: np.ndarray, trees=None):
+    """Predict ``X`` over ``trees`` (default all); ``(predictions, stats)``."""
+    table = select_trees(layout._fastpath_edges, trees)
     preds, levels, lane_levels = traverse_edges(table, X)
-    stats = make_stats("csr", int(X.shape[0]), layout.n_trees, levels, lane_levels)
+    stats = make_stats("csr", int(X.shape[0]), table.roots.shape[0], levels, lane_levels)
     return preds, stats

@@ -9,12 +9,13 @@ makes the fast path scale.
 
 The family modules (:mod:`repro.fastpath.hierpath` /
 :mod:`~repro.fastpath.csrpath` / :mod:`~repro.fastpath.filpath`) do not
-duplicate the stepping loop.  Each lowers its device layout once into a
-flat :class:`EdgeTable` — a successor table ``succ[2 * slot + went_right]``
-precomputed from the layout's own crossing rules (subtree-connection hops,
-CSR children indirection, FIL adjacent children) — and the shared
-:func:`traverse_edges` core then needs exactly four gathers per lane-level:
-node feature, query value, split threshold, successor.  Lanes are
+duplicate the stepping loop.  Each lowers its device layout once, when the
+layout is built (:func:`lower`), into a flat :class:`EdgeTable` — a
+successor table ``succ[2 * slot + went_right]`` precomputed from the
+layout's own crossing rules (subtree-connection hops, CSR children
+indirection, FIL adjacent children) — and the shared :func:`traverse_edges`
+core then needs exactly four gathers per lane-level: node feature, query
+value, split threshold, successor.  Lanes are
 materialized in row blocks of at most :data:`FASTPATH_CHUNK_LANES` so the
 working set stays cache-resident at any batch size.
 
@@ -32,10 +33,12 @@ Two things deliberately do **not** happen here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+
+from repro.forest.tree import LEAF
 
 #: Fixed per-launch overhead of the modelled fast path, seconds.  Stands in
 #: for dispatch + argument marshalling; dominates tiny batches.
@@ -196,17 +199,37 @@ def quantized_channels(layout) -> dict:
     }
 
 
-def cached_edges(layout, build) -> EdgeTable:
-    """Memoized ``build(layout)`` — the table is derived data, built once.
+def edge_table(layout, feature, inner, left, right, roots) -> EdgeTable:
+    """Assemble a layout's :class:`EdgeTable` from its inner slots' successors.
 
-    Cached on the layout instance itself, so a rebuilt layout (e.g. after
-    an integrity-check failure) naturally gets a fresh table.
+    ``left`` / ``right`` are the global successor slots of the ``inner``
+    slots.  Terminal (leaf / padding) slots self-loop; the traversal core
+    flushes a lane the moment its slot's feature is negative, so the
+    self-edge is only a guard against out-of-bounds walks.
     """
-    table = getattr(layout, "_fastpath_edges", None)
-    if table is None:
-        table = build(layout)
-        layout._fastpath_edges = table
-    return table
+    succ = np.repeat(np.arange(feature.shape[0], dtype=np.int32), 2)
+    succ[0::2][inner] = left
+    succ[1::2][inner] = right
+    return EdgeTable(
+        feature=feature.astype(np.int32),
+        value=layout.value.astype(np.float32),
+        label=np.where(feature == LEAF, layout.value, 0).astype(np.int32),
+        succ=succ,
+        roots=roots.astype(np.int32),
+        n_classes=int(layout.n_classes),
+        **quantized_channels(layout),
+    )
+
+
+def select_trees(table: EdgeTable, trees) -> EdgeTable:
+    """``table`` restricted to ``trees`` (index array or boolean mask).
+
+    Tree selection is a root mask and nothing else: only the selected
+    trees spawn lanes, so the vote runs over exactly those trees.
+    """
+    if trees is None:
+        return table
+    return replace(table, roots=table.roots[np.asarray(trees)])
 
 
 def traverse_edges(table: EdgeTable, X: np.ndarray):
@@ -294,31 +317,49 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
     return votes.reshape(n, n_classes).argmax(axis=1), levels, lane_levels
 
 
-def fastpath_predict(layout, X: np.ndarray):
-    """Vectorized batched prediction over a built device layout.
+def family_module(layout):
+    """The family module (``hierpath`` / ``csrpath`` / ``filpath``) of ``layout``.
 
-    Dispatches on the layout's family and returns
-    ``(predictions int64[n_rows], FastpathStats)``.  Predictions are
-    bit-identical to the layout's reference ``predict`` and to the trace
-    kernels (pinned by tests/test_fastpath.py).
+    Duck-typed on each family's topology array, so this module never
+    imports :mod:`repro.baselines.cuml_fil` and its GPU kernel machinery.
     """
-    from repro.layout.csr import CSRForest
-    from repro.layout.hierarchical import HierarchicalForest
+    from repro.fastpath import csrpath, filpath, hierpath
 
-    if isinstance(layout, HierarchicalForest):
-        from repro.fastpath.hierpath import traverse as hier_traverse
-
-        return hier_traverse(layout, X)
-    if isinstance(layout, CSRForest):
-        from repro.fastpath.csrpath import traverse as csr_traverse
-
-        return csr_traverse(layout, X)
-    # FILForest lives in repro.baselines.cuml_fil which imports the GPU
-    # kernel machinery; duck-type instead of importing it here.
-    if hasattr(layout, "tree_offset") and hasattr(layout, "left_child"):
-        from repro.fastpath.filpath import traverse as fil_traverse
-
-        return fil_traverse(layout, X)
+    if hasattr(layout, "subtree_connection"):
+        return hierpath
+    if hasattr(layout, "children_arr"):
+        return csrpath
+    if hasattr(layout, "left_child"):
+        return filpath
     raise TypeError(
         f"no fastpath traversal for layout type {type(layout).__name__}"
     )
+
+
+def lower(layout) -> EdgeTable:
+    """Lower ``layout`` to its family's :class:`EdgeTable` and attach it.
+
+    Every ``from_trees`` calls this right after attaching the integrity
+    digests, from the same buffers those digests cover; nothing else
+    lowers a serving table, and each family's ``traverse`` reads
+    ``layout._fastpath_edges`` directly.  The table is a build-time
+    snapshot: later changes to the layout's buffers never reach it, so
+    under ``trace="off"`` only the CRC guard
+    (:mod:`repro.reliability.integrity`) can detect buffer corruption.
+    """
+    table = family_module(layout).build_edges(layout)
+    layout._fastpath_edges = table
+    return table
+
+
+def fastpath_predict(layout, X: np.ndarray, trees=None):
+    """Vectorized batched prediction over a built device layout.
+
+    Dispatches on the layout's family and returns
+    ``(predictions int64[n_rows], FastpathStats)``.  ``trees`` (index
+    array or boolean mask) restricts the vote to those trees — the
+    degraded quorum vote uses it.  Predictions are bit-identical to
+    ``reference_predict`` over the same host trees and to the trace
+    kernels (pinned by tests/test_fastpath.py).
+    """
+    return family_module(layout).traverse(layout, X, trees)

@@ -1,8 +1,9 @@
 """Edge-table lowering of the cuML-FIL packed-node layout.
 
-Semantics are exactly :meth:`FILForest.predict_tree` — children adjacent
-(``right = left + 1``), node ids tree-local.  The adjacency rule is
-resolved *once*, at build time, into the flat successor table of an
+Stepping rule: inner node ``i`` of tree ``t`` goes to the tree-local node
+``left_child[i] + went_right`` — children sit adjacent, so the right child
+is ``left + 1``.  The adjacency rule is resolved *once*, at layout build
+time, into the flat successor table of an
 :class:`~repro.fastpath.engine.EdgeTable`; the shared
 :func:`~repro.fastpath.engine.traverse_edges` core then steps every
 ``(row, tree)`` lane with plain gathers over global slot ids.
@@ -16,41 +17,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fastpath.engine import EdgeTable, cached_edges, make_stats, traverse_edges
-from repro.forest.tree import LEAF
+from repro.fastpath.engine import (
+    EdgeTable,
+    edge_table,
+    make_stats,
+    select_trees,
+    traverse_edges,
+)
 
 
 def build_edges(layout) -> EdgeTable:
     """Lower the FIL arrays to flat successor-table form."""
     tree_offset = layout.tree_offset.astype(np.int64)
-    n_slots = int(layout.feature.shape[0])
     n_trees = int(tree_offset.shape[0] - 1)
-    owner = np.repeat(np.arange(n_trees, dtype=np.int64), np.diff(tree_offset))
     inner = layout.feature >= 0
-    # left_child is tree-local and meaningless on leaves; pure arithmetic,
-    # masked to the inner subset afterwards, so no out-of-bounds gather.
-    child_global = tree_offset[owner] + layout.left_child.astype(np.int64)
-    tgt_left = np.arange(n_slots, dtype=np.int64)  # terminals self-loop
-    tgt_right = tgt_left.copy()
-    tgt_left[inner] = child_global[inner]
-    tgt_right[inner] = child_global[inner] + 1
-    succ = np.empty(2 * n_slots, dtype=np.int32)
-    succ[0::2] = tgt_left.astype(np.int32)
-    succ[1::2] = tgt_right.astype(np.int32)
-    return EdgeTable(
-        feature=layout.feature.astype(np.int32),
-        value=layout.value.astype(np.float32),
-        label=np.where(layout.feature == LEAF, layout.value, 0).astype(np.int32),
-        succ=succ,
-        roots=tree_offset[:-1].astype(np.int32),
-        n_classes=int(layout.n_classes),
-    )
+    # left_child is tree-local and meaningless on leaves.
+    owner = np.repeat(np.arange(n_trees, dtype=np.int64), np.diff(tree_offset))[inner]
+    left = tree_offset[owner] + layout.left_child[inner].astype(np.int64)
+    return edge_table(layout, layout.feature, inner, left, left + 1, tree_offset[:-1])
 
 
-def traverse(layout, X: np.ndarray):
-    """Predict ``X`` over every tree; returns ``(predictions, stats)``."""
-    table = cached_edges(layout, build_edges)
+def traverse(layout, X: np.ndarray, trees=None):
+    """Predict ``X`` over ``trees`` (default all); ``(predictions, stats)``."""
+    table = select_trees(layout._fastpath_edges, trees)
     preds, levels, lane_levels = traverse_edges(table, X)
-    n_trees = int(layout.tree_offset.shape[0] - 1)
-    stats = make_stats("fil", int(X.shape[0]), n_trees, levels, lane_levels)
+    stats = make_stats("fil", int(X.shape[0]), table.roots.shape[0], levels, lane_levels)
     return preds, stats

@@ -1,10 +1,13 @@
 """Edge-table lowering of the hierarchical subtree layout.
 
-Semantics are exactly :meth:`HierarchicalForest.predict_tree` — arithmetic
-``2n+1+went_right`` stepping inside a complete subtree, CSR
-connection-array hop when a node stands on the subtree frontier.  Both
-rules are resolved *once*, at build time, into the flat successor table of
-an :class:`~repro.fastpath.engine.EdgeTable`; the shared
+Stepping rule: an inner node at local slot ``n`` of a complete subtree
+goes to local slot ``2n+1+went_right`` of the same subtree; an inner node
+on the subtree's frontier (its deepest stored level) hops instead through
+the CSR connection arrays to the root slot of the child subtree
+``subtree_connection[connection_offset[st] + 2 * rank + went_right]``,
+``rank`` being the node's position on the frontier.  Both rules are
+resolved *once*, at layout build time, into the flat successor table of an
+:class:`~repro.fastpath.engine.EdgeTable`; the shared
 :func:`~repro.fastpath.engine.traverse_edges` core then steps every
 ``(row, tree)`` lane with plain gathers, no per-step crossing logic.
 """
@@ -15,67 +18,72 @@ import numpy as np
 
 from repro.fastpath.engine import (
     EdgeTable,
-    cached_edges,
+    edge_table,
     make_stats,
-    quantized_channels,
+    select_trees,
     traverse_edges,
 )
-from repro.forest.tree import LEAF
+from repro.forest.tree import EMPTY
 from repro.layout.hierarchical import HierarchicalForest
 
 
-def _targets(layout, node_off, owner, local, frontier_start, staying, crossing, go):
-    """Global successor slot of every slot for one branch direction."""
-    n_slots = local.shape[0]
-    # Terminal (leaf / padding) slots self-loop; the traversal core flushes
-    # a lane the moment its slot's feature is negative, so the self-edge is
-    # only a guard against out-of-bounds walks.
-    tgt = np.arange(n_slots, dtype=np.int64)
-    tgt[staying] = (node_off[owner] + 2 * local + 1 + go)[staying]
-    if crossing.any():
-        cidx = (layout.connection_offset[owner] + 2 * (local - frontier_start) + go)[
-            crossing
-        ]
-        tgt[crossing] = node_off[layout.subtree_connection[cidx].astype(np.int64)]
-    return tgt.astype(np.int32)
+def _targets(layout, node_off, owner, local, frontier_start, crossing, go):
+    """Global successor slot of every inner slot for one branch direction.
+
+    Raises ``RuntimeError`` when a successor would leave the tree: an
+    in-subtree step onto padding, or a frontier hop through an absent
+    connection.  A clean layout never has either; a damaged one must not
+    be lowered into a table that walks out of bounds or votes from a
+    padding slot.
+    """
+    tgt = np.empty(local.shape[0], dtype=np.int64)
+    st = owner[~crossing]
+    child = (2 * local + 1 + go)[~crossing]
+    inside = child < np.diff(node_off)[st]
+    child_slot = node_off[st] + np.where(inside, child, 0)
+    if not np.all(inside & (layout.feature_id[child_slot] != EMPTY)):
+        raise RuntimeError("traversal reached a padding slot")
+    tgt[~crossing] = child_slot
+    st = owner[crossing]
+    rank = (local - frontier_start)[crossing]
+    cidx = layout.connection_offset[st] + 2 * rank + go
+    present = cidx < layout.connection_offset[st + 1]
+    nxt = np.full(cidx.shape, -1, dtype=np.int64)
+    nxt[present] = layout.subtree_connection[cidx[present]]
+    if not np.all((nxt >= 0) & (nxt < node_off.shape[0] - 1)):
+        raise RuntimeError("traversal crossed into a missing subtree")
+    tgt[crossing] = node_off[nxt]
+    return tgt
 
 
 def build_edges(layout: HierarchicalForest) -> EdgeTable:
     """Lower the packed subtree arrays to flat successor-table form."""
     node_off = layout.subtree_node_offset.astype(np.int64)
-    n_slots = int(layout.feature_id.shape[0])
     n_subtrees = int(layout.subtree_depth.shape[0])
-    # Per-slot owning subtree, local slot index, and the subtree's first
-    # frontier slot ((1 << (sd - 1)) - 1): everything the crossing rule
-    # needs, computed for all slots at once.
+    # Per inner slot: owning subtree, local slot index, and the subtree's
+    # first frontier slot ((1 << (sd - 1)) - 1) — everything both stepping
+    # rules need, computed for all slots at once.
+    inner = layout.feature_id >= 0
     owner = np.repeat(np.arange(n_subtrees, dtype=np.int64), np.diff(node_off))
-    local = np.arange(n_slots, dtype=np.int64) - node_off[owner]
+    local = (np.arange(inner.shape[0], dtype=np.int64) - node_off[owner])[inner]
+    owner = owner[inner]
     sd = layout.subtree_depth.astype(np.int64)
     frontier_start = ((np.int64(1) << (sd - 1)) - 1)[owner]
-    inner = layout.feature_id >= 0
-    crossing = inner & (local >= frontier_start)
-    staying = inner & ~crossing
-    succ = np.empty(2 * n_slots, dtype=np.int32)
-    succ[0::2] = _targets(
-        layout, node_off, owner, local, frontier_start, staying, crossing, 0
-    )
-    succ[1::2] = _targets(
-        layout, node_off, owner, local, frontier_start, staying, crossing, 1
-    )
-    return EdgeTable(
-        feature=layout.feature_id.astype(np.int32),
-        value=layout.value.astype(np.float32),
-        label=np.where(layout.feature_id == LEAF, layout.value, 0).astype(np.int32),
-        succ=succ,
-        roots=node_off[layout.tree_root_subtree].astype(np.int32),
-        n_classes=int(layout.n_classes),
-        **quantized_channels(layout),
+    crossing = local >= frontier_start
+    args = (layout, node_off, owner, local, frontier_start, crossing)
+    return edge_table(
+        layout,
+        layout.feature_id,
+        inner,
+        _targets(*args, 0),
+        _targets(*args, 1),
+        node_off[layout.tree_root_subtree],
     )
 
 
-def traverse(layout: HierarchicalForest, X: np.ndarray):
-    """Predict ``X`` over every tree; returns ``(predictions, stats)``."""
-    table = cached_edges(layout, build_edges)
+def traverse(layout: HierarchicalForest, X: np.ndarray, trees=None):
+    """Predict ``X`` over ``trees`` (default all); ``(predictions, stats)``."""
+    table = select_trees(layout._fastpath_edges, trees)
     preds, levels, lane_levels = traverse_edges(table, X)
-    stats = make_stats("hier", int(X.shape[0]), layout.n_trees, levels, lane_levels)
+    stats = make_stats("hier", int(X.shape[0]), table.roots.shape[0], levels, lane_levels)
     return preds, stats

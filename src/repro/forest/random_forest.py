@@ -9,7 +9,7 @@ compares against ``N/2`` for the binary case; we keep the general
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -17,6 +17,17 @@ from repro.forest.builder import FeatureBinner, TreeBuilder
 from repro.forest.tree import DecisionTree
 from repro.utils.rng import as_rng, bootstrap_indices, spawn_rngs
 from repro.utils.validation import check_array_2d, check_positive_int
+
+
+def vote_counts(
+    trees: Sequence[DecisionTree], X: np.ndarray, n_classes: int
+) -> np.ndarray:
+    """Per-class vote counts of ``trees`` over ``X``, ``(n_queries, n_classes)``."""
+    votes = np.zeros((X.shape[0], n_classes), dtype=np.int64)
+    rows = np.arange(X.shape[0], dtype=np.int64)
+    for tree in trees:
+        votes[rows, tree.predict(X)] += 1
+    return votes
 
 
 class RandomForestClassifier:
@@ -129,11 +140,7 @@ class RandomForestClassifier:
             raise ValueError(
                 f"X has {X.shape[1]} features, forest expects {self.n_features_}"
             )
-        votes = np.zeros((X.shape[0], self.n_classes_), dtype=np.int64)
-        rows = np.arange(X.shape[0], dtype=np.int64)
-        for tree in self.trees_:
-            votes[rows, tree.predict(X)] += 1
-        return votes
+        return vote_counts(self.trees_, X, self.n_classes_)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority-vote class labels for each query (ties -> lowest label)."""

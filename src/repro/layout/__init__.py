@@ -24,6 +24,7 @@ from repro.layout.codec import (
     PRECISIONS,
     QuantizedValues,
     get_codec,
+    quantize_trees,
 )
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
@@ -56,4 +57,5 @@ __all__ = [
     "PRECISIONS",
     "QuantizedValues",
     "get_codec",
+    "quantize_trees",
 ]

@@ -23,10 +23,12 @@ The paper's layouts (Sec. 4) store one float32 ``value`` channel per node
 
 Codecs quantize at *build* time: a layout constructed under codec ``c``
 stores the already-decoded (round-tripped) float32 values, so every
-downstream consumer — trace kernels, integrity checksums,
-``layout.predict`` — runs unchanged and agrees bit-for-bit with the
-fastpath's dequantize-on-gather (:mod:`repro.fastpath`), which replays
-the exact same float32 expression per lane.
+downstream consumer — trace kernels, integrity checksums — runs unchanged
+and agrees bit-for-bit with the fastpath's dequantize-on-gather
+(:mod:`repro.fastpath`), which replays the exact same float32 expression
+per lane.  :func:`quantize_trees` applies the same round trip to the host
+trees, which makes the CPU reference over them the oracle for a quantized
+layout.
 
 All decode arithmetic is float32 end to end; mixing a quantized code
 array into float64 arithmetic is banned by statcheck rule NUM004.
@@ -34,8 +36,8 @@ array into float64 arithmetic is banned by statcheck rule NUM004.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -271,3 +273,22 @@ def quantize_layout_values(
         leaf_code=leaf_code,
     )
     return roundtripped, quant
+
+
+def quantize_trees(trees: Sequence, codec: Union[str, NodeCodec]) -> List:
+    """Host trees whose inner-node thresholds went through ``codec``.
+
+    Calibration takes per-feature min/max over the inner nodes of the
+    whole forest, so it does not depend on node order: the decoded
+    thresholds equal those of any layout built from ``trees`` under
+    ``codec``, and ``reference_predict`` over the result is the oracle for
+    that layout.
+    """
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    decoded, _ = quantize_layout_values(codec, threshold, feature)
+    bounds = np.cumsum([t.n_nodes for t in trees])[:-1]
+    return [
+        replace(tree, threshold=part)
+        for tree, part in zip(trees, np.split(decoded, bounds))
+    ]

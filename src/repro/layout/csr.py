@@ -10,7 +10,9 @@ All trees of a forest are concatenated into single arrays with per-tree
 offsets, matching how a real GPU implementation would ship one buffer to the
 device.  Node ids inside ``children_arr`` are *tree-local*; kernels add
 ``tree_node_offset[t]`` to form global indices (and therefore memory
-addresses), exactly as the paper's CUDA code would.
+addresses), exactly as the paper's CUDA code would.  ``from_trees`` also
+lowers the layout to the fastpath's edge table (:mod:`repro.fastpath.csrpath`),
+the one traversal every inference path runs through.
 """
 
 from __future__ import annotations
@@ -125,6 +127,9 @@ class CSRForest:
             from repro.reliability.integrity import attach_integrity
 
             attach_integrity(layout)
+        from repro.fastpath.engine import lower
+
+        lower(layout)
         return layout
 
     # ------------------------------------------------------------------
@@ -139,47 +144,6 @@ class CSRForest:
     @property
     def total_children_entries(self) -> int:
         return int(self.children_arr.shape[0])
-
-    # ------------------------------------------------------------------
-    def predict_tree(self, X: np.ndarray, tree: int) -> np.ndarray:
-        """Reference batch traversal of one tree (level-synchronous).
-
-        Used by tests to check the layout encodes the same function as the
-        source :class:`DecisionTree`; the instrumented kernels re-implement
-        this loop with address accounting.
-        """
-        X = np.ascontiguousarray(X, dtype=np.float32)
-        base = self.tree_node_offset[tree]
-        cbase = self.tree_children_offset[tree]
-        cur = np.zeros(X.shape[0], dtype=np.int64)  # tree-local node ids
-        out = np.full(X.shape[0], -1, dtype=np.int64)
-        rows = np.arange(X.shape[0], dtype=np.int64)
-        active = np.ones(X.shape[0], dtype=bool)
-        while np.any(active):
-            g = base + cur[active]
-            feats = self.feature_id[g]
-            leaf = feats == LEAF
-            if np.any(leaf):
-                act_idx = np.flatnonzero(active)
-                done = act_idx[leaf]
-                out[done] = self.value[base + cur[done]].astype(np.int64)
-                active[done] = False
-                if not np.any(active):
-                    break
-                g = base + cur[active]
-                feats = self.feature_id[g]
-            go_left = X[rows[active], feats] < self.value[g]
-            ci = self.children_arr_idx[g] + np.where(go_left, 0, 1)
-            cur[active] = self.children_arr[cbase + ci]
-        return out
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Majority vote over all trees (reference semantics)."""
-        votes = np.zeros((X.shape[0], self.n_classes), dtype=np.int64)
-        rows = np.arange(X.shape[0], dtype=np.int64)
-        for t in range(self.n_trees):
-            votes[rows, self.predict_tree(X, t)] += 1
-        return votes.argmax(axis=1)
 
     # ------------------------------------------------------------------
     def validate(self, trees: Sequence[DecisionTree]) -> None:

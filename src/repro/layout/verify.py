@@ -2,10 +2,11 @@
 
 :func:`verify_layouts` builds every layout of a forest and checks, query by
 query and tree by tree, that each encodes exactly the same classification
-function as the source :class:`DecisionTree` objects.  The classifier API
-already verifies final majority votes on every run; this utility goes
-further (per-tree agreement, structural validation, all three layouts) and
-is what ``examples``/CI use when touching layout code.
+function as the source :class:`DecisionTree` objects; each tree runs alone
+through a single-tree root mask over the layout's edge table.  The
+classifier API already verifies final majority votes on every run; this
+utility goes further (per-tree agreement, structural validation, all three
+layouts) and is what ``examples``/CI use when touching layout code.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from repro.fastpath.engine import family_module, select_trees, traverse_edges
 from repro.forest.tree import DecisionTree
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
@@ -76,11 +78,15 @@ def verify_layouts(
         try:
             if hasattr(layout, "validate") and not isinstance(layout, CSRForest):
                 layout.validate()
-        except ValueError as e:
+            # Lowered afresh, so the check covers the buffers as they are
+            # now rather than the table cached when the layout was built.
+            table = family_module(layout).build_edges(layout)
+        except (ValueError, RuntimeError, IndexError) as e:
             report.failures.append(f"{label}: structural validation: {e}")
             return
         for t, exp in enumerate(expected):
-            got = layout.predict_tree(X, t)
+            # The majority vote of a single tree is that tree's label.
+            got, _, _ = traverse_edges(select_trees(table, [t]), X)
             if not np.array_equal(got, exp):
                 bad = int(np.flatnonzero(got != exp)[0])
                 report.failures.append(

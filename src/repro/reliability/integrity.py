@@ -15,7 +15,10 @@ module makes corruption *survivable* instead of merely detectable:
   naming the mismatched arrays.
 * :func:`degraded_predict` — majority vote over only the trees whose buffers
   still hash correctly, provided a configurable quorum survives.  This is
-  the availability escape hatch: drop poisoned trees, keep answering.
+  the availability escape hatch: drop poisoned trees, keep answering.  The
+  vote is a root mask over the edge table the layout lowered at build time
+  (:func:`repro.fastpath.fastpath_predict`), so it never reads a damaged
+  buffer.
 
 Everything here is duck-typed over the layout dataclasses (any object whose
 ``ndarray`` attributes are the node buffers), so the module imports neither
@@ -29,6 +32,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.fastpath import fastpath_predict
 from repro.utils.validation import array_crc32, check_in_range
 
 
@@ -217,9 +221,6 @@ def degraded_predict(
             f"only {n_alive}/{layout.n_trees} trees intact, "
             f"quorum requires {needed}"
         )
-    votes = np.zeros((X.shape[0], layout.n_classes), dtype=np.int64)
-    rows = np.arange(X.shape[0], dtype=np.int64)
-    for t in np.flatnonzero(alive):
-        votes[rows, layout.predict_tree(X, int(t))] += 1
+    preds, _ = fastpath_predict(layout, X, trees=alive)
     dropped = tuple(int(t) for t in np.flatnonzero(~alive))
-    return votes.argmax(axis=1), dropped
+    return preds, dropped

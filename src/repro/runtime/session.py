@@ -19,6 +19,7 @@ from repro.core.results import RunResult
 from repro.forest.metrics import accuracy_score
 from repro.fpgasim.device import ALVEO_U250, FPGASpec
 from repro.gpusim.device import GPUSpec, TITAN_XP
+from repro.layout.codec import quantize_trees
 from repro.obs.protocol import ensure_observer
 from repro.runtime.backends import Backend, backend_for, default_backends
 from repro.runtime.plan import CPU_PLATFORM, ExecutionPlan, PlanError, check_pair
@@ -90,6 +91,7 @@ class RuntimeSession:
         self._layout_cache: Dict[Tuple, object] = (
             layout_cache if layout_cache is not None else {}
         )
+        self._quantized_trees: Dict[str, List] = {}
 
     @classmethod
     def from_forest(cls, forest, **kwargs) -> "RuntimeSession":
@@ -107,6 +109,19 @@ class RuntimeSession:
         if key not in self._layout_cache:
             self._layout_cache[key] = backend.build_layout(self.trees, plan)
         return self._layout_cache[key]
+
+    def oracle_trees(self, precision: str) -> List:
+        """Host trees the CPU oracle checks a ``precision`` plan against.
+
+        A quantized plan moved its thresholds at build time; the same
+        codec round trip applied to the host trees gives the oracle,
+        independent of the layout it checks.
+        """
+        if precision == "float32":
+            return self.trees
+        if precision not in self._quantized_trees:
+            self._quantized_trees[precision] = quantize_trees(self.trees, precision)
+        return self._quantized_trees[precision]
 
     def invalidate_layouts(self) -> None:
         """Drop every cached layout (host trees stay authoritative)."""
@@ -190,13 +205,7 @@ class RuntimeSession:
             details["shard_seconds"] = [o.seconds for o in outputs]
 
         if self.verify_against_reference and plan.platform != CPU_PLATFORM:
-            if plan.precision != "float32":
-                # Quantized plans moved the thresholds at build time, so
-                # the host trees are no longer the oracle; the layout's own
-                # reference traversal (same decoded float32 channel) is.
-                ref = layout.predict(X)
-            else:
-                ref = reference_predict(self.trees, X)
+            ref = reference_predict(self.oracle_trees(plan.precision), X)
             if not np.array_equal(predictions, ref):
                 raise RuntimeError(
                     f"simulated kernel {plan.label} disagrees with the "

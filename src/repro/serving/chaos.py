@@ -245,11 +245,16 @@ def wrong_answer_ids(
     """
     wrong: List[int] = []
     degraded: List[int] = []
-    trees = front.guard.inner.trees
-    for resp in responses:
-        if not resp.ok:
-            continue
-        ref = reference_predict(trees, requests[resp.request_id].X)
+    served = [resp for resp in responses if resp.ok]
+    if not served:
+        return {"wrong": wrong, "degraded_divergence": degraded}
+    # One oracle call over every served row, split back per response.
+    rows = [requests[resp.request_id].X for resp in served]
+    refs = np.split(
+        reference_predict(front.guard.inner.trees, np.concatenate(rows)),
+        np.cumsum([x.shape[0] for x in rows])[:-1],
+    )
+    for resp, ref in zip(served, refs):
         if np.array_equal(resp.predictions, ref):
             continue
         (degraded if resp.degraded else wrong).append(resp.request_id)

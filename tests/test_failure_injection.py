@@ -2,13 +2,14 @@
 
 A reproduction whose correctness checks silently pass on broken data proves
 nothing, so these tests break each structure in a targeted way and assert
-the right guard trips (validate(), traversal runtime checks, or the
-classifier's reference verification).
+the right guard trips (validate(), the edge-table lowering's structural
+checks, or the classifier's reference verification).
 """
 
 import numpy as np
 import pytest
 
+from repro.fastpath.hierpath import build_edges
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 
@@ -61,21 +62,18 @@ class TestHierarchicalCorruption:
         with pytest.raises(ValueError, match="tree-root"):
             hier.validate()
 
-    def test_traversal_into_missing_connection_raises(
-        self, small_trees, queries
-    ):
-        """A -1 connection reached during traversal raises, never returns
-        garbage."""
+    def test_traversal_into_missing_connection_raises(self, small_trees):
+        """A -1 connection is named when the layout is lowered, never
+        turned into an out-of-bounds successor."""
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         valid = np.flatnonzero(h.subtree_connection >= 0)
         h.subtree_connection[valid] = -1  # sever everything
         with pytest.raises(RuntimeError, match="missing subtree"):
-            for t in range(h.n_trees):
-                h.predict_tree(queries, t)
+            build_edges(h)
 
-    def test_traversal_into_padding_raises(self, small_trees, queries):
+    def test_traversal_into_padding_raises(self, small_trees):
         """Corrupting a leaf into an inner node steers traversal into
-        padding, which the traversal detects."""
+        padding, which the lowering detects instead of voting from it."""
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         from repro.forest.tree import EMPTY, LEAF
 
@@ -99,8 +97,7 @@ class TestHierarchicalCorruption:
         if not found:
             pytest.skip("no leaf-with-padding-child in this forest")
         with pytest.raises(RuntimeError, match="padding"):
-            for t in range(h.n_trees):
-                h.predict_tree(queries, t)
+            build_edges(h)
 
 
 class TestKernelGuards:

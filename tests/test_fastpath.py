@@ -35,6 +35,7 @@ from repro.fastpath import (
 )
 from repro.forest.tree import random_tree
 from repro.kernels import registered_pairs
+from repro.layout.codec import quantize_trees
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 from repro.obs import ObsSession
@@ -167,6 +168,21 @@ class TestFastpathEngine:
     def test_unknown_layout_type_raises(self, queries):
         with pytest.raises(TypeError):
             fastpath_predict(object(), queries)
+
+    def test_tree_mask_votes_over_selected_trees(self, small_trees, queries):
+        keep = np.array([0, 3, 4, 8])
+        mask = np.isin(np.arange(len(small_trees)), keep)
+        ref = reference_predict([small_trees[t] for t in keep], queries)
+        for layout in (
+            HierarchicalForest.from_trees(small_trees, LayoutParams(4, 8)),
+            CSRForest.from_trees(small_trees),
+            FILForest.from_trees(small_trees),
+        ):
+            assert layout._fastpath_edges is not None  # lowered by from_trees
+            preds, stats = fastpath_predict(layout, queries, trees=keep)
+            assert np.array_equal(preds, ref)
+            assert (stats.trees, stats.lanes) == (4, queries.shape[0] * 4)
+            assert np.array_equal(fastpath_predict(layout, queries, trees=mask)[0], ref)
 
     def test_levels_bounded_by_depth(self, small_trees, queries):
         max_depth = max(int(t.depth.max()) for t in small_trees) + 1
@@ -356,17 +372,15 @@ class TestQuantizedGolden:
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     @pytest.mark.parametrize("variant", ["hybrid", "csr"])
     def test_fastpath_bit_identical_to_layout_and_trace(
-        self, session, queries, codec, variant
+        self, session, small_trees, queries, codec, variant
     ):
         fast = session.run(_plan("gpu", variant, precision=codec), queries)
         model = session.run(
             _plan("gpu", variant, trace=TRACE_MODEL, precision=codec), queries
         )
-        layout = session.layout_for(compile_plan(
-            None, RunConfig(platform="gpu", variant=variant, precision=codec)
-        ))
+        oracle = reference_predict(quantize_trees(small_trees, codec), queries)
         assert np.array_equal(fast.predictions, model.predictions)
-        assert np.array_equal(fast.predictions, layout.predict(queries))
+        assert np.array_equal(fast.predictions, oracle)
 
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     def test_edge_table_really_dequantizes(self, small_trees, queries, codec):
@@ -400,7 +414,8 @@ class TestQuantizedGolden:
             small_trees, LayoutParams(4, 8), codec=codec
         )
         preds, _ = fastpath_predict(layout, queries)
-        assert np.array_equal(preds, layout.predict(queries))
+        oracle = reference_predict(quantize_trees(small_trees, codec), queries)
+        assert np.array_equal(preds, oracle)
 
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     def test_quantized_predictions_track_the_oracle(

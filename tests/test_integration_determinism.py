@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import HierarchicalForestClassifier, RunConfig
 from repro.datasets import load_dataset, make_synthetic_forest
+from repro.fastpath import fastpath_predict
 from repro.layout import CSRForest, HierarchicalForest, LayoutParams
 
 
@@ -60,8 +61,8 @@ class TestCrossModuleAgreement:
         ref = clf.forest.predict(ds.X_test)
         csr = CSRForest.from_trees(clf.trees)
         hier = HierarchicalForest.from_trees(clf.trees, LayoutParams(5))
-        assert np.array_equal(csr.predict(ds.X_test), ref)
-        assert np.array_equal(hier.predict(ds.X_test), ref)
+        assert np.array_equal(fastpath_predict(csr, ds.X_test)[0], ref)
+        assert np.array_equal(fastpath_predict(hier, ds.X_test)[0], ref)
 
     def test_gpu_fpga_same_predictions(self, pipeline):
         clf, ds = pipeline

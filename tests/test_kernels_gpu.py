@@ -10,6 +10,7 @@ import pytest
 
 from repro.baselines.cpu_reference import reference_predict
 from repro.baselines.cuml_fil import CuMLFILKernel, FILForest
+from repro.fastpath import fastpath_predict
 from repro.kernels import (
     GPUCSRKernel,
     GPUCollaborativeKernel,
@@ -176,7 +177,8 @@ class TestFILForestLayout:
     def test_predict_tree_matches(self, small_trees, queries):
         fil = FILForest.from_trees(small_trees)
         for t, tree in enumerate(small_trees):
-            assert np.array_equal(fil.predict_tree(queries, t), tree.predict(queries))
+            got, _ = fastpath_predict(fil, queries, trees=[t])
+            assert np.array_equal(got, tree.predict(queries))
 
     def test_node_counts_preserved(self, small_trees):
         fil = FILForest.from_trees(small_trees)

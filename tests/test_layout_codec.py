@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.fastpath import fastpath_predict
 from repro.layout import (
     ByteWidths,
     CSRForest,
@@ -130,7 +131,9 @@ class TestLayoutThreading:
         base = CSRForest.from_trees(small_trees)
         quant = CSRForest.from_trees(small_trees, codec=codec)
         assert quant.codec == codec
-        agree = float(np.mean(quant.predict(queries) == base.predict(queries)))
+        quant_preds, _ = fastpath_predict(quant, queries)
+        base_preds, _ = fastpath_predict(base, queries)
+        agree = float(np.mean(quant_preds == base_preds))
         assert agree >= 0.98
 
     @pytest.mark.parametrize("codec", PRECISIONS)
@@ -141,7 +144,7 @@ class TestLayoutThreading:
         )
         hier.validate()
         np.testing.assert_array_equal(
-            csr.predict(queries), hier.predict(queries)
+            fastpath_predict(csr, queries)[0], fastpath_predict(hier, queries)[0]
         )
 
     @pytest.mark.parametrize("codec", QUANTIZED)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.baselines.cpu_reference import reference_predict
+from repro.fastpath import fastpath_predict
 from repro.forest.tree import LEAF, DecisionTree
 from repro.layout.csr import CSRForest
 from tests.test_forest_tree import small_manual_tree
@@ -56,22 +58,21 @@ class TestTraversal:
     def test_per_tree_matches_reference(self, small_trees, queries):
         csr = CSRForest.from_trees(small_trees)
         for t, tree in enumerate(small_trees):
-            assert np.array_equal(csr.predict_tree(queries, t), tree.predict(queries))
+            got, _ = fastpath_predict(csr, queries, trees=[t])
+            assert np.array_equal(got, tree.predict(queries))
 
     def test_forest_majority_vote(self, small_trees, queries):
-        from repro.baselines.cpu_reference import reference_predict
-
         csr = CSRForest.from_trees(small_trees)
-        assert np.array_equal(csr.predict(queries), reference_predict(small_trees, queries))
+        got, _ = fastpath_predict(csr, queries)
+        assert np.array_equal(got, reference_predict(small_trees, queries))
 
     def test_single_leaf_tree(self, queries):
         csr = CSRForest.from_trees([DecisionTree.leaf(1)])
-        out = csr.predict_tree(queries[:, :1], 0)
+        out, _ = fastpath_predict(csr, queries[:, :1], trees=[0])
         assert np.all(out == 1)
 
     def test_deep_trees(self, deep_trees, queries16):
         csr = CSRForest.from_trees(deep_trees)
         for t, tree in enumerate(deep_trees):
-            assert np.array_equal(
-                csr.predict_tree(queries16, t), tree.predict(queries16)
-            )
+            got, _ = fastpath_predict(csr, queries16, trees=[t])
+            assert np.array_equal(got, tree.predict(queries16))

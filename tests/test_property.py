@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines.cuml_fil import FILForest
+from repro.fastpath import fastpath_predict
 from repro.forest.builder import _gini_gain_from_counts
 from repro.forest.tree import random_tree
 from repro.gpusim.memory import warp_transactions
@@ -29,6 +30,11 @@ def make_case(seed, depth, n_features=6, n_queries=64):
     return tree, X
 
 
+def _tree0(layout, X):
+    """Tree 0 alone through a single-tree root mask: its own label."""
+    return fastpath_predict(layout, X, trees=[0])[0]
+
+
 class TestLayoutEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(seed=tree_seeds, depth=depths, sd=sds)
@@ -36,7 +42,7 @@ class TestLayoutEquivalence:
         tree, X = make_case(seed, depth)
         h = HierarchicalForest.from_trees([tree], LayoutParams(sd))
         h.validate()
-        assert np.array_equal(h.predict_tree(X, 0), tree.predict(X))
+        assert np.array_equal(_tree0(h, X), tree.predict(X))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=tree_seeds, depth=depths, sd=sds, rsd_extra=st.integers(0, 4))
@@ -44,21 +50,21 @@ class TestLayoutEquivalence:
         tree, X = make_case(seed, depth)
         a = HierarchicalForest.from_trees([tree], LayoutParams(sd))
         b = HierarchicalForest.from_trees([tree], LayoutParams(sd, sd + rsd_extra))
-        assert np.array_equal(a.predict_tree(X, 0), b.predict_tree(X, 0))
+        assert np.array_equal(_tree0(a, X), _tree0(b, X))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=tree_seeds, depth=depths)
     def test_csr_equals_tree(self, seed, depth):
         tree, X = make_case(seed, depth)
         c = CSRForest.from_trees([tree])
-        assert np.array_equal(c.predict_tree(X, 0), tree.predict(X))
+        assert np.array_equal(_tree0(c, X), tree.predict(X))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=tree_seeds, depth=depths)
     def test_fil_equals_tree(self, seed, depth):
         tree, X = make_case(seed, depth)
         f = FILForest.from_trees([tree])
-        assert np.array_equal(f.predict_tree(X, 0), tree.predict(X))
+        assert np.array_equal(_tree0(f, X), tree.predict(X))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=tree_seeds, depth=st.integers(1, 8), sd=sds)

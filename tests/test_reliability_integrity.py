@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.baselines.cpu_reference import reference_predict
 from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import RunConfig
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
+from repro.reliability.faults import FaultPlan
 from repro.reliability.integrity import (
     LayoutIntegrity,
     LayoutIntegrityError,
@@ -123,6 +125,22 @@ class TestKernelPreLaunchVerification:
         assert isinstance(err.value.__cause__, LayoutIntegrityError)
         assert err.value.platform == "gpu"
 
+    def test_fastpath_serves_build_time_snapshot(self, trained_small):
+        """Under trace="off" the table lowered at build keeps answering after
+        the buffers change; only the CRC check sees the damage."""
+        clf_src, _, _, Xte, _ = trained_small
+        clf = HierarchicalForestClassifier.from_forest(clf_src)
+        config = RunConfig(variant="csr", trace="off")
+        clean = clf.classify(Xte[:64], config).predictions
+        layout = clf.layout_for(config)
+        leaves = np.flatnonzero(layout.feature_id == -1)
+        layout.value[leaves] += 1.0  # every leaf now votes another class
+        assert np.array_equal(clf.classify(Xte[:64], config).predictions, clean)
+        checked = RunConfig(variant="csr", trace="off", verify_integrity=True)
+        with pytest.raises(ExecutionError) as err:
+            clf.classify(Xte[:64], checked)
+        assert isinstance(err.value.__cause__, LayoutIntegrityError)
+
     def test_clean_path_never_verifies(self, trained_small, monkeypatch):
         """The default config must not hash anything per call."""
         import repro.reliability.integrity as integrity
@@ -154,19 +172,15 @@ class TestDegradedVoting:
         alive[[1, 4]] = False
         preds, dropped = degraded_predict(h, queries, alive, 0.5)
         assert dropped == (1, 4)
-        votes = np.zeros((queries.shape[0], h.n_classes), dtype=np.int64)
-        rows = np.arange(queries.shape[0])
-        for t, tree in enumerate(small_trees):
-            if alive[t]:
-                votes[rows, tree.predict(queries)] += 1
-        assert np.array_equal(preds, votes.argmax(axis=1))
+        survivors = [t for t, ok in zip(small_trees, alive) if ok]
+        assert np.array_equal(preds, reference_predict(survivors, queries))
 
     def test_all_alive_matches_full_vote(self, small_trees, queries):
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         alive = np.ones(h.n_trees, dtype=bool)
         preds, dropped = degraded_predict(h, queries, alive, 1.0)
         assert dropped == ()
-        assert np.array_equal(preds, h.predict(queries))
+        assert np.array_equal(preds, reference_predict(small_trees, queries))
 
     def test_quorum_lost_raises(self, small_trees, queries):
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
@@ -179,3 +193,28 @@ class TestDegradedVoting:
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         with pytest.raises(ValueError, match="mask"):
             degraded_predict(h, queries, np.ones(3, dtype=bool), 0.5)
+
+
+class TestDegradedUnderRealCorruption:
+    """Bit flips in real buffers, not a hand-made mask over a clean layout."""
+
+    @pytest.mark.parametrize("family", ["hier", "csr"])
+    @pytest.mark.parametrize("seed", range(50))
+    def test_quorum_vote_equals_surviving_host_trees(
+        self, small_trees, queries, family, seed
+    ):
+        if family == "hier":
+            layout = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
+        else:
+            layout = CSRForest.from_trees(small_trees)
+        hit = FaultPlan(seed, tree_corruption_rate=0.25).corrupt_layout(layout)
+        alive = layout.integrity.surviving_trees(layout)
+        assert np.flatnonzero(~alive).tolist() == list(hit)
+        if alive.sum() < quorum_size(layout.n_trees, 0.5):
+            with pytest.raises(QuorumLostError):
+                degraded_predict(layout, queries, alive, 0.5)
+            return
+        preds, dropped = degraded_predict(layout, queries, alive, 0.5)
+        assert dropped == hit
+        survivors = [t for t, ok in zip(small_trees, alive) if ok]
+        assert np.array_equal(preds, reference_predict(survivors, queries))
