@@ -212,23 +212,28 @@ def _decode(data, path: str) -> RandomForestClassifier:
     threshold = (
         _decode_thresholds(data, path) if version >= 4 else data["threshold"]
     )
+    # Each ``data[name]`` decompresses the whole array afresh, and a tree's
+    # slice would keep its own full copy alive: read every array once.
+    cols = {
+        name: data[name]
+        for name in ("feature", "left_child", "right_child", "value", "depth")
+    }
+    all_samples = data["n_samples"] if version >= 2 else None
     trees: List[DecisionTree] = []
     for i in range(len(offsets) - 1):
         lo, hi = int(offsets[i]), int(offsets[i + 1])
         n_samples = None
-        if version >= 2:
-            ns = data["n_samples"][lo:hi]
-            if ns[0] >= 0:
-                n_samples = ns
+        if all_samples is not None and all_samples[lo] >= 0:
+            n_samples = all_samples[lo:hi]
         trees.append(
             DecisionTree(
-                feature=data["feature"][lo:hi],
+                feature=cols["feature"][lo:hi],
                 threshold=threshold[lo:hi],
-                left_child=data["left_child"][lo:hi],
-                right_child=data["right_child"][lo:hi],
-                value=data["value"][lo:hi],
+                left_child=cols["left_child"][lo:hi],
+                right_child=cols["right_child"][lo:hi],
+                value=cols["value"][lo:hi],
                 n_classes=n_classes,
-                depth=data["depth"][lo:hi],
+                depth=cols["depth"][lo:hi],
                 n_samples=n_samples,
             )
         )

@@ -14,19 +14,37 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.forest.builder import FeatureBinner, TreeBuilder
-from repro.forest.tree import DecisionTree
+from repro.forest.tree import DecisionTree, TreeStack, leaf_labels, stack_trees
 from repro.utils.rng import as_rng, bootstrap_indices, spawn_rngs
 from repro.utils.validation import check_array_2d, check_positive_int
 
+#: Most (row, tree) lanes one :func:`vote_counts` chunk keeps live; rows
+#: are traversed ``VOTE_CHUNK_LANES // n_trees`` at a time, so no
+#: ``n_rows x n_trees`` label matrix is ever built.
+VOTE_CHUNK_LANES: int = 1 << 15
+
 
 def vote_counts(
-    trees: Sequence[DecisionTree], X: np.ndarray, n_classes: int
+    trees: Union[Sequence[DecisionTree], TreeStack], X: np.ndarray, n_classes: int
 ) -> np.ndarray:
-    """Per-class vote counts of ``trees`` over ``X``, ``(n_queries, n_classes)``."""
+    """Per-class vote counts of ``trees`` over ``X``, ``(n_queries, n_classes)``.
+
+    ``trees`` may be pre-stacked (:func:`~repro.forest.tree.stack_trees`)
+    by a caller that votes the same trees many times.
+    """
+    stack = stack_trees(trees)
+    X = np.ascontiguousarray(X, dtype=np.float32)
     votes = np.zeros((X.shape[0], n_classes), dtype=np.int64)
-    rows = np.arange(X.shape[0], dtype=np.int64)
-    for tree in trees:
-        votes[rows, tree.predict(X)] += 1
+    step = max(1, VOTE_CHUNK_LANES // stack.n_trees)
+    for lo in range(0, X.shape[0], step):
+        chunk = X[lo : lo + step]
+        labels = leaf_labels(stack, chunk)
+        if labels.min() < 0 or labels.max() >= n_classes:
+            raise IndexError(f"leaf label outside [0, {n_classes})")
+        row = np.repeat(np.arange(chunk.shape[0], dtype=np.int64), stack.n_trees)
+        votes[lo : lo + step] = np.bincount(
+            row * n_classes + labels, minlength=chunk.shape[0] * n_classes
+        ).reshape(chunk.shape[0], n_classes)
     return votes
 
 

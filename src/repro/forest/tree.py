@@ -21,7 +21,7 @@ Node conventions (matching the paper's Fig. 2):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Tuple
+from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -168,27 +168,13 @@ class DecisionTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Vectorised level-synchronous prediction for a batch of samples.
 
-        All queries advance one level per iteration; finished queries park on
-        their leaf (whose children are -1, handled by masking).  This is the
-        same lock-step discipline the simulated kernels use and serves as the
-        library's ground truth.
+        The single-tree case of :func:`leaf_labels`, the library's ground
+        truth.
         """
         X = np.ascontiguousarray(X, dtype=np.float32)
         if X.ndim != 2:
             raise ValueError(f"X must be 2-D, got shape {X.shape}")
-        cur = np.zeros(X.shape[0], dtype=np.int64)
-        active = self.feature[cur] != LEAF
-        rows = np.arange(X.shape[0], dtype=np.int64)
-        while np.any(active):
-            idx = cur[active]
-            feats = self.feature[idx]
-            go_left = X[rows[active], feats] < self.threshold[idx]
-            nxt = np.where(go_left, self.left_child[idx], self.right_child[idx])
-            cur[active] = nxt
-            active_idx = np.flatnonzero(active)
-            still = self.feature[nxt] != LEAF
-            active[active_idx] = still
-        return self.value[cur].astype(np.int64)
+        return leaf_labels(stack_trees([self]), X).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Structural validation
@@ -247,6 +233,92 @@ class DecisionTree:
             f"DecisionTree(n_nodes={self.n_nodes}, n_leaves={self.n_leaves}, "
             f"max_depth={self.max_depth}, n_classes={self.n_classes})"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class TreeStack:
+    """Several trees' node arrays concatenated into one node-array set.
+
+    Node ``i`` of tree ``t`` is global node ``roots[t] + i``.  ``child``
+    interleaves the rebased children: ``child[2 * g + went_right]`` is
+    global node ``g``'s successor (leaf entries are never read).
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    child: np.ndarray
+    value: np.ndarray
+    #: Largest label count over the stacked trees.
+    n_classes: int
+    #: Highest feature index any split reads (-1 for all-leaf forests).
+    max_feature: int
+
+    @property
+    def n_trees(self) -> int:
+        return int(self.roots.shape[0])
+
+
+def stack_trees(trees: Union[Iterable[DecisionTree], TreeStack]) -> TreeStack:
+    """Stack ``trees`` for :func:`leaf_labels`; a ``TreeStack`` passes through."""
+    if isinstance(trees, TreeStack):
+        return trees
+    trees = list(trees)
+    if not trees:
+        raise ValueError("need at least one tree")
+    sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
+    roots = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes[:-1])])
+    child = np.concatenate(
+        [
+            np.stack([t.left_child, t.right_child], axis=1).astype(np.int64) + r
+            for t, r in zip(trees, roots.tolist())
+        ]
+    ).ravel()
+    feature = np.concatenate([t.feature for t in trees])
+    return TreeStack(
+        roots=roots,
+        feature=feature,
+        threshold=np.concatenate([t.threshold for t in trees]),
+        child=child,
+        value=np.concatenate([t.value for t in trees]),
+        n_classes=max(t.n_classes for t in trees),
+        max_feature=int(feature.max()),
+    )
+
+
+def leaf_labels(stack: TreeStack, X: np.ndarray) -> np.ndarray:
+    """Leaf label of every (row, tree) lane, lane ``row * n_trees + tree``.
+
+    One lock-step pass over all lanes (the paper's Fig. 1a
+    ``tree_traverse``, every tree at once): each level gathers the live
+    lanes' nodes and tests ``x[feature] < threshold`` in float32 — true
+    goes left — then drops the lanes that reached a leaf.  ``X`` must be
+    2-D C-contiguous float32; its rows are all live at once, so callers
+    bound the lane count by chunking rows.
+    """
+    n_rows, n_features = X.shape
+    if stack.max_feature >= n_features:
+        raise IndexError(
+            f"trees split on feature {stack.max_feature}, "
+            f"X has {n_features} features"
+        )
+    n_lanes = n_rows * stack.n_trees
+    labels = np.empty(n_lanes, dtype=np.int32)
+    lane = np.arange(n_lanes, dtype=np.int64)
+    node = np.tile(stack.roots, n_rows)
+    base = lane // stack.n_trees * n_features  # lane's row start in x
+    feat = stack.feature[node]
+    x = X.ravel()
+    while lane.size:
+        leaf = feat == LEAF
+        if leaf.any():
+            labels[lane[leaf]] = stack.value[node[leaf]]
+            live = ~leaf
+            lane, node, base, feat = lane[live], node[live], base[live], feat[live]
+        went_right = ~(x[base + feat] < stack.threshold[node])
+        node = stack.child[2 * node + went_right]
+        feat = stack.feature[node]
+    return labels
 
 
 def random_tree(

@@ -27,8 +27,8 @@ Everything here is duck-typed over the layout dataclasses (any object whose
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -125,6 +125,11 @@ class LayoutIntegrity:
 
     array_crc: Dict[str, int]
     tree_crc: np.ndarray
+    #: Last :meth:`surviving_trees` answer, keyed on the whole-array
+    #: digests of the buffers it was computed from.
+    _alive_memo: Optional[Tuple[Tuple[Tuple[str, int], ...], np.ndarray]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -149,14 +154,26 @@ class LayoutIntegrity:
         ]
 
     def surviving_trees(self, layout) -> np.ndarray:
-        """Boolean mask of trees whose buffer regions still hash correctly."""
-        return np.asarray(
-            [
-                int(self.tree_crc[t]) == _tree_crc(layout, t)
-                for t in range(layout.n_trees)
-            ],
-            dtype=bool,
+        """Boolean mask of trees whose buffer regions still hash correctly.
+
+        Per-tree digests walk every subtree in Python, so the mask is
+        recomputed only when the layout's current whole-array digests
+        differ from those of the last call; any change to a tree's bytes
+        changes its array's digest.
+        """
+        key = tuple(
+            (name, array_crc32(arr)) for name, arr in _node_arrays(layout).items()
         )
+        if self._alive_memo is None or self._alive_memo[0] != key:
+            alive = np.asarray(
+                [
+                    int(self.tree_crc[t]) == _tree_crc(layout, t)
+                    for t in range(layout.n_trees)
+                ],
+                dtype=bool,
+            )
+            self._alive_memo = (key, alive)
+        return self._alive_memo[1].copy()
 
     def check(self, layout) -> None:
         """Raise :class:`LayoutIntegrityError` if any buffer mismatches."""

@@ -17,6 +17,7 @@ from repro.baselines.cpu_reference import reference_predict
 from repro.core.config import RunConfig
 from repro.core.results import RunResult
 from repro.forest.metrics import accuracy_score
+from repro.forest.tree import TreeStack, stack_trees
 from repro.fpgasim.device import ALVEO_U250, FPGASpec
 from repro.gpusim.device import GPUSpec, TITAN_XP
 from repro.layout.codec import quantize_trees
@@ -91,7 +92,7 @@ class RuntimeSession:
         self._layout_cache: Dict[Tuple, object] = (
             layout_cache if layout_cache is not None else {}
         )
-        self._quantized_trees: Dict[str, List] = {}
+        self._oracle_stacks: Dict[str, TreeStack] = {}
 
     @classmethod
     def from_forest(cls, forest, **kwargs) -> "RuntimeSession":
@@ -110,18 +111,20 @@ class RuntimeSession:
             self._layout_cache[key] = backend.build_layout(self.trees, plan)
         return self._layout_cache[key]
 
-    def oracle_trees(self, precision: str) -> List:
+    def oracle_trees(self, precision: str) -> TreeStack:
         """Host trees the CPU oracle checks a ``precision`` plan against.
 
         A quantized plan moved its thresholds at build time; the same
         codec round trip applied to the host trees gives the oracle,
-        independent of the layout it checks.
+        independent of the layout it checks.  Host trees never change
+        during a session, so each precision's trees are stacked once.
         """
-        if precision == "float32":
-            return self.trees
-        if precision not in self._quantized_trees:
-            self._quantized_trees[precision] = quantize_trees(self.trees, precision)
-        return self._quantized_trees[precision]
+        if precision not in self._oracle_stacks:
+            trees = self.trees
+            if precision != "float32":
+                trees = quantize_trees(trees, precision)
+            self._oracle_stacks[precision] = stack_trees(trees)
+        return self._oracle_stacks[precision]
 
     def invalidate_layouts(self) -> None:
         """Drop every cached layout (host trees stay authoritative)."""

@@ -218,3 +218,33 @@ class TestDegradedUnderRealCorruption:
         assert dropped == hit
         survivors = [t for t, ok in zip(small_trees, alive) if ok]
         assert np.array_equal(preds, reference_predict(survivors, queries))
+
+
+class TestSurvivingTreesCache:
+    """The mask is memoised per whole-array digest, never per layout object."""
+
+    @pytest.mark.parametrize("family", ["hier", "csr"])
+    def test_later_corruption_shows_after_cached_call(self, hier, csr, family):
+        layout = hier if family == "hier" else csr
+        integ = layout.integrity
+        first = FaultPlan(1).corrupt_layout(layout, rate=0.2)
+        assert np.flatnonzero(~integ.surviving_trees(layout)).tolist() == list(first)
+        second = FaultPlan(2).corrupt_layout(layout, rate=0.2)
+        assert set(second) - set(first)  # the second flip hits another tree
+        alive = integ.surviving_trees(layout)
+        assert np.flatnonzero(~alive).tolist() == sorted(set(first) | set(second))
+
+    def test_unchanged_buffers_skip_per_tree_digests(self, hier, monkeypatch):
+        from repro.reliability import integrity
+
+        FaultPlan(1).corrupt_layout(hier, rate=0.2)
+        expected = hier.integrity.surviving_trees(hier)
+        calls = []
+        real = integrity._tree_crc
+        monkeypatch.setattr(
+            integrity, "_tree_crc", lambda *a: calls.append(a) or real(*a)
+        )
+        again = hier.integrity.surviving_trees(hier)
+        assert np.array_equal(again, expected) and calls == []
+        again[:] = False  # callers get a copy, not the memo
+        assert np.array_equal(hier.integrity.surviving_trees(hier), expected)
