@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint statcheck statcheck-fix statcheck-sarif faults serve-chaos serve-chaos-baseline slo slo-baseline fastpath fastpath-baseline quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
+.PHONY: install test lint statcheck faults serve-chaos serve-chaos-baseline slo slo-baseline fastpath fastpath-baseline quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -15,15 +15,6 @@ lint: statcheck
 
 statcheck:
 	PYTHONPATH=src python -m repro.statcheck src
-
-# Apply statcheck's mechanical autofixes (NUM001 dtype insertion, DET002
-# default_rng -> as_rng), then re-check the tree.
-statcheck-fix:
-	PYTHONPATH=src python -m repro.statcheck src --fix
-
-# Emit SARIF 2.1.0 for GitHub code scanning.
-statcheck-sarif:
-	PYTHONPATH=src python -m repro.statcheck src --format sarif > statcheck.sarif
 
 test-output:
 	pytest tests/ 2>&1 | tee test_output.txt

@@ -1,18 +1,26 @@
 """``repro.statcheck`` — repo-specific static analysis for the simulator.
 
-A small Python-AST rule engine plus four rule families that encode the
+A Python-AST rule engine plus eight rule families that encode the
 invariants the reproduction's *performance* conclusions depend on (see
 ``docs/architecture.md`` § Static checks):
 
-* **DET** (determinism) — all randomness through ``repro.utils.rng``, no
-  wall-clock reads, no unordered-set iteration in result-producing code.
+* **DET** (determinism) — all randomness through ``repro.utils.rng`` (with
+  RNG provenance tracked through helpers), no wall-clock reads, no
+  unordered-set iteration in result-producing code.
 * **KRN** (kernel discipline) — global loads in the simulated GPU kernels
   go through ``AddressSpace``/tracker sites, lane writes in divergent
   regions are mask-guarded, and shared-memory staging is fenced by a sync
   before it is read (static race detection over the warp-lockstep DSL).
-* **NUM** (numeric safety) — explicit dtypes, no silent float64 upcasts in
-  hot packages, checksummed ``.npz`` persistence.
-* **API** (hygiene) — experiments route through ``experiments.common``.
+* **NUM** (numeric safety) — explicit dtypes, no float64 flowing into
+  float32 packages or quantized codes, checksummed ``.npz`` persistence.
+* **API** (hygiene) — experiments route through ``experiments.common``
+  and the runtime seam.
+* **OBS** (observability) — experiment entry points write a run manifest;
+  observer hooks are not duck-typed through ``hasattr``.
+* **PERF** (fastpath) — no Python loops in ``repro/fastpath``.
+* **REL** (reliability) — no bare or swallowed catch-all exceptions in
+  serving/reliability code.
+* **SRV** (serving) — every shed decision consults the request deadline.
 
 Run it as ``python -m repro.statcheck src`` (see :mod:`repro.statcheck.cli`).
 """

@@ -1,7 +1,8 @@
 """``python -m repro.statcheck`` — the statcheck command line.
 
-Exit codes: 0 = clean (possibly via baseline), 1 = new violations,
-2 = usage or internal error.
+Every run is the same full, whole-program analysis of ``paths``.
+
+Exit codes: 0 = clean, 1 = violations, 2 = usage or internal error.
 """
 
 from __future__ import annotations
@@ -11,15 +12,8 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.statcheck import baseline as baseline_mod
-from repro.statcheck.core import (
-    all_rules,
-    build_project,
-    check_file,
-    iter_python_files,
-)
+from repro.statcheck.core import all_rules, check_paths, iter_python_files
 from repro.statcheck.reporters import render_json, render_rule_list, render_text
-from repro.statcheck.sarif import render_sarif
 
 
 def _select_rules(select: Optional[str], ignore: Optional[str]):
@@ -48,35 +42,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="files or directories to check (default: src)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="report format (sarif = SARIF 2.1.0 for code scanning)",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline JSON (default: ./statcheck-baseline.json if present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every violation",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current violations as the new baseline and exit 0 "
-        "(an empty debt set deletes the baseline file)",
-    )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply mechanical fixes for fixable violations (NUM001 dtype "
-        "insertion, DET002 default_rng→as_rng), then re-check",
-    )
-    parser.add_argument(
-        "--incremental", action="store_true",
-        help="re-analyze only changed files and their call-graph "
-        "dependents, replaying cached results for the rest",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="FILE",
-        help="incremental cache location (default: ./.statcheck-cache.json)",
+        "--format", choices=("text", "json"), default="text",
+        help="report format",
     )
     parser.add_argument(
         "--select", default=None, metavar="RULES",
@@ -107,80 +74,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"statcheck: no such path(s): {missing}", file=sys.stderr)
         return 2
 
-    def full_run():
-        files = list(iter_python_files(args.paths))
-        project = build_project(files)
-        out = []
-        for f in files:
-            out.extend(check_file(f, rules=rules, project=project))
-        return out, len(files)
-
-    analyzed_note = ""
-    if args.incremental:
-        from repro.statcheck.incremental import DEFAULT_CACHE, run_incremental
-
-        inc = run_incremental(
-            args.paths, cache_path=args.cache or DEFAULT_CACHE, rules=rules
-        )
-        violations = inc.violations
-        files_checked = len(inc.analyzed) + len(inc.reused)
-        analyzed_note = (
-            f"[incremental: re-analyzed {len(inc.analyzed)}, "
-            f"reused {len(inc.reused)}]"
-        )
-    else:
-        violations, files_checked = full_run()
-
-    if args.fix:
-        from repro.statcheck.fix import fix_files
-
-        notes = fix_files(violations)
-        for note in notes:
-            print(f"statcheck --fix: {note}")
-        if notes:
-            # The tree changed under us: re-check from scratch so the
-            # report (and the exit code) reflect the fixed state.
-            violations, files_checked = full_run()
-
-    baseline_path = args.baseline or (
-        baseline_mod.DEFAULT_BASELINE
-        if os.path.exists(baseline_mod.DEFAULT_BASELINE)
-        else None
-    )
-
-    if args.write_baseline:
-        target = args.baseline or baseline_mod.DEFAULT_BASELINE
-        if baseline_mod.write_baseline(target, violations):
-            print(
-                f"statcheck: wrote baseline with "
-                f"{len(baseline_mod.group_counts(violations))} group(s) "
-                f"({len(violations)} violations) to {target}"
-            )
-        else:
-            print(f"statcheck: no violations — no baseline needed ({target} removed if it existed)")
-        return 0
-
-    result = None
-    new = violations
-    if baseline_path and not args.no_baseline:
-        try:
-            counts = baseline_mod.load_baseline(baseline_path)
-        except (OSError, ValueError) as e:
-            print(f"statcheck: cannot read baseline {baseline_path}: {e}",
-                  file=sys.stderr)
-            return 2
-        result = baseline_mod.apply_baseline(violations, counts)
-        new = result.new
-
-    render = {
-        "json": render_json,
-        "sarif": render_sarif,
-        "text": render_text,
-    }[args.format]
-    print(render(new, result, files_checked))
-    if analyzed_note and args.format == "text":
-        print(analyzed_note)
-    return 1 if new else 0
+    files = list(iter_python_files(args.paths))
+    violations = check_paths(files, rules=rules)
+    render = render_json if args.format == "json" else render_text
+    print(render(violations, len(files)))
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

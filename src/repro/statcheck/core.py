@@ -48,8 +48,6 @@ class Violation:
     col: int
     rule_id: str
     message: str
-    #: Optional mechanical fix (compare=False keeps frozen-equality by site).
-    fix: Optional[object] = field(default=None, compare=False)
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule_id} {self.message}"
@@ -61,7 +59,6 @@ class Violation:
             "col": self.col,
             "rule": self.rule_id,
             "message": self.message,
-            "fixable": self.fix is not None,
         }
 
 
@@ -354,8 +351,13 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
             yield path
 
 
-def build_project(files: Sequence[str]) -> Project:
-    """Parse ``files`` into one whole-program :class:`Project`."""
+def check_paths(
+    paths: Sequence[str],
+    rules: Optional[Iterable[Rule]] = None,
+) -> List[Violation]:
+    """Check every python file under ``paths`` (files or directories),
+    sharing one whole-program project across all of them."""
+    files = list(iter_python_files(paths))
     project = Project()
     for path in files:
         try:
@@ -364,17 +366,6 @@ def build_project(files: Sequence[str]) -> Project:
         except OSError:
             continue
         project.add_source(source, path, module_key(path))
-    return project
-
-
-def check_paths(
-    paths: Sequence[str],
-    rules: Optional[Iterable[Rule]] = None,
-) -> List[Violation]:
-    """Check every python file under ``paths`` (files or directories),
-    sharing one whole-program project across all of them."""
-    files = list(iter_python_files(paths))
-    project = build_project(files)
     out: List[Violation] = []
     for f in files:
         out.extend(check_file(f, rules=rules, project=project))

@@ -3,9 +3,8 @@
 A :class:`Project` is the parsed closure of every file a run checks.  It
 gives the flow-based rules three things the per-file v1 engine could not:
 
-* **module import graph** — which project module a ``repro.x.y`` import
-  resolves to, plus the reverse (*dependents*) edges the incremental mode
-  uses to decide what a changed file can possibly invalidate;
+* **module resolution** — which project module a ``repro.x.y`` import
+  resolves to;
 * **function call graph** — every ``def`` in the project keyed by
   ``(module key, qualname)``, with call expressions resolved through the
   per-file alias tables (bare names, ``from mod import f`` names,
@@ -63,8 +62,6 @@ class ModuleInfo:
     aliases: Dict[str, str] = field(default_factory=dict)
     #: qualname -> FunctionInfo for every def in the module.
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: Dotted module names this module imports (``repro.utils.rng``, ...).
-    imported_modules: Set[str] = field(default_factory=set)
     #: Module-level ``NAME = expr`` bindings (last one wins), so constants
     #: like ``DT = np.float64`` resolve inside function bodies.
     constants: Dict[str, ast.expr] = field(default_factory=dict)
@@ -105,23 +102,6 @@ def _index_functions(mod: ModuleInfo) -> None:
                 mod.constants[node.target.id] = node.value
 
 
-def _imported_modules(tree: ast.Module) -> Set[str]:
-    out: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                out.add(a.name)
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and not node.level:
-                out.add(node.module)
-                # ``from pkg import mod`` also names pkg.mod; record both so
-                # the dependency edge survives either import spelling.
-                for a in node.names:
-                    if a.name != "*":
-                        out.add(f"{node.module}.{a.name}")
-    return out
-
-
 class Project:
     """Parsed closure of the files under analysis."""
 
@@ -148,23 +128,14 @@ class Project:
             tree=tree,
             lines=source.splitlines(),
             aliases=build_alias_map(tree),
-            imported_modules=_imported_modules(tree),
         )
         _index_functions(mod)
         self.modules[key] = mod
         self._by_dotted[mod.dotted] = mod
         return mod
 
-    @classmethod
-    def from_sources(cls, sources: Dict[str, Tuple[str, str]]) -> "Project":
-        """Build from ``{key: (source, path)}``."""
-        project = cls()
-        for key, (source, path) in sources.items():
-            project.add_source(source, path, key)
-        return project
-
     # ------------------------------------------------------------------
-    # Module import graph
+    # Module resolution
     # ------------------------------------------------------------------
     def module_for_dotted(self, dotted: str) -> Optional[ModuleInfo]:
         mod = self._by_dotted.get(dotted)
@@ -172,39 +143,6 @@ class Project:
             return mod
         # ``repro.fastpath`` may resolve to the package __init__.
         return self._by_dotted.get(f"{dotted}.__init__")
-
-    def internal_deps(self, key: str) -> Set[str]:
-        """Module keys of project modules that ``key`` imports."""
-        mod = self.modules.get(key)
-        if mod is None:
-            return set()
-        deps: Set[str] = set()
-        for dotted in mod.imported_modules:
-            target = self.module_for_dotted(dotted)
-            if target is not None and target.key != key:
-                deps.add(target.key)
-        return deps
-
-    def dependents_map(self) -> Dict[str, Set[str]]:
-        """Reverse import edges: module key -> keys that import it."""
-        rev: Dict[str, Set[str]] = {k: set() for k in self.modules}
-        for key in self.modules:
-            for dep in self.internal_deps(key):
-                rev.setdefault(dep, set()).add(key)
-        return rev
-
-    def transitive_dependents(self, keys: Set[str]) -> Set[str]:
-        """All modules that (transitively) import any of ``keys``."""
-        rev = self.dependents_map()
-        out: Set[str] = set()
-        frontier = list(keys)
-        while frontier:
-            k = frontier.pop()
-            for dep in rev.get(k, ()):
-                if dep not in out and dep not in keys:
-                    out.add(dep)
-                    frontier.append(dep)
-        return out
 
     # ------------------------------------------------------------------
     # Call resolution

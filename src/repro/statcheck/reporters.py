@@ -3,54 +3,30 @@
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import List
 
-from repro.statcheck.baseline import BaselineResult
 from repro.statcheck.core import Violation, all_rules
 
 
-def render_text(
-    new: List[Violation],
-    baseline: Optional[BaselineResult] = None,
-    files_checked: int = 0,
-) -> str:
-    lines = [v.format() for v in new]
-    summary = [
-        f"statcheck: {len(new)} violation{'s' if len(new) != 1 else ''} "
+def render_text(violations: List[Violation], files_checked: int = 0) -> str:
+    lines = [v.format() for v in violations]
+    lines.append(
+        f"statcheck: {len(violations)} violation"
+        f"{'s' if len(violations) != 1 else ''} "
         f"across {files_checked} file{'s' if files_checked != 1 else ''}"
-    ]
-    if baseline is not None:
-        if baseline.absorbed:
-            summary.append(f"({baseline.absorbed} absorbed by baseline)")
-        if baseline.stale:
-            summary.append(
-                f"[{len(baseline.stale)} stale baseline entr"
-                f"{'ies' if len(baseline.stale) != 1 else 'y'} — debt paid "
-                "down; run --write-baseline to shrink the file]"
-            )
-    lines.append(" ".join(summary))
+    )
     return "\n".join(lines)
 
 
-def render_json(
-    new: List[Violation],
-    baseline: Optional[BaselineResult] = None,
-    files_checked: int = 0,
-) -> str:
-    payload: Dict[str, object] = {
-        "violations": [v.as_dict() for v in new],
-        "count": len(new),
-        "files_checked": files_checked,
-    }
-    if baseline is not None:
-        payload["baseline"] = {
-            "absorbed": baseline.absorbed,
-            "stale": [
-                {"key": k, "allowed": a, "actual": c}
-                for k, a, c in baseline.stale
-            ],
-        }
-    return json.dumps(payload, indent=1)
+def render_json(violations: List[Violation], files_checked: int = 0) -> str:
+    return json.dumps(
+        {
+            "violations": [v.as_dict() for v in violations],
+            "count": len(violations),
+            "files_checked": files_checked,
+        },
+        indent=1,
+    )
 
 
 def render_rule_list() -> str:

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.statcheck import baseline as baseline_mod
 from repro.statcheck import cli
 from repro.statcheck.core import (
     PARSE_RULE,
@@ -172,33 +171,6 @@ def test_violations_sorted_and_deduped():
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def test_baseline_roundtrip_and_apply(tmp_path):
-    src = "import numpy as np\na = np.zeros(3)\nb = np.ones(4)\n"
-    violations = check_source(src, "src/repro/debt.py")
-    assert len(violations) == 2
-
-    path = tmp_path / "base.json"
-    baseline_mod.write_baseline(str(path), violations)
-    counts = baseline_mod.load_baseline(str(path))
-    assert counts == {"src/repro/debt.py::NUM001": 2}
-
-    # Same debt: fully absorbed.
-    res = baseline_mod.apply_baseline(violations, counts)
-    assert res.new == [] and res.absorbed == 2 and res.stale == []
-
-    # Extra debt in the group: the whole group resurfaces.
-    more = check_source(src + "c = np.empty(5)\n", "src/repro/debt.py")
-    res = baseline_mod.apply_baseline(more, counts)
-    assert len(res.new) == 3
-
-    # Paid-down debt: nothing new, entry reported stale.
-    res = baseline_mod.apply_baseline(violations[:1], counts)
-    assert res.new == [] and res.stale == [("src/repro/debt.py::NUM001", 2, 1)]
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 def _write(tmp_path, name, text):
@@ -209,22 +181,22 @@ def _write(tmp_path, name, text):
 
 def test_cli_clean_file_exits_zero(tmp_path, capsys):
     f = _write(tmp_path, "clean.py", "import numpy as np\nx = np.zeros(3, dtype=np.float32)\n")
-    assert cli.main([f, "--no-baseline"]) == 0
+    assert cli.main([f]) == 0
     assert "0 violation" in capsys.readouterr().out
 
 
 def test_cli_violations_exit_one_and_json(tmp_path, capsys):
     f = _write(tmp_path, "dirty.py", "import numpy as np\nx = np.zeros(3)\n")
-    assert cli.main([f, "--no-baseline", "--format", "json"]) == 1
+    assert cli.main([f, "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["violations"][0]["rule"] == "NUM001"
 
 
 def test_cli_select_and_ignore(tmp_path, capsys):
     f = _write(tmp_path, "dirty.py", "import numpy as np\nx = np.zeros(3)\n")
-    assert cli.main([f, "--no-baseline", "--select", "DET001"]) == 0
-    assert cli.main([f, "--no-baseline", "--ignore", "NUM001"]) == 0
-    assert cli.main([f, "--no-baseline", "--select", "NOPE"]) == 2
+    assert cli.main([f, "--select", "DET001"]) == 0
+    assert cli.main([f, "--ignore", "NUM001"]) == 0
+    assert cli.main([f, "--select", "NOPE"]) == 2
     capsys.readouterr()
 
 
@@ -240,16 +212,20 @@ def test_cli_list_rules(capsys):
         assert rule_id in out
 
 
-def test_cli_write_then_use_baseline(tmp_path, capsys, monkeypatch):
+def test_cli_ignores_stale_baseline_file(tmp_path, capsys, monkeypatch):
+    """A debt file left in the cwd absorbs nothing: every run is full."""
     monkeypatch.chdir(tmp_path)
     _write(tmp_path, "dirty.py", "import numpy as np\nx = np.zeros(3)\n")
-    assert cli.main(["dirty.py", "--write-baseline"]) == 0
-    # Default baseline is auto-picked from the cwd; the debt is absorbed.
-    assert cli.main(["dirty.py"]) == 0
-    assert "absorbed" in capsys.readouterr().out
+    _write(
+        tmp_path,
+        "statcheck-baseline.json",
+        json.dumps({"version": 1, "counts": {"dirty.py::NUM001": 1}}),
+    )
+    assert cli.main(["dirty.py"]) == 1
+    assert "NUM001" in capsys.readouterr().out
 
 
-def test_repo_source_tree_is_clean_under_checked_in_baseline(monkeypatch, capsys):
+def test_repo_source_tree_is_clean(monkeypatch, capsys):
     """The headline acceptance check: `python -m repro.statcheck src` == 0."""
     monkeypatch.chdir(REPO_ROOT)
     assert cli.main(["src"]) == 0

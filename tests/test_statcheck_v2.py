@@ -1,6 +1,6 @@
 """Tests for the statcheck v2 interprocedural engine.
 
-Covers the Project substrate (imports, call resolution, dependents), the
+Covers the Project substrate (imports, call resolution), the
 CFG + dataflow framework, and the acceptance cases from the v2 issue:
 flow-based NUM002 across functions *and modules*, DET004 unseeded-RNG
 provenance through helpers, multi-level KRN003, and SRV001 deadline
@@ -35,7 +35,7 @@ def make_project(**modules: str) -> Project:
 
 
 # ----------------------------------------------------------------------
-# Project: imports, call resolution, dependents
+# Project: imports, call resolution
 # ----------------------------------------------------------------------
 def test_project_resolves_from_import_calls_across_modules():
     project = make_project(
@@ -76,29 +76,6 @@ def test_project_resolves_module_attribute_calls():
     call = next(n for n in ast.walk(mod_c.tree) if isinstance(n, ast.Call))
     callee = project.resolve_call(call, mod_c)
     assert callee is not None and callee.qualname == "f"
-
-
-def test_project_dependents_are_transitive():
-    project = make_project(
-        repro__base="""
-        def f():
-            return 0
-        """,
-        repro__mid="""
-        from repro.base import f
-
-        def g():
-            return f()
-        """,
-        repro__top="""
-        from repro.mid import g
-
-        def h():
-            return g()
-        """,
-    )
-    deps = project.transitive_dependents({"repro/base.py"})
-    assert deps == {"repro/mid.py", "repro/top.py"}
 
 
 def test_analysis_units_include_module_scope():
