@@ -21,8 +21,6 @@ answer or on p99/shed-rate regressions.
 from __future__ import annotations
 
 import json
-import shutil
-import tempfile
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -119,11 +117,8 @@ def run_slo_soak(
 
     Per scenario: a fresh classifier, a fresh :class:`~repro.obs.ObsSession`
     (request-scoped tracing + metrics + latency exemplars), and a
-    :class:`CostDriftMonitor` wired into the front door.  Each replay gets
-    its own *empty* temporary plan-cache directory — a shared cache would
-    make the second replay take the cache-hit path (``plan.source``
-    changes), breaking the byte-identical-replay contract the golden test
-    enforces.
+    :class:`CostDriftMonitor` wired into the front door.  Serving resolves
+    its plan without the plan cache, so replays share no state on disk.
 
     ``miscalibration`` is the injected cost-model error factor (1.0 =
     faithful model); the acceptance test drives 2.0 through here and
@@ -161,14 +156,9 @@ def run_slo_soak(
         drift = CostDriftMonitor(
             registry=session.registry, miscalibration=miscalibration
         )
-        cache_dir = tempfile.mkdtemp(prefix="repro-slo-plan-cache-")
-        try:
-            clf.planner.cache_dir = cache_dir
-            chaos_replay = replay_scenario(
-                clf, X[:512], scenario, observer=session, drift=drift
-            )
-        finally:
-            shutil.rmtree(cache_dir, ignore_errors=True)
+        chaos_replay = replay_scenario(
+            clf, X[:512], scenario, observer=session, drift=drift
+        )
         divergence = wrong_answer_ids(
             chaos_replay.front, chaos_replay.requests, chaos_replay.responses
         )
@@ -183,11 +173,6 @@ def run_slo_soak(
                     objectives, events, chaos_replay.horizon_s
                 ),
                 "calibration": drift.snapshot(),
-                "planner": {
-                    "drift_invalidations": clf.planner.stats[
-                        "drift_invalidations"
-                    ]
-                },
                 "survivability": chaos_replay.report(),
             }
         )

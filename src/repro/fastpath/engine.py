@@ -61,9 +61,10 @@ FASTPATH_DEQUANT_FACTOR = {
     "packed": 1.15,
 }
 
-#: Kernel-variant -> traversal family.  The hierarchical variants all run
+#: Kernel-variant -> layout family.  The hierarchical variants all run
 #: over the same packed subtree arrays; CSR and the cuML baseline each have
-#: their own layout and therefore their own traversal.
+#: their own layout and therefore their own EdgeTable lowering.  Every
+#: family shares one traversal, :func:`traverse_edges`.
 FAMILY_BY_VARIANT = {
     "independent": "hier",
     "collaborative": "hier",

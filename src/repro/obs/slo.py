@@ -290,6 +290,6 @@ def check_slo_report(
                     f"{name}: cost-model calibration error for {key} is "
                     f"{err:.3f} log2 (baseline {base_err:.3f} + "
                     f"{calibration_tolerance_log2} allowed) — "
-                    f"{row['reprobes']} plan-cache re-probe(s) recorded"
+                    f"{row['reprobes']} latency-model re-probe(s) recorded"
                 )
     return failures

@@ -12,7 +12,8 @@ workload, made operational):
 * :func:`~repro.runtime.planner.compile_plan` /
   :class:`~repro.runtime.planner.Planner` — explicit configs map 1:1 onto
   plans; ``variant="auto"`` autotunes with an analytic cost model plus
-  seeded probe runs, cached under ``results/plan_cache/``.
+  seeded probe runs, cached under ``results/plan_cache/`` — or, under
+  ``trace="off"``, resolves to one plan without tuning.
 * :class:`~repro.runtime.session.RuntimeSession` — executes plans over
   sharded batches and merges :class:`~repro.core.results.RunResult`\\ s.
 

@@ -10,9 +10,9 @@ drifted model silently mis-sizes batches and mis-ranks candidates.
 variant) calibration-error gauges in the metrics registry (mean absolute
 log2 error — symmetric in over/under-prediction) and, once a key's mean
 error crosses ``threshold_log2`` with enough samples, flags it **once**
-for a plan-cache re-probe (the caller invalidates the cached plans and
-recalibrates its latency models; the ``costmodel.reprobes`` counter and
-the SLO report record that it happened).
+for a re-probe (the caller recalibrates its latency models; the
+``costmodel.reprobes`` counter and the SLO report record that it
+happened).
 
 Determinism: the monitor only aggregates numbers handed to it — no clock,
 no RNG — so a seeded chaos replay produces identical drift accounting.
@@ -105,7 +105,7 @@ class CostDriftMonitor:
             self._flagged.add(key)
             self.registry.counter(
                 "costmodel.reprobes",
-                "plan-cache re-probes triggered by calibration drift",
+                "latency-model re-probes triggered by calibration drift",
             ).inc(1.0, **labels)
             return True
         return False

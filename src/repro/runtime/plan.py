@@ -72,8 +72,9 @@ class ExecutionPlan:
     replication: Replication = field(default_factory=Replication)
     batch_split: int = 1
     verify_integrity: bool = False
-    #: "explicit" (compiled from a caller's RunConfig), "autotuned", or
-    #: "cache" (autotuned earlier, replayed from the plan cache).
+    #: "explicit" (compiled from a caller's RunConfig), "autotuned",
+    #: "cache" (autotuned earlier, replayed from the plan cache), or
+    #: "resolved" (trace-off ``variant="auto"``, picked without tuning).
     source: str = "explicit"
     #: The analytic cost model's estimate, seconds (None for explicit plans).
     cost_estimate_s: Optional[float] = None

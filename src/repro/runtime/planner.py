@@ -5,15 +5,24 @@
 :class:`~repro.runtime.plan.ExecutionPlan` (the legacy ``classify()``
 wiring, made explicit and serializable).
 
-:class:`Planner` is the ``variant="auto"`` path: it enumerates candidate
-plans for the requested platform, scores them all with the analytic cost
-model (:mod:`repro.runtime.cost`), refines the top-k with short simulated
-probe runs on a seeded query sample, and caches the winner under
+:class:`Planner` is the ``variant="auto"`` path.  Under ``trace="model"``
+it enumerates candidate plans for the requested platform, scores them all
+with the analytic cost model (:mod:`repro.runtime.cost`), refines the
+top-k with short simulated probe runs on a seeded query sample, and
+caches the winner under
 ``results/plan_cache/`` keyed by (forest fingerprint, dataset profile) —
 a cache hit replays the stored plan without any probes.  Every step is
 deterministic under a fixed seed: candidate order is fixed, ties break on
 the plan's canonical JSON, and the probe sample comes from a seeded
 generator.
+
+Under ``trace="off"`` the autotuner has nothing to rank: the fastpath
+cost of a plan depends only on its codec, so every candidate of one codec
+ties and the canonical-JSON tie-break decides.  Trace-off
+``variant="auto"`` is therefore a pure resolution over the same
+candidates: the lowest ``FASTPATH_DEQUANT_FACTOR``, ties broken on the
+canonical JSON, with no profile, cost evaluation, probe run or plan-cache
+file.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import TRACE_MODEL, TRACE_OFF, KernelVariant, Platform, RunConfig
+from repro.fastpath.engine import FASTPATH_DEQUANT_FACTOR
 from repro.fpgasim.replication import FULL_4S12C, HYBRID_SPLIT_4S10C, Replication
 from repro.layout.hierarchical import LayoutParams
 from repro.obs.protocol import ensure_observer
@@ -98,6 +108,12 @@ def compile_plan(forest, config: RunConfig = RunConfig()) -> ExecutionPlan:
 # ----------------------------------------------------------------------
 # Autotuner
 # ----------------------------------------------------------------------
+#: Subtree depths enumerated for hierarchical variants; hybrid also tries
+#: each extra root-subtree depth (the paper's RSD trick).
+SD_CANDIDATES = (4, 6, 8)
+HYBRID_RSD_EXTRA = (10,)
+
+
 def default_plan_cache_dir() -> str:
     """``REPRO_PLAN_CACHE_DIR`` or ``<repo>/results/plan_cache``."""
     path = os.environ.get("REPRO_PLAN_CACHE_DIR")
@@ -124,12 +140,9 @@ class Planner:
         How many cost-ranked candidates get a real probe run.
     seed:
         Seeds the probe-sample draw (determinism of the whole decision).
-    sd_candidates / hybrid_rsd_extra:
-        Subtree depths enumerated for hierarchical variants; hybrid also
-        tries each extra root-subtree depth (the paper's RSD trick).
     observer:
         Optional observability sink; ``on_plan(plan)`` fires when a plan
-        is chosen (autotuned or replayed from cache).
+        is chosen (autotuned, resolved, or replayed from cache).
     """
 
     def __init__(
@@ -139,8 +152,6 @@ class Planner:
         probe_queries: int = 256,
         top_k: int = 2,
         seed: int = 0,
-        sd_candidates: Tuple[int, ...] = (4, 6, 8),
-        hybrid_rsd_extra: Tuple[int, ...] = (10,),
         observer=None,
     ):
         self.session = session
@@ -148,8 +159,6 @@ class Planner:
         self.probe_queries = int(probe_queries)
         self.top_k = int(top_k)
         self.seed = int(seed)
-        self.sd_candidates = tuple(sd_candidates)
-        self.hybrid_rsd_extra = tuple(hybrid_rsd_extra)
         self.observer = observer
         #: Exact accounting of what each decision took (tests assert on it).
         self.stats: Dict[str, int] = {
@@ -158,7 +167,6 @@ class Planner:
             "cache_hits": 0,
             "cache_writes": 0,
             "cache_evictions": 0,
-            "drift_invalidations": 0,
         }
 
     # ------------------------------------------------------------------
@@ -186,8 +194,7 @@ class Planner:
 
         The cuML baseline is excluded on purpose: it is the comparator the
         paper argues against, not a deployment choice of this system.
-        With ``trace="off"`` every candidate carries the mode, so both the
-        cost model and the probe runs exercise the fast path.  The default
+        With ``trace="off"`` every candidate carries the mode.  The default
         ``precisions`` keeps the historical float32-only space; a memory
         budget widens it to the full codec family (see :meth:`autotune`).
         """
@@ -212,14 +219,14 @@ class Planner:
 
         for repl in replications:
             add("csr", LayoutParams(), repl)
-            for sd in self.sd_candidates:
+            for sd in SD_CANDIDATES:
                 add("independent", LayoutParams(sd), repl)
                 add("collaborative", LayoutParams(sd), repl)
-                for rsd in (sd,) + tuple(r for r in self.hybrid_rsd_extra if r != sd):
+                for rsd in (sd,) + tuple(r for r in HYBRID_RSD_EXTRA if r != sd):
                     add("hybrid", LayoutParams(sd, rsd), repl)
         if platform is Platform.FPGA:
-            for sd in self.sd_candidates:
-                for rsd in (sd,) + tuple(r for r in self.hybrid_rsd_extra if r != sd):
+            for sd in SD_CANDIDATES:
+                for rsd in (sd,) + tuple(r for r in HYBRID_RSD_EXTRA if r != sd):
                     add("hybrid", LayoutParams(sd, rsd), HYBRID_SPLIT_4S10C)
         return plans
 
@@ -292,18 +299,24 @@ class Planner:
         quantize its way under the ceiling.  If nothing fits, the
         smallest-footprint candidate wins (the least-bad answer beats
         refusing to plan).
+
+        ``trace="off"`` resolves without tuning: the lowest
+        :data:`FASTPATH_DEQUANT_FACTOR` wins, ties broken on the plan's
+        canonical JSON.  Only the budget filter builds layouts, and
+        nothing is cached.
         """
         platform = Platform(platform)
         X = np.ascontiguousarray(X, dtype=np.float32)
-        cache_path = self._cache_path(
-            X, platform, trace, precision, memory_budget_bytes
-        )
-        cached = self._load_cached(cache_path)
-        if cached is not None:
-            self.stats["cache_hits"] += 1
-            plan = self._finalize(cached, verify_integrity, source="cache")
-            self._notify(plan)
-            return plan
+        if trace != TRACE_OFF:
+            cache_path = self._cache_path(
+                X, platform, precision, memory_budget_bytes
+            )
+            cached = self._load_cached(cache_path)
+            if cached is not None:
+                self.stats["cache_hits"] += 1
+                plan = self._finalize(cached, verify_integrity, source="cache")
+                self._notify(plan)
+                return plan
 
         if memory_budget_bytes is not None and precision == "float32":
             from repro.layout.codec import PRECISIONS
@@ -311,26 +324,21 @@ class Planner:
             precisions: Tuple[str, ...] = tuple(PRECISIONS)
         else:
             precisions = (precision,)
+        pool = self._within_budget(
+            self.candidates(platform, trace, precisions), memory_budget_bytes
+        )
+        if trace == TRACE_OFF:
+            best = min(
+                pool,
+                key=lambda p: (FASTPATH_DEQUANT_FACTOR[p.precision], p.to_json()),
+            )
+            plan = self._finalize(best, verify_integrity, source="resolved")
+            self._notify(plan)
+            return plan
 
         probe = self._probe_sample(X)
         n_queries = int(X.shape[0])
         memo: Dict[Tuple, WorkloadProfile] = {}
-        pool = self.candidates(platform, trace, precisions)
-        if memory_budget_bytes is not None:
-            footprints = {
-                plan.to_json(): self._footprint(plan) for plan in pool
-            }
-            fitting = [
-                p for p in pool
-                if footprints[p.to_json()] <= memory_budget_bytes
-            ]
-            if fitting:
-                pool = fitting
-            else:
-                # Nothing fits: keep only the smallest-footprint candidate.
-                pool = [
-                    min(pool, key=lambda p: (footprints[p.to_json()], p.to_json()))
-                ]
         scored = [
             (self.estimate(plan, probe, n_queries, memo), plan.to_json(), plan)
             for plan in pool
@@ -368,6 +376,23 @@ class Planner:
         layout = self.session.layout_for(plan)
         return plan_footprint_bytes(plan, layout, self.session.trees)
 
+    def _within_budget(
+        self, pool: List[ExecutionPlan], budget: Optional[int]
+    ) -> List[ExecutionPlan]:
+        """The candidates whose layout fits ``budget`` bytes.
+
+        If none fits, only the smallest-footprint candidate.  Builds every
+        candidate's layout (:meth:`_footprint` needs one); under
+        ``trace="off"`` no other planning step builds any.
+        """
+        if budget is None:
+            return pool
+        footprints = {plan.to_json(): self._footprint(plan) for plan in pool}
+        fitting = [p for p in pool if footprints[p.to_json()] <= budget]
+        if fitting:
+            return fitting
+        return [min(pool, key=lambda p: (footprints[p.to_json()], p.to_json()))]
+
     def _finalize(
         self, plan: ExecutionPlan, verify_integrity: bool, source: str
     ) -> ExecutionPlan:
@@ -389,62 +414,21 @@ class Planner:
             ensure_observer(self.observer).on_plan(plan)
 
     # ------------------------------------------------------------------
-    def invalidate_cached_plans(
-        self, platform: Optional[Platform] = None, trace: str = TRACE_MODEL
-    ) -> int:
-        """Drop this session's cached plans for one trace mode.
-
-        The cost-drift path: when observed kernel seconds no longer match
-        the model that ranked the cached plan, the entry is stale by
-        construction — remove it so the next ``variant="auto"`` decision
-        re-probes real kernels.  Scoped to this planner's forest
-        fingerprint, dataset-independent prefix and probe settings, so
-        other sessions' entries survive.  Returns the number of files
-        removed (also accumulated in ``stats["drift_invalidations"]``).
-        """
-        root = self.cache_dir or default_plan_cache_dir()
-        if not os.path.isdir(root):
-            return 0
-        fp = forest_fingerprint(self.session.trees)
-        mode = "_serve" if trace == TRACE_OFF else ""
-        platforms = [platform] if platform is not None else list(Platform)
-        prefixes = tuple(
-            f"plan_{p.value}{mode}_f{fp:08x}_" for p in platforms
-        )
-        suffix = f"_p{self.probe_queries}_s{self.seed}.json"
-        removed = 0
-        for name in sorted(os.listdir(root)):
-            if not (name.startswith(prefixes) and name.endswith(suffix)):
-                continue
-            try:
-                os.remove(os.path.join(root, name))
-                removed += 1
-            except OSError:
-                pass  # best-effort: a vanished entry is already invalid
-        self.stats["drift_invalidations"] += removed
-        return removed
-
-    # ------------------------------------------------------------------
     # Plan cache
     # ------------------------------------------------------------------
     def _cache_path(
         self,
         X: np.ndarray,
         platform: Platform,
-        trace: str = TRACE_MODEL,
         precision: str = "float32",
         memory_budget_bytes: Optional[int] = None,
     ) -> str:
         root = self.cache_dir or default_plan_cache_dir()
         fp = forest_fingerprint(self.session.trees)
         nq, nf, xcrc = dataset_profile(X)
-        # Trace-off decisions rank by a different cost model, so they get
-        # their own cache namespace; model-mode filenames are unchanged and
-        # pre-existing cache entries keep replaying.  Likewise a pinned
-        # precision or a memory budget changes the candidate space, so
-        # each (precision, budget) combination caches separately — the
-        # default combination keeps the historical filename.
-        mode = "_serve" if trace == TRACE_OFF else ""
+        # A pinned precision or a memory budget changes the candidate
+        # space, so each (precision, budget) combination caches separately
+        # — the default combination keeps the historical filename.
         prec = f"_{precision}" if precision != "float32" else ""
         budget = (
             f"_b{int(memory_budget_bytes)}"
@@ -452,7 +436,7 @@ class Planner:
             else ""
         )
         name = (
-            f"plan_{platform.value}{mode}_f{fp:08x}{prec}{budget}"
+            f"plan_{platform.value}_f{fp:08x}{prec}{budget}"
             f"_q{nq}_d{nf}_x{xcrc:08x}"
             f"_p{self.probe_queries}_s{self.seed}.json"
         )

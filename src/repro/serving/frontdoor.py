@@ -62,9 +62,12 @@ class ServingFrontDoor:
         The :class:`ResilientClassifier` executing batches (its fallback
         ladder and breaker state are the degraded-mode machinery).
     config:
-        Requested run configuration.  ``variant="auto"`` is resolved once
-        through the guard's planner (using ``probe_X`` or the first
-        batch's rows) before any batch executes.
+        Requested run configuration.  Every served batch runs in the
+        vectorized fast path (:data:`~repro.core.config.TRACE_OFF`),
+        whatever ``config.trace`` says; the transaction-counting model
+        mode is for experiments, not serving.  ``variant="auto"`` is
+        resolved once through the guard's planner before any batch
+        executes.
     clock:
         The simulated clock the whole pipeline lives on.  Callers (the
         traffic generator, tests) advance it between submissions;
@@ -73,13 +76,8 @@ class ServingFrontDoor:
         Policies for the edge gate and the micro-batcher.
     probe_X:
         Optional query sample for auto-variant resolution and latency
-        model calibration at construction time.
-    trace:
-        Execution mode every served batch runs in.  Defaults to
-        :data:`~repro.core.config.TRACE_OFF` — serving runs the vectorized
-        fast path; the transaction-counting model mode is opt-in
-        (``trace="model"``) for profiling traffic.  Overrides whatever
-        ``config`` carries.
+        model calibration at construction time (without it, the first
+        batch's rows serve both).
     observer:
         Observability sink adapted once through
         :func:`repro.obs.protocol.ensure_observer` — anything from a full
@@ -94,9 +92,9 @@ class ServingFrontDoor:
         Optional :class:`CostDriftMonitor`.  When present, every executed
         batch records the active rung's predicted seconds against the
         observed execution; if a (platform, variant) key drifts past the
-        monitor's threshold the front door invalidates the planner's
-        cached plans and re-resolves its config (a fresh autotune probe)
-        before the next batch.
+        monitor's threshold the front door drops its latency models and
+        recalibrates them from the next batch's rows.  The resolved plan
+        stays: trace-off resolution never consults the cost model.
     """
 
     def __init__(
@@ -107,7 +105,6 @@ class ServingFrontDoor:
         admission: AdmissionPolicy = AdmissionPolicy(),
         batching: BatchPolicy = BatchPolicy(),
         probe_X: Optional[np.ndarray] = None,
-        trace: str = TRACE_OFF,
         observer=None,
         trace_seed: int = 0,
         drift: Optional[CostDriftMonitor] = None,
@@ -120,10 +117,7 @@ class ServingFrontDoor:
         self._trace_seed = int(trace_seed)
         self.stats = ServingStats()
         self._admission = AdmissionController(admission, now=self.clock.now())
-        self._config = replace(config, trace=trace)
-        #: What the caller asked for, pre-resolution — drift re-probes
-        #: restore it so ``variant="auto"`` goes back through the planner.
-        self._requested_config = self._config
+        self._config = replace(config, trace=TRACE_OFF)
         self._models: Optional[List[Tuple[str, LatencyModel]]] = None
         self._next_id = 0
         self._batch_id = 0
@@ -353,7 +347,8 @@ class ServingFrontDoor:
         if self.drift is not None:
             # Score the rung that was *predicted* to serve (its latency
             # model formed this batch) against what execution actually
-            # cost.  A drifted key triggers one plan-cache re-probe.
+            # cost.  A drifted key recalibrates the latency models from
+            # the next batch's rows.
             drifted = self.drift.record(
                 platform,
                 self._config.variant.value,
@@ -361,7 +356,7 @@ class ServingFrontDoor:
                 result.seconds,
             )
             if drifted:
-                self._reprobe_cost_models()
+                self._models = None
 
         # 6. Split the merged predictions back onto the members; a member
         #    whose deadline passed during execution is NOT served late.
@@ -397,22 +392,6 @@ class ServingFrontDoor:
             responses.append(resp)
             lo = hi
         return responses
-
-    # ------------------------------------------------------------------
-    def _reprobe_cost_models(self) -> None:
-        """Throw away drifted plans and latency models; re-resolve lazily.
-
-        Fired by the drift monitor.  Cached plans for the serving trace
-        mode are invalidated so the next auto-resolution re-probes real
-        kernels instead of trusting a stale cache, and the latency models
-        recalibrate from the next batch's rows.
-        """
-        planner = self.guard.inner.planner
-        planner.invalidate_cached_plans(trace=self._config.trace)
-        self._config = replace(
-            self._requested_config, trace=self._config.trace
-        )
-        self._models = None
 
     # ------------------------------------------------------------------
     def _shed(

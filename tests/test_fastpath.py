@@ -5,8 +5,8 @@ The contract under test (ISSUE 7 acceptance):
 * ``trace="off"`` predictions are bit-identical to the trace path AND the
   CPU host-tree oracle on every registered (platform, variant) pair;
 * the mode survives the full plan lifecycle — RunConfig validation,
-  ExecutionPlan JSON round-trip, planner autotuning + cache replay, the
-  guard's fallback ladder, and the serving front door's default;
+  ExecutionPlan JSON round-trip, the planner's trace-off resolution, the
+  guard's fallback ladder, and the serving front door;
 * fastpath launches are observable (``fastpath.*`` counter family) and
   their modelled seconds are deterministic.
 """
@@ -34,12 +34,14 @@ from repro.fastpath import (
     supports_variant,
 )
 from repro.forest.tree import random_tree
+from repro.fpgasim.replication import Replication
 from repro.kernels import registered_pairs
 from repro.layout.codec import quantize_trees
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 from repro.obs import ObsSession
 from repro.reliability import ResilientClassifier
+from repro.runtime.cost import plan_footprint_bytes
 from repro.runtime.plan import ExecutionPlan, PlanError
 from repro.runtime.planner import Planner, compile_plan
 from repro.runtime.session import RuntimeSession
@@ -266,24 +268,25 @@ class TestPlanLifecycle:
 # Planner / autotuner
 # ----------------------------------------------------------------------
 class TestPlannerTraceOff:
-    def test_autotune_probes_and_caches_per_mode(self, session, queries, tmp_path):
+    @pytest.mark.parametrize("platform", ["gpu", "fpga"])
+    def test_trace_off_auto_resolves_without_tuning(
+        self, small_trees, queries, tmp_path, platform
+    ):
+        session = RuntimeSession(small_trees)
         planner = Planner(session, cache_dir=str(tmp_path))
-        serve = planner.autotune(queries, trace=TRACE_OFF)
-        assert serve.trace == TRACE_OFF
-        assert serve.source == "autotuned"
-        assert planner.stats["probe_runs"] > 0
-
-        model = planner.autotune(queries)
-        assert model.trace == TRACE_MODEL
-        # The two decisions live in separate cache namespaces.
-        caches = sorted(p.name for p in tmp_path.glob("plan_*.json"))
-        assert len(caches) == 2
-        assert sum("_serve_" in name for name in caches) == 1
-
-        replay = planner.autotune(queries, trace=TRACE_OFF)
-        assert replay.source == "cache"
-        assert replay.trace == TRACE_OFF
-        assert planner.stats["cache_hits"] == 1
+        plan = planner.autotune(queries, platform=platform, trace=TRACE_OFF)
+        assert (plan.platform, plan.variant) == (platform, "hybrid")
+        assert plan.layout == LayoutParams(4, 10)
+        assert plan.replication == Replication()
+        assert plan.precision == "float32"
+        assert plan.trace == TRACE_OFF
+        assert plan.source == "resolved"
+        assert not session._layout_cache  # deciding built nothing
+        session.run(plan, queries)
+        assert len(session._layout_cache) == 1
+        assert planner.stats["probe_runs"] == 0
+        assert planner.stats["cost_evaluations"] == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_cost_model_prefers_the_fast_path(self, session, queries):
         """The fastpath latency term must undercut the device models —
@@ -304,6 +307,73 @@ class TestPlannerTraceOff:
         assert plan.trace == TRACE_OFF
 
 
+#: Device bytes of susy d20x20 (the serving benchmark's forest) per codec:
+#: (hybrid SD4/RSD10, CSR).
+SUSY_FOOTPRINTS = {
+    "float32": (649_112, 515_008),
+    "float16": (551_600, 450_664),
+    "int8": (502_988, 418_636),
+    "packed": (454_240, 128_928),
+}
+
+#: Trace-off auto decisions on susy d20x20 per memory budget, as the
+#: cost-ranked, probe-run autotuner made them: (variant, layout,
+#: precision), identical on gpu and fpga.
+SUSY_BUDGET_PLANS = {
+    None: ("hybrid", LayoutParams(4, 10), "float32"),
+    10**9: ("hybrid", LayoutParams(4, 10), "float32"),
+    600_000: ("hybrid", LayoutParams(4, 4), "float32"),
+    520_000: ("csr", LayoutParams(), "float32"),
+    480_000: ("hybrid", LayoutParams(4, 4), "float16"),
+    400_000: ("hybrid", LayoutParams(4, 4), "packed"),
+    200_000: ("csr", LayoutParams(), "packed"),
+    1: ("csr", LayoutParams(), "packed"),
+}
+
+
+@pytest.fixture(scope="module")
+def susy_session():
+    from repro.experiments.common import get_forest
+
+    return RuntimeSession.from_forest(get_forest("susy", 20, 20, "default"))
+
+
+class TestPlannerTraceOffBudgets:
+    @pytest.mark.parametrize("codec", sorted(SUSY_FOOTPRINTS))
+    def test_footprints_bracket_the_budgets(self, susy_session, codec):
+        got = tuple(
+            plan_footprint_bytes(
+                p, susy_session.layout_for(p), susy_session.trees
+            )
+            for p in (
+                ExecutionPlan(
+                    variant="hybrid", layout=LayoutParams(4, 10), precision=codec
+                ),
+                ExecutionPlan(variant="csr", precision=codec),
+            )
+        )
+        assert got == SUSY_FOOTPRINTS[codec]
+
+    @pytest.mark.parametrize("budget", list(SUSY_BUDGET_PLANS))
+    @pytest.mark.parametrize("platform", ["gpu", "fpga"])
+    def test_budget_decisions_match_the_autotuner(
+        self, susy_session, tmp_path, platform, budget
+    ):
+        planner = Planner(susy_session, cache_dir=str(tmp_path))
+        X = np.zeros((64, 18), dtype=np.float32)  # resolution never reads rows
+        plan = planner.autotune(
+            X, platform=platform, trace=TRACE_OFF, memory_budget_bytes=budget
+        )
+        assert plan.platform == platform
+        assert (plan.variant, plan.layout, plan.precision) == SUSY_BUDGET_PLANS[
+            budget
+        ]
+        assert plan.replication == Replication()
+        assert planner.stats["probe_runs"] == 0
+        assert planner.stats["cost_evaluations"] == 0
+        assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------------------
 # Serving front door default
 # ----------------------------------------------------------------------
@@ -319,9 +389,11 @@ class TestFrontDoorDefault:
         front = self._front(small_trees, queries)
         assert front.config.trace == TRACE_OFF
 
-    def test_model_mode_is_opt_in(self, small_trees, queries):
-        front = self._front(small_trees, queries, trace=TRACE_MODEL)
-        assert front.config.trace == TRACE_MODEL
+    def test_model_config_is_served_trace_off(self, small_trees, queries):
+        front = self._front(
+            small_trees, queries, config=RunConfig(trace=TRACE_MODEL)
+        )
+        assert front.config.trace == TRACE_OFF
 
     def test_served_predictions_match_reference(self, small_trees, queries):
         front = self._front(small_trees, queries)

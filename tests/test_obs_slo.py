@@ -246,7 +246,6 @@ class TestSoakGolden:
             assert scenario["survivability"]["correctness"][
                 "wrong_answers"
             ] == 0
-            assert "drift_invalidations" in scenario["planner"]
 
     def test_replay_is_byte_identical(self, soak):
         again = serving_chaos.run_slo_soak(
@@ -373,11 +372,6 @@ class TestMiscalibrationGate:
         assert failures
         assert any("cost-model calibration error" in f for f in failures)
         assert any("re-probe" in f for f in failures)
-        # The drift monitor actually invalidated cached plans somewhere.
-        assert any(
-            s["planner"]["drift_invalidations"] >= 1
-            for s in bad.report["scenarios"]
-        )
         # Calibration rows carry the recorded re-probes.
         assert any(
             row["reprobes"] >= 1
