@@ -111,5 +111,9 @@ obs-diff:
 clean-cache:
 	rm -rf .cache
 
+# Python line counts per tree, then the total (every PR reports src and total).
 loc:
-	find src tests benchmarks examples -name "*.py" | xargs wc -l | tail -1
+	@for d in src tests benchmarks examples; do \
+		printf "%-10s %s\n" $$d "$$(find $$d -name '*.py' | xargs cat | wc -l)"; \
+	done
+	@printf "%-10s %s\n" total "$$(find src tests benchmarks examples -name '*.py' | xargs cat | wc -l)"

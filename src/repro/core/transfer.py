@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.layout.footprint import ByteWidths, csr_bytes, hierarchical_bytes
+from repro.layout.footprint import csr_bytes, hierarchical_bytes
 from repro.utils.validation import check_positive_int
 
 
@@ -39,15 +39,19 @@ class TransferModel:
 
     # ------------------------------------------------------------------
     def layout_bytes(self, layout) -> int:
-        """Device bytes of a forest layout (any of the three formats)."""
+        """Device bytes of a forest layout (any of the three formats).
+
+        CSR and hierarchical layouts upload their codec's device arrays,
+        the same bytes the cost model and Fig. 6 charge.
+        """
         from repro.baselines.cuml_fil import FILForest
         from repro.layout.csr import CSRForest
         from repro.layout.hierarchical import HierarchicalForest
 
         if isinstance(layout, CSRForest):
-            return csr_bytes(layout, ByteWidths())
+            return csr_bytes(layout)
         if isinstance(layout, HierarchicalForest):
-            return hierarchical_bytes(layout, ByteWidths())
+            return hierarchical_bytes(layout)
         if isinstance(layout, FILForest):
             return layout.total_nodes * layout.NODE_BYTES
         raise TypeError(f"unknown layout type {type(layout).__name__}")

@@ -262,7 +262,7 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
     # Dequantize-on-gather: quantized tables compare against the codec's
     # canonical float32 decode of the gathered code, elementwise identical
     # to the decoded ``value`` channel (see repro.layout.codec).  All
-    # arithmetic stays float32 (statcheck NUM004).
+    # arithmetic stays float32 (pinned by the boundary-row golden input).
     qcodes = table.qcodes
     qscale = table.qscale
     qoffset = table.qoffset

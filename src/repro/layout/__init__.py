@@ -29,7 +29,6 @@ from repro.layout.codec import (
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 from repro.layout.footprint import (
-    ByteWidths,
     csr_bytes,
     csr_device_arrays,
     footprint_ratio,
@@ -45,7 +44,6 @@ __all__ = [
     "CSRForest",
     "HierarchicalForest",
     "LayoutParams",
-    "ByteWidths",
     "csr_bytes",
     "csr_device_arrays",
     "hierarchical_bytes",

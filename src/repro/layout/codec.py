@@ -30,8 +30,10 @@ per lane.  :func:`quantize_trees` applies the same round trip to the host
 trees, which makes the CPU reference over them the oracle for a quantized
 layout.
 
-All decode arithmetic is float32 end to end; mixing a quantized code
-array into float64 arithmetic is banned by statcheck rule NUM004.
+All decode arithmetic is float32 end to end.  A float64 operand in the
+decode would round differently; the boundary-row golden input of
+``tests/test_fastpath.py::TestQuantizedGolden`` (queries sitting exactly
+on decoded thresholds) catches that.
 """
 
 from __future__ import annotations
@@ -241,10 +243,12 @@ def quantize_layout_values(
     ``value`` mixes thresholds (slots with ``feature_id >= 0``) and leaf
     labels / padding (``feature_id < 0``); only the threshold half is
     quantized.  Returns the round-tripped float32 value array plus the
-    codec's side tables (``None`` for the float32 identity).
+    codec's side tables (``None`` for the float32 identity).  ``value``
+    must already be float32: the identity codec returns it as is, so a
+    builder that widens its value channel ships a float64 layout (caught
+    by the layout dtype pin) instead of having the widening cast away here.
     """
     resolved = get_codec(codec)
-    value = np.asarray(value, dtype=np.float32)
     if resolved.name == "float32":
         return value, None
 

@@ -2,29 +2,25 @@
 
 The paper compares the hierarchical representation's memory usage against
 CSR as the ratio ``hierarchical_bytes / csr_bytes`` for subtree depths
-4 / 6 / 8.  Field widths are configurable through :class:`ByteWidths`; the
-defaults match the representations described in §2.3/§3.1 (32-bit feature
-ids and values — the paper's "48 bits per node" remark corresponds to a
-packed 16-bit feature id, also provided as :data:`PACKED_WIDTHS`).
+4 / 6 / 8.  There is one byte model: each layout maps to a dict of
+modeled device-resident arrays (:func:`csr_device_arrays` /
+:func:`hierarchical_device_arrays`) whose widths derive from the layout's
+codec, and the byte totals are the sum of their ``nbytes``.  Fig. 6, the
+cost model, the quantization frontier and the transfer model all read
+these totals, which is how they see quantized layouts shrink.
 
-Since the codec refactor the default accounting is *array-based*: each
-layout maps to a dict of modeled device-resident arrays
-(:func:`csr_device_arrays` / :func:`hierarchical_device_arrays`) whose
-widths derive from the layout's codec, and the byte totals are the sum of
-their ``nbytes`` — which is how the cost model and Fig. 6 see quantized
-layouts shrink.  Passing an explicit :class:`ByteWidths` instead evaluates
-the historical closed-form width model (any integer widths, no dtype
-constraint), byte-identical to the pre-codec module.  The ``packed`` codec
-switches the array-based path to record modeling: an 8-byte CSR node
-record (16-bit feature, int8 threshold, leaf flags, two 16-bit child
-refs) and a 4-byte hierarchical slot record, plus the shared leaf pool
-and calibration tables.
+Unpacked codecs ship the representations of §2.3/§3.1: 32-bit feature
+ids and child/connection indices, 64-bit offsets, and the codec's value
+channel (float32 values, or the float16/int8 threshold codes).  The
+``packed`` codec switches to record modeling: an 8-byte CSR node record
+(16-bit feature, int8 threshold, leaf flags, two 16-bit child refs) and a
+4-byte hierarchical slot record, plus the shared leaf pool and
+calibration tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -56,55 +52,18 @@ HIER_PACKED_RECORD = np.dtype(
 _PACKED_MAX_TREE_NODES = 32767
 
 
-@dataclass(frozen=True)
-class ByteWidths:
-    """Per-field byte widths used by the footprint model."""
-
-    feature_id: int = 4
-    value: int = 4
-    #: Extra per-node payload byte(s) — the packed record's leaf-pool code.
-    aux: int = 0
-    #: CSR child pointer / hierarchical connection entry.
-    index: int = 4
-    #: Per-tree or per-subtree offset entry.
-    offset: int = 8
-
-    def node_bytes(self) -> int:
-        """Bytes per stored node slot (attributes only)."""
-        return self.feature_id + self.value + self.aux
-
-    @classmethod
-    def from_codec(cls, codec: str) -> "ByteWidths":
-        """Widths implied by a precision-axis codec.
-
-        ``packed`` reflects the record layouts above: ``node_bytes()`` is
-        the 4-byte hierarchical slot record, and adding the two int16
-        child refs (``2 * index``) gives the 8-byte CSR node record.
-        """
-        if codec == "float32":
-            return cls()
-        if codec == "float16":
-            return cls(value=2)
-        if codec == "int8":
-            return cls(value=1)
-        if codec == "packed":
-            return cls(feature_id=2, value=1, aux=1, index=2, offset=8)
-        raise CodecError(f"unknown codec {codec!r}")
-
-
-#: Widths matching the paper's "48 bits to store a node's attributes".
-PACKED_WIDTHS = ByteWidths(feature_id=2, value=4, index=4, offset=8)
-
-_INT_BY_WIDTH = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}
-_FLOAT_BY_WIDTH = {2: np.float16, 4: np.float32}
+#: Feature-id, index and offset widths of the unpacked device arrays
+#: (every codec but ``packed``); the value channel is the codec's own.
+_FEATURE_DTYPE = np.int32
+_INDEX_DTYPE = np.int32
+_OFFSET_DTYPE = np.int64
 
 
 def _value_channel(forest) -> np.ndarray:
     """The device-resident value array: codec codes, or the f32 channel."""
     if forest.quant is not None:
         return forest.quant.codes
-    w = ByteWidths.from_codec(getattr(forest, "codec", "float32")).value
-    return forest.value.astype(_FLOAT_BY_WIDTH[w])
+    return forest.value.astype(np.float32)
 
 
 def _calibration_arrays(forest) -> Dict[str, np.ndarray]:
@@ -192,22 +151,16 @@ def csr_device_arrays(forest: CSRForest) -> Dict[str, np.ndarray]:
     at index width (a real kernel ships the 32-bit form), matching the
     paper's Fig. 6 accounting.
     """
-    codec = getattr(forest, "codec", "float32")
-    if codec == "packed":
+    if getattr(forest, "codec", "float32") == "packed":
         return _csr_packed_arrays(forest)
-    w = ByteWidths.from_codec(codec)
     return {
-        "feature_id": forest.feature_id.astype(_INT_BY_WIDTH[w.feature_id]),
+        "feature_id": forest.feature_id.astype(_FEATURE_DTYPE),
         "value": _value_channel(forest),
-        "children_arr_idx": forest.children_arr_idx.astype(
-            _INT_BY_WIDTH[w.index]
-        ),
-        "children_arr": forest.children_arr.astype(_INT_BY_WIDTH[w.index]),
-        "tree_node_offset": forest.tree_node_offset.astype(
-            _INT_BY_WIDTH[w.offset]
-        ),
+        "children_arr_idx": forest.children_arr_idx.astype(_INDEX_DTYPE),
+        "children_arr": forest.children_arr.astype(_INDEX_DTYPE),
+        "tree_node_offset": forest.tree_node_offset.astype(_OFFSET_DTYPE),
         "tree_children_offset": forest.tree_children_offset.astype(
-            _INT_BY_WIDTH[w.offset]
+            _OFFSET_DTYPE
         ),
         **_calibration_arrays(forest),
     }
@@ -221,64 +174,27 @@ def hierarchical_device_arrays(
     ``subtree_tree`` is host-side build metadata and is deliberately not
     counted, matching the historical Fig. 6 accounting.
     """
-    codec = getattr(forest, "codec", "float32")
-    if codec == "packed":
+    if getattr(forest, "codec", "float32") == "packed":
         return _hier_packed_arrays(forest)
-    w = ByteWidths.from_codec(codec)
     return {
-        "feature_id": forest.feature_id.astype(_INT_BY_WIDTH[w.feature_id]),
+        "feature_id": forest.feature_id.astype(_FEATURE_DTYPE),
         "value": _value_channel(forest),
-        "subtree_node_offset": forest.subtree_node_offset.astype(
-            _INT_BY_WIDTH[w.offset]
-        ),
-        "connection_offset": forest.connection_offset.astype(
-            _INT_BY_WIDTH[w.offset]
-        ),
-        "subtree_connection": forest.subtree_connection.astype(
-            _INT_BY_WIDTH[w.index]
-        ),
-        "subtree_depth": forest.subtree_depth.astype(_INT_BY_WIDTH[w.index]),
-        "tree_root_subtree": forest.tree_root_subtree.astype(
-            _INT_BY_WIDTH[w.index]
-        ),
+        "subtree_node_offset": forest.subtree_node_offset.astype(_OFFSET_DTYPE),
+        "connection_offset": forest.connection_offset.astype(_OFFSET_DTYPE),
+        "subtree_connection": forest.subtree_connection.astype(_INDEX_DTYPE),
+        "subtree_depth": forest.subtree_depth.astype(_INDEX_DTYPE),
+        "tree_root_subtree": forest.tree_root_subtree.astype(_INDEX_DTYPE),
         **_calibration_arrays(forest),
     }
 
 
-def csr_bytes(forest: CSRForest, widths: Optional[ByteWidths] = None) -> int:
-    """Total bytes of the CSR representation (Fig. 2 arrays).
-
-    An explicit ``widths`` evaluates the historical closed-form model
-    (any integer widths); ``None`` sums the codec-derived device arrays.
-    """
-    if widths is not None:
-        n = forest.total_nodes
-        return (
-            n * widths.node_bytes()  # feature_id + value (+ aux)
-            + n * widths.index  # children_arr_idx
-            + forest.total_children_entries * widths.index  # children_arr
-            + (forest.n_trees + 1) * 2 * widths.offset  # per-tree offsets
-        )
+def csr_bytes(forest: CSRForest) -> int:
+    """Total bytes of the CSR representation (Fig. 2 arrays)."""
     return sum(a.nbytes for a in csr_device_arrays(forest).values())
 
 
-def hierarchical_bytes(
-    forest: HierarchicalForest, widths: Optional[ByteWidths] = None
-) -> int:
-    """Total bytes of the hierarchical representation (Fig. 3 arrays).
-
-    An explicit ``widths`` evaluates the historical closed-form model
-    (any integer widths); ``None`` sums the codec-derived device arrays.
-    """
-    if widths is not None:
-        return (
-            forest.total_slots * widths.node_bytes()  # feature_id + value
-            + (forest.n_subtrees + 1) * widths.offset  # subtree_node_offset
-            + (forest.n_subtrees + 1) * widths.offset  # connection_offset
-            + forest.subtree_connection.shape[0] * widths.index  # connections
-            + forest.n_subtrees * widths.index  # subtree_depth
-            + forest.n_trees * widths.index  # tree_root_subtree
-        )
+def hierarchical_bytes(forest: HierarchicalForest) -> int:
+    """Total bytes of the hierarchical representation (Fig. 3 arrays)."""
     return sum(a.nbytes for a in hierarchical_device_arrays(forest).values())
 
 
@@ -291,14 +207,9 @@ def layout_device_arrays(layout):
     raise TypeError(f"unknown layout type {type(layout).__name__}")
 
 
-def footprint_ratio(
-    hier: HierarchicalForest,
-    csr: CSRForest,
-    widths: Optional[ByteWidths] = None,
-) -> float:
+def footprint_ratio(hier: HierarchicalForest, csr: CSRForest) -> float:
     """``hierarchical_bytes / csr_bytes`` — the y-axis of Fig. 6.
 
-    ``widths=None`` derives widths from each layout's own codec (identical
-    to the historical model when both layouts are float32).
+    Each layout is charged at its own codec's widths.
     """
-    return hierarchical_bytes(hier, widths) / csr_bytes(csr, widths)
+    return hierarchical_bytes(hier) / csr_bytes(csr)

@@ -4,15 +4,14 @@ A Python-AST rule engine plus eight rule families that encode the
 invariants the reproduction's *performance* conclusions depend on (see
 ``docs/architecture.md`` § Static checks):
 
-* **DET** (determinism) — all randomness through ``repro.utils.rng`` (with
-  RNG provenance tracked through helpers), no wall-clock reads, no
-  unordered-set iteration in result-producing code.
+* **DET** (determinism) — all randomness through ``repro.utils.rng``, no
+  wall-clock reads, no unordered-set iteration in result-producing code.
 * **KRN** (kernel discipline) — global loads in the simulated GPU kernels
   go through ``AddressSpace``/tracker sites, lane writes in divergent
   regions are mask-guarded, and shared-memory staging is fenced by a sync
   before it is read (static race detection over the warp-lockstep DSL).
-* **NUM** (numeric safety) — explicit dtypes, no float64 flowing into
-  float32 packages or quantized codes, checksummed ``.npz`` persistence.
+* **NUM** (numeric safety) — explicit dtypes, no literal float64 upcasts
+  in the float32 packages, checksummed ``.npz`` persistence.
 * **API** (hygiene) — experiments route through ``experiments.common``
   and the runtime seam.
 * **OBS** (observability) — experiment entry points write a run manifest;

@@ -66,10 +66,10 @@ class Violation:
 class FileContext:
     """Everything a rule needs to know about one file.
 
-    ``project`` is the whole-program view (v2): every file of the run,
-    parsed and indexed, so flow-based rules can follow calls across module
-    boundaries.  Per-file entry points fall back to a single-file project,
-    which keeps same-module interprocedural analysis working.
+    ``project`` is the whole-program view: every file of the run, parsed
+    and indexed, so KRN003 and SRV001 can follow helper calls across
+    module boundaries.  Per-file entry points fall back to a single-file
+    project, which keeps same-module helper chains working.
     """
 
     path: str
@@ -284,8 +284,8 @@ def check_source(
     if mod is not None:
         # Share the project's parse: rules mix whole-file AST walks with
         # project-indexed FunctionInfo nodes, and node-identity lookups
-        # (call-site exemptions, enclosing-function maps) require both
-        # views to be the *same* tree.
+        # (enclosing-function maps) require both views to be the *same*
+        # tree.
         tree, lines, aliases = mod.tree, mod.lines, mod.aliases
     else:
         lines = source.splitlines()

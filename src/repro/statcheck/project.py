@@ -1,31 +1,28 @@
-"""Whole-program view for the v2 analyses: modules, imports, call graph.
+"""Whole-program view for the interprocedural rules: modules, call graph.
 
 A :class:`Project` is the parsed closure of every file a run checks.  It
-gives the flow-based rules three things the per-file v1 engine could not:
+gives the rules that follow helper calls (KRN003, SRV001) two things a
+single file cannot:
 
 * **module resolution** — which project module a ``repro.x.y`` import
   resolves to;
 * **function call graph** — every ``def`` in the project keyed by
   ``(module key, qualname)``, with call expressions resolved through the
   per-file alias tables (bare names, ``from mod import f`` names,
-  ``mod.helper`` attribute calls and same-class ``self.method`` calls);
-* **summary cache** — memoised per-``(domain, function)`` interprocedural
-  summaries (:mod:`repro.statcheck.dataflow`), so a helper analyzed once
-  serves every caller.
+  ``mod.helper`` attribute calls and same-class ``self.method`` calls).
 
-Projects are cheap: construction only parses and indexes.  All dataflow
-work happens lazily when a rule asks for a summary.
+Projects are cheap: construction only parses and indexes.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.statcheck.astutils import build_alias_map, dotted_name
 
-#: Hard cap on call-chain depth when computing summaries; real helper
+#: Hard cap on call-chain depth when following helper calls; real helper
 #: chains in this repo are 2-4 deep, the cap only guards pathological
 #: recursion in fixture inputs.
 MAX_CALL_DEPTH = 16
@@ -43,13 +40,6 @@ class FunctionInfo:
     def key(self) -> Tuple[str, str]:
         return (self.module.key, self.qualname)
 
-    @property
-    def param_names(self) -> List[str]:
-        a = getattr(self.node, "args", None)
-        if a is None:  # module-level pseudo-function
-            return []
-        return [p.arg for p in a.posonlyargs] + [p.arg for p in a.args]
-
 
 @dataclass
 class ModuleInfo:
@@ -62,9 +52,6 @@ class ModuleInfo:
     aliases: Dict[str, str] = field(default_factory=dict)
     #: qualname -> FunctionInfo for every def in the module.
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    #: Module-level ``NAME = expr`` bindings (last one wins), so constants
-    #: like ``DT = np.float64`` resolve inside function bodies.
-    constants: Dict[str, ast.expr] = field(default_factory=dict)
 
     @property
     def dotted(self) -> str:
@@ -92,14 +79,6 @@ def _index_functions(mod: ModuleInfo) -> None:
                 visit(node.body, f"{prefix}{node.name}.")
 
     visit(mod.tree.body, "")
-    for node in mod.tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                mod.constants[target.id] = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            if isinstance(node.target, ast.Name):
-                mod.constants[node.target.id] = node.value
 
 
 class Project:
@@ -108,10 +87,6 @@ class Project:
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}  # key -> ModuleInfo
         self._by_dotted: Dict[str, ModuleInfo] = {}
-        #: (domain name, module key, qualname) -> summary object.
-        self._summaries: Dict[Tuple[str, str, str], object] = {}
-        #: Summary keys currently being computed (cycle guard).
-        self._in_flight: Set[Tuple[str, str, str]] = set()
 
     # ------------------------------------------------------------------
     # Construction
@@ -189,42 +164,6 @@ class Project:
                 if owner_mod is not None:
                     return owner_mod.functions.get(func.attr)
         return None
-
-    def calls_in(
-        self, fn: FunctionInfo
-    ) -> Iterator[Tuple[ast.Call, Optional[FunctionInfo]]]:
-        """(call node, resolved project callee or None) inside ``fn``."""
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call):
-                yield node, self.resolve_call(node, fn.module, enclosing=fn)
-
-    # ------------------------------------------------------------------
-    # Summary cache (used by repro.statcheck.dataflow)
-    # ------------------------------------------------------------------
-    def summary_cached(self, domain: str, fn: FunctionInfo):
-        return self._summaries.get((domain, *fn.key))
-
-    def summary_store(self, domain: str, fn: FunctionInfo, summary) -> None:
-        self._summaries[(domain, *fn.key)] = summary
-
-    def summary_begin(self, domain: str, fn: FunctionInfo) -> bool:
-        """Mark a summary as in flight; False if already being computed
-        (a call cycle — the caller must fall back to the unknown value)."""
-        key = (domain, *fn.key)
-        if key in self._in_flight:
-            return False
-        self._in_flight.add(key)
-        return True
-
-    def summary_end(self, domain: str, fn: FunctionInfo) -> None:
-        self._in_flight.discard((domain, *fn.key))
-
-
-def analysis_units(mod: ModuleInfo) -> Iterator[FunctionInfo]:
-    """Every def in the module plus a ``<module>`` pseudo-function for the
-    top-level statements, so module-scope code is analyzed too."""
-    yield FunctionInfo(module=mod, qualname="<module>", node=mod.tree)
-    yield from mod.functions.values()
 
 
 def single_file_project(source: str, path: str, key: str) -> Project:

@@ -14,9 +14,6 @@ from typing import Iterator
 
 from repro.statcheck.astutils import call_name, dotted_name, resolved_name
 from repro.statcheck.core import FileContext, Rule, Violation, register
-from repro.statcheck.dataflow import FunctionAnalysis
-from repro.statcheck.lattices import RngDomain
-from repro.statcheck.project import analysis_units
 
 #: Wall-clock sources: never legitimate in result-producing code.
 WALL_CLOCK = {
@@ -168,41 +165,6 @@ class LegacyRandomRule(Rule):
                     node,
                     self.id,
                     f"{name} is a nondeterministic entropy source",
-                )
-
-
-_RNG_DOMAIN = RngDomain()
-
-
-@register
-class UnseededSamplingRule(Rule):
-    id = "DET004"
-    summary = (
-        "sampling must not be reachable from an unseeded Generator; track "
-        "RNG provenance through assignments and helper calls "
-        "(as_rng(None)/default_rng() taint, explicit seeds clear)"
-    )
-    #: The sanctioned wrapper itself constructs from fresh entropy when the
-    #: caller *asks* for it; the taint is charged at its call sites instead.
-    exempt_modules = (RNG_MODULE,)
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        mod = ctx.module_info
-        if mod is None:
-            return
-        for unit in analysis_units(mod):
-            analysis = FunctionAnalysis(unit, ctx.project, _RNG_DOMAIN).run()
-            for node, context in analysis.findings:
-                where = (
-                    f"{context}() draws" if context else "a sampling call draws"
-                )
-                yield ctx.violation(
-                    node,
-                    self.id,
-                    f"{where} from a Generator whose provenance is unseeded "
-                    "(as_rng(None)/default_rng() with no explicit seed); "
-                    "results become irreproducible — thread a seed through "
-                    "repro.utils.rng.as_rng",
                 )
 
 

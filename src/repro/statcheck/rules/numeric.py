@@ -1,41 +1,26 @@
-"""NUM rules — dtype and persistence discipline (flow-based since v2).
+"""NUM rules — dtype and persistence discipline.
 
 The paper's layouts are float32 values + int32/int64 indices by design
 (§3.1: memory footprint is part of the result).  NumPy's constructors
 default to float64/platform int, so an implicit dtype is either a silent
-2x memory inflation or a platform-dependent index width.
-
-v2 rebased NUM001/NUM002 on the dtype-flow lattice
-(:class:`repro.statcheck.lattices.DtypeDomain`):
-
-* **NUM001** still fires at the constructor, but it is now flow-aware — a
-  constructor whose result is immediately ``.astype(<explicit dtype>)``-ed
-  is explicit enough, and a ``dtype=dt`` keyword is traced through
-  variables and module constants rather than taken on faith.
-* **NUM002** follows float64 provenance through assignments, branches,
-  returns and *calls*: a helper two modules away that returns a float64
-  buffer flags at the call site inside the float32 package, even though
-  every individual line looks innocent.  ``dt = np.float64`` two functions
-  up the chain is tracked the same way.
+2x memory inflation or a platform-dependent index width.  Both rules are
+syntactic: NUM001 flags a dtype-less constructor, NUM002 a literal
+float64 spelling (``np.float64(...)``, ``astype(np.float64)``,
+``dtype=np.float64``) in the float32 packages.  A float64 that reaches a
+layout by any other route is caught at run time by the layout dtype pin
+(``tests/test_layout_codec.py::TestLayoutDtypes``), and a float64 decode
+of quantized codes by the boundary-row golden input in
+``tests/test_fastpath.py::TestQuantizedGolden``.
 
 Persisted ``.npz`` artifacts must carry per-array CRCs so the integrity
 layer (``repro.reliability.integrity``) can catch corruption before it
-skews a benchmark (NUM003, unchanged).
-
-**NUM004** guards the precision axis (:mod:`repro.layout.codec`):
-quantized code channels (int8/float16 thresholds, uint8 leaf-pool codes)
-decode through a *float32* expression, and the fastpath's
-dequantize-on-gather replays that exact expression for bit-identity.
-Mixing a quantized array into arithmetic or a comparison with a float64
-operand silently promotes the decode to float64 — different rounding,
-broken bit-identity — so the rule bans the pairing throughout
-``repro/layout`` and ``repro/fastpath``.
+skews a benchmark (NUM003).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional
+from typing import Iterator
 
 from repro.statcheck.astutils import (
     call_name,
@@ -45,18 +30,8 @@ from repro.statcheck.astutils import (
     resolved_name,
 )
 from repro.statcheck.core import FileContext, Rule, Violation, register
-from repro.statcheck.dataflow import AV, EMPTY, FunctionAnalysis
-from repro.statcheck.lattices import (
-    CONSTRUCTORS,
-    DtypeDomain,
-    arr_codes,
-    is_default_dtype,
-    is_f64_array,
-)
-from repro.statcheck.project import analysis_units
 
-#: Constructors whose dtype defaults are platform/precision traps (the
-#: NUM001 surface; a subset of the lattice's CONSTRUCTORS table).
+#: Constructors whose dtype defaults are platform/precision traps.
 DTYPE_REQUIRED = {
     "numpy.zeros",
     "numpy.ones",
@@ -77,61 +52,6 @@ FLOAT32_PACKAGES = (
 
 SAVERS = {"numpy.savez", "numpy.savez_compressed", "numpy.save"}
 
-_DOMAIN = DtypeDomain()
-
-
-def _analyses(ctx: FileContext) -> Iterator[FunctionAnalysis]:
-    """One finished dtype analysis per function (plus module scope)."""
-    mod = ctx.module_info
-    if mod is None:
-        return
-    for unit in analysis_units(mod):
-        yield FunctionAnalysis(unit, ctx.project, _DOMAIN).run()
-
-
-def _stmt_calls(stmt: ast.stmt) -> Iterator[ast.Call]:
-    """Call nodes evaluated by ``stmt`` itself (not nested defs)."""
-    for node in ast.walk(stmt):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue  # pragma: no cover - defs are separate units
-        if isinstance(node, ast.Call):
-            yield node
-
-
-def _recorded_stmts(analysis: FunctionAnalysis) -> Iterator[ast.stmt]:
-    """Statements the analysis recorded an entry state for, in order."""
-    node = analysis.fn.node
-    for stmt in ast.walk(node):
-        if isinstance(stmt, ast.stmt) and analysis.env_at(stmt):
-            yield stmt
-    # env_at() is {} for statements with no live bindings; fall back to a
-    # plain walk so calls in those statements are still inspected.
-
-
-def _iter_stmt_envs(analysis: FunctionAnalysis):
-    """(stmt, env) pairs for the analysis's own body, skipping nested defs."""
-    body = analysis.fn.node.body
-
-    def walk(stmts):
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(stmt, ast.ClassDef):
-                if analysis.fn.qualname == "<module>":
-                    continue  # class bodies at module scope: methods are units
-                continue
-            yield stmt, analysis.env_at(stmt)
-            for field_name in ("body", "orelse", "finalbody"):
-                inner = getattr(stmt, field_name, None)
-                if inner:
-                    yield from walk(inner)
-            for handler in getattr(stmt, "handlers", []) or []:
-                yield from walk(handler.body)
-            for case in getattr(stmt, "cases", []) or []:
-                yield from walk(case.body)
-
-    yield from walk(body)
-
 
 @register
 class ImplicitDtypeRule(Rule):
@@ -142,33 +62,11 @@ class ImplicitDtypeRule(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        # Constructor results that are immediately .astype(<resolvable
-        # dtype>)-ed are explicit: collect those receivers first.
-        explicit_receivers = set()
-        analyses = list(_analyses(ctx))
-        for analysis in analyses:
-            for stmt, env in _iter_stmt_envs(analysis):
-                for call in _stmt_calls(stmt):
-                    if (
-                        isinstance(call.func, ast.Attribute)
-                        and call.func.attr == "astype"
-                        and isinstance(call.func.value, ast.Call)
-                    ):
-                        dt_expr = (
-                            keyword_value(call, "dtype")
-                            or (call.args[0] if call.args else None)
-                        )
-                        if dt_expr is not None:
-                            av = analysis.eval(dt_expr, dict(env))
-                            if any(t.startswith("dt:") for t in av.tags):
-                                explicit_receivers.add(id(call.func.value))
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node, ctx.aliases)
             if name in DTYPE_REQUIRED and not has_keyword(node, "dtype"):
-                if id(node) in explicit_receivers:
-                    continue
                 yield ctx.violation(
                     node,
                     self.id,
@@ -182,153 +80,43 @@ class ImplicitDtypeRule(Rule):
 class Float64UpcastRule(Rule):
     id = "NUM002"
     summary = (
-        "no float64 provenance may flow into kernel/simulator/layout "
-        "packages (float32 is part of the modelled memory footprint); "
-        "tracked interprocedurally through the dtype lattice"
+        "no float64 upcasts in kernel/simulator/layout/fastpath packages "
+        "(float32 is part of the modelled memory footprint)"
     )
     path_prefixes = FLOAT32_PACKAGES
 
-    def _flag_call(
-        self,
-        ctx: FileContext,
-        analysis: FunctionAnalysis,
-        call: ast.Call,
-        env: Dict[str, AV],
-    ) -> Optional[Violation]:
-        dotted = call_name(call, ctx.aliases)
-        # (a) direct float64 scalar/array construction (v1 behaviour)
-        if dotted in ("numpy.float64", "numpy.double"):
-            return ctx.violation(
-                call, self.id, "numpy.float64() upcast in a float32 package"
-            )
-        # (b) astype whose dtype argument *flows* to float64
-        if isinstance(call.func, ast.Attribute) and call.func.attr in (
-            "astype",
-            "view",
-        ):
-            dt_expr = keyword_value(call, "dtype") or (
-                call.args[0] if call.args else None
-            )
-            if dt_expr is not None:
-                av = analysis.eval(dt_expr, dict(env))
-                if "dt:f64" in av.tags:
-                    how = (
-                        "astype(float64)"
-                        if call.func.attr == "astype"
-                        else "view(float64)"
-                    )
-                    return ctx.violation(
-                        call,
-                        self.id,
-                        f"{how} silently doubles the array's simulated "
-                        "footprint; keep layouts float32 (the dtype "
-                        "argument resolves to float64 through the "
-                        "dataflow lattice)",
-                    )
-            return None
-        # (c) dtype= keyword that flows to float64 (variable, constant,
-        #     module constant, or parameter three assignments back)
-        dval = keyword_value(call, "dtype")
-        if dval is not None:
-            av = analysis.eval(dval, dict(env))
-            if "dt:f64" in av.tags:
-                return ctx.violation(
-                    call,
-                    self.id,
-                    "dtype resolves to float64 in a float32 package; the "
-                    "memory model assumes 4-byte values",
-                )
-        # (d) a call (helper, possibly in another module) returning a
-        #     float64-provenance array into this package
-        callee = None
-        if ctx.project is not None and ctx.module_info is not None:
-            callee = ctx.project.resolve_call(
-                call, ctx.module_info, enclosing=analysis.fn
-            )
-        if callee is not None:
-            av = analysis.eval(call, dict(env))
-            if "f64" in arr_codes(av):
-                origin = callee.module.key
-                kind = "an implicit-dtype" if is_default_dtype(av) else "a float64"
-                return ctx.violation(
-                    call,
-                    self.id,
-                    f"call to {callee.qualname}() ({origin}) returns "
-                    f"{kind} array that flows into this float32 package; "
-                    "fix the producer's dtype or cast at the boundary",
-                )
-        return None
+    def _is_float64(self, node: ast.AST, ctx: FileContext) -> bool:
+        return resolved_name(node, ctx.aliases) in (
+            "float",
+            "numpy.float64",
+            "numpy.double",
+        )
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for analysis in _analyses(ctx):
-            seen = set()
-            for stmt, env in _iter_stmt_envs(analysis):
-                for call in _stmt_calls(stmt):
-                    if id(call) in seen:
-                        continue
-                    seen.add(id(call))
-                    v = self._flag_call(ctx, analysis, call, env)
-                    if v is not None:
-                        yield v
-
-
-#: Array dtype codes a non-identity codec stores: int8 thresholds, float16
-#: thresholds, uint8 leaf-pool codes, int16 packed-record fields.
-QUANTIZED_ARR_CODES = frozenset({"i8", "u8", "i16", "f16"})
-
-#: Packages that build or gather quantized code channels.
-QUANTIZED_PACKAGES = ("repro/layout/", "repro/fastpath/")
-
-
-@register
-class QuantizedFloat64MixRule(Rule):
-    id = "NUM004"
-    summary = (
-        "quantized code arrays (int8/float16 channels) must not meet "
-        "float64 operands — decode is a float32 contract, and a float64 "
-        "promotion breaks build-time/gather-time bit-identity"
-    )
-    path_prefixes = QUANTIZED_PACKAGES
-
-    @staticmethod
-    def _operand_pairs(node: ast.AST):
-        if isinstance(node, ast.BinOp):
-            yield node.left, node.right
-        elif isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            yield from zip(operands, operands[1:])
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for analysis in _analyses(ctx):
-            seen = set()
-            for stmt, env in _iter_stmt_envs(analysis):
-                for node in ast.walk(stmt):
-                    if not isinstance(node, (ast.BinOp, ast.Compare)):
-                        continue
-                    if id(node) in seen:
-                        continue
-                    seen.add(id(node))
-                    for a, b in self._operand_pairs(node):
-                        va = analysis.eval(a, dict(env))
-                        vb = analysis.eval(b, dict(env))
-                        quant = (arr_codes(va) | arr_codes(vb)) & QUANTIZED_ARR_CODES
-                        mixed = (
-                            arr_codes(va) & QUANTIZED_ARR_CODES
-                            and is_f64_array(vb)
-                        ) or (
-                            arr_codes(vb) & QUANTIZED_ARR_CODES
-                            and is_f64_array(va)
-                        )
-                        if mixed:
-                            yield ctx.violation(
-                                node,
-                                self.id,
-                                f"quantized {'/'.join(sorted(quant))} channel "
-                                "meets a float64 operand; dequantize through "
-                                "the codec's float32 expression instead "
-                                "(repro.layout.codec decode_thresholds)",
-                            )
-                            break
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = call_name(node, ctx.aliases)
+            if name in ("numpy.float64", "numpy.double"):
+                yield ctx.violation(
+                    node, self.id,
+                    "numpy.float64() upcast in a float32 package",
+                )
+                continue
+            if last_segment(name) == "astype" and node.args:
+                if self._is_float64(node.args[0], ctx):
+                    yield ctx.violation(
+                        node, self.id,
+                        "astype(float64) silently doubles the array's "
+                        "simulated footprint; keep layouts float32",
+                    )
+            dval = keyword_value(node, "dtype")
+            if dval is not None and self._is_float64(dval, ctx):
+                yield ctx.violation(
+                    node, self.id,
+                    "dtype=float64 in a float32 package; the memory model "
+                    "assumes 4-byte values",
+                )
 
 
 @register

@@ -1,9 +1,6 @@
-"""GOOD: every constructor states the layout dtype (or casts the result
-immediately — flow-aware since v2)."""
+"""GOOD: every constructor states the layout dtype."""
 
 import numpy as np
-
-IDX_DT = np.int64
 
 
 def make_state(n):
@@ -12,10 +9,3 @@ def make_state(n):
     ones = np.ones((n, 2), dtype=np.float32)
     out = np.full(n, -1, dtype=np.int64)
     return votes, rows, ones, out
-
-
-def make_cast(n):
-    # v2: an immediate astype with a resolvable dtype is explicit enough.
-    lanes = np.zeros(n).astype(np.float32)
-    picks = np.arange(n).astype(IDX_DT)
-    return lanes, picks

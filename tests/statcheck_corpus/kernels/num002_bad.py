@@ -1,14 +1,6 @@
-"""BAD: float64 upcasts inside a float32 package.
-
-``widen`` is the v1 surface (literal float64 spellings).  The other
-functions are the v2 acceptance cases: the float64 never appears at the
-flagged line — it arrives through a variable, a module constant, or a
-helper's return value — so only the dataflow lattice can see it.
-"""
+"""BAD: literal float64 upcasts inside a float32 package."""
 
 import numpy as np
-
-WIDE_DT = np.float64
 
 
 def widen(values, thresholds):
@@ -16,21 +8,3 @@ def widen(values, thresholds):
     t = np.zeros(8, dtype=np.float64)  # NUM002 (and explicit-dtype ok)
     s = np.float64(thresholds.sum())  # NUM002
     return v, t, s
-
-
-def widen_through_variable(values):
-    dt = np.float64
-    return values.astype(dt)  # NUM002: dtype resolves through the variable
-
-
-def widen_through_constant(values):
-    return values.astype(WIDE_DT)  # NUM002: module constant is float64
-
-
-def _make_accumulator(n):
-    return np.zeros(n, dtype=np.float64)  # NUM002
-
-
-def widen_through_helper(n):
-    acc = _make_accumulator(n)  # NUM002: helper returns a float64 array
-    return acc

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import HierarchicalForestClassifier, RunConfig
 from repro.core.transfer import TransferModel
+from repro.layout.codec import PRECISIONS
 from repro.layout.csr import CSRForest
+from repro.layout.footprint import csr_bytes, hierarchical_bytes
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 
 
@@ -28,6 +30,17 @@ class TestTransferModel:
         # FIL: 16 bytes per node, exactly.
         total = sum(t.n_nodes for t in small_trees)
         assert fil == total * 16
+
+    @pytest.mark.parametrize("codec", PRECISIONS)
+    def test_layout_upload_is_the_codec_device_bytes(self, small_trees, codec):
+        """Upload bytes are the footprint model's, not float32 widths."""
+        tm = TransferModel()
+        csr = CSRForest.from_trees(small_trees, codec=codec)
+        hier = HierarchicalForest.from_trees(
+            small_trees, LayoutParams(4), codec=codec
+        )
+        assert tm.layout_bytes(csr) == csr_bytes(csr)
+        assert tm.layout_bytes(hier) == hierarchical_bytes(hier)
 
     def test_unknown_layout(self):
         with pytest.raises(TypeError):

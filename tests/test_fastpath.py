@@ -438,21 +438,53 @@ class TestObsFastpathCounters:
 QUANT_CODECS = ("float16", "int8", "packed")
 
 
+def snap_to_thresholds(trees, X):
+    """``X`` with each value moved to the nearest threshold its feature
+    splits on in ``trees`` (features no tree splits on keep their values).
+
+    Every compare a snapped row makes at its nearest split is an equality
+    case, so a decode that rounds even one ULP away from the codec's
+    float32 expression flips branches that random queries never reach.
+    """
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    out = X.copy()
+    for f in range(X.shape[1]):
+        thr = np.unique(threshold[feature == f])
+        if thr.size:
+            out[:, f] = thr[np.abs(X[:, f, None] - thr).argmin(axis=1)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def boundary_queries(small_trees, queries):
+    """Per codec: ``queries`` snapped to the quantized oracle's thresholds."""
+    return {
+        codec: snap_to_thresholds(quantize_trees(small_trees, codec), queries)
+        for codec in QUANT_CODECS
+    }
+
+
 class TestQuantizedGolden:
-    """The gather-time decode must replay the build-time round-trip exactly."""
+    """The gather-time decode must replay the build-time round-trip exactly.
+
+    The bit-identity tests run twice: on random queries and on the
+    boundary rows of :func:`snap_to_thresholds`.
+    """
 
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     @pytest.mark.parametrize("variant", ["hybrid", "csr"])
     def test_fastpath_bit_identical_to_layout_and_trace(
-        self, session, small_trees, queries, codec, variant
+        self, session, small_trees, queries, boundary_queries, codec, variant
     ):
-        fast = session.run(_plan("gpu", variant, precision=codec), queries)
-        model = session.run(
-            _plan("gpu", variant, trace=TRACE_MODEL, precision=codec), queries
-        )
-        oracle = reference_predict(quantize_trees(small_trees, codec), queries)
-        assert np.array_equal(fast.predictions, model.predictions)
-        assert np.array_equal(fast.predictions, oracle)
+        oracle_trees = quantize_trees(small_trees, codec)
+        for X in (queries, boundary_queries[codec]):
+            fast = session.run(_plan("gpu", variant, precision=codec), X)
+            model = session.run(
+                _plan("gpu", variant, trace=TRACE_MODEL, precision=codec), X
+            )
+            assert np.array_equal(fast.predictions, model.predictions)
+            assert np.array_equal(fast.predictions, reference_predict(oracle_trees, X))
 
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     def test_edge_table_really_dequantizes(self, small_trees, queries, codec):
@@ -480,14 +512,15 @@ class TestQuantizedGolden:
 
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     def test_hier_families_share_the_quantized_table(
-        self, small_trees, queries, codec
+        self, small_trees, queries, boundary_queries, codec
     ):
         layout = HierarchicalForest.from_trees(
             small_trees, LayoutParams(4, 8), codec=codec
         )
-        preds, _ = fastpath_predict(layout, queries)
-        oracle = reference_predict(quantize_trees(small_trees, codec), queries)
-        assert np.array_equal(preds, oracle)
+        oracle_trees = quantize_trees(small_trees, codec)
+        for X in (queries, boundary_queries[codec]):
+            preds, _ = fastpath_predict(layout, X)
+            assert np.array_equal(preds, reference_predict(oracle_trees, X))
 
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     def test_quantized_predictions_track_the_oracle(

@@ -72,20 +72,19 @@ class TestCrossModuleAgreement:
 
     def test_footprint_consistent_with_arrays(self, pipeline):
         """The byte model equals the actual array sizes it claims to count."""
-        from repro.layout.footprint import ByteWidths, hierarchical_bytes
+        from repro.layout.footprint import hierarchical_bytes
 
         clf, _ = pipeline
         hier = HierarchicalForest.from_trees(clf.trees, LayoutParams(5))
-        w = ByteWidths()
         expected = (
-            hier.feature_id.size * w.feature_id
-            + hier.value.size * w.value
-            + (hier.n_subtrees + 1) * 2 * w.offset
-            + hier.subtree_connection.size * w.index
-            + hier.n_subtrees * w.index
-            + hier.n_trees * w.index
+            hier.feature_id.size * 4  # int32 feature ids
+            + hier.value.size * 4  # float32 values
+            + (hier.n_subtrees + 1) * 2 * 8  # int64 node/connection offsets
+            + hier.subtree_connection.size * 4
+            + hier.n_subtrees * 4  # subtree depths
+            + hier.n_trees * 4  # tree roots
         )
-        assert hierarchical_bytes(hier, w) == expected
+        assert hierarchical_bytes(hier) == expected
 
     def test_truncated_forest_runs_kernels(self, pipeline):
         from repro.forest import truncate_forest

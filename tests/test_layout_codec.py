@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.baselines.cuml_fil import FILForest
 from repro.fastpath import fastpath_predict
 from repro.layout import (
-    ByteWidths,
     CSRForest,
     CodecError,
     HierarchicalForest,
@@ -19,7 +19,7 @@ from repro.layout import (
     hierarchical_device_arrays,
     layout_device_arrays,
 )
-from repro.layout.codec import PackedCodec, quantize_layout_values
+from repro.layout.codec import PackedCodec, quantize_layout_values, quantize_trees
 
 QUANTIZED = tuple(p for p in PRECISIONS if p != "float32")
 
@@ -201,17 +201,19 @@ class TestByteAccounting:
         packed = csr_bytes(CSRForest.from_trees(small_trees, codec="packed"))
         assert base / packed >= 3.0
 
-    def test_from_codec_widths(self):
-        assert ByteWidths.from_codec("float32") == ByteWidths()
-        assert ByteWidths.from_codec("float16").value == 2
-        assert ByteWidths.from_codec("int8").value == 1
-        packed = ByteWidths.from_codec("packed")
-        # node_bytes is the 4-byte hier slot record; + two int16 child
-        # refs gives the 8-byte CSR record.
-        assert packed.node_bytes() == 4
-        assert packed.node_bytes() + 2 * packed.index == 8
-        with pytest.raises(CodecError):
-            ByteWidths.from_codec("bf16")
+    def test_from_codec_widths(self, small_trees):
+        """Device widths derive from the codec: the value channel narrows
+        4 -> 2 -> 1 bytes; packed ships 8-byte CSR / 4-byte slot records."""
+        widths = {
+            c: csr_device_arrays(CSRForest.from_trees(small_trees, codec=c))
+            for c in PRECISIONS
+        }
+        values = [widths[c]["value"].itemsize for c in ("float32", "float16", "int8")]
+        assert values == [4, 2, 1]
+        assert widths["float32"]["feature_id"].itemsize == 4
+        assert widths["packed"]["node_records"].itemsize == 8
+        hier = HierarchicalForest.from_trees(small_trees, codec="packed")
+        assert hierarchical_device_arrays(hier)["slot_records"].itemsize == 4
 
     def test_dispatch_helper(self, small_trees):
         csr = CSRForest.from_trees(small_trees)
@@ -223,14 +225,40 @@ class TestByteAccounting:
         with pytest.raises(TypeError):
             layout_device_arrays(object())
 
-    def test_explicit_widths_reproduce_legacy_formula(self, small_trees):
-        csr = CSRForest.from_trees(small_trees, codec="int8")
-        w = ByteWidths()
-        expected = (
-            csr.total_nodes * w.node_bytes()
-            + csr.total_nodes * w.index
-            + csr.total_children_entries * w.index
-            + (csr.n_trees + 1) * 2 * w.offset
-        )
-        # Explicit widths ignore the codec: the historical width model.
-        assert csr_bytes(csr, w) == expected
+
+def _arrays(obj, prefix=""):
+    """``prefix + name -> array`` for every array attribute of ``obj``."""
+    return {
+        prefix + k: v for k, v in vars(obj).items() if isinstance(v, np.ndarray)
+    }
+
+
+def _build(family, trees, codec):
+    if family == "csr":
+        return CSRForest.from_trees(trees, codec=codec)
+    if family == "hier":
+        return HierarchicalForest.from_trees(trees, LayoutParams(4, 8), codec=codec)
+    # FIL has no codec axis (ExecutionPlan rejects cuml + quantized): it is
+    # built from the codec's round-tripped host trees instead.
+    return FILForest.from_trees(quantize_trees(trees, codec))
+
+
+class TestLayoutDtypes:
+    """float32 is the layout contract: nothing a builder or the lowering
+    produces may widen to float64, however it got there."""
+
+    @pytest.mark.parametrize("codec", PRECISIONS)
+    @pytest.mark.parametrize("family", ["csr", "hier", "fil"])
+    def test_no_float64_in_layout_or_edge_table(self, small_trees, family, codec):
+        layout = _build(family, small_trees, codec)
+        table = layout._fastpath_edges
+        arrays = {**_arrays(layout), **_arrays(table, "edges.")}
+        if getattr(layout, "quant", None) is not None:
+            arrays.update(_arrays(layout.quant, "quant."))
+        wide = {k: a.dtype for k, a in arrays.items() if a.dtype == np.float64}
+        assert not wide, f"{family}/{codec}: float64 arrays {wide}"
+        assert layout.value.dtype == np.float32
+        assert table.value.dtype == np.float32
+        for name in ("qscale", "qoffset"):
+            channel = getattr(table, name)
+            assert channel is None or channel.dtype == np.float32, name

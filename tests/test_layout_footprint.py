@@ -1,12 +1,10 @@
 """Tests for the memory-footprint accounting (paper §4.2 / Fig. 6)."""
 
-import pytest
-
+from repro.extensions.packed_nodes import GPUPackedIndependentKernel
 from repro.layout.csr import CSRForest
 from repro.layout.footprint import (
-    PACKED_WIDTHS,
-    ByteWidths,
     csr_bytes,
+    csr_device_arrays,
     footprint_ratio,
     hierarchical_bytes,
 )
@@ -14,24 +12,26 @@ from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 
 
 class TestByteWidths:
-    def test_default_node_bytes(self):
-        assert ByteWidths().node_bytes() == 8
+    def test_default_node_bytes(self, small_trees):
+        arrays = csr_device_arrays(CSRForest.from_trees(small_trees))
+        assert arrays["feature_id"].itemsize + arrays["value"].itemsize == 8
 
-    def test_packed_matches_paper_48_bits(self):
-        """Paper §3.2: 48 bits per node's attributes."""
-        assert PACKED_WIDTHS.node_bytes() * 8 == 48
+    def test_packed_matches_paper_48_bits(self, small_trees):
+        """Paper §3.2: 48 bits per node's attributes (16-bit feature id
+        plus 32-bit value, the packed-node kernels' address model)."""
+        value = csr_device_arrays(CSRForest.from_trees(small_trees))["value"]
+        assert (GPUPackedIndependentKernel.FEATURE_BYTES + value.itemsize) * 8 == 48
 
 
 class TestFootprint:
     def test_csr_bytes_formula(self, small_trees):
         csr = CSRForest.from_trees(small_trees)
-        w = ByteWidths()
         expected = (
             csr.total_nodes * 12
             + csr.total_children_entries * 4
             + (csr.n_trees + 1) * 16
         )
-        assert csr_bytes(csr, w) == expected
+        assert csr_bytes(csr) == expected
 
     def test_hier_bytes_positive_and_consistent(self, small_trees):
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
@@ -60,5 +60,5 @@ class TestFootprint:
         assert footprint_ratio(h1, csr) > 1.0
 
     def test_packed_widths_change_totals(self, small_trees):
-        csr = CSRForest.from_trees(small_trees)
-        assert csr_bytes(csr, PACKED_WIDTHS) < csr_bytes(csr, ByteWidths())
+        packed = CSRForest.from_trees(small_trees, codec="packed")
+        assert csr_bytes(packed) < csr_bytes(CSRForest.from_trees(small_trees))

@@ -9,7 +9,7 @@ from repro.forest.builder import FeatureBinner
 from repro.forest.prune import truncate_depth
 from repro.forest.tree import LEAF, random_tree
 from repro.layout.csr import CSRForest
-from repro.layout.footprint import ByteWidths, csr_bytes, hierarchical_bytes
+from repro.layout.footprint import hierarchical_bytes
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 
 tree_seeds = st.integers(0, 10_000)
@@ -84,18 +84,6 @@ class TestBinnerProperties:
 
 
 class TestFootprintProperties:
-    @settings(max_examples=25, deadline=None)
-    @given(seed=tree_seeds, depth=st.integers(1, 8), sd=st.integers(1, 6))
-    def test_bytes_scale_with_widths(self, seed, depth, sd):
-        """Doubling every field width doubles both footprints."""
-        tree = random_tree(seed, 6, depth, leaf_prob=0.3, min_nodes=3)
-        csr = CSRForest.from_trees([tree])
-        hier = HierarchicalForest.from_trees([tree], LayoutParams(sd))
-        w1 = ByteWidths()
-        w2 = ByteWidths(feature_id=8, value=8, index=8, offset=16)
-        assert csr_bytes(csr, w2) == 2 * csr_bytes(csr, w1)
-        assert hierarchical_bytes(hier, w2) == 2 * hierarchical_bytes(hier, w1)
-
     @settings(max_examples=25, deadline=None)
     @given(seed=tree_seeds, depth=st.integers(1, 8))
     def test_hier_at_least_node_bytes(self, seed, depth):

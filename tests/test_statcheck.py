@@ -31,7 +31,6 @@ VIRTUAL_DIRS = {
     "experiments": "src/repro/experiments",
     "serving": "src/repro/serving",
     "fastpath": "src/repro/fastpath",
-    "layout": "src/repro/layout",
 }
 
 
