@@ -7,12 +7,15 @@ through a single-tree root mask over the layout's edge table.  The
 classifier API already verifies final majority votes on every run; this
 utility goes further (per-tree agreement, structural validation, all three
 layouts) and is what ``examples``/CI use when touching layout code.
+
+:func:`layout_digests` is the byte-level complement: a digest of every
+buffer a built layout carries, which the layout golden test pins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from repro.forest.tree import DecisionTree
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import array_crc32, check_positive_int
 
 
 @dataclass
@@ -50,6 +53,38 @@ class VerificationReport:
             f"{self.n_queries} queries over {len(self.layouts_checked)} "
             f"layouts)"
         )
+
+
+def layout_digests(layout) -> Dict[str, str]:
+    """``dtype[shape]:crc32`` of every buffer a built layout carries.
+
+    Covers the layout's own ndarray attributes, its codec side tables
+    (``quant.*``), its lowered edge table (``edges.*``) and its build-time
+    integrity digests (``integrity.*``): two layouts with equal digests are
+    byte-identical everywhere a consumer reads.
+    """
+
+    def sig(arr: np.ndarray) -> str:
+        return f"{arr.dtype}{list(arr.shape)}:{array_crc32(arr):08x}"
+
+    out: Dict[str, str] = {}
+    parts = (
+        ("", layout),
+        ("quant.", getattr(layout, "quant", None)),
+        ("edges.", getattr(layout, "_fastpath_edges", None)),
+    )
+    for prefix, obj in parts:
+        if obj is None:
+            continue
+        for name, value in vars(obj).items():
+            if isinstance(value, np.ndarray):
+                out[prefix + name] = sig(value)
+    integ = getattr(layout, "integrity", None)
+    if integ is not None:
+        for name, crc in integ.array_crc.items():
+            out[f"integrity.array_crc.{name}"] = f"{crc:08x}"
+        out["integrity.tree_crc"] = sig(integ.tree_crc)
+    return out
 
 
 def verify_layouts(
