@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint statcheck faults serve-chaos serve-chaos-baseline slo slo-baseline fastpath fastpath-baseline quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
+.PHONY: install test lint statcheck faults serve-chaos serve-chaos-baseline slo slo-baseline fastpath fastpath-baseline layout-bench quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -63,6 +63,14 @@ fastpath:
 fastpath-baseline:
 	PYTHONPATH=src python benchmarks/bench_fastpath.py \
 		--scale smoke --write-baseline
+
+# Cold-start layout build (docs/architecture.md §11): per-stage median
+# wall time of HierarchicalForest.from_trees and the FIL build on the six
+# checked-in forests, written to BENCH_layout.json.  Also compares every
+# rebuilt layout to tests/data/hier_layout_golden.json; only a digest
+# mismatch fails (wall times depend on the host, so none is gated).
+layout-bench:
+	PYTHONPATH=src python benchmarks/bench_layout_build.py
 
 # Precision axis (docs/architecture.md §12): regenerate the checked-in
 # accuracy/footprint frontier artifact, then gate the codec claims

@@ -286,6 +286,26 @@ def stack_trees(trees: Union[Iterable[DecisionTree], TreeStack]) -> TreeStack:
     )
 
 
+def breadth_first_levels(stack: TreeStack) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Every tree's nodes, one depth level at a time, all trees together.
+
+    Yields ``(node, parent)`` per level, root level first: ``node`` holds
+    global node ids ordered by tree, then by parent's position in the
+    previous level, left child before right — so a node's side is its
+    position's parity; ``parent`` is that position (-1 at the roots).
+    Concatenating one tree's slices of the levels gives its breadth-first
+    (FIFO) order.
+    """
+    node = stack.roots
+    parent = np.full(node.shape[0], -1, dtype=np.int64)
+    children = stack.child.reshape(-1, 2)
+    while node.size:
+        yield node, parent
+        parent = np.flatnonzero(stack.feature[node] != LEAF)
+        node = children[node[parent]].ravel()
+        parent = np.repeat(parent, 2)
+
+
 def leaf_labels(stack: TreeStack, X: np.ndarray) -> np.ndarray:
     """Leaf label of every (row, tree) lane, lane ``row * n_trees + tree``.
 

@@ -17,19 +17,35 @@ Each decision tree is partitioned into *complete binary subtrees*:
   arithmetic indexing, which is the paper's key idea.
 
 All subtrees of all trees are concatenated into flat arrays so the simulated
-kernels can map slot indices to byte addresses.  ``from_trees`` also lowers
-the layout to the fastpath's edge table (:mod:`repro.fastpath.hierpath`),
-the one traversal every inference path runs through.
+kernels can map slot indices to byte addresses.
+
+The build is one level-wise pass over all trees at once
+(:func:`_pack_subtrees`).  Subtree roots sit at fixed tree depths (0, RSD,
+RSD + SD, ...), so each depth level either roots new subtrees or extends
+its parents' with the arithmetic above; ids, sizes, depths and the
+trimmed connection lists then follow from a stable sort and scatter-max
+reductions, with no per-tree or per-subtree Python loop.  ``from_trees``
+then quantizes the value channel, attaches the integrity digests and
+lowers the layout to the fastpath's edge table
+(:mod:`repro.fastpath.hierpath`), the one traversal every inference path
+runs through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.forest.tree import EMPTY, LEAF, DecisionTree
+from repro.forest.tree import (
+    EMPTY,
+    LEAF,
+    DecisionTree,
+    TreeStack,
+    breadth_first_levels,
+    stack_trees,
+)
 from repro.utils.validation import check_positive_int
 
 
@@ -133,105 +149,20 @@ class HierarchicalForest:
         and immediately decoded so the stored ``value`` array is the
         round-tripped float32 channel.
         """
-        if len(trees) == 0:
-            raise ValueError("need at least one tree")
-        feat_parts: List[np.ndarray] = []
-        val_parts: List[np.ndarray] = []
-        depths: List[int] = []
-        conn_parts: List[np.ndarray] = []
-        owner: List[int] = []
-        tree_roots = np.empty(len(trees), dtype=np.int32)
-
-        node_offsets = [0]
-        conn_offsets = [0]
-        n_subtrees = 0
-
-        for t, tree in enumerate(trees):
-            tree_roots[t] = n_subtrees
-            # Pending subtree roots of THIS tree; subtree ids are assigned in
-            # FIFO order so ids are dense and breadth-first per tree.
-            pending: List[int] = [0]
-            is_root = True
-            head = 0
-            while head < len(pending):
-                root_node = pending[head]
-                head += 1
-                sd_max = params.rsd if is_root else params.sd
-                is_root = False
-                slots, depth_reached, size = _fill_subtree(tree, root_node, sd_max)
-                st_feat = np.full(size, EMPTY, dtype=np.int32)
-                st_val = np.zeros(size, dtype=np.float32)
-                real = slots[:size] >= 0
-                nodes = slots[:size][real]
-                st_feat[real] = tree.feature[nodes]
-                inner_mask = tree.feature[nodes] != LEAF
-                vals = np.where(
-                    inner_mask,
-                    tree.threshold[nodes],
-                    tree.value[nodes].astype(np.float32),
-                )
-                st_val[real] = vals
-
-                # Frontier connections (only possible at the full sd_max).
-                frontier_start = (1 << (depth_reached - 1)) - 1
-                conn: List[int] = []
-                if depth_reached == sd_max:
-                    for s in range(frontier_start, size):
-                        n = slots[s]
-                        if n >= 0 and tree.feature[n] != LEAF:
-                            left, right = (
-                                int(tree.left_child[n]),
-                                int(tree.right_child[n]),
-                            )
-                            conn.append(n_subtrees + (len(pending) - head) + 1)
-                            pending.append(left)
-                            conn.append(n_subtrees + (len(pending) - head) + 1)
-                            pending.append(right)
-                        else:
-                            conn.append(-1)
-                            conn.append(-1)
-                    # Trim trailing absent pairs (paper: "entries for leaf
-                    # node 6 can be omitted").
-                    while len(conn) >= 2 and conn[-1] == -1 and conn[-2] == -1:
-                        conn.pop()
-                        conn.pop()
-
-                feat_parts.append(st_feat)
-                val_parts.append(st_val)
-                depths.append(depth_reached)
-                conn_parts.append(np.asarray(conn, dtype=np.int64))
-                owner.append(t)
-                node_offsets.append(node_offsets[-1] + size)
-                conn_offsets.append(conn_offsets[-1] + len(conn))
-                n_subtrees += 1
-
-        # Connection entries were recorded tree-locally relative to the
-        # current subtree counter; they are already global because
-        # ``n_subtrees`` was global when each entry was appended.
-        connection = (
-            np.concatenate(conn_parts)
-            if conn_parts
-            else np.empty(0, dtype=np.int64)
-        ).astype(np.int32)
-        feature_id = np.concatenate(feat_parts)
         from repro.layout.codec import quantize_layout_values
 
+        stack = stack_trees(trees)
+        arrays = _pack_subtrees(stack, params)
         value, quant = quantize_layout_values(
-            codec, np.concatenate(val_parts), feature_id
+            codec, arrays.pop("value"), arrays["feature_id"]
         )
         layout = cls(
-            feature_id=feature_id,
             value=value,
-            subtree_node_offset=np.asarray(node_offsets, dtype=np.int64),
-            subtree_depth=np.asarray(depths, dtype=np.int32),
-            connection_offset=np.asarray(conn_offsets, dtype=np.int64),
-            subtree_connection=connection,
-            tree_root_subtree=tree_roots,
-            subtree_tree=np.asarray(owner, dtype=np.int32),
             params=params,
-            n_classes=max(t.n_classes for t in trees),
+            n_classes=stack.n_classes,
             codec=quant.codec if quant is not None else "float32",
             quant=quant,
+            **arrays,
         )
         if with_integrity:
             from repro.reliability.integrity import attach_integrity
@@ -292,9 +223,11 @@ class HierarchicalForest:
         sizes = np.diff(self.subtree_node_offset)
         if np.any(sizes < 1):
             raise ValueError("empty subtree")
-        max_allowed = (1 << self.params.rsd) - 1
-        if np.any(sizes > max_allowed):
-            raise ValueError("subtree larger than 2^RSD - 1 slots")
+        # Tree-root subtrees hold up to RSD levels, all others up to SD.
+        levels = np.full(self.n_subtrees, self.params.sd, dtype=np.int64)
+        levels[self.tree_root_subtree] = self.params.rsd
+        if np.any(sizes > (1 << levels) - 1):
+            raise ValueError("subtree larger than 2^RSD - 1 (root) / 2^SD - 1 slots")
         # Depths consistent with sizes: a subtree of depth d needs at least
         # 2^(d-1) slots (root chain) and at most 2^d - 1.
         d = self.subtree_depth.astype(np.int64)
@@ -327,35 +260,82 @@ class HierarchicalForest:
         )
 
 
-def _fill_subtree(
-    tree: DecisionTree, root_node: int, sd_max: int
-) -> Tuple[np.ndarray, int, int]:
-    """BFS-fill one complete subtree of ``tree`` rooted at ``root_node``.
+def _pack_subtrees(stack: TreeStack, params: LayoutParams) -> Dict[str, np.ndarray]:
+    """Partition every stacked tree into complete subtrees in one pass.
 
-    Returns ``(slots, depth_reached, size)`` where ``slots`` maps local slot
-    index -> tree node id (-1 = padding), ``depth_reached`` is the number of
-    levels containing at least one real node, and ``size`` is the complete
-    prefix length (last real slot + 1).
+    Walks all trees together one depth level at a time
+    (:func:`~repro.forest.tree.breadth_first_levels`).  Subtree roots sit at
+    fixed depths (0, RSD, RSD + SD, ...), so each level either roots new
+    subtrees (local slot 0) or extends its parents' (slot ``2s + 1 +
+    went_right``).  Subtrees get generation-major ids in level order, which
+    orders each generation by (parent subtree, frontier slot, side); a
+    stable sort by owning tree turns that into per-tree breadth-first ids.
+    Returns the layout's arrays, with ``value`` not yet quantized.
     """
-    capacity = (1 << sd_max) - 1
-    slots = np.full(capacity, -1, dtype=np.int64)
-    slots[0] = root_node
-    depth_reached = 1
-    level_start, level_size = 0, 1
-    for d in range(sd_max - 1):
-        seg = slots[level_start : level_start + level_size]
-        present = seg >= 0
-        inner = present.copy()
-        if np.any(present):
-            inner[present] = tree.feature[seg[present]] != LEAF
-        if not np.any(inner):
-            break
-        s_abs = level_start + np.flatnonzero(inner)
-        nodes = slots[s_abs]
-        slots[2 * s_abs + 1] = tree.left_child[nodes]
-        slots[2 * s_abs + 2] = tree.right_child[nodes]
-        depth_reached = d + 2
-        level_start = 2 * level_start + 1
-        level_size *= 2
-    last_real = int(np.max(np.flatnonzero(slots >= 0)))
-    return slots, depth_reached, last_real + 1
+    rsd, sd = params.rsd, params.sd
+    n_trees = stack.n_trees
+    nodes, subs, slots, owners = [], [], [], []
+    # Per non-root subtree, in generation-major order: its parent subtree
+    # and its entry in the parent's connection list.
+    link_parent = [np.empty(0, dtype=np.int64)]
+    link_entry = [np.empty(0, dtype=np.int64)]
+    n_sub = 0
+    for depth, (node, parent) in enumerate(breadth_first_levels(stack)):
+        if depth == 0:
+            tree = np.arange(n_trees, dtype=np.int32)
+        else:
+            side = np.arange(node.shape[0], dtype=np.int64) & 1
+            tree, sub, slot = tree[parent], sub[parent], 2 * slot[parent] + 1 + side
+        if depth == 0 or depth == rsd or (depth > rsd and (depth - rsd) % sd == 0):
+            if depth:
+                # ``slot`` is where the child would sit one level below the
+                # parent subtree's frontier; that level is the connection
+                # list, so pairs are (left, right) per frontier slot and the
+                # list ends at the last frontier node with children.
+                link_parent.append(sub)
+                link_entry.append(slot - ((1 << (rsd if depth == rsd else sd)) - 1))
+            sub = np.arange(n_sub, n_sub + node.shape[0], dtype=np.int64)
+            slot = np.zeros(node.shape[0], dtype=np.int64)
+            owners.append(tree)
+            n_sub += node.shape[0]
+        nodes.append(node)
+        subs.append(sub)
+        slots.append(slot)
+    node, sub, slot = np.concatenate(nodes), np.concatenate(subs), np.concatenate(slots)
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")  # final id -> generation-major id
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n_sub, dtype=np.int64)
+
+    size = np.zeros(n_sub, dtype=np.int64)
+    np.maximum.at(size, sub, slot + 1)
+    size = size[order]
+    node_offset = np.concatenate(([0], np.cumsum(size)))
+    pos = node_offset[rank[sub]] + slot
+    feature_id = np.full(int(node_offset[-1]), EMPTY, dtype=np.int32)
+    feature_id[pos] = stack.feature[node]
+    value = np.zeros(feature_id.shape[0], dtype=np.float32)
+    value[pos] = np.where(
+        stack.feature[node] != LEAF,
+        stack.threshold[node],
+        stack.value[node].astype(np.float32),
+    )
+
+    parent, entry = np.concatenate(link_parent), np.concatenate(link_entry)
+    conn_len = np.zeros(n_sub, dtype=np.int64)
+    np.maximum.at(conn_len, parent, (entry | 1) + 1)
+    conn_offset = np.concatenate(([0], np.cumsum(conn_len[order])))
+    connection = np.full(int(conn_offset[-1]), -1, dtype=np.int32)
+    connection[conn_offset[rank[parent]] + entry] = rank[n_trees:]
+    return {
+        "feature_id": feature_id,
+        "value": value,
+        "subtree_node_offset": node_offset,
+        # Level d holds slots 2^(d-1) - 1 .. 2^d - 2, so a subtree's level
+        # count is the bit length of its size.
+        "subtree_depth": np.frexp(size)[1].astype(np.int32),
+        "connection_offset": conn_offset,
+        "subtree_connection": connection,
+        "tree_root_subtree": rank[:n_trees].astype(np.int32),
+        "subtree_tree": owner[order],
+    }

@@ -5,7 +5,7 @@ import pytest
 
 from repro.fastpath import fastpath_predict
 from repro.forest.tree import EMPTY, LEAF, DecisionTree
-from repro.layout.hierarchical import HierarchicalForest, LayoutParams, _fill_subtree
+from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 from tests.test_forest_tree import small_manual_tree
 
 
@@ -26,26 +26,29 @@ class TestLayoutParams:
 
 
 class TestFillSubtree:
+    """How ``from_trees`` fills one complete subtree (paper Fig. 3a)."""
+
     def test_paper_example_padding(self):
         """Fig. 3a: SD=3 pads subtree 0 with two null slots under leaf 1."""
-        tree = small_manual_tree()
-        slots, depth, size = _fill_subtree(tree, 0, 3)
-        assert depth == 3
-        assert size == 7
-        # Slot layout: 0, 1(leaf), 2, [pad], [pad], 3, 4.
-        assert slots[:7].tolist() == [0, 1, 2, -1, -1, 3, 4]
+        h = HierarchicalForest.from_trees([small_manual_tree()], LayoutParams(3))
+        assert h.subtree_depth[0] == 3 and h.subtree_size(0) == 7
+        # Slot layout: nodes 0, 1(leaf), 2, [pad], [pad], 3, 4.
+        assert h.feature_id[:7].tolist() == [1, LEAF, 4, EMPTY, EMPTY, 8, 20]
+        assert h.value[:7].tolist() == pytest.approx([2.5, 0, 0.5, 0, 0, 5.4, 8.8])
 
     def test_truncated_when_shallow(self):
-        tree = DecisionTree.leaf(0)
-        slots, depth, size = _fill_subtree(tree, 0, 4)
-        assert depth == 1 and size == 1
+        h = HierarchicalForest.from_trees([DecisionTree.leaf(0)], LayoutParams(4))
+        assert h.n_subtrees == 1
+        assert h.subtree_depth[0] == 1 and h.subtree_size(0) == 1
 
     def test_stops_at_all_leaves(self):
-        tree = small_manual_tree()
-        # Subtree rooted at node 3 (children 7, 8 both leaves): depth 2.
-        slots, depth, size = _fill_subtree(tree, 3, 5)
-        assert depth == 2 and size == 3
-        assert slots[:3].tolist() == [3, 7, 8]
+        # RSD=2 makes node 3 (children 7, 8 both leaves) root subtree 1;
+        # it stops at depth 2 although SD=5 allows more.
+        h = HierarchicalForest.from_trees([small_manual_tree()], LayoutParams(5, 2))
+        assert h.subtree_depth[1] == 2 and h.subtree_size(1) == 3
+        lo = h.subtree_node_offset[1]
+        assert h.feature_id[lo : lo + 3].tolist() == [8, LEAF, LEAF]
+        assert h.value[lo : lo + 3].tolist() == pytest.approx([5.4, 0, 1])
 
 
 class TestConstruction:
@@ -74,6 +77,18 @@ class TestConstruction:
                     small_trees, LayoutParams(sd, rsd)
                 )
                 h.validate()
+
+    def test_validate_accepts_root_subtree_shallower_than_sd(self, deep_trees):
+        """RSD < SD: non-root subtrees may exceed 2^RSD - 1 slots."""
+        h = HierarchicalForest.from_trees(deep_trees, LayoutParams(5, 2))
+        h.validate()
+        assert np.diff(h.subtree_node_offset).max() > (1 << 2) - 1
+
+    def test_validate_caps_root_subtrees_at_rsd(self, deep_trees):
+        h = HierarchicalForest.from_trees(deep_trees, LayoutParams(5))
+        h.params = LayoutParams(5, 2)
+        with pytest.raises(ValueError, match="larger than"):
+            h.validate()
 
     def test_sd1_maximises_subtree_count(self, small_trees):
         """SD=1 makes every node its own subtree; larger SDs always merge

@@ -240,9 +240,9 @@ class TestSurvivingTreesCache:
         FaultPlan(1).corrupt_layout(hier, rate=0.2)
         expected = hier.integrity.surviving_trees(hier)
         calls = []
-        real = integrity._tree_crc
+        real = integrity._tree_digests
         monkeypatch.setattr(
-            integrity, "_tree_crc", lambda *a: calls.append(a) or real(*a)
+            integrity, "_tree_digests", lambda *a: calls.append(a) or real(*a)
         )
         again = hier.integrity.surviving_trees(hier)
         assert np.array_equal(again, expected) and calls == []
