@@ -9,7 +9,9 @@ from repro.forest.builder import (
     _gini_gain_from_counts,
     _resolve_max_features,
 )
+from repro.forest.random_forest import RandomForestClassifier
 from repro.forest.tree import LEAF
+from repro.runtime.planner import forest_fingerprint
 
 
 def _toy_data(n=400, seed=0):
@@ -197,3 +199,54 @@ class TestSplitterAgreement:
             ).build(X, y, 2, rng=0)
             accs[splitter] = np.mean(tree.predict(Xte) == yte)
         assert abs(accs["hist"] - accs["exact"]) < 0.05
+
+
+def _three_class_data(n=300, seed=2):
+    """3 classes; feature 4 has few distinct values (ties), feature 5 is constant."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, 6)).astype(np.float32)
+    X[:, 4] = np.round(X[:, 4] * 2)
+    X[:, 5] = 1.0
+    noise = 0.3 * rng.standard_normal(n)
+    y = np.digitize(X[:, 0] + 0.5 * X[:, 4] + noise, [-0.5, 0.5]).astype(np.int32)
+    return X, y
+
+
+def _sine_data():
+    X, _ = _toy_data(seed=1)
+    return X, (np.sin(X[:, 0] * 3) > 0).astype(np.int32)
+
+
+class TestExactSplitterPinned:
+    """``forest_fingerprint`` of exact-splitter trees, pinned so a rewrite of
+    the split search must reproduce them bit for bit."""
+
+    @pytest.mark.parametrize(
+        "data, kwargs, seed, want",
+        [
+            (_toy_data, dict(max_depth=3, max_features="all"), 0, 2160190684),
+            (lambda: _toy_data(seed=1), dict(max_features="sqrt"), 0, 1984889027),
+            (lambda: _toy_data(n=100), dict(min_samples_leaf=20, max_features="all"), 0, 2825958112),
+            (_sine_data, dict(max_depth=6, max_features="all"), 0, 3386051656),
+            (_three_class_data, dict(max_features="all"), 0, 699583058),
+            (
+                _three_class_data,
+                dict(min_samples_leaf=5, min_samples_split=12, max_features=3),
+                3,
+                964133482,
+            ),
+        ],
+    )
+    def test_tree_fingerprint(self, data, kwargs, seed, want):
+        X, y = data()
+        tree = TreeBuilder(splitter="exact", **kwargs).build(
+            X, y, int(y.max()) + 1, rng=seed
+        )
+        assert forest_fingerprint([tree]) == want
+
+    def test_forest_fingerprint(self):
+        X, y = _three_class_data()
+        forest = RandomForestClassifier(
+            n_estimators=4, max_depth=8, splitter="exact", min_samples_leaf=2, seed=0
+        ).fit(X, y)
+        assert forest_fingerprint(forest.trees_) == 433110308
