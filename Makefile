@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint statcheck faults serve-chaos serve-chaos-baseline slo slo-baseline fastpath fastpath-baseline layout-bench quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
+.PHONY: install test lint statcheck faults serve-chaos serve-chaos-baseline slo slo-baseline fastpath fastpath-baseline layout-bench train-bench quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -71,6 +71,14 @@ fastpath-baseline:
 # mismatch fails (wall times depend on the host, so none is gated).
 layout-bench:
 	PYTHONPATH=src python benchmarks/bench_layout_build.py
+
+# Training (docs/architecture.md §1): per-stage median wall time of a
+# forest fit (binner fit, binner transform, bootstrap, tree build) and
+# nodes/s for the e2e train workload and the six checked-in forests,
+# written to BENCH_train.json.  Every retrained forest must match its
+# pinned forest_fingerprint; only a mismatch fails (times are not gated).
+train-bench:
+	PYTHONPATH=src python benchmarks/bench_train.py
 
 # Precision axis (docs/architecture.md §12): regenerate the checked-in
 # accuracy/footprint frontier artifact, then gate the codec claims

@@ -1,42 +1,43 @@
 """CART decision-tree builder (Gini impurity).
 
 Implements the training substrate the paper delegates to scikit-learn's
-``RandomForestClassifier``.  Two split finders are provided:
+``RandomForestClassifier``.  One split engine serves both splitters; they
+differ only in how a feature value becomes an integer code and how a
+chosen code boundary becomes a float threshold:
 
-* ``splitter="hist"`` (default): features are pre-quantised into at most
-  ``max_bins`` quantile bins; each node builds per-feature class histograms
-  with one vectorised pass and evaluates every bin boundary at once.  This is
-  the LightGBM-style approach and is what makes training forests of depth
-  30-50 tractable in pure NumPy.
-* ``splitter="exact"``: classic sort-based CART used by scikit-learn; exact
-  but O(n log n) per feature per node.  Kept for cross-validation of the
-  histogram splitter in the test suite.
+* ``splitter="hist"`` (default): codes are at most ``max_bins`` quantile
+  bins (:class:`FeatureBinner`, the LightGBM-style approach that makes
+  depth 30-50 forests tractable in pure NumPy); the threshold sits just
+  above the bin's upper edge.
+* ``splitter="exact"``: codes are dense ranks over each feature's distinct
+  values, so every value change is a candidate, as in scikit-learn's
+  sort-based CART; the threshold is the midpoint between the chosen value
+  and the next larger value present at the node.
 
-Both honour ``max_depth``, ``min_samples_split``, ``min_samples_leaf`` and
-``max_features`` (feature subsampling per node, as random forests require).
+At each node the engine draws ``k`` features (one ``rng.choice`` per node,
+in depth-first order) and scores all of them in one pass: it sorts
+``(feature slot, code, class)`` keys to count classes per occupied code,
+takes running counts that restart at each slot as the left side of every
+candidate, scores every candidate with one :func:`_gini_gain_from_counts`
+call and keeps the first ``argmax``, so ties go to the earlier-drawn
+feature, then the lower code.  Only occupied codes are candidates: the gain
+is flat from one occupied code up to the next, so a scan over every bin
+would pick the same split.
+
+Both splitters honour ``max_depth``, ``min_samples_split``,
+``min_samples_leaf`` (per candidate) and ``max_features`` (feature
+subsampling per node, as random forests require).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.forest.tree import DecisionTree, LEAF
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_array_2d, check_positive_int
-
-
-@dataclass
-class _Split:
-    """Result of a split search at one node."""
-
-    feature: int
-    threshold: float
-    gain: float
-    # For the histogram splitter: samples with bin <= bin_split go left.
-    bin_split: int = -1
 
 
 def _resolve_max_features(max_features: Union[str, int, float, None], n_features: int) -> int:
@@ -148,9 +149,36 @@ def _gini_gain_from_counts(
         gini_left = n_left - (left_counts**2).sum(axis=1) / n_left
         gini_right = n_right - (right_counts**2).sum(axis=1) / n_right
     parent = total - (total_counts**2).sum() / total
-    gain = parent - (np.nan_to_num(gini_left) + np.nan_to_num(gini_right))
-    gain = np.where((n_left > 0) & (n_right > 0), gain, -np.inf)
-    return gain
+    # An empty side divides 0 by 0; every such NaN is replaced here.
+    gain = parent - (gini_left + gini_right)
+    return np.where((n_left > 0) & (n_right > 0), gain, -np.inf)
+
+
+def _rank_codes(X: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Dense rank of every value among its column's distinct values.
+
+    Returns ``int32`` codes shaped like ``X`` and, per feature, the sorted
+    distinct values the codes index.
+    """
+    codes = np.empty(X.shape, dtype=np.int32)
+    values = []
+    for j in range(X.shape[1]):
+        uniq, codes[:, j] = np.unique(X[:, j], return_inverse=True)
+        values.append(uniq)
+    return codes, values
+
+
+def _midpoint(lower: np.float32, upper: np.float32) -> float:
+    """Float32 threshold ``t`` with ``lower < t <= upper`` (``lower < upper``).
+
+    The float32 midpoint of adjacent floats rounds down to ``lower``; the
+    next float32 above ``lower`` is then used instead, the same rule as
+    :meth:`FeatureBinner.threshold_for`.
+    """
+    mid = (lower + upper) / 2.0
+    if not mid > lower:
+        mid = np.nextafter(lower, np.float32(np.inf), dtype=np.float32)
+    return float(mid)
 
 
 class TreeBuilder:
@@ -210,6 +238,7 @@ class TreeBuilder:
 
         ``binner``/``codes`` allow a forest to share the (expensive)
         quantisation across its trees; when omitted they are computed here.
+        The exact splitter ignores both.
         """
         rng = as_rng(rng)
         X = check_array_2d(X, "X")
@@ -218,33 +247,89 @@ class TreeBuilder:
             raise ValueError("y must be 1-D and aligned with X")
         if np.any((y < 0) | (y >= n_classes)):
             raise ValueError("labels must lie in [0, n_classes)")
-        n_samples, n_features = X.shape
-        k_features = _resolve_max_features(self.max_features, n_features)
+        k_features = _resolve_max_features(self.max_features, X.shape[1])
 
         if self.splitter == "hist":
             if binner is None:
                 binner = FeatureBinner(self.max_bins).fit(X)
             if codes is None:
                 codes = binner.transform(X)
-            return self._build_hist(X, codes, y, n_classes, k_features, rng, binner)
-        return self._build_exact(X, y, n_classes, k_features, rng)
+            n_codes = max(binner.n_bins(f) for f in range(X.shape[1]))
+
+            def threshold(f, code, next_code):
+                return binner.threshold_for(f, code)
+
+        else:
+            codes, values = _rank_codes(X)
+            n_codes = max(v.size for v in values)
+
+            def threshold(f, code, next_code):
+                return _midpoint(values[f][code], values[f][next_code])
+
+        return self._grow(codes, n_codes, y, n_classes, k_features, rng, threshold)
 
     # ------------------------------------------------------------------
-    # Shared growth loop
-    # ------------------------------------------------------------------
-    def _grow(self, n_samples, y, n_classes, find_split, partition) -> DecisionTree:
-        """Generic depth-first growth loop.
+    def _grow(
+        self, codes, n_codes, y, n_classes, k_features, rng, threshold
+    ) -> DecisionTree:
+        """Depth-first growth with the one-pass split search.
 
-        ``find_split(idx)`` returns a :class:`_Split` or ``None``;
-        ``partition(idx, split)`` returns ``(left_idx, right_idx)``.
+        ``codes`` holds every feature's integer codes in ``[0, n_codes)``;
+        a split sends ``code <= c`` left, and ``threshold(f, c, c_next)``
+        turns it into the tree's float test, given the next larger code
+        present at the node.
         """
-        feature, threshold, left, right, value, depths = [], [], [], [], [], []
+        n_samples, n_features = codes.shape
+        min_leaf = self.min_samples_leaf
+        # Sort key of a (slot, code, class) triple, in the narrowest dtype.
+        key_dtype = np.min_scalar_type(k_features * n_codes * n_classes)
+        slot_base = np.arange(k_features, dtype=np.int64) * (n_codes * n_classes)
+        slot_base = slot_base.astype(key_dtype)
+        y_key = y.astype(key_dtype)
+        by_feature = np.ascontiguousarray(codes.T)
+
+        def find_split(idx: np.ndarray, counts: np.ndarray):
+            """Best ``(feature, code, threshold)`` at the node, or ``None``."""
+            feats = rng.choice(n_features, size=k_features, replace=False)
+            keys = by_feature.take(feats[:, None] * n_samples + idx).astype(key_dtype)
+            keys *= n_classes
+            keys += slot_base[:, None]
+            keys += y_key[idx]
+            keys = np.sort(keys, axis=None)
+            cell_of_key = keys // n_classes  # slot * n_codes + code
+            first = np.empty(keys.size, dtype=bool)
+            first[0] = True
+            np.not_equal(cell_of_key[1:], cell_of_key[:-1], out=first[1:])
+            cells = cell_of_key[first]  # occupied (slot, code) cells, ascending
+            hist = np.bincount(
+                (np.cumsum(first) - 1) * n_classes + (keys - cell_of_key * n_classes),
+                minlength=cells.size * n_classes,
+            ).reshape(-1, n_classes)
+            # Left-side counts restart at each slot: every earlier slot
+            # holds each of the node's samples once.
+            slot = cells // n_codes
+            left_counts = np.cumsum(hist, axis=0) - slot[:, None] * counts
+            gains = _gini_gain_from_counts(
+                left_counts.astype(np.float64), counts.astype(np.float64)
+            )
+            n_left = left_counts.sum(axis=1)
+            gains[(n_left < min_leaf) | (idx.size - n_left < min_leaf)] = -np.inf
+            best = int(gains.argmax())
+            if not gains[best] > 0:
+                return None
+            # A positive gain leaves samples on the right, so the next
+            # occupied code is in the same slot.
+            f = int(feats[slot[best]])
+            code, next_code = (int(c % n_codes) for c in cells[best : best + 2])
+            return f, code, threshold(f, code, next_code)
+
+        feature, thresholds, left, right, value, depths = [], [], [], [], [], []
         samples = []
 
         def new_node(depth: int) -> int:
             i = len(feature)
             feature.append(LEAF)
-            threshold.append(0.0)
+            thresholds.append(0.0)
             left.append(-1)
             right.append(-1)
             value.append(0)
@@ -252,46 +337,33 @@ class TreeBuilder:
             samples.append(0)
             return i
 
-        def majority(idx: np.ndarray) -> int:
-            counts = np.bincount(y[idx], minlength=n_classes)
-            return int(counts.argmax())
-
-        root_idx = np.arange(n_samples, dtype=np.int64)
-        root = new_node(0)
-        stack = [(root, root_idx)]
+        stack = [(new_node(0), np.arange(n_samples, dtype=np.int64))]
         while stack:
             node, idx = stack.pop()
             d = depths[node]
             samples[node] = idx.size
             counts = np.bincount(y[idx], minlength=n_classes)
+            value[node] = int(counts.argmax())
             pure = np.count_nonzero(counts) <= 1
             depth_stop = self.max_depth is not None and d >= self.max_depth
             if pure or depth_stop or idx.size < self.min_samples_split:
-                value[node] = int(counts.argmax())
                 continue
-            split = find_split(idx)
+            split = find_split(idx, counts)
             if split is None:
-                value[node] = majority(idx)
                 continue
-            left_idx, right_idx = partition(idx, split)
-            if (
-                left_idx.size < self.min_samples_leaf
-                or right_idx.size < self.min_samples_leaf
-            ):
-                value[node] = majority(idx)
-                continue
-            feature[node] = split.feature
-            threshold[node] = split.threshold
+            f, code, thresholds[node] = split
+            feature[node] = f
             value[node] = -1
+            goes_left = by_feature[f, idx] <= code
             l = new_node(d + 1)
             r = new_node(d + 1)
             left[node], right[node] = l, r
-            stack.append((r, right_idx))
-            stack.append((l, left_idx))
+            stack.append((r, idx[~goes_left]))
+            stack.append((l, idx[goes_left]))
 
         return DecisionTree(
             feature=np.array(feature, dtype=np.int32),
-            threshold=np.array(threshold, dtype=np.float32),
+            threshold=np.array(thresholds, dtype=np.float32),
             left_child=np.array(left, dtype=np.int32),
             right_child=np.array(right, dtype=np.int32),
             value=np.array(value, dtype=np.int32),
@@ -299,86 +371,3 @@ class TreeBuilder:
             depth=np.array(depths, dtype=np.int32),
             n_samples=np.array(samples, dtype=np.int64),
         )
-
-    # ------------------------------------------------------------------
-    # Histogram splitter
-    # ------------------------------------------------------------------
-    def _build_hist(self, X, codes, y, n_classes, k_features, rng, binner):
-        n_features = X.shape[1]
-        min_leaf = self.min_samples_leaf
-
-        def find_split(idx: np.ndarray) -> Optional[_Split]:
-            feats = rng.choice(n_features, size=k_features, replace=False)
-            ysub = y[idx]
-            total = np.bincount(ysub, minlength=n_classes).astype(np.float64)
-            best: Optional[_Split] = None
-            for f in feats:
-                nb = binner.n_bins(int(f))
-                if nb <= 1:
-                    continue
-                c = codes[idx, f].astype(np.int64)
-                # Class histogram per bin: hist[bin, class]
-                hist = np.zeros((nb, n_classes), dtype=np.float64)
-                np.add.at(hist, (c, ysub), 1.0)
-                cum = np.cumsum(hist, axis=0)[:-1]  # splits after bins 0..nb-2
-                gains = _gini_gain_from_counts(cum, total)
-                # Enforce min_samples_leaf at the candidate level.
-                n_left = cum.sum(axis=1)
-                ok = (n_left >= min_leaf) & (idx.size - n_left >= min_leaf)
-                gains = np.where(ok, gains, -np.inf)
-                b = int(gains.argmax())
-                if gains[b] > 0 and (best is None or gains[b] > best.gain):
-                    best = _Split(
-                        feature=int(f),
-                        threshold=binner.threshold_for(int(f), b),
-                        gain=float(gains[b]),
-                        bin_split=b,
-                    )
-            return best
-
-        def partition(idx: np.ndarray, split: _Split):
-            mask = codes[idx, split.feature] <= split.bin_split
-            return idx[mask], idx[~mask]
-
-        return self._grow(X.shape[0], y, n_classes, find_split, partition)
-
-    # ------------------------------------------------------------------
-    # Exact splitter
-    # ------------------------------------------------------------------
-    def _build_exact(self, X, y, n_classes, k_features, rng):
-        n_features = X.shape[1]
-        min_leaf = self.min_samples_leaf
-
-        def find_split(idx: np.ndarray) -> Optional[_Split]:
-            feats = rng.choice(n_features, size=k_features, replace=False)
-            ysub = y[idx]
-            total = np.bincount(ysub, minlength=n_classes).astype(np.float64)
-            best: Optional[_Split] = None
-            for f in feats:
-                col = X[idx, f]
-                order = np.argsort(col, kind="stable")
-                sv = col[order]
-                sy = ysub[order]
-                # Candidate boundaries: positions where the value changes.
-                change = np.flatnonzero(sv[1:] > sv[:-1])
-                if change.size == 0:
-                    continue
-                onehot = np.zeros((idx.size, n_classes), dtype=np.float64)
-                onehot[np.arange(idx.size, dtype=np.int64), sy] = 1.0
-                cum = np.cumsum(onehot, axis=0)
-                left_counts = cum[change]
-                gains = _gini_gain_from_counts(left_counts, total)
-                n_left = change + 1
-                ok = (n_left >= min_leaf) & (idx.size - n_left >= min_leaf)
-                gains = np.where(ok, gains, -np.inf)
-                b = int(gains.argmax())
-                if gains[b] > 0 and (best is None or gains[b] > best.gain):
-                    thr = float((sv[change[b]] + sv[change[b] + 1]) / 2.0)
-                    best = _Split(feature=int(f), threshold=thr, gain=float(gains[b]))
-            return best
-
-        def partition(idx: np.ndarray, split: _Split):
-            mask = X[idx, split.feature] < split.threshold
-            return idx[mask], idx[~mask]
-
-        return self._grow(X.shape[0], y, n_classes, find_split, partition)

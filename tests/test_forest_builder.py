@@ -1,17 +1,26 @@
 """Tests for the CART builder (both splitters) and the feature binner."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.datasets.profiles import load_dataset
 from repro.forest.builder import (
     FeatureBinner,
     TreeBuilder,
     _gini_gain_from_counts,
+    _midpoint,
     _resolve_max_features,
 )
+from repro.forest.io import load_forest
 from repro.forest.random_forest import RandomForestClassifier
 from repro.forest.tree import LEAF
 from repro.runtime.planner import forest_fingerprint
+from repro.utils.rng import as_rng
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _toy_data(n=400, seed=0):
@@ -226,7 +235,12 @@ class TestExactSplitterPinned:
         [
             (_toy_data, dict(max_depth=3, max_features="all"), 0, 2160190684),
             (lambda: _toy_data(seed=1), dict(max_features="sqrt"), 0, 1984889027),
-            (lambda: _toy_data(n=100), dict(min_samples_leaf=20, max_features="all"), 0, 2825958112),
+            (
+                lambda: _toy_data(n=100),
+                dict(min_samples_leaf=20, max_features="all"),
+                0,
+                2825958112,
+            ),
             (_sine_data, dict(max_depth=6, max_features="all"), 0, 3386051656),
             (_three_class_data, dict(max_features="all"), 0, 699583058),
             (
@@ -250,3 +264,108 @@ class TestExactSplitterPinned:
             n_estimators=4, max_depth=8, splitter="exact", min_samples_leaf=2, seed=0
         ).fit(X, y)
         assert forest_fingerprint(forest.trees_) == 433110308
+
+
+class TestAdjacentFloats:
+    def test_exact_splits_between_adjacent_floats(self):
+        """The float32 midpoint of 1 and the next float up rounds to 1; the
+        threshold must still separate the two values."""
+        one = np.float32(1.0)
+        up = np.nextafter(one, np.float32(2.0))
+        X = np.array([[one], [one], [up], [up]], dtype=np.float32)
+        y = np.array([0, 0, 1, 1], dtype=np.int32)
+        for splitter in ("hist", "exact"):
+            tree = TreeBuilder(splitter=splitter, max_features="all").build(
+                X, y, 2, rng=0
+            )
+            assert tree.n_nodes == 3, splitter
+            assert tree.threshold[0] == up
+            assert np.array_equal(tree.predict(X), y), splitter
+
+
+def _brute_force_split(X, y, n_classes, feats, min_leaf, splitter, binner):
+    """Reference split search: a Python loop over (drawn feature, code).
+
+    Returns ``(feature, threshold, n_left)`` of the first strictly best
+    positive gain, or ``None``.
+    """
+    total = np.bincount(y, minlength=n_classes).astype(np.float64)
+    best = None
+    for f in feats:
+        if splitter == "hist":
+            codes = binner.transform(X)[:, f]
+            bins = range(binner.n_bins(f) - 1)
+            thresholds = [binner.threshold_for(f, b) for b in bins]
+        else:
+            uniq, codes = np.unique(X[:, f], return_inverse=True)
+            bins = range(uniq.size - 1)
+            thresholds = [_midpoint(uniq[b], uniq[b + 1]) for b in bins]
+        for b, thr in zip(bins, thresholds):
+            goes_left = codes <= b
+            n_left = int(goes_left.sum())
+            if n_left < min_leaf or y.size - n_left < min_leaf:
+                continue
+            left = np.bincount(y[goes_left], minlength=n_classes).astype(np.float64)
+            gain = _gini_gain_from_counts(left[None, :], total)[0]
+            if gain > 0 and (best is None or gain > best[0]):
+                best = (gain, int(f), thr, n_left)
+    return None if best is None else best[1:]
+
+
+class TestSplitSearchMatchesBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_root_split(self, data):
+        n_classes = data.draw(st.integers(2, 7), label="n_classes")
+        n = data.draw(st.integers(2, 40), label="n")
+        n_features = data.draw(st.integers(1, 5), label="n_features")
+        levels = data.draw(st.integers(1, 6), label="levels")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        splitter = data.draw(st.sampled_from(["hist", "exact"]), label="splitter")
+        min_leaf = data.draw(st.integers(1, 5), label="min_samples_leaf")
+        k = data.draw(st.integers(1, n_features), label="max_features")
+        max_bins = data.draw(st.integers(2, 8), label="max_bins")
+        g = np.random.default_rng(seed)
+        # Few distinct values give ties within a feature (and constant
+        # features when levels == 1); a copied column gives exact ties
+        # between features.
+        X = g.integers(0, levels, (n, n_features)).astype(np.float32)
+        if n_features > 1 and data.draw(st.booleans(), label="copy_column"):
+            X[:, -1] = X[:, 0]
+        y = g.integers(0, n_classes, n).astype(np.int32)
+        # Bins fit on a wider sample leave some of them empty at the root.
+        wider = np.vstack([X, g.integers(0, 2 * levels, (n, n_features)) / 2.0])
+        binner = FeatureBinner(max_bins).fit(wider)
+
+        tree = TreeBuilder(
+            max_depth=1,
+            min_samples_leaf=min_leaf,
+            max_features=k,
+            splitter=splitter,
+            max_bins=max_bins,
+        ).build(X, y, n_classes, rng=seed, binner=binner, codes=binner.transform(X))
+        feats = as_rng(seed).choice(n_features, size=k, replace=False)
+        want = _brute_force_split(X, y, n_classes, feats, min_leaf, splitter, binner)
+        if want is None:
+            assert tree.n_nodes == 1
+        else:
+            assert tree.n_nodes == 3
+            feature, threshold, n_left = want
+            assert tree.feature[0] == feature
+            assert tree.threshold[0] == np.float32(threshold)
+            assert tree.n_samples[tree.left_child[0]] == n_left
+
+
+class TestCheckedInForests:
+    """The trainer reproduces the checked-in ``.cache/forests`` bit for bit."""
+
+    @pytest.mark.parametrize("name, depth", [("susy", 20), ("higgs", 30)])
+    def test_retrain_matches_cache(self, name, depth):
+        fname = f"{name}_d{depth}_t8_r4000_s0.npz"
+        path = os.path.join(REPO, ".cache", "forests", fname)
+        ds = load_dataset(name, rows=4000)
+        forest = RandomForestClassifier(n_estimators=8, max_depth=depth, seed=0).fit(
+            ds.X_train, ds.y_train
+        )
+        want = forest_fingerprint(load_forest(path).trees_)
+        assert forest_fingerprint(forest.trees_) == want
