@@ -1,17 +1,18 @@
 """``repro.statcheck`` — repo-specific static analysis for the simulator.
 
-A Python-AST rule engine plus eight rule families that encode the
+A Python-AST rule engine plus seven rule families that encode the
 invariants the reproduction's *performance* conclusions depend on (see
-``docs/architecture.md`` § Static checks):
+``docs/architecture.md`` § Static checks).  Each file is checked on its
+own; invariants that need more than one file's syntax are pinned by
+runtime tests instead.
 
 * **DET** (determinism) — all randomness through ``repro.utils.rng``, no
   wall-clock reads, no unordered-set iteration in result-producing code.
-* **KRN** (kernel discipline) — global loads in the simulated GPU kernels
-  go through ``AddressSpace``/tracker sites, lane writes in divergent
-  regions are mask-guarded, and shared-memory staging is fenced by a sync
-  before it is read (static race detection over the warp-lockstep DSL).
-* **NUM** (numeric safety) — explicit dtypes, no literal float64 upcasts
-  in the float32 packages, checksummed ``.npz`` persistence.
+* **KRN** (kernel discipline) — shared-memory staging in the simulated GPU
+  kernels is fenced by a sync before it is read (static race detection
+  over the warp-lockstep DSL).
+* **NUM** (numeric safety) — explicit dtypes, checksummed ``.npz``
+  persistence.
 * **API** (hygiene) — experiments route through ``experiments.common``
   and the runtime seam.
 * **OBS** (observability) — experiment entry points write a run manifest;
@@ -19,7 +20,6 @@ invariants the reproduction's *performance* conclusions depend on (see
 * **PERF** (fastpath) — no Python loops in ``repro/fastpath``.
 * **REL** (reliability) — no bare or swallowed catch-all exceptions in
   serving/reliability code.
-* **SRV** (serving) — every shed decision consults the request deadline.
 
 Run it as ``python -m repro.statcheck src`` (see :mod:`repro.statcheck.cli`).
 """

@@ -76,22 +76,8 @@ def walk_functions(
             yield parents.get(node, tree), node
 
 
-def names_in(node: ast.AST) -> Iterator[str]:
-    """All bare Name ids appearing anywhere inside ``node``."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-
-
 def has_keyword(call: ast.Call, name: str) -> bool:
     return any(kw.arg == name for kw in call.keywords)
-
-
-def keyword_value(call: ast.Call, name: str) -> Optional[ast.AST]:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
 
 
 def statements_in_order(body: List[ast.stmt]) -> Iterator[ast.stmt]:

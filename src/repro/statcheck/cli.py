@@ -1,6 +1,6 @@
 """``python -m repro.statcheck`` — the statcheck command line.
 
-Every run is the same full, whole-program analysis of ``paths``.
+Every run is the same full analysis of ``paths``, one file at a time.
 
 Exit codes: 0 = clean, 1 = violations, 2 = usage or internal error.
 """

@@ -4,6 +4,7 @@ Design notes
 ------------
 * A :class:`Rule` sees one :class:`FileContext` (path, parsed tree, source
   lines, resolved import aliases) and yields :class:`Violation` objects.
+  Each file is checked on its own; no rule looks across files.
 * Scoping is by *module key*: the repo-relative posix path truncated to
   start at ``repro/`` (so ``src/repro/kernels/base.py`` and a test fixture
   checked with ``virtual_path="src/repro/kernels/x.py"`` scope the same
@@ -12,7 +13,9 @@ Design notes
   checker's name, or ``disable=all``) on the violation's first physical
   line silences it; the ``disable-file=RULE`` form anywhere silences the
   rule for the whole file.  Suppression comments should say *why*, and
-  ones that silence nothing are themselves flagged (SUP001).
+  ones that silence nothing are themselves flagged (SUP001).  A waiver
+  for a registered rule the run skipped (``--select``/``--ignore``) is
+  not judged, and ``disable=all`` is judged only on a full run.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.statcheck.astutils import build_alias_map
-from repro.statcheck.project import ModuleInfo, Project, single_file_project
 
 #: Pseudo-rule id used for files that fail to parse.
 PARSE_RULE = "PARSE"
@@ -64,30 +66,16 @@ class Violation:
 
 @dataclass
 class FileContext:
-    """Everything a rule needs to know about one file.
-
-    ``project`` is the whole-program view: every file of the run, parsed
-    and indexed, so KRN003 and SRV001 can follow helper calls across
-    module boundaries.  Per-file entry points fall back to a single-file
-    project, which keeps same-module helper chains working.
-    """
+    """Everything a rule needs to know about one file."""
 
     path: str
     tree: ast.Module
     lines: List[str]
     aliases: Dict[str, str] = field(default_factory=dict)
-    project: Optional[Project] = None
 
     @property
     def module_key(self) -> str:
         return module_key(self.path)
-
-    @property
-    def module_info(self) -> Optional[ModuleInfo]:
-        """This file's entry in the project (None only if it never parsed)."""
-        if self.project is None:
-            return None
-        return self.project.modules.get(self.module_key)
 
     def violation(self, node: ast.AST, rule_id: str, message: str) -> Violation:
         return Violation(
@@ -162,7 +150,6 @@ def all_rules() -> Dict[str, Rule]:
         obs,
         perf,
         reliability,
-        serving,
     )
 
     return dict(_REGISTRY)
@@ -229,9 +216,15 @@ class SuppressionTable:
                 hit = True
         return hit
 
-    def unused(self, path: str) -> Iterator[Violation]:
+    def unused(self, path: str, skipped: set) -> Iterator[Violation]:
+        """SUP001s for waivers that silenced nothing.  A waiver naming a
+        ``skipped`` rule (registered, but not run) may still be live, so it
+        is not judged; neither is ``disable=all`` unless nothing was
+        skipped."""
         for s in self.entries:
             if s.used:
+                continue
+            if skipped and (s.rules is None or s.rules & skipped):
                 continue
             scope = "disable-file" if s.file_wide else "disable"
             what = "all rules" if s.rules is None else ",".join(sorted(s.rules))
@@ -255,14 +248,8 @@ def check_source(
     source: str,
     path: str,
     rules: Optional[Iterable[Rule]] = None,
-    project: Optional[Project] = None,
 ) -> List[Violation]:
-    """Check one source string; ``path`` drives rule scoping and reports.
-
-    ``project`` supplies the whole-program view.  Without one, a
-    single-file project is built so interprocedural rules still follow
-    same-module helper chains.
-    """
+    """Check one source string; ``path`` drives rule scoping and reports."""
     try:
         tree = ast.parse(source)
     except SyntaxError as e:
@@ -276,30 +263,14 @@ def check_source(
             )
         ]
     key = module_key(path)
-    if project is None:
-        project = single_file_project(source, path, key)
-    elif key not in project.modules:
-        project.add_source(source, path, key)
-    mod = project.modules.get(key)
-    if mod is not None:
-        # Share the project's parse: rules mix whole-file AST walks with
-        # project-indexed FunctionInfo nodes, and node-identity lookups
-        # (enclosing-function maps) require both views to be the *same*
-        # tree.
-        tree, lines, aliases = mod.tree, mod.lines, mod.aliases
-    else:
-        lines = source.splitlines()
-        aliases = build_alias_map(tree)
+    lines = source.splitlines()
     ctx = FileContext(
-        path=path,
-        tree=tree,
-        lines=lines,
-        aliases=aliases,
-        project=project,
+        path=path, tree=tree, lines=lines, aliases=build_alias_map(tree)
     )
     suppressions = SuppressionTable(lines)
-    if rules is None:
-        rules = all_rules().values()
+    registered = all_rules()
+    rules = list(registered.values() if rules is None else rules)
+    skipped = set(registered) - {rule.id for rule in rules}
     out: List[Violation] = []
     seen = set()
     for rule in rules:
@@ -314,7 +285,7 @@ def check_source(
             seen.add(loc)
             if not suppressions.suppressed(v):
                 out.append(v)
-    for v in suppressions.unused(path):
+    for v in suppressions.unused(path, skipped):
         if not suppressions.suppressed(v):
             out.append(v)
     out.sort(key=lambda v: (v.path, v.line, v.col, v.rule_id))
@@ -325,7 +296,6 @@ def check_file(
     path: str,
     virtual_path: Optional[str] = None,
     rules: Optional[Iterable[Rule]] = None,
-    project: Optional[Project] = None,
 ) -> List[Violation]:
     """Check one file on disk.
 
@@ -334,7 +304,7 @@ def check_file(
     """
     with open(path, encoding="utf-8") as f:
         source = f.read()
-    return check_source(source, virtual_path or path, rules=rules, project=project)
+    return check_source(source, virtual_path or path, rules=rules)
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
@@ -355,18 +325,8 @@ def check_paths(
     paths: Sequence[str],
     rules: Optional[Iterable[Rule]] = None,
 ) -> List[Violation]:
-    """Check every python file under ``paths`` (files or directories),
-    sharing one whole-program project across all of them."""
-    files = list(iter_python_files(paths))
-    project = Project()
-    for path in files:
-        try:
-            with open(path, encoding="utf-8") as f:
-                source = f.read()
-        except OSError:
-            continue
-        project.add_source(source, path, module_key(path))
+    """Check every python file under ``paths`` (files or directories)."""
     out: List[Violation] = []
-    for f in files:
-        out.extend(check_file(f, rules=rules, project=project))
+    for f in iter_python_files(paths):
+        out.extend(check_file(f, rules=rules))
     return out

@@ -1,3 +1,4 @@
 """Rule families: determinism (DET), kernel discipline (KRN), numeric
-safety (NUM) and API hygiene (API).  Importing a module registers its rules
-with :mod:`repro.statcheck.core`."""
+safety (NUM), API hygiene (API), observability (OBS), performance (PERF)
+and reliability (REL).  Importing a module registers its rules with
+:mod:`repro.statcheck.core`."""

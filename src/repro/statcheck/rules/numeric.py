@@ -3,11 +3,9 @@
 The paper's layouts are float32 values + int32/int64 indices by design
 (§3.1: memory footprint is part of the result).  NumPy's constructors
 default to float64/platform int, so an implicit dtype is either a silent
-2x memory inflation or a platform-dependent index width.  Both rules are
-syntactic: NUM001 flags a dtype-less constructor, NUM002 a literal
-float64 spelling (``np.float64(...)``, ``astype(np.float64)``,
-``dtype=np.float64``) in the float32 packages.  A float64 that reaches a
-layout by any other route is caught at run time by the layout dtype pin
+2x memory inflation or a platform-dependent index width; NUM001 flags a
+dtype-less constructor.  A float64 that reaches a layout is caught at run
+time by the layout dtype pin
 (``tests/test_layout_codec.py::TestLayoutDtypes``), and a float64 decode
 of quantized codes by the boundary-row golden input in
 ``tests/test_fastpath.py::TestQuantizedGolden``.
@@ -22,13 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.statcheck.astutils import (
-    call_name,
-    has_keyword,
-    keyword_value,
-    last_segment,
-    resolved_name,
-)
+from repro.statcheck.astutils import call_name, has_keyword
 from repro.statcheck.core import FileContext, Rule, Violation, register
 
 #: Constructors whose dtype defaults are platform/precision traps.
@@ -39,16 +31,6 @@ DTYPE_REQUIRED = {
     "numpy.full",
     "numpy.arange",
 }
-
-#: Packages where a float64 upcast silently doubles simulated footprints.
-#: repro/fastpath traverses the same float32 layouts, so it is held to the
-#: same discipline (an upcast there would also copy every node buffer).
-FLOAT32_PACKAGES = (
-    "repro/kernels/",
-    "repro/gpusim/",
-    "repro/layout/",
-    "repro/fastpath/",
-)
 
 SAVERS = {"numpy.savez", "numpy.savez_compressed", "numpy.save"}
 
@@ -73,49 +55,6 @@ class ImplicitDtypeRule(Rule):
                     f"{name}() without dtype= defaults to float64/platform "
                     "int; state the layout dtype explicitly "
                     "(np.float32 values, np.int64 indices)",
-                )
-
-
-@register
-class Float64UpcastRule(Rule):
-    id = "NUM002"
-    summary = (
-        "no float64 upcasts in kernel/simulator/layout/fastpath packages "
-        "(float32 is part of the modelled memory footprint)"
-    )
-    path_prefixes = FLOAT32_PACKAGES
-
-    def _is_float64(self, node: ast.AST, ctx: FileContext) -> bool:
-        return resolved_name(node, ctx.aliases) in (
-            "float",
-            "numpy.float64",
-            "numpy.double",
-        )
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = call_name(node, ctx.aliases)
-            if name in ("numpy.float64", "numpy.double"):
-                yield ctx.violation(
-                    node, self.id,
-                    "numpy.float64() upcast in a float32 package",
-                )
-                continue
-            if last_segment(name) == "astype" and node.args:
-                if self._is_float64(node.args[0], ctx):
-                    yield ctx.violation(
-                        node, self.id,
-                        "astype(float64) silently doubles the array's "
-                        "simulated footprint; keep layouts float32",
-                    )
-            dval = keyword_value(node, "dtype")
-            if dval is not None and self._is_float64(dval, ctx):
-                yield ctx.violation(
-                    node, self.id,
-                    "dtype=float64 in a float32 package; the memory model "
-                    "assumes 4-byte values",
                 )
 
 

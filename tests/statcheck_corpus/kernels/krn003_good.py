@@ -35,3 +35,19 @@ class DeepKernel:
     def _run(self, grid, metrics, slots, active):
         self._stage(grid, metrics, slots)
         self._walk_outer(grid, metrics, active)
+
+
+class LoopKernel:
+    """The fence sits between the staging helper and the lock-step loop."""
+
+    BYTES_PER_SLOT = 8
+
+    def _stage_batch(self, grid, metrics, slots):
+        metrics.bytes_staged_shared += slots * self.BYTES_PER_SLOT
+
+    def _run(self, grid, metrics, active):
+        self._stage_batch(grid, metrics, 512)
+        grid.record_sync(metrics)
+        while active.any():
+            metrics.shared_load_requests += grid.active_warps(active)
+            active = active[1:]

@@ -41,10 +41,26 @@ class TestReferencedArtifactsExist:
 
     def test_test_files_mentioned_in_docs_exist(self):
         pattern = re.compile(r"tests/(test_\w+\.py)")
-        for doc in ("EXPERIMENTS.md", "docs/calibration.md", "README.md"):
+        for doc in (
+            "EXPERIMENTS.md",
+            "docs/calibration.md",
+            "README.md",
+            "docs/architecture.md",
+            "CONTRIBUTING.md",
+            "DESIGN.md",
+        ):
             for match in pattern.finditer(_read(doc)):
                 path = os.path.join(REPO, "tests", match.group(1))
                 assert os.path.exists(path), f"{doc} references missing {path}"
+
+    def test_statcheck_rules_mentioned_in_docs_are_registered(self):
+        from repro.statcheck.core import UNUSED_SUPPRESSION_RULE, all_rules
+
+        known = set(all_rules()) | {UNUSED_SUPPRESSION_RULE}
+        pattern = re.compile(r"\b[A-Z]{3,4}\d{3}\b")
+        for doc in ("docs/architecture.md", "CONTRIBUTING.md"):
+            named = set(pattern.findall(_read(doc)))
+            assert named <= known, f"{doc} names unknown rules {named - known}"
 
     def test_example_files_mentioned_in_readme_exist(self):
         pattern = re.compile(r"examples/(\w+\.py)")
