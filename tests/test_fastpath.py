@@ -33,7 +33,8 @@ from repro.fastpath import (
     fastpath_seconds,
     supports_variant,
 )
-from repro.forest.tree import random_tree
+from repro.fastpath.engine import FASTPATH_CHUNK_LANES
+from repro.forest.tree import LEAF, random_tree
 from repro.fpgasim.replication import Replication
 from repro.kernels import registered_pairs
 from repro.layout.codec import quantize_trees
@@ -210,6 +211,71 @@ class TestFastpathEngine:
         assert res.details["family"] == "csr"
         assert res.details["levels_executed"] >= 1
         assert 0.0 < res.details["frontier_occupancy"] <= 1.0
+
+
+# ----------------------------------------------------------------------
+# Work counters: exact against a walk over the host trees
+# ----------------------------------------------------------------------
+def host_leaf_depths(trees, X):
+    """Depth of the leaf each ``(row, tree)`` lane reaches, ``(rows, trees)``.
+
+    A plain per-tree walk over the host arrays (``x[feature] < threshold``
+    goes left), independent of every layout and of the oracle.
+    """
+    depths = np.empty((X.shape[0], len(trees)), dtype=np.int64)
+    for t, tree in enumerate(trees):
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        rows = np.flatnonzero(tree.feature[node] != LEAF)
+        while rows.size:
+            n = node[rows]
+            right = ~(X[rows, tree.feature[n]] < tree.threshold[n])
+            node[rows] = np.where(right, tree.right_child[n], tree.left_child[n])
+            rows = rows[tree.feature[node[rows]] != LEAF]
+        depths[:, t] = tree.depth[node]
+    return depths
+
+
+COUNTER_CASES = [
+    ("hier", "float32"),
+    ("hier", "int8"),
+    ("hier", "packed"),
+    ("csr", "float32"),
+    ("csr", "int8"),
+    ("csr", "packed"),
+    ("fil", "float32"),
+]
+
+
+def _family_layout(family, trees, codec):
+    if family == "hier":
+        return HierarchicalForest.from_trees(trees, LayoutParams(4, 8), codec=codec)
+    if family == "csr":
+        return CSRForest.from_trees(trees, codec=codec)
+    return FILForest.from_trees(trees)
+
+
+class TestWorkCounters:
+    """``lane_levels`` is one step per (row, tree) lane per level it was
+    active, a lane being active down to and including its leaf, and
+    ``levels`` is the deepest lane's step count.  Both feed
+    :func:`fastpath_seconds` and through it the simulated clock, so they
+    must not depend on how the frontier is stored between levels."""
+
+    @pytest.mark.parametrize("family,codec", COUNTER_CASES)
+    def test_counters_equal_host_walk(self, small_trees, queries, family, codec):
+        layout = _family_layout(family, small_trees, codec)
+        host = small_trees if codec == "float32" else quantize_trees(small_trees, codec)
+        # More rows than one block of FASTPATH_CHUNK_LANES lanes holds.
+        wide = np.random.default_rng(11).standard_normal(
+            (FASTPATH_CHUNK_LANES // len(small_trees) + 300, queries.shape[1])
+        ).astype(np.float32)
+        degraded = np.array([0, 3, 4, 8])
+        for X, keep in ((queries, None), (queries, degraded), (wide, None)):
+            trees = host if keep is None else [host[t] for t in keep]
+            depths = host_leaf_depths(trees, X)
+            _, stats = fastpath_predict(layout, X, trees=keep)
+            assert stats.lane_levels == int(depths.sum()) + depths.size
+            assert stats.levels == int(depths.max()) + 1
 
 
 # ----------------------------------------------------------------------
