@@ -2,10 +2,12 @@
 
 All three traversals share one shape: the ``(row, tree)`` cross product is
 flattened into *lanes*, every lane carries a cursor through its tree, and
-the lane arrays are stepped level-synchronously — compacting retired lanes
-out every level — until every lane lands on a leaf.  The loop count is
-bounded by the deepest tree, never by the number of rows — that is what
-makes the fast path scale.
+the lane arrays are stepped level-synchronously until every lane lands on a
+leaf.  A lane that lands retires in place, stepping on its leaf's
+self-loop, and the retired lanes are compacted out only once they make up
+at least half of the carried lanes, so compaction runs on a few levels
+instead of every level.  The loop count is bounded by the deepest tree,
+never by the number of rows — that is what makes the fast path scale.
 
 The family modules (:mod:`repro.fastpath.hierpath` /
 :mod:`~repro.fastpath.csrpath` / :mod:`~repro.fastpath.filpath`) do not
@@ -78,11 +80,14 @@ FAMILY_BY_VARIANT = {
 class FastpathStats:
     """What one fastpath launch did (feeds obs + backend details).
 
-    ``lane_levels`` is the total number of active lane-steps executed —
-    the work metric the latency model charges for.  ``frontier_occupancy``
-    is ``lane_levels / (lanes * levels)``: 1.0 means every lane stayed
-    active through every level, lower means lanes retired early (shallow
-    leaves), i.e. how much the frontier compaction saved.
+    ``lane_levels`` is the total number of active lane-steps — one per
+    lane per level down to and including its leaf — and the work metric
+    the latency model charges for.  Retired lanes carried until the next
+    compaction step as well but are not counted; the half rule keeps the
+    steps executed below ``2 * lane_levels``.  ``frontier_occupancy`` is
+    ``lane_levels / (lanes * levels)``: 1.0 means every lane stayed active
+    through every level, lower means lanes retired early (shallow
+    leaves).
     """
 
     family: str
@@ -153,10 +158,11 @@ class EdgeTable:
       via ``label`` instead).
     * ``label`` — ``int32``; class label on leaf slots, 0 elsewhere.
     * ``succ`` — ``int32[2 * slots]``; ``succ[2 * g + went_right]`` is the
-      next slot.  Terminal slots self-loop, so a stale lane can never walk
-      out of bounds.  All layout-specific stepping rules (hierarchical
-      subtree crossings, CSR children indirection, FIL adjacent children)
-      are resolved here, once, at build time.
+      next slot.  Terminal slots self-loop: a retired lane that is still
+      carried steps in place until the next compaction drops it.  All
+      layout-specific stepping rules (hierarchical subtree crossings, CSR
+      children indirection, FIL adjacent children) are resolved here,
+      once, at build time.
     * ``roots`` — ``int32[n_trees]``; each tree's root slot.
 
     Layouts built under a non-float32 codec additionally carry the
@@ -205,8 +211,8 @@ def edge_table(layout, feature, inner, left, right, roots) -> EdgeTable:
 
     ``left`` / ``right`` are the global successor slots of the ``inner``
     slots.  Terminal (leaf / padding) slots self-loop; the traversal core
-    flushes a lane the moment its slot's feature is negative, so the
-    self-edge is only a guard against out-of-bounds walks.
+    keeps stepping a retired lane on that self-edge until it compacts the
+    lane away.
     """
     succ = np.repeat(np.arange(feature.shape[0], dtype=np.int32), 2)
     succ[0::2][inner] = left
@@ -230,7 +236,10 @@ def select_trees(table: EdgeTable, trees) -> EdgeTable:
     """
     if trees is None:
         return table
-    return replace(table, roots=table.roots[np.asarray(trees)])
+    keep = np.asarray(trees)
+    if not keep.size:  # ``[]`` parses as float64
+        keep = keep.astype(np.intp)
+    return replace(table, roots=table.roots[keep])
 
 
 def traverse_edges(table: EdgeTable, X: np.ndarray):
@@ -242,9 +251,11 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
     returns the first maximum.
 
     ``levels`` is the deepest frontier iteration count of any block (a
-    lane retiring at depth ``d`` is flushed on iteration ``d + 1``, so
-    ``levels <= max_depth + 1``); ``lane_levels`` is the total number of
-    lane-steps executed, the work metric :func:`fastpath_seconds` charges.
+    lane reaching a leaf at depth ``d`` retires on iteration ``d + 1``, so
+    ``levels == max_depth + 1`` over the leaves reached); ``lane_levels``
+    is the number of active lane-steps, ``sum(d + 1)`` over all lanes, the
+    work metric :func:`fastpath_seconds` charges.  Neither counts the
+    steps retired lanes take while carried until a compaction.
     """
     X = np.ascontiguousarray(X, dtype=np.float32)
     n = int(X.shape[0])
@@ -277,7 +288,10 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
         stop = min(n, start + block)
         row_base = idx_dtype(start) * n_feat
         # Per-lane state: row offset into flat_x plus current slot, lanes in
-        # row-major (row, tree) order.  Retired lanes are compacted away.
+        # row-major (row, tree) order.  A lane that reaches a leaf retires
+        # but stays carried, self-looping on its terminal slot, until at
+        # least half of the carried lanes have retired; that level flushes
+        # the retired lanes' labels and compacts them away.
         rx = np.repeat(
             np.arange(row_base, idx_dtype(stop) * n_feat, n_feat, dtype=idx_dtype),
             n_trees,
@@ -285,30 +299,39 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
         slot = np.tile(table.roots, stop - start)
         flushed = [np.empty(0, dtype=np.int32)]
         depth = 0
+        retired_before = 0
         while rx.size:
             depth += 1
-            lane_levels += int(rx.size)
-            feats = feature[slot]
+            lane_levels += int(rx.size) - retired_before
+            feats = feature.take(slot)
             at_leaf = feats < 0
-            if at_leaf.any():
+            retired_before = int(np.count_nonzero(at_leaf))
+            if retired_before + retired_before >= rx.size:
+                done = np.flatnonzero(at_leaf)
                 flushed.append(
-                    ((rx[at_leaf] - row_base) // n_feat).astype(np.int32) * n_classes32
-                    + label[slot[at_leaf]]
+                    ((rx.take(done) - row_base) // n_feat).astype(np.int32) * n_classes32
+                    + label.take(slot.take(done))
                 )
-                keep = ~at_leaf
-                rx = rx[keep]
-                slot = slot[keep]
-                feats = feats[keep]
+                keep = np.flatnonzero(~at_leaf)
+                rx = rx.take(keep)
+                slot = slot.take(keep)
+                feats = feats.take(keep)
+                retired_before = 0
                 if not rx.size:
                     break
+            elif retired_before:
+                # Retired lanes still gather X and the per-feature tables:
+                # clamp their negative feature to 0 to stay in bounds.
+                np.maximum(feats, 0, out=feats)
             if qcodes is None:
-                thr = value[slot]
+                thr = value.take(slot)
             elif calibrated:
-                thr = qcodes[slot].astype(np.float32) * qscale[feats] + qoffset[feats]
+                codes = qcodes.take(slot).astype(np.float32)
+                thr = codes * qscale.take(feats) + qoffset.take(feats)
             else:
-                thr = qcodes[slot].astype(np.float32)
-            went_right = flat_x[rx + feats] >= thr
-            slot = succ[slot + slot + went_right]
+                thr = qcodes.take(slot).astype(np.float32)
+            went_right = flat_x.take(rx + feats) >= thr
+            slot = succ.take(slot + slot + went_right)
         levels = max(levels, depth)
         counts = np.bincount(
             np.concatenate(flushed), minlength=(stop - start) * n_classes

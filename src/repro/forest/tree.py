@@ -241,7 +241,8 @@ class TreeStack:
 
     Node ``i`` of tree ``t`` is global node ``roots[t] + i``.  ``child``
     interleaves the rebased children: ``child[2 * g + went_right]`` is
-    global node ``g``'s successor (leaf entries are never read).
+    global node ``g``'s successor.  Both entries of a leaf point back at
+    the leaf, so a lane that reached one can keep stepping in place.
     """
 
     roots: np.ndarray
@@ -273,8 +274,11 @@ def stack_trees(trees: Union[Iterable[DecisionTree], TreeStack]) -> TreeStack:
             np.stack([t.left_child, t.right_child], axis=1).astype(np.int64) + r
             for t, r in zip(trees, roots.tolist())
         ]
-    ).ravel()
+    )
     feature = np.concatenate([t.feature for t in trees])
+    leaf = np.flatnonzero(feature == LEAF)
+    child[leaf] = leaf[:, None]
+    child = child.ravel()
     return TreeStack(
         roots=roots,
         feature=feature,
@@ -310,10 +314,12 @@ def leaf_labels(stack: TreeStack, X: np.ndarray) -> np.ndarray:
     """Leaf label of every (row, tree) lane, lane ``row * n_trees + tree``.
 
     One lock-step pass over all lanes (the paper's Fig. 1a
-    ``tree_traverse``, every tree at once): each level gathers the live
+    ``tree_traverse``, every tree at once): each level gathers the carried
     lanes' nodes and tests ``x[feature] < threshold`` in float32 — true
-    goes left — then drops the lanes that reached a leaf.  ``X`` must be
-    2-D C-contiguous float32; its rows are all live at once, so callers
+    goes left.  A lane that reached a leaf keeps stepping on the leaf's
+    self-loop (reading feature 0) until at least half of the carried lanes
+    have; then their labels are written and they are dropped.  ``X`` must
+    be 2-D C-contiguous float32; its rows are all live at once, so callers
     bound the lane count by chunking rows.
     """
     n_rows, n_features = X.shape
@@ -327,17 +333,23 @@ def leaf_labels(stack: TreeStack, X: np.ndarray) -> np.ndarray:
     lane = np.arange(n_lanes, dtype=np.int64)
     node = np.tile(stack.roots, n_rows)
     base = lane // stack.n_trees * n_features  # lane's row start in x
-    feat = stack.feature[node]
     x = X.ravel()
     while lane.size:
+        feat = stack.feature.take(node)
         leaf = feat == LEAF
-        if leaf.any():
-            labels[lane[leaf]] = stack.value[node[leaf]]
-            live = ~leaf
-            lane, node, base, feat = lane[live], node[live], base[live], feat[live]
-        went_right = ~(x[base + feat] < stack.threshold[node])
-        node = stack.child[2 * node + went_right]
-        feat = stack.feature[node]
+        n_leaf = np.count_nonzero(leaf)
+        if n_leaf + n_leaf >= lane.size:
+            done = np.flatnonzero(leaf)
+            labels[lane.take(done)] = stack.value.take(node.take(done))
+            live = np.flatnonzero(~leaf)
+            lane, node, base = lane.take(live), node.take(live), base.take(live)
+            feat = feat.take(live)
+            if not lane.size:
+                break
+        elif n_leaf:
+            np.maximum(feat, 0, out=feat)  # LEAF is the only negative feature
+        went_right = ~(x.take(base + feat) < stack.threshold.take(node))
+        node = stack.child.take(2 * node + went_right)
     return labels
 
 

@@ -12,7 +12,7 @@ import repro
 from repro.baselines.cpu_reference import reference_predict, reference_votes
 from repro.forest import random_forest
 from repro.forest.random_forest import RandomForestClassifier, vote_counts
-from repro.forest.tree import DecisionTree, random_tree, stack_trees
+from repro.forest.tree import DecisionTree, leaf_labels, random_tree, stack_trees
 
 
 class TestReferenceVotes:
@@ -37,10 +37,51 @@ class TestReferenceVotes:
         with pytest.raises(ValueError):
             reference_votes([], queries)
 
+    def test_zero_rows_rejected(self, small_trees, queries):
+        with pytest.raises(ValueError, match="non-empty"):
+            reference_votes(small_trees, queries[:0])
+
 
 # ----------------------------------------------------------------------
 # The lock-step pass against the scalar walker
 # ----------------------------------------------------------------------
+class NonNegativeTake(np.ndarray):
+    """An array whose ``take`` and ``[]`` reject negative indices.
+
+    NumPy wraps index -1 to the last element; a device gather would read
+    out of bounds instead.  Viewing a table as this class makes a walker's
+    negative gather index fail loudly.
+    """
+
+    def _check(self, idx):
+        idx = np.asarray(idx)
+        if idx.dtype != bool and idx.size and idx.min() < 0:
+            raise IndexError("negative gather index")
+
+    def take(self, indices, *args, **kwargs):
+        self._check(indices)
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+    def __getitem__(self, idx):
+        self._check(idx)
+        return np.asarray(self)[idx]
+
+
+def three_class_forest():
+    """3-class trees on 2 features and 400 rows to run them on.
+
+    Tree 0 is a single leaf, so lane (row 0, tree 0) is done at the first
+    level while most lanes go on: a walker that keeps finished lanes in
+    its frontier must not gather with their (negative) leaf feature.
+    """
+    rng = np.random.default_rng(29)
+    trees = [DecisionTree.leaf(2, n_classes=3)] + [
+        random_tree(rng, 2, int(rng.integers(3, 9)), leaf_prob=0.2, n_classes=3)
+        for _ in range(7)
+    ]
+    return trees, rng.standard_normal((400, 2)).astype(np.float32)
+
+
 N_FEATURES = 5
 #: (seed, max_depth, n_classes) per tree: depth 0 is a single leaf.
 ragged_forests = st.lists(
@@ -94,6 +135,21 @@ class TestLockStepOracle:
         trees = [DecisionTree.leaf(0), DecisionTree.leaf(label)]
         with pytest.raises(IndexError, match="leaf label"):
             reference_votes(trees, queries)
+
+    def test_zero_rows_give_zero_lanes(self, small_trees, queries):
+        labels = leaf_labels(stack_trees(small_trees), queries[:0])
+        assert labels.shape == (0,) and labels.dtype == np.int32
+
+    def test_finished_lanes_read_x_in_bounds(self):
+        trees, X = three_class_forest()
+        labels = leaf_labels(stack_trees(trees), X.view(NonNegativeTake))
+        assert np.array_equal(
+            np.bincount(
+                np.arange(labels.size) // len(trees) * 3 + labels,
+                minlength=X.shape[0] * 3,
+            ).reshape(-1, 3),
+            _scalar_votes(trees, X),
+        )
 
     def test_split_feature_beyond_X_raises(self, small_trees, queries):
         with pytest.raises(IndexError, match="features"):

@@ -11,6 +11,8 @@ The contract under test (ISSUE 7 acceptance):
   their modelled seconds are deterministic.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from repro.fastpath import (
     fastpath_seconds,
     supports_variant,
 )
-from repro.fastpath.engine import FASTPATH_CHUNK_LANES
+from repro.fastpath.engine import FASTPATH_CHUNK_LANES, select_trees, traverse_edges
 from repro.forest.tree import LEAF, random_tree
 from repro.fpgasim.replication import Replication
 from repro.kernels import registered_pairs
@@ -48,6 +50,7 @@ from repro.runtime.planner import Planner, compile_plan
 from repro.runtime.session import RuntimeSession
 from repro.serving import ServingFrontDoor
 from repro.utils.clock import SimulatedClock
+from tests.test_baselines import NonNegativeTake, three_class_forest
 
 ALL_PAIRS = registered_pairs()
 
@@ -276,6 +279,37 @@ class TestWorkCounters:
             _, stats = fastpath_predict(layout, X, trees=keep)
             assert stats.lane_levels == int(depths.sum()) + depths.size
             assert stats.levels == int(depths.max()) + 1
+
+    def test_zero_selected_trees_terminate(self, small_trees, queries):
+        table = CSRForest.from_trees(small_trees)._fastpath_edges
+        preds, levels, lane_levels = traverse_edges(select_trees(table, []), queries)
+        assert preds.shape == (queries.shape[0],)
+        assert not preds.any()
+        assert (levels, lane_levels) == (0, 0)
+
+    def test_int8_retired_lanes_gather_in_bounds(self):
+        """Lanes that reached a leaf never gather with their negative feature.
+
+        The per-feature ``qscale``/``qoffset`` tables are read through an
+        array that rejects negative indices, as a device gather would.
+        """
+        trees, X = three_class_forest()
+        host = quantize_trees(trees, "int8")
+        depths = host_leaf_depths(host, X)
+        for layout in (
+            HierarchicalForest.from_trees(trees, LayoutParams(3, 5), codec="int8"),
+            CSRForest.from_trees(trees, codec="int8"),
+        ):
+            table = layout._fastpath_edges
+            strict = replace(
+                table,
+                qscale=table.qscale.view(NonNegativeTake),
+                qoffset=table.qoffset.view(NonNegativeTake),
+            )
+            preds, levels, lane_levels = traverse_edges(strict, X)
+            assert np.array_equal(preds, reference_predict(host, X))
+            assert levels == int(depths.max()) + 1
+            assert lane_levels == int(depths.sum()) + depths.size
 
 
 # ----------------------------------------------------------------------
