@@ -10,22 +10,33 @@ Measures *wall-clock* rows/s through the runtime seam
   forms batches right at it, and the coalescing policy never launches
   bigger ones.  This is the denominator the ISSUE's motivation names —
   "the serving layer is currently front-dooring a profiler";
-* ``trace="off"`` — the vectorized :mod:`repro.fastpath` traversal at
-  paper-scale batches (0.1M–1M rows), one measurement per layout family.
+* ``trace="off"`` — the vectorized :mod:`repro.fastpath` traversal at 16
+  rows (a serving request), 256 rows (the batch cap) and paper-scale
+  batches (0.1M–1M rows), one measurement per layout family.
 
 The speedup is structural, not just constant-factor: the trace path runs
 warp-lockstep, so every warp pays Python-level work down to the *deepest*
-member lane, while the fastpath's compacted frontier retires each lane at
-its own leaf depth — the deeper the trees, the wider the gap.  The bench
-forest uses depth-16 trees (unbounded depth is the usual random-forest
-default; 16 is a modest cap).
+member lane, while the fastpath stops charging each lane at its own leaf
+depth and drops retired lanes once they are half of its frontier — the
+deeper the trees, the wider the gap.  The bench forest uses depth-16
+trees (unbounded depth is the usual random-forest default; 16 is a modest
+cap).
+
+Protocol: one process, ``runs`` passes.  Each pass sweeps every family
+and, per family, times one trace launch and then the fastpath at each
+batch size right after it, so the two halves of a ratio share the same
+window of host load.  Fastpath batches under :data:`MIN_TIMED_ROWS` rows
+repeat the launch until that many rows are timed.  Every cell is reported as
+the median and quartiles over the passes; the speedup is the median of
+the per-pass ratios ``fastpath rows/s at GATE_ROWS / trace rows/s``.
 
 The checked-in ``BENCH_fastpath.json`` records the speedup trajectory and
 CI gates on it (``make fastpath``).  Absolute rows/s are machine-dependent,
-so the gate normalizes by the same run's trace throughput: the
+so the gate normalizes by the same pass's trace throughput: the median
 **fastpath/trace speedup ratio** at the gate batch size must stay above
-the hard acceptance floor (50x) and above 90% of the baseline's ratio
-(>10% regression fails).
+the hard acceptance floor (50x) and above 90% of the baseline's median
+ratio (>10% regression fails).  Absolute fastpath rows/s sit beside the
+ratio for reading trends, not for gating.
 
 Wall-clock timing goes through the sanctioned
 :class:`repro.utils.clock.Stopwatch` seam — nothing here feeds the
@@ -43,6 +54,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 
 import numpy as np
@@ -92,10 +104,17 @@ FAMILIES = (
     ("gpu-csr-packed", RunConfig(variant="csr", precision="packed")),
 )
 
+#: Fastpath batch sizes every scale measures: a serving request, the front
+#: door's batch cap, and the gate batch.
+FASTPATH_ROWS = (16, SERVING_BATCH_ROWS, GATE_ROWS)
+#: Smaller fastpath batches repeat the launch until at least this many rows
+#: are timed, so one cell is never a sub-millisecond reading.
+MIN_TIMED_ROWS = 4096
+
 SCALES = {
-    "smoke": {"fastpath_rows": (10_000, GATE_ROWS)},
-    "default": {"fastpath_rows": (GATE_ROWS, 1_000_000)},
-    "full": {"fastpath_rows": (GATE_ROWS, 300_000, 1_000_000)},
+    "smoke": {"runs": 15, "fastpath_rows": FASTPATH_ROWS},
+    "default": {"runs": 15, "fastpath_rows": FASTPATH_ROWS + (1_000_000,)},
+    "full": {"runs": 25, "fastpath_rows": FASTPATH_ROWS + (300_000, 1_000_000)},
 }
 
 
@@ -113,21 +132,29 @@ def _queries(n: int) -> np.ndarray:
     )
 
 
-def _timed_run(session, plan, X) -> float:
+def _rows_per_s(session, plan, X, reps: int = 1) -> float:
+    """Rows/s of ``reps`` back-to-back ``session.run(plan, X)`` calls."""
     watch = Stopwatch()
-    session.run(plan, X)
-    return watch.elapsed()
+    for _ in range(reps):
+        session.run(plan, X)
+    return reps * X.shape[0] / watch.elapsed()
 
 
-def measure(scale: str, repeats: int = 3) -> dict:
-    """One full measurement pass; returns the baseline-shaped payload.
+def spread(values) -> dict:
+    """Median and quartiles, as ``statistics.quantiles(n=4)`` gives them."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
 
-    Repeats are interleaved across families — each repeat sweeps every
-    (family, batch) cell once, and every cell keeps its best time — so a
-    transient slow window on a shared machine cannot poison all repeats
-    of any single cell.
+
+def measure(scale: str, runs: int | None = None) -> dict:
+    """One full measurement; returns the baseline-shaped payload.
+
+    Passes are interleaved across families, and within a family the trace
+    launch and the fastpath launches alternate, so a slow window on a
+    shared machine lands on both halves of a ratio or on one pass only.
     """
     cfg = SCALES[scale]
+    runs = cfg["runs"] if runs is None else runs
     trees = _forest()
     session = RuntimeSession(trees, verify_against_reference=False)
     X_pool = _queries(max(cfg["fastpath_rows"]))
@@ -147,32 +174,32 @@ def measure(scale: str, repeats: int = 3) -> dict:
         session.run(model_plan, X_pool[:64])
         plans[name] = (fast_plan, model_plan)
 
-    best_fast = {name: {n: float("inf") for n in cfg["fastpath_rows"]} for name, _ in FAMILIES}
-    best_trace = {name: float("inf") for name, _ in FAMILIES}
-    for _ in range(repeats):
+    trace = {name: [] for name, _ in FAMILIES}
+    fast = {name: {n: [] for n in cfg["fastpath_rows"]} for name, _ in FAMILIES}
+    for _ in range(runs):
         for name, _ in FAMILIES:
             fast_plan, model_plan = plans[name]
-            for n in cfg["fastpath_rows"]:
-                best_fast[name][n] = min(
-                    best_fast[name][n], _timed_run(session, fast_plan, X_pool[:n])
-                )
-            best_trace[name] = min(
-                best_trace[name],
-                _timed_run(session, model_plan, X_pool[:SERVING_BATCH_ROWS]),
+            trace[name].append(
+                _rows_per_s(session, model_plan, X_pool[:SERVING_BATCH_ROWS])
             )
+            for n in cfg["fastpath_rows"]:
+                reps = -(-MIN_TIMED_ROWS // n)
+                fast[name][n].append(
+                    _rows_per_s(session, fast_plan, X_pool[:n], reps)
+                )
 
     results = {}
     for name, _ in FAMILIES:
-        trace_rows_per_s = SERVING_BATCH_ROWS / best_trace[name]
-        fastpath = {str(n): n / t for n, t in best_fast[name].items()}
+        ratios = [f / t for f, t in zip(fast[name][GATE_ROWS], trace[name])]
         results[name] = {
-            "trace_rows_per_s": trace_rows_per_s,
-            "fastpath_rows_per_s": fastpath,
-            "speedup_at_gate": fastpath[str(GATE_ROWS)] / trace_rows_per_s,
+            "trace_rows_per_s": spread(trace[name]),
+            "fastpath_rows_per_s": {str(n): spread(v) for n, v in fast[name].items()},
+            "speedup_at_gate": spread(ratios),
         }
     return {
-        "version": 1,
+        "version": 2,
         "scale": scale,
+        "runs": runs,
         "forest": {
             "n_trees": N_TREES,
             "max_depth": TREE_DEPTH,
@@ -188,33 +215,43 @@ def measure(scale: str, repeats: int = 3) -> dict:
     }
 
 
+def _cell(stat: dict, fmt: str = ".0f") -> str:
+    return f"{stat['median']:{fmt}} [{stat['q1']:{fmt}}, {stat['q3']:{fmt}}]"
+
+
 def print_report(payload: dict) -> None:
     rows = []
     for name, r in sorted(payload["results"].items()):
-        row = [name, f"{r['trace_rows_per_s']:.0f}"]
+        row = [name, f"{r['trace_rows_per_s']['median']:.0f}"]
         for n, v in sorted(r["fastpath_rows_per_s"].items(), key=lambda kv: int(kv[0])):
-            row.append(f"{v:.0f}")
-        row.append(f"{r['speedup_at_gate']:.0f}x")
+            row.append(f"{v['median']:.0f}")
+        row.append(_cell(r["speedup_at_gate"], ".1f"))
         rows.append(row)
     any_result = next(iter(payload["results"].values()))
     n_cols = sorted(any_result["fastpath_rows_per_s"], key=int)
     header = (
         ["config", f"trace rows/s @{SERVING_BATCH_ROWS}"]
         + [f"fastpath rows/s @{int(n):,}" for n in n_cols]
-        + [f"speedup @{GATE_ROWS:,}"]
+        + [f"speedup @{GATE_ROWS:,} median [q1, q3]"]
     )
-    print(format_table(header, rows, title=f"fastpath throughput ({payload['scale']})"))
+    title = (
+        f"fastpath throughput ({payload['scale']}, median of "
+        f"{payload['runs']} alternating passes)"
+    )
+    print(format_table(header, rows, title=title))
 
 
 def check_against_baseline(payload: dict, baseline: dict | None) -> list:
-    """Gate failures (empty list = pass)."""
+    """Gate failures (empty list = pass), judged on median speedups."""
     failures = []
+    if baseline is not None and baseline.get("version") != payload["version"]:
+        return [f"baseline {BASELINE_PATH} predates this protocol; regenerate it"]
     for name, r in sorted(payload["results"].items()):
-        speedup = r["speedup_at_gate"]
+        speedup = r["speedup_at_gate"]["median"]
         if speedup < MIN_SPEEDUP:
             failures.append(
-                f"{name}: speedup {speedup:.1f}x at {GATE_ROWS:,} rows is below "
-                f"the {MIN_SPEEDUP:.0f}x acceptance floor"
+                f"{name}: median speedup {speedup:.1f}x at {GATE_ROWS:,} rows is "
+                f"below the {MIN_SPEEDUP:.0f}x acceptance floor"
             )
         if baseline is None:
             continue
@@ -222,11 +259,12 @@ def check_against_baseline(payload: dict, baseline: dict | None) -> list:
         if base is None:
             failures.append(f"{name}: missing from baseline {BASELINE_PATH}")
             continue
-        floor = base["speedup_at_gate"] * (1.0 - REGRESSION_TOLERANCE)
+        base_speedup = base["speedup_at_gate"]["median"]
+        floor = base_speedup * (1.0 - REGRESSION_TOLERANCE)
         if speedup < floor:
             failures.append(
-                f"{name}: speedup {speedup:.1f}x regressed >10% vs baseline "
-                f"{base['speedup_at_gate']:.1f}x (floor {floor:.1f}x)"
+                f"{name}: median speedup {_cell(r['speedup_at_gate'], '.1f')}x "
+                f"regressed >10% vs baseline {base_speedup:.1f}x (floor {floor:.1f}x)"
             )
     return failures
 
@@ -234,6 +272,9 @@ def check_against_baseline(payload: dict, baseline: dict | None) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scale", choices=sorted(SCALES), default="smoke")
+    ap.add_argument(
+        "--runs", type=int, default=None, help="passes (default: per scale)"
+    )
     ap.add_argument(
         "--write-baseline",
         action="store_true",
@@ -246,7 +287,7 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
-    payload = measure(args.scale)
+    payload = measure(args.scale, args.runs)
     print_report(payload)
 
     if args.write_baseline:
@@ -271,7 +312,7 @@ def main(argv=None) -> int:
         print("[gate failed; re-measuring once to confirm]")
         for line in failures:
             print(f"  first pass: {line}")
-        payload = measure(args.scale)
+        payload = measure(args.scale, args.runs)
         print_report(payload)
         failures = check_against_baseline(payload, baseline)
     if failures:
@@ -295,9 +336,9 @@ def test_fastpath_throughput(benchmark):
     print()
     print_report(payload)
     for name, r in payload["results"].items():
-        assert r["speedup_at_gate"] >= MIN_SPEEDUP, (
-            f"{name}: {r['speedup_at_gate']:.1f}x below the "
-            f"{MIN_SPEEDUP:.0f}x floor"
+        speedup = r["speedup_at_gate"]["median"]
+        assert speedup >= MIN_SPEEDUP, (
+            f"{name}: {speedup:.1f}x below the {MIN_SPEEDUP:.0f}x floor"
         )
 
 
