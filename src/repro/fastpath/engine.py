@@ -306,7 +306,7 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
             feats = feature.take(slot)
             at_leaf = feats < 0
             retired_before = int(np.count_nonzero(at_leaf))
-            if retired_before + retired_before >= rx.size:
+            if 2 * retired_before >= rx.size:
                 done = np.flatnonzero(at_leaf)
                 flushed.append(
                     ((rx.take(done) - row_base) // n_feat).astype(np.int32) * n_classes32

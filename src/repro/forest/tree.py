@@ -338,7 +338,7 @@ def leaf_labels(stack: TreeStack, X: np.ndarray) -> np.ndarray:
         feat = stack.feature.take(node)
         leaf = feat == LEAF
         n_leaf = np.count_nonzero(leaf)
-        if n_leaf + n_leaf >= lane.size:
+        if 2 * n_leaf >= lane.size:
             done = np.flatnonzero(leaf)
             labels[lane.take(done)] = stack.value.take(node.take(done))
             live = np.flatnonzero(~leaf)
