@@ -62,8 +62,7 @@ fastpath:
 # Regenerate the fastpath baseline after an intentional perf change.  Three
 # times the gate's passes, so the baseline median sits near the true one.
 fastpath-baseline:
-	PYTHONPATH=src python benchmarks/bench_fastpath.py \
-		--scale smoke --runs 45 --write-baseline
+	PYTHONPATH=src python benchmarks/bench_fastpath.py --scale smoke --write-baseline
 
 # Cold-start layout build (docs/architecture.md §11): per-stage median
 # wall time of HierarchicalForest.from_trees and the FIL build on the six

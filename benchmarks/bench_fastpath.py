@@ -22,10 +22,11 @@ deeper the trees, the wider the gap.  The bench forest uses depth-16
 trees (unbounded depth is the usual random-forest default; 16 is a modest
 cap).
 
-Protocol: one process, ``runs`` passes.  Each pass sweeps every family
-and, per family, times one trace launch and then the fastpath at each
-batch size right after it, so the two halves of a ratio share the same
-window of host load.  Fastpath batches under :data:`MIN_TIMED_ROWS` rows
+Protocol: one process, :data:`RUNS` passes (three times that with
+``--write-baseline``, so the baseline median sits near the true one).
+Each pass sweeps every family and, per family, times one trace launch and
+then the fastpath at each batch size right after it, so the two halves of
+a ratio share the same window of host load.  Fastpath batches under :data:`MIN_TIMED_ROWS` rows
 repeat the launch until that many rows are timed.  Every cell is
 reported as the median and quartiles over the passes; the speedup is the
 median of the per-pass ratios ``fastpath rows/s at GATE_ROWS / trace
@@ -112,10 +113,13 @@ FASTPATH_ROWS = (16, SERVING_BATCH_ROWS, GATE_ROWS)
 #: are timed, so one cell is never a sub-millisecond reading.
 MIN_TIMED_ROWS = 4096
 
+#: Alternating passes per measurement (the baseline takes 3x as many).
+RUNS = 15
+
 SCALES = {
-    "smoke": {"runs": 15, "fastpath_rows": FASTPATH_ROWS},
-    "default": {"runs": 15, "fastpath_rows": FASTPATH_ROWS + (1_000_000,)},
-    "full": {"runs": 25, "fastpath_rows": FASTPATH_ROWS + (300_000, 1_000_000)},
+    "smoke": {"fastpath_rows": FASTPATH_ROWS},
+    "default": {"fastpath_rows": FASTPATH_ROWS + (1_000_000,)},
+    "full": {"fastpath_rows": FASTPATH_ROWS + (300_000, 1_000_000)},
 }
 
 
@@ -147,7 +151,7 @@ def spread(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def measure(scale: str, runs: int | None = None) -> dict:
+def measure(scale: str, runs: int = RUNS) -> dict:
     """One full measurement; returns the baseline-shaped payload.
 
     Passes are interleaved across families, and within a family the trace
@@ -155,7 +159,6 @@ def measure(scale: str, runs: int | None = None) -> dict:
     shared machine lands on both halves of a ratio or on one pass only.
     """
     cfg = SCALES[scale]
-    runs = cfg["runs"] if runs is None else runs
     trees = _forest()
     session = RuntimeSession(trees, verify_against_reference=False)
     X_pool = _queries(max(cfg["fastpath_rows"]))
@@ -272,9 +275,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--scale", choices=sorted(SCALES), default="smoke")
     ap.add_argument(
-        "--runs", type=int, default=None, help="passes (default: per scale)"
-    )
-    ap.add_argument(
         "--write-baseline",
         action="store_true",
         help=f"write the measurement to {BASELINE_PATH}",
@@ -286,7 +286,8 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
-    payload = measure(args.scale, args.runs)
+    runs = 3 * RUNS if args.write_baseline else RUNS
+    payload = measure(args.scale, runs)
     print_report(payload)
 
     if args.write_baseline:
@@ -311,7 +312,7 @@ def main(argv=None) -> int:
         print("[gate failed; re-measuring once to confirm]")
         for line in failures:
             print(f"  first pass: {line}")
-        payload = measure(args.scale, args.runs)
+        payload = measure(args.scale, runs)
         print_report(payload)
         failures = check_against_baseline(payload, baseline)
     if failures:

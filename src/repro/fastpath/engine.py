@@ -256,6 +256,10 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
     is the number of active lane-steps, ``sum(d + 1)`` over all lanes, the
     work metric :func:`fastpath_seconds` charges.  Neither counts the
     steps retired lanes take while carried until a compaction.
+
+    No gather ever uses a negative index, as on a device, where a gather
+    does not wrap around the way NumPy's does: a carried retired lane
+    reads feature 0 in place of its negative ``LEAF``/``EMPTY`` marker.
     """
     X = np.ascontiguousarray(X, dtype=np.float32)
     n = int(X.shape[0])
@@ -321,7 +325,7 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
                     break
             elif retired_before:
                 # Retired lanes still gather X and the per-feature tables:
-                # clamp their negative feature to 0 to stay in bounds.
+                # clamp their negative feature to 0 (no negative gathers).
                 np.maximum(feats, 0, out=feats)
             if qcodes is None:
                 thr = value.take(slot)

@@ -318,9 +318,10 @@ def leaf_labels(stack: TreeStack, X: np.ndarray) -> np.ndarray:
     lanes' nodes and tests ``x[feature] < threshold`` in float32 — true
     goes left.  A lane that reached a leaf keeps stepping on the leaf's
     self-loop (reading feature 0) until at least half of the carried lanes
-    have; then their labels are written and they are dropped.  ``X`` must
-    be 2-D C-contiguous float32; its rows are all live at once, so callers
-    bound the lane count by chunking rows.
+    have; then their labels are written and they are dropped.  No gather
+    uses a negative index, as on a device, which does not wrap one around
+    the way NumPy does.  ``X`` must be 2-D C-contiguous float32; its rows
+    are all live at once, so callers bound the lane count by chunking rows.
     """
     n_rows, n_features = X.shape
     if stack.max_feature >= n_features:
