@@ -11,6 +11,7 @@ from repro.core import (
     RunConfig,
     RunResult,
 )
+from repro.forest.random_forest import vote_counts
 from repro.fpgasim.replication import Replication
 from repro.layout.hierarchical import LayoutParams
 
@@ -157,8 +158,17 @@ class TestClassifier:
     def test_verification_catches_corruption(self, fitted):
         clf, Xte, _ = fitted
         layout = clf.layout_for(RunConfig(variant="csr"))
-        # Corrupt a leaf label in the layout; verification must trip.
-        leaf_idx = int(np.flatnonzero(layout.feature_id == -1)[0])
+        # Corrupt, in the layout, the label of a tree-0 leaf that decides
+        # some row's majority vote (CSR keeps tree 0's node ids);
+        # verification must trip.
+        votes = vote_counts(clf.trees, Xte, 2)
+        tree0 = clf.trees[0].predict(Xte)
+        rows = np.arange(Xte.shape[0])
+        moved = votes.copy()
+        moved[rows, tree0] -= 1
+        moved[rows, 1 - tree0] += 1
+        row = np.flatnonzero(moved.argmax(axis=1) != votes.argmax(axis=1))[0]
+        leaf_idx = int(list(clf.trees[0].decision_path(Xte[row]))[-1])
         old = layout.value[leaf_idx]
         layout.value[leaf_idx] = 1.0 - old
         try:
