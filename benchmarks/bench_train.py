@@ -52,7 +52,7 @@ TRAIN_WORKLOAD = {
     "n_trees": 1,
     "rows": 40_000,
     "seed": 0,
-    "fingerprint": 2795322868,
+    "fingerprint": 3290188549,
 }
 
 

@@ -410,10 +410,10 @@ class TestPlannerTraceOff:
 #: Device bytes of susy d20x20 (the serving benchmark's forest) per codec:
 #: (hybrid SD4/RSD10, CSR).
 SUSY_FOOTPRINTS = {
-    "float32": (649_112, 515_008),
-    "float16": (551_600, 450_664),
-    "int8": (502_988, 418_636),
-    "packed": (454_240, 128_928),
+    "float32": (641_056, 504_480),
+    "float16": (544_180, 441_452),
+    "int8": (495_886, 410_082),
+    "packed": (447_456, 126_296),
 }
 
 #: Trace-off auto decisions on susy d20x20 per memory budget, as the
