@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint statcheck faults serve-chaos serve-chaos-baseline slo slo-baseline fastpath fastpath-baseline layout-bench train-bench quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
+.PHONY: install test lint faults serve-chaos serve-chaos-baseline slo slo-baseline fastpath fastpath-baseline layout-bench train-bench quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -8,13 +8,10 @@ install:
 test:
 	pytest tests/
 
-# Static checks: generic style (ruff, if installed) + the repo's own
-# AST analyzer (docs/architecture.md §7).
-lint: statcheck
+# Generic style (ruff, if installed).  The repo's own source rules run
+# with the tests (tests/test_source_rules.py, docs/architecture.md §7).
+lint:
 	-ruff check src tests
-
-statcheck:
-	PYTHONPATH=src python -m repro.statcheck src
 
 test-output:
 	pytest tests/ 2>&1 | tee test_output.txt

@@ -85,7 +85,8 @@ def main(argv=None) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
         # Stopwatch wraps perf_counter (monotonic, immune to clock steps);
-        # repro/utils/clock.py is statcheck DET001's timing seam.
+        # repro/utils/clock.py is the timing seam source rule DET001
+        # allows (tests/test_source_rules.py).
         watch = Stopwatch()
         print(f"=== {name} (scale={args.scale}) ===")
         rows = EXPERIMENTS[name](scale=args.scale)

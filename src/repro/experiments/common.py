@@ -10,8 +10,9 @@
 * :func:`get_session` / :func:`execute` — the runtime seam: every
   experiment driver runs its configurations through a shared
   :class:`~repro.runtime.RuntimeSession` per forest (plan compilation,
-  layout reuse, observability wiring in one place; statcheck rule API003
-  keeps kernel classes out of experiment modules).
+  layout reuse, observability wiring in one place; source rule API003 in
+  ``tests/test_source_rules.py`` keeps kernel classes out of experiment
+  modules).
 """
 
 from __future__ import annotations
@@ -231,8 +232,9 @@ def execute(
     This is the single path from experiment drivers to kernels: the config
     is compiled into an :class:`~repro.runtime.ExecutionPlan` (autotuned by
     the shared :class:`~repro.runtime.Planner` for ``variant="auto"``) and
-    executed by the forest's memoised session.  Statcheck rule API003
-    rejects experiment modules that import kernel classes directly.
+    executed by the forest's memoised session.  Source rule API003
+    (``tests/test_source_rules.py``) rejects experiment modules that import
+    kernel classes directly.
     """
     session = get_session(forest)
     if config.variant is KernelVariant.AUTO:
@@ -286,8 +288,9 @@ def emit_manifest(
     (``rows.count`` plus per-column sum/min/max), merges any
     ``extra_counters`` and writes one JSONL manifest under
     :func:`manifest_dir` (or an explicit ``path``).  ``repro.obs diff``
-    compares two such files; the statcheck OBS001 rule enforces that every
-    experiment module routes through here.  Returns the path written.
+    compares two such files; source rule OBS001
+    (``tests/test_source_rules.py``) enforces that every experiment module
+    routes through here.  Returns the path written.
     """
     from repro.obs.manifest import (
         build_manifest,

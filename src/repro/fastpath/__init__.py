@@ -21,8 +21,9 @@ family gets its own lowering to the shared edge table:
 * :mod:`repro.fastpath.csrpath` — CSR children-array layout;
 * :mod:`repro.fastpath.filpath` — cuML-FIL packed-node layout.
 
-statcheck's PERF001 rule bans Python ``for`` loops (and comprehensions)
-in this package, keeping the fast path honest as it grows.
+Source rule PERF001 (``tests/test_source_rules.py``) bans Python ``for``
+loops (and comprehensions) in this package, keeping the fast path honest
+as it grows.
 """
 
 from repro.fastpath.engine import (

@@ -29,8 +29,9 @@ Two things deliberately do **not** happen here:
   (:func:`fastpath_seconds`).  Real throughput is measured only by
   ``benchmarks/bench_fastpath.py`` through the sanctioned
   :class:`repro.utils.clock.Stopwatch` seam.
-* no per-row / per-warp Python loop.  statcheck's PERF001 bans ``for``
-  statements and comprehensions in this package.
+* no per-row / per-warp Python loop.  Source rule PERF001
+  (``tests/test_source_rules.py``) bans ``for`` statements and
+  comprehensions in this package.
 """
 
 from __future__ import annotations

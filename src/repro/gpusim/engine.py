@@ -115,10 +115,11 @@ class WarpGrid:
         """Account one block-wide barrier (``__syncthreads`` analogue).
 
         Kernels must call this between cooperatively staging shared memory
-        and the first shared-memory read; the statcheck KRN003 rule
-        verifies the ordering statically.  The barrier issues one
-        instruction per warp; its serialisation cost is modelled by the
-        kernels' own critical-path accounting (e.g. SYNC_CYCLES).
+        and the first shared-memory read; source rule KRN003
+        (``tests/test_source_rules.py``) verifies the ordering statically.
+        The barrier issues one instruction per warp; its serialisation cost
+        is modelled by the kernels' own critical-path accounting (e.g.
+        SYNC_CYCLES).
         """
         metrics.block_syncs += 1
         metrics.warp_instructions += instructions * self.n_warps

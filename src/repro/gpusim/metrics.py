@@ -75,8 +75,8 @@ class KernelMetrics:
     #: collaborative batches).
     bytes_staged_shared: int = 0
     #: Block-wide barriers executed (__syncthreads analogue).  Every
-    #: staging-write -> shared-read path must cross one; the statcheck
-    #: KRN003 race rule enforces this statically.
+    #: staging-write -> shared-read path must cross one; source rule
+    #: KRN003 (tests/test_source_rules.py) enforces this statically.
     block_syncs: int = 0
     #: Distinct global bytes touched (segment granularity); drives the
     #: timing model's L2 capacity correction.

@@ -2,8 +2,9 @@
 
 Before this module the runtime, guard and front door dispatched their
 observability hooks through string ``hasattr`` checks — a typo'd hook name
-silently disabled observability (statcheck rule OBS002 now flags that
-pattern).  The contract lives here instead:
+silently disabled observability (source rule OBS002 in
+``tests/test_source_rules.py`` now flags that pattern).  The contract lives
+here instead:
 
 * :class:`Observer` is the no-op base defining the full hook surface;
   subclass it (as :class:`repro.obs.ObsSession` does) and override what

@@ -11,8 +11,9 @@ Two clocks, one interface:
   *progress reporting only* (CLI "done in Ns" lines, overhead benchmarks).
   Its readings must never reach a result row or exported artifact.
 
-statcheck's DET001 rule allowlists exactly this module for monotonic-timer
-calls; every other module must take a :class:`Clock` (or stay timeless).
+Source rule DET001 (``tests/test_source_rules.py``) allows monotonic-timer
+calls in exactly this module; every other module must take a
+:class:`Clock` (or stay timeless).
 """
 
 from __future__ import annotations

@@ -133,7 +133,8 @@ class TestMetricsInvariants:
         assert hyb.metrics.shared_load_requests > 0
         assert hyb.metrics.bytes_staged_shared > 0
         # Staging must be fenced by a block barrier before it is read
-        # (statcheck rule KRN003 enforces this statically).
+        # (source rule KRN003 in tests/test_source_rules.py enforces this
+        # statically).
         assert hyb.metrics.block_syncs > 0
         assert ind.metrics.shared_load_requests == 0
 
