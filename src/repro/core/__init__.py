@@ -10,7 +10,7 @@ containers shared with the experiment harness.
 
 from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import KernelVariant, Platform, RunConfig
-from repro.core.results import BatchedRunResult, RunResult, ComparisonTable
+from repro.core.results import RunResult, ComparisonTable
 
 __all__ = [
     "HierarchicalForestClassifier",
@@ -18,6 +18,5 @@ __all__ = [
     "Platform",
     "RunConfig",
     "RunResult",
-    "BatchedRunResult",
     "ComparisonTable",
 ]

@@ -42,7 +42,7 @@ from repro.fpgasim.device import ALVEO_U250, FPGASpec
 from repro.gpusim.device import GPUSpec, TITAN_XP
 from repro.runtime.planner import Planner, compile_plan
 from repro.runtime.session import RuntimeSession
-from repro.utils.validation import check_array_2d, check_positive_int, check_same_length
+from repro.utils.validation import check_array_2d
 
 
 class HierarchicalForestClassifier:
@@ -180,6 +180,8 @@ class HierarchicalForestClassifier:
     ) -> RunResult:
         """Run one simulated classification and return its result.
 
+        ``X`` must be a non-empty, finite 2-D matrix; it is checked (and
+        coerced to C-contiguous float32) before planning or any launch.
         Predictions are verified against the CPU reference unless
         ``verify_against_reference=False`` (useful only for very large
         sweeps where the reference pass dominates).
@@ -203,6 +205,7 @@ class HierarchicalForestClassifier:
         it, and with ``include_transfer=True`` the query round trip is
         reported via ``on_transfer``.
         """
+        X = check_array_2d(X, "X")
         plan, config = self._resolve(X, config)
         session = self.runtime
         session.verify_against_reference = self.verify_against_reference
@@ -214,48 +217,6 @@ class HierarchicalForestClassifier:
             launch_gate=launch_gate,
             observer=observer,
             config=config,
-        )
-
-    def classify_batched(
-        self,
-        X: np.ndarray,
-        config: RunConfig = RunConfig(),
-        batch_size: int = 4096,
-        y_true: Optional[np.ndarray] = None,
-        observer=None,
-    ) -> "BatchedRunResult":
-        """Classify ``X`` in fixed-size batches (inference-service style).
-
-        Each batch is one simulated kernel launch; the result aggregates
-        per-batch latencies (total, mean, max — the numbers a deployment's
-        latency budget is written against).  Predictions are identical to a
-        single :meth:`classify` call.  ``variant="auto"`` is resolved once
-        for the whole matrix, not re-tuned per batch.
-        """
-        from repro.core.results import BatchedRunResult
-
-        X = check_array_2d(X, "X")
-        check_positive_int(batch_size, "batch_size")
-        if y_true is not None:
-            y_true = np.asarray(y_true)
-            check_same_length(X, y_true, names=("X", "y_true"))
-        _, config = self._resolve(X, config)
-        preds = np.empty(X.shape[0], dtype=np.int64)
-        batch_seconds = []
-        for lo in range(0, X.shape[0], batch_size):
-            hi = min(lo + batch_size, X.shape[0])
-            res = self.classify(X[lo:hi], config, observer=observer)
-            preds[lo:hi] = res.predictions
-            batch_seconds.append(res.seconds)
-        accuracy = None
-        if y_true is not None:
-            accuracy = accuracy_score(y_true, preds)
-        return BatchedRunResult(
-            config=config,
-            predictions=preds,
-            batch_seconds=np.asarray(batch_seconds),
-            batch_size=batch_size,
-            accuracy=accuracy,
         )
 
     def predict(self, X: np.ndarray) -> np.ndarray:

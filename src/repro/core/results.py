@@ -42,42 +42,6 @@ class RunResult:
 
 
 @dataclass
-class BatchedRunResult:
-    """Outcome of a batched (inference-service style) classification."""
-
-    config: RunConfig
-    predictions: np.ndarray
-    #: Simulated seconds per batch, in dispatch order.
-    batch_seconds: np.ndarray
-    batch_size: int
-    accuracy: Optional[float] = None
-    #: Aggregated guard accounting across batches (guarded runs only).
-    reliability: Optional["ReliabilityReport"] = None
-
-    @property
-    def n_batches(self) -> int:
-        return int(self.batch_seconds.shape[0])
-
-    @property
-    def total_seconds(self) -> float:
-        return float(self.batch_seconds.sum())
-
-    @property
-    def mean_batch_seconds(self) -> float:
-        return float(self.batch_seconds.mean())
-
-    @property
-    def max_batch_seconds(self) -> float:
-        """Worst-case batch latency — what a latency SLO is written against."""
-        return float(self.batch_seconds.max())
-
-    @property
-    def throughput_qps(self) -> float:
-        """Queries per simulated second over the whole run."""
-        return self.predictions.shape[0] / self.total_seconds
-
-
-@dataclass
 class ComparisonTable:
     """A set of runs over the same queries, printable like a paper table."""
 

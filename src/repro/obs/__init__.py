@@ -22,7 +22,6 @@ from repro.obs.bridges import (
     record_plan,
     record_reliability,
     record_response,
-    record_serving_stats,
 )
 from repro.obs.context import TraceContext, hex64, mix64
 from repro.obs.export import (
@@ -72,7 +71,6 @@ __all__ = [
     "record_plan",
     "record_reliability",
     "record_response",
-    "record_serving_stats",
     "TraceContext",
     "hex64",
     "mix64",

@@ -274,27 +274,6 @@ def record_response(registry: MetricsRegistry, response,
         ).inc(1.0, tenant=response.tenant, **labels)
 
 
-def record_serving_stats(registry: MetricsRegistry, stats,
-                         **labels) -> None:
-    """Ingest a final :class:`~repro.serving.request.ServingStats` snapshot."""
-    registry.counter(
-        "serving.submitted", "requests admitted past the front door"
-    ).inc(float(stats.submitted), **labels)
-    registry.counter(
-        "serving.batches", "micro-batches executed"
-    ).inc(float(stats.batches), **labels)
-    registry.counter(
-        "serving.rows_executed", "feature rows pushed through backends"
-    ).inc(float(stats.rows_executed), **labels)
-    for reason, count in sorted(stats.rejected.items()):
-        registry.counter(
-            "serving.rejected", "typed admission rejections"
-        ).inc(float(count), reason=reason, **labels)
-    registry.gauge(
-        "serving.queue_depth_max", "worst queue depth seen"
-    ).max(float(stats.max_queue_depth), **labels)
-
-
 # ----------------------------------------------------------------------
 # The observer the hooks talk to
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import KernelVariant, Platform, RunConfig
-from repro.core.results import BatchedRunResult, RunResult
+from repro.core.results import RunResult
 from repro.forest.metrics import accuracy_score
 from repro.obs.protocol import ensure_observer
 from repro.reliability.faults import FaultPlan, TransientKernelError
@@ -486,7 +486,7 @@ class ResilientClassifier:
                 ExecutionError,
             ) as exc:
                 # The session wraps backend failures in a typed
-                # ExecutionError carrying plan/shard context; the guard
+                # ExecutionError carrying plan context; the guard
                 # dispatches on the chained cause (a bare exception can
                 # still arrive from its own pre-launch verification).
                 fault = (
@@ -519,41 +519,3 @@ class ResilientClassifier:
                 )
         report.note_transition(breaker.name, breaker.record_failure())
         return None
-
-    # ------------------------------------------------------------------
-    def classify_batched(
-        self,
-        X: np.ndarray,
-        config: RunConfig = RunConfig(),
-        batch_size: int = 4096,
-        y_true: Optional[np.ndarray] = None,
-    ) -> BatchedRunResult:
-        """Guarded batched classification with an aggregated report."""
-        X = check_array_2d(X, "X")
-        check_positive_int(batch_size, "batch_size")
-        if y_true is not None:
-            y_true = np.asarray(y_true)
-            check_same_length(X, y_true, names=("X", "y_true"))
-        preds = np.empty(X.shape[0], dtype=np.int64)
-        batch_seconds = []
-        aggregate: Optional[ReliabilityReport] = None
-        for lo in range(0, X.shape[0], batch_size):
-            hi = min(lo + batch_size, X.shape[0])
-            res = self.classify(X[lo:hi], config)
-            preds[lo:hi] = res.predictions
-            batch_seconds.append(res.seconds)
-            if aggregate is None:
-                aggregate = res.reliability
-            else:
-                aggregate.merge(res.reliability)
-        accuracy = None
-        if y_true is not None:
-            accuracy = accuracy_score(y_true, preds)
-        return BatchedRunResult(
-            config=config,
-            predictions=preds,
-            batch_seconds=np.asarray(batch_seconds),
-            batch_size=batch_size,
-            accuracy=accuracy,
-            reliability=aggregate,
-        )

@@ -14,8 +14,8 @@ workload, made operational):
   plans; ``variant="auto"`` autotunes with an analytic cost model plus
   seeded probe runs, cached under ``results/plan_cache/`` — or, under
   ``trace="off"``, resolves to one plan without tuning.
-* :class:`~repro.runtime.session.RuntimeSession` — executes plans over
-  sharded batches and merges :class:`~repro.core.results.RunResult`\\ s.
+* :class:`~repro.runtime.session.RuntimeSession` — executes each plan as
+  one launch and returns its :class:`~repro.core.results.RunResult`.
 
 See ``docs/architecture.md`` §9 for the dataflow.
 """

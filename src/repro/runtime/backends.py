@@ -34,7 +34,7 @@ from repro.runtime.plan import CPU_PLATFORM, ExecutionPlan, PlanError
 
 @dataclass
 class BackendOutput:
-    """What one backend execution produced (one launch, one shard)."""
+    """What one backend execution produced (one launch)."""
 
     predictions: np.ndarray
     seconds: float

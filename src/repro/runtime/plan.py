@@ -2,9 +2,11 @@
 
 A plan pins down *everything* the runtime needs to execute one
 classification — platform, code variant, hierarchical layout parameters,
-FPGA CU/SLR replication, and how the query batch is sharded — so a run is
+FPGA CU/SLR replication, codec and execution mode — so a run is
 replayable byte-for-byte from the JSON form alone (same forest, same
-queries, same seconds).  Plans are produced by
+queries, same seconds).  One plan always executes as one backend launch
+over the whole query matrix; serving splits traffic upstream, in
+:class:`repro.serving.batching.MicroBatcher`.  Plans are produced by
 :func:`repro.runtime.planner.compile_plan` (explicit configs) or by the
 :class:`repro.runtime.planner.Planner` autotuner, and consumed by
 :class:`repro.runtime.session.RuntimeSession`.
@@ -60,17 +62,13 @@ class ExecutionPlan:
 
     ``platform`` / ``variant`` are plain strings (enum *values*) so the
     JSON form is the natural one; :meth:`to_run_config` recovers the enum
-    world at the classifier boundary.  ``batch_split=1`` executes the whole
-    query matrix as a single kernel launch — byte-identical to the legacy
-    ``classify()`` path; ``batch_split=n`` shards into ``n`` near-equal
-    contiguous slices, each one launch.
+    world at the classifier boundary.
     """
 
     platform: str = Platform.GPU.value
     variant: str = KernelVariant.HYBRID.value
     layout: LayoutParams = field(default_factory=LayoutParams)
     replication: Replication = field(default_factory=Replication)
-    batch_split: int = 1
     verify_integrity: bool = False
     #: "explicit" (compiled from a caller's RunConfig), "autotuned",
     #: "cache" (autotuned earlier, replayed from the plan cache), or
@@ -97,8 +95,6 @@ class ExecutionPlan:
             raise PlanError(
                 f"replication must be Replication, got {type(self.replication).__name__}"
             )
-        if self.batch_split < 1:
-            raise PlanError(f"batch_split must be >= 1, got {self.batch_split}")
         if self.trace not in TRACE_MODES:
             raise PlanError(
                 f"trace must be one of {TRACE_MODES}, got {self.trace!r}"
@@ -129,8 +125,6 @@ class ExecutionPlan:
                 parts.append(f"RSD{self.layout.rsd}")
         if self.platform == Platform.FPGA.value and self.replication.total_cus > 1:
             parts.append(self.replication.label)
-        if self.batch_split > 1:
-            parts.append(f"x{self.batch_split}")
         if self.precision != "float32":
             parts.append(self.precision)
         if self.trace == TRACE_OFF:
@@ -176,7 +170,6 @@ class ExecutionPlan:
                 ),
                 "split_stage1": bool(self.replication.split_stage1),
             },
-            "batch_split": int(self.batch_split),
             "verify_integrity": bool(self.verify_integrity),
             "source": self.source,
             "cost_estimate_s": self.cost_estimate_s,
@@ -190,6 +183,8 @@ class ExecutionPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ExecutionPlan":
+        """Inverse of :meth:`as_dict`; keys it does not name are ignored,
+        so JSON written by older versions (plan-cache entries) still loads."""
         layout = data.get("layout") or {}
         repl = data.get("replication") or {}
         return cls(
@@ -211,7 +206,6 @@ class ExecutionPlan:
                 ),
                 split_stage1=bool(repl.get("split_stage1", False)),
             ),
-            batch_split=int(data.get("batch_split", 1)),
             verify_integrity=bool(data.get("verify_integrity", False)),
             source=str(data.get("source", "explicit")),
             cost_estimate_s=(

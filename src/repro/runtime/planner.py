@@ -97,7 +97,6 @@ def compile_plan(forest, config: RunConfig = RunConfig()) -> ExecutionPlan:
         variant=config.variant.value,
         layout=config.layout,
         replication=config.replication,
-        batch_split=1,
         verify_integrity=config.verify_integrity,
         source="explicit",
         trace=config.trace,
@@ -359,7 +358,6 @@ class Planner:
             variant=best.variant,
             layout=best.layout,
             replication=best.replication,
-            batch_split=best.batch_split,
             source="autotuned",
             cost_estimate_s=best_cost,
             trace=best.trace,
@@ -401,7 +399,6 @@ class Planner:
             variant=plan.variant,
             layout=plan.layout,
             replication=plan.replication,
-            batch_split=plan.batch_split,
             verify_integrity=verify_integrity,
             source=source,
             cost_estimate_s=plan.cost_estimate_s,

@@ -1,15 +1,14 @@
-"""RuntimeSession: execute ExecutionPlans and merge their results.
+"""RuntimeSession: execute ExecutionPlans.
 
 The session owns the trees, the backend set, and the layout cache; it is
-the one place where a plan meets data.  ``batch_split=1`` (the default for
-compiled explicit plans) reproduces the legacy ``classify()`` execution
-byte-for-byte: one kernel launch, identical details dict, identical
-simulated seconds.
+the one place where a plan meets data.  Each :meth:`RuntimeSession.run`
+is one backend launch over the whole query matrix, checked against the
+CPU oracle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,26 +28,22 @@ from repro.runtime.plan import CPU_PLATFORM, ExecutionPlan, PlanError, check_pai
 class ExecutionError(RuntimeError):
     """A backend raised while executing a plan; says exactly where.
 
-    Carries the failing :class:`ExecutionPlan` plus the shard index of a
-    split batch, so a caller (the reliability guard, a serving layer, a
-    log line) knows *which* platform/variant/shard failed without parsing
-    the message.  The original backend exception is chained as
-    ``__cause__`` — dispatch on ``type(err.__cause__)`` to distinguish a
-    retryable :class:`~repro.reliability.faults.TransientKernelError` from
+    Carries the failing :class:`ExecutionPlan`, so a caller (the
+    reliability guard, a serving layer, a log line) knows *which*
+    platform/variant failed without parsing the message.  The original
+    backend exception is chained as ``__cause__`` — dispatch on
+    ``type(err.__cause__)`` to distinguish a retryable
+    :class:`~repro.reliability.faults.TransientKernelError` from
     persistent corruption.
     """
 
-    def __init__(self, plan: ExecutionPlan, shard_index: int, n_shards: int,
-                 cause: BaseException):
+    def __init__(self, plan: ExecutionPlan, cause: BaseException):
         super().__init__(
-            f"plan {plan.label} failed on shard {shard_index + 1}/{n_shards}"
-            f": {type(cause).__name__}: {cause}"
+            f"plan {plan.label} failed: {type(cause).__name__}: {cause}"
         )
         self.plan = plan
         self.platform = plan.platform
         self.variant = plan.variant
-        self.shard_index = int(shard_index)
-        self.n_shards = int(n_shards)
         self.__cause__ = cause
 
 
@@ -62,7 +57,7 @@ class RuntimeSession:
     gpu, fpga:
         Device specs handed to the backend adapters.
     verify_against_reference:
-        Check every merged prediction vector against the CPU oracle.
+        Check every prediction vector against the CPU oracle.
     observer:
         Default observability sink for runs (a per-run ``observer=``
         overrides it).
@@ -133,19 +128,6 @@ class RuntimeSession:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    @staticmethod
-    def _shard_bounds(n: int, splits: int) -> List[Tuple[int, int]]:
-        """Contiguous near-equal shards: first ``n % splits`` get +1 row."""
-        splits = min(max(1, splits), max(1, n))
-        base, extra = divmod(n, splits)
-        bounds = []
-        lo = 0
-        for i in range(splits):
-            hi = lo + base + (1 if i < extra else 0)
-            bounds.append((lo, hi))
-            lo = hi
-        return bounds
-
     def run(
         self,
         plan: ExecutionPlan,
@@ -156,13 +138,14 @@ class RuntimeSession:
         observer=None,
         config: Optional[RunConfig] = None,
     ) -> RunResult:
-        """Execute ``plan`` over ``X`` and return one merged :class:`RunResult`.
+        """Execute ``plan`` over ``X`` as one launch; return its :class:`RunResult`.
 
         ``config`` sets the result's attached :class:`RunConfig`; when
         omitted it is recovered from the plan (accelerator plans only —
         the CPU rung has no config equivalent, so the caller must pass
-        one).  All other keyword arguments carry the semantics of the
-        legacy ``classify()`` signature.
+        one).  All other keyword arguments mean what they mean for
+        :meth:`HierarchicalForestClassifier.classify
+        <repro.core.classifier.HierarchicalForestClassifier.classify>`.
         """
         if not isinstance(plan, ExecutionPlan):
             raise PlanError(
@@ -179,33 +162,13 @@ class RuntimeSession:
             config = plan.to_run_config()  # raises PlanError for cpu plans
 
         layout = self.layout_for(plan)
-        bounds = self._shard_bounds(X.shape[0], plan.batch_split)
-        outputs = []
-        for shard_index, (lo, hi) in enumerate(bounds):
-            try:
-                outputs.append(
-                    backend.run(
-                        plan,
-                        layout,
-                        X[lo:hi],
-                        launch_gate=launch_gate,
-                        observer=observer,
-                    )
-                )
-            except Exception as exc:
-                raise ExecutionError(
-                    plan, shard_index, len(bounds), exc
-                ) from exc
-        if len(outputs) == 1:
-            predictions = outputs[0].predictions
-            seconds = outputs[0].seconds
-            details = outputs[0].details
-        else:
-            predictions = np.concatenate([o.predictions for o in outputs])
-            seconds = float(sum(o.seconds for o in outputs))
-            details = dict(outputs[-1].details)
-            details["batch_split"] = len(outputs)
-            details["shard_seconds"] = [o.seconds for o in outputs]
+        try:
+            out = backend.run(
+                plan, layout, X, launch_gate=launch_gate, observer=observer
+            )
+        except Exception as exc:
+            raise ExecutionError(plan, exc) from exc
+        predictions, seconds, details = out.predictions, out.seconds, out.details
 
         if self.verify_against_reference and plan.platform != CPU_PLATFORM:
             ref = reference_predict(self.oracle_trees(plan.precision), X)

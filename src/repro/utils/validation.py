@@ -27,7 +27,9 @@ def check_array_2d(x, name: str = "X", dtype=np.float32) -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    # min/max propagate NaN and reach any inf without the n-byte mask
+    # np.isfinite(arr) would allocate on every (100k-row) query matrix.
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError(f"{name} contains NaN or infinite values")
     return arr
 

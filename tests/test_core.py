@@ -178,36 +178,32 @@ class TestClassifier:
             layout.value[leaf_idx] = old
 
 
-class TestBatchedClassification:
-    def test_matches_single_shot(self, fitted):
-        clf, Xte, yte = fitted
-        single = clf.classify(Xte, RunConfig(variant="independent"))
-        batched = clf.classify_batched(
-            Xte, RunConfig(variant="independent"), batch_size=300, y_true=yte
+class TestClassifyInputValidation:
+    """classify() rejects bad queries before planning or any launch."""
+
+    @pytest.mark.parametrize(
+        "verify, config",
+        [
+            (False, RunConfig(variant="auto", trace="off")),
+            (True, RunConfig(variant="hybrid")),
+        ],
+        ids=["unverified-serve", "verified-model"],
+    )
+    def test_nan_queries_rejected_before_launch(self, trained_small, verify, config):
+        forest, _, _, Xte, _ = trained_small
+        clf = HierarchicalForestClassifier.from_forest(
+            forest, verify_against_reference=verify
         )
-        assert np.array_equal(batched.predictions, single.predictions)
-        assert batched.n_batches == -(-Xte.shape[0] // 300)
-        assert batched.accuracy == pytest.approx(
-            np.mean(single.predictions == yte)
-        )
+        X = Xte[:3].copy()
+        X[1, 0] = np.nan
+        launches = []
+        with pytest.raises(ValueError, match="NaN"):
+            clf.classify(X, config, launch_gate=lambda: launches.append(1) or 0.0)
+        assert launches == []
 
-    def test_latency_stats(self, fitted):
+    def test_empty_queries_rejected(self, fitted):
         clf, Xte, _ = fitted
-        b = clf.classify_batched(Xte, RunConfig(variant="hybrid"), batch_size=256)
-        assert b.total_seconds >= b.max_batch_seconds >= b.mean_batch_seconds > 0
-        assert b.throughput_qps > 0
-
-    def test_single_batch_when_large(self, fitted):
-        clf, Xte, _ = fitted
-        b = clf.classify_batched(Xte, batch_size=10**9)
-        assert b.n_batches == 1
-
-    def test_invalid_batch_size(self, fitted):
-        clf, Xte, _ = fitted
-        with pytest.raises(ValueError):
-            clf.classify_batched(Xte, batch_size=0)
-
-    def test_empty_input_rejected(self, fitted):
-        clf, _, _ = fitted
-        with pytest.raises(ValueError):
-            clf.classify_batched(np.empty((0, 10), dtype=np.float32))
+        empty = np.empty((0, Xte.shape[1]), dtype=np.float32)
+        for config in (RunConfig(variant="hybrid"), RunConfig(variant="auto", trace="off")):
+            with pytest.raises(ValueError, match="non-empty"):
+                clf.classify(empty, config)

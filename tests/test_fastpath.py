@@ -141,19 +141,6 @@ class TestGoldenEquivalence:
             assert np.array_equal(preds, ref)
             assert 0.0 < stats.frontier_occupancy <= 1.0
 
-    def test_batch_split_sharding_matches_single_launch(self, session, queries, oracle):
-        cfg = RunConfig(trace=TRACE_OFF)
-        plan = compile_plan(None, cfg)
-        sharded = ExecutionPlan(
-            platform=plan.platform,
-            variant=plan.variant,
-            layout=plan.layout,
-            batch_split=4,
-            trace=TRACE_OFF,
-        )
-        res = session.run(sharded, queries)
-        assert np.array_equal(res.predictions, oracle)
-
 
 # ----------------------------------------------------------------------
 # Engine mechanics

@@ -285,35 +285,13 @@ class TestReportPlumbing:
         assert isinstance(d["dropped_trees"], list)
 
 
-class TestGuardedBatched:
-    def test_clean_batched_matches_single_shot(self, guarded):
-        guard, clf, X, y = guarded()
-        config = RunConfig(variant="hybrid")
-        batched = guard.classify_batched(X, config, batch_size=50, y_true=y)
-        assert batched.n_batches == 3
-        r = batched.reliability
-        assert r.calls == 3
-        assert r.attempts == 3
-        assert r.transfer_verifications == 1  # first batch only
-        assert r.fallback_depth == 0
-        assert np.array_equal(batched.predictions, clf.predict(X))
-
-    def test_batched_under_faults_stays_available(self, guarded):
-        guard, clf, X, _ = guarded(
-            fault_plan=FaultPlan(seed=0, launch_fail_rate=1.0)
-        )
-        batched = guard.classify_batched(X, RunConfig(variant="hybrid"), batch_size=64)
-        r = batched.reliability
-        assert r.calls == 2
-        assert r.attempts == 12  # 6 per batch
-        assert r.fallback_depth == 2
-        assert np.array_equal(batched.predictions, clf.predict(X))
-
-    def test_input_validation(self, guarded):
+class TestInputValidation:
+    def test_y_true_length_mismatch(self, guarded):
         guard, _, X, _ = guarded()
         with pytest.raises(ValueError, match="y_true"):
-            guard.classify_batched(X, batch_size=64, y_true=np.zeros(3))
-        with pytest.raises(ValueError, match="batch_size"):
-            guard.classify_batched(X, batch_size=0)
+            guard.classify(X, y_true=np.zeros(3))
+
+    def test_nan_queries_rejected(self, guarded):
+        guard, _, _, _ = guarded()
         with pytest.raises(ValueError, match="X"):
             guard.classify(np.array([[np.nan, 1.0]]))

@@ -3,6 +3,7 @@ corruption handling (warn + evict + re-probe, atomic writes)."""
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from repro.datasets.profiles import make_synthetic_forest
 from repro.reliability.faults import TransientKernelError
 from repro.runtime import (
     ExecutionError,
+    ExecutionPlan,
     Planner,
     RuntimeSession,
     compile_plan,
 )
+from repro.runtime.planner import forest_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -41,38 +44,11 @@ class TestExecutionError:
         assert e.plan is plan
         assert e.platform == "gpu"
         assert e.variant == "hybrid"
-        assert e.shard_index == 0
-        assert e.n_shards == 1
         assert isinstance(e.__cause__, TransientKernelError)
-        assert "shard 1/1" in str(e)
-        assert "TransientKernelError" in str(e)
-
-    def test_sharded_failure_reports_the_failing_shard(self, workload):
-        forest, X = workload
-        session = RuntimeSession.from_forest(forest)
-        base = compile_plan(forest, RunConfig(variant=KernelVariant.INDEPENDENT))
-        from repro.runtime import ExecutionPlan
-
-        plan = ExecutionPlan(
-            platform=base.platform,
-            variant=base.variant,
-            layout=base.layout,
-            replication=base.replication,
-            batch_split=4,
+        assert str(e) == (
+            f"plan {plan.label} failed: "
+            "TransientKernelError: injected launch failure"
         )
-        calls = {"n": 0}
-
-        def fail_on_third():
-            calls["n"] += 1
-            if calls["n"] == 3:
-                raise TransientKernelError("third launch dies")
-            return 0.0
-
-        with pytest.raises(ExecutionError) as err:
-            session.run(plan, X, launch_gate=fail_on_third)
-        assert err.value.shard_index == 2
-        assert err.value.n_shards == 4
-        assert "shard 3/4" in str(err.value)
 
     def test_clean_run_unaffected(self, workload):
         forest, X = workload
@@ -123,6 +99,55 @@ class TestPlanCacheHardening:
         planner.autotune(X, platform=Platform.GPU)
         assert planner.stats["cache_evictions"] == 1
         assert not os.path.exists(path) or planner.stats["cache_writes"] == 1
+
+    def test_entry_written_before_field_removal_still_replays(
+        self, workload, tmp_path
+    ):
+        # Plan-cache entries written before the sharding field was removed
+        # carry "batch_split": 1; from_dict ignores it, so they replay.
+        forest, X = workload
+        older = {
+            "batch_split": 1,
+            "cost_estimate_s": 2.5e-05,
+            "layout": {"root_subtree_depth": None, "subtree_depth": 5},
+            "platform": "gpu",
+            "precision": "float32",
+            "replication": {
+                "cus_per_slr": 1,
+                "freq_mhz": None,
+                "n_slrs": 1,
+                "split_stage1": False,
+            },
+            "source": "autotuned",
+            "trace": "model",
+            "variant": "independent",
+            "verify_integrity": False,
+        }
+        expected = ExecutionPlan.from_dict(older)
+        assert expected.variant == "independent"
+        assert expected.layout.sd == 5
+
+        planner = self.make_planner(forest, tmp_path)
+        path = planner._cache_path(X, Platform.GPU)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(
+                {
+                    "version": 1,
+                    "forest_fingerprint": forest_fingerprint(forest.trees_),
+                    "probe_queries": 64,
+                    "seed": planner.seed,
+                    "plan": older,
+                },
+                f,
+            )
+        plan = planner.autotune(X, platform=Platform.GPU)
+        assert plan.source == "cache"
+        assert plan.to_json() == replace(expected, source="cache").to_json()
+        assert planner.stats["cache_hits"] == 1
+        assert planner.stats["cache_evictions"] == 0
+        assert planner.stats["probe_runs"] == 0
+        assert os.path.exists(path)
 
     def test_store_is_atomic_rename(self, workload, tmp_path):
         forest, X = workload

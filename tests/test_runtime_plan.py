@@ -13,7 +13,6 @@ class TestValidation:
         plan = ExecutionPlan()
         assert plan.platform == "gpu"
         assert plan.variant == "hybrid"
-        assert plan.batch_split == 1
 
     def test_invalid_pair_raises_plan_error(self):
         # Regression: cuml on FPGA used to surface as a bare KeyError deep
@@ -52,10 +51,6 @@ class TestValidation:
         assert plan.platform == "fpga"
         assert plan.variant == "csr"
 
-    def test_bad_batch_split(self):
-        with pytest.raises(PlanError):
-            ExecutionPlan(batch_split=0)
-
     def test_bad_layout_type(self):
         with pytest.raises(PlanError):
             ExecutionPlan(layout=(6, 6))
@@ -83,9 +78,6 @@ class TestLabels:
             replication=Replication(4, 12),
         )
         assert "4S12C" in plan.label
-
-    def test_batch_split_suffix(self):
-        assert ExecutionPlan(batch_split=4).label.endswith("-x4")
 
 
 class TestRunConfigBridge:
@@ -120,7 +112,6 @@ class TestJsonRoundTrip:
             variant="hybrid",
             layout=LayoutParams(6, 10),
             replication=HYBRID_SPLIT_4S10C,
-            batch_split=3,
             verify_integrity=True,
             source="autotuned",
             cost_estimate_s=1.25e-4,
@@ -144,6 +135,5 @@ class TestJsonRoundTrip:
 
     def test_from_dict_defaults(self):
         plan = ExecutionPlan.from_dict({"platform": "gpu", "variant": "csr"})
-        assert plan.batch_split == 1
         assert plan.replication == Replication()
         assert plan.cost_estimate_s is None

@@ -53,7 +53,6 @@ class TestCompilePlan:
         assert plan.layout == cfg.layout
         assert plan.replication == cfg.replication
         assert plan.verify_integrity is True
-        assert plan.batch_split == 1
         assert plan.source == "explicit"
         # The round trip back to a RunConfig is the legacy wiring exactly.
         back = plan.to_run_config()

@@ -86,17 +86,3 @@ def test_classifier_front_door_matches_golden(pair, workload):
     assert _crc(res.predictions) == crc
     assert res.seconds == pytest.approx(seconds, abs=1e-9)
 
-
-def test_batch_split_preserves_predictions(workload, session):
-    """Sharded execution concatenates to the same predictions."""
-    from repro.runtime import ExecutionPlan
-
-    forest, X = workload
-    plan = ExecutionPlan(
-        platform="gpu", variant="hybrid", layout=LAYOUT, batch_split=4
-    )
-    res = session.run(plan, X)
-    assert _crc(res.predictions) == GOLDEN[("gpu", "hybrid")][0]
-    assert res.details["batch_split"] == 4
-    assert len(res.details["shard_seconds"]) == 4
-    assert res.seconds == pytest.approx(sum(res.details["shard_seconds"]))
