@@ -7,7 +7,7 @@ pays *nothing* beyond that build-time hash:
 1. Simulated device seconds are bit-identical with and without attached
    checksums (the kernels never consult them unless asked).
 2. No checksum verification executes on the clean path (counted by
-   instrumenting ``LayoutIntegrity.verify_arrays``).
+   instrumenting ``LayoutIntegrity.check``).
 3. Wall-clock per classify call stays within noise of the no-integrity
    build (generous 1.5x bound — the arrays are untouched, so anything
    above noise would be a wiring bug).
@@ -65,19 +65,19 @@ def _run():
 
     # Count verifications on the clean path.
     counter = {"n": 0}
-    orig = LayoutIntegrity.verify_arrays
+    orig = LayoutIntegrity.check
 
     def counting(self, layout):
         counter["n"] += 1
         return orig(self, layout)
 
-    LayoutIntegrity.verify_arrays = counting
+    LayoutIntegrity.check = counting
     try:
         wall_plain, res_plain = _classify_wall_seconds(clf_plain, X, config)
         wall_checked, res_checked = _classify_wall_seconds(clf_checked, X, config)
         clean_path_verifications = counter["n"]
     finally:
-        LayoutIntegrity.verify_arrays = orig
+        LayoutIntegrity.check = orig
 
     # Guarded clean path for comparison (pays one post-transfer check).
     guard = ResilientClassifier(clf_checked)

@@ -1,10 +1,12 @@
 """Request-scoped trace contexts with deterministic, seed-derived ids.
 
 A :class:`TraceContext` is the propagation token of the second
-observability layer: the front door mints one per admitted request, the
-micro-batcher derives a batch context from its first member, the guard
-derives one per guarded call, and every kernel span executed on behalf of
-that batch carries a child context.  The exporter
+observability layer: each admitted request carries the front door's trace
+seed and mints its root context when something first reads
+``request.trace`` (an unobserved request never mints one), the front door
+derives a batch context from its first member when an observer is
+attached, the guard derives one per guarded call, and every kernel span
+executed on behalf of that batch carries a child context.  The exporter
 (:mod:`repro.obs.export`) turns the parent links into Chrome-trace flow
 arrows, so one request's full causal tree — admission, queueing, batch,
 guard ladder, kernel launches — renders as a connected graph across

@@ -39,6 +39,7 @@ from repro.forest.metrics import accuracy_score
 from repro.obs.protocol import ensure_observer
 from repro.reliability.faults import FaultPlan, TransientKernelError
 from repro.reliability.integrity import (
+    Digests,
     LayoutIntegrityError,
     QuorumLostError,
     attach_integrity,
@@ -384,13 +385,22 @@ class ResilientClassifier:
         return res
 
     def _degraded(
-        self, X: np.ndarray, plan: ExecutionPlan, report: ReliabilityReport
+        self,
+        X: np.ndarray,
+        plan: ExecutionPlan,
+        report: ReliabilityReport,
+        digests: Optional[Digests],
     ) -> Optional[RunResult]:
-        """Quorum voting over the rung's intact trees; None if quorum lost."""
+        """Quorum voting over the rung's intact trees; None if quorum lost.
+
+        ``digests`` are the whole-array digests the failed check of this
+        rung's layout just computed; reusing them as the survivor memo's
+        key hashes the layout once per degraded batch, not twice.
+        """
         config = plan.to_run_config()
         layout = self.inner.layout_for(config)
         integ = attach_integrity(layout)
-        alive = integ.surviving_trees(layout)
+        alive = integ.surviving_trees(layout, digests)
         try:
             preds, dropped = degraded_predict(
                 layout, X, alive, self.min_quorum_fraction
@@ -501,7 +511,7 @@ class ResilientClassifier:
                     # is pointless.  Salvage via quorum voting or fail the
                     # rung.
                     report.integrity_failures += 1
-                    res = self._degraded(X, plan, report)
+                    res = self._degraded(X, plan, report, fault.digests)
                     if res is not None:
                         report.note_transition(
                             breaker.name, breaker.record_success()

@@ -37,9 +37,21 @@ import numpy as np
 from repro.fastpath import fastpath_predict
 from repro.utils.validation import array_crc32, check_in_range
 
+#: Whole-array digests of a layout: ``(name, crc)`` in attribute order.
+Digests = Tuple[Tuple[str, int], ...]
+
 
 class LayoutIntegrityError(RuntimeError):
-    """A layout buffer no longer matches its build-time checksum."""
+    """A layout buffer no longer matches its build-time checksum.
+
+    ``digests`` carries the layout's whole-array digests as the failed
+    :meth:`LayoutIntegrity.check` computed them, so the degraded path can
+    key :meth:`LayoutIntegrity.surviving_trees` without hashing again.
+    """
+
+    def __init__(self, message: str, digests: Optional[Digests] = None):
+        super().__init__(message)
+        self.digests = digests
 
 
 class QuorumLostError(LayoutIntegrityError):
@@ -53,6 +65,13 @@ def _node_arrays(layout) -> Dict[str, np.ndarray]:
         for name, value in vars(layout).items()
         if isinstance(value, np.ndarray)
     }
+
+
+def _array_digests(layout) -> Digests:
+    """``(name, crc)`` of each node buffer's current bytes, attribute order."""
+    return tuple(
+        (name, array_crc32(arr)) for name, arr in _node_arrays(layout).items()
+    )
 
 
 def _region_table(layout) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]:
@@ -147,7 +166,7 @@ class LayoutIntegrity:
     tree_crc: np.ndarray
     #: Last :meth:`surviving_trees` answer, keyed on the whole-array
     #: digests of the buffers it was computed from.
-    _alive_memo: Optional[Tuple[Tuple[Tuple[str, int], ...], np.ndarray]] = field(
+    _alive_memo: Optional[Tuple[Digests, np.ndarray]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -163,23 +182,25 @@ class LayoutIntegrity:
     # ------------------------------------------------------------------
     def verify_arrays(self, layout) -> List[str]:
         """Names of buffers whose current bytes mismatch the stored CRC."""
-        return [
-            name
-            for name, arr in _node_arrays(layout).items()
-            if self.array_crc.get(name) != array_crc32(arr)
-        ]
+        return self._mismatched(_array_digests(layout))
 
-    def surviving_trees(self, layout) -> np.ndarray:
+    def _mismatched(self, digests: Digests) -> List[str]:
+        return [name for name, crc in digests if self.array_crc.get(name) != crc]
+
+    def surviving_trees(
+        self, layout, digests: Optional[Digests] = None
+    ) -> np.ndarray:
         """Boolean mask of trees whose buffer regions still hash correctly.
 
         The per-tree digests (:func:`_tree_digests`) rehash every tree's
         regions, so the mask is recomputed only when the layout's current
         whole-array digests differ from those of the last call; any change
-        to a tree's bytes changes its array's digest.
+        to a tree's bytes changes its array's digest.  ``digests`` are
+        those current digests when the caller already holds them (a
+        :class:`LayoutIntegrityError` that :meth:`check` just raised for
+        ``layout`` carries them); otherwise they are hashed here.
         """
-        key = tuple(
-            (name, array_crc32(arr)) for name, arr in _node_arrays(layout).items()
-        )
+        key = digests if digests is not None else _array_digests(layout)
         if self._alive_memo is None or self._alive_memo[0] != key:
             alive = self.tree_crc == _tree_digests(layout)
             self._alive_memo = (key, alive)
@@ -187,10 +208,12 @@ class LayoutIntegrity:
 
     def check(self, layout) -> None:
         """Raise :class:`LayoutIntegrityError` if any buffer mismatches."""
-        bad = self.verify_arrays(layout)
+        digests = _array_digests(layout)
+        bad = self._mismatched(digests)
         if bad:
             raise LayoutIntegrityError(
-                "layout buffer checksum mismatch in: " + ", ".join(sorted(bad))
+                "layout buffer checksum mismatch in: " + ", ".join(sorted(bad)),
+                digests=digests,
             )
 
 

@@ -29,7 +29,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.config import TRACE_OFF, KernelVariant, Platform, RunConfig
-from repro.obs.context import TraceContext
 from repro.obs.protocol import ensure_observer
 from repro.reliability.guard import BreakerState, ResilientClassifier
 from repro.runtime.backends import CPUBackend
@@ -87,7 +86,9 @@ class ServingFrontDoor:
     trace_seed:
         Seed for the deterministic per-request :class:`TraceContext` ids
         (pure integer mixing — minting contexts never touches the clock
-        or any RNG, so serving histories replay unchanged).
+        or any RNG, so serving histories replay unchanged).  A request's
+        context is minted when something first reads its ``trace``; the
+        batch context only when an observer is attached.
     drift:
         Optional :class:`CostDriftMonitor`.  When present, every executed
         batch records the active rung's predicted seconds against the
@@ -228,7 +229,7 @@ class ServingFrontDoor:
             X=np.ascontiguousarray(X, dtype=np.float32),
             arrival_s=now,
             deadline_s=None if deadline_s is None else now + deadline_s,
-            trace=TraceContext.for_request(self._trace_seed, self._next_id),
+            trace_seed=self._trace_seed,
         )
         self._next_id += 1
         self._batcher.add(request)
@@ -321,7 +322,7 @@ class ServingFrontDoor:
             else np.concatenate([r.X for r in members])
         )
         batch_ctx = None
-        if members[0].trace is not None:
+        if self.observer is not None and members[0].trace is not None:
             batch_ctx = members[0].trace.child("batch", self._batch_id + 1)
         self._obs.on_batch_start(batch_ctx, self._batch_id + 1, members, now)
         min_slack = min(r.slack(now) for r in members)
@@ -382,7 +383,7 @@ class ServingFrontDoor:
                     degraded=report.degraded,
                     fallback_depth=report.fallback_depth,
                     hedged=hedged,
-                    trace=req.trace,
+                    trace_seed=req.trace_seed,
                 )
                 self.stats.served += 1
                 if report.degraded:
@@ -405,7 +406,7 @@ class ServingFrontDoor:
             predictions=None,
             arrival_s=req.arrival_s,
             finish_s=finish_s,
-            trace=req.trace,
+            trace_seed=req.trace_seed,
         )
         self._emit(resp)
         return resp

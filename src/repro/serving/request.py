@@ -13,11 +13,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional
 
 import numpy as np
 
 from repro.obs.context import TraceContext
+
+
+def _root_context(
+    trace_seed: Optional[int], request_id: int
+) -> Optional[TraceContext]:
+    if trace_seed is None:
+        return None
+    return TraceContext.for_request(trace_seed, request_id)
 
 
 class RequestStatus(str, enum.Enum):
@@ -70,9 +79,17 @@ class Request:
     arrival_s: float
     #: Absolute simulated-clock deadline (None = no deadline).
     deadline_s: Optional[float] = None
-    #: Root trace context minted at admission (seed-derived ids; the
-    #: whole request tree — queue, batch, guard, kernels — hangs off it).
-    trace: Optional[TraceContext] = None
+    #: Serving trace seed the root context derives from (None = untraced).
+    trace_seed: Optional[int] = None
+
+    @cached_property
+    def trace(self) -> Optional[TraceContext]:
+        """Root trace context, minted on first read (seed-derived ids).
+
+        The whole request tree — queue, batch, guard, kernels — hangs off
+        it; an unobserved request never pays for minting it.
+        """
+        return _root_context(self.trace_seed, self.request_id)
 
     @property
     def rows(self) -> int:
@@ -109,8 +126,13 @@ class Response:
     hedged: bool = False
     #: Micro-batch this request rode in (-1 for queue-time sheds).
     batch_id: int = -1
-    #: The request's root trace context (carried through from admission).
-    trace: Optional[TraceContext] = None
+    #: The request's serving trace seed (None = untraced).
+    trace_seed: Optional[int] = None
+
+    @cached_property
+    def trace(self) -> Optional[TraceContext]:
+        """The request's root trace context, minted on first read."""
+        return _root_context(self.trace_seed, self.request_id)
 
     @property
     def ok(self) -> bool:

@@ -12,6 +12,10 @@ from typing import Sequence
 
 import numpy as np
 
+#: Elements per finiteness check: the ``np.isfinite`` mask of one block is
+#: the largest temporary :func:`check_array_2d` allocates (64 KiB).
+_FINITE_BLOCK = 1 << 16
+
 
 def check_array_2d(x, name: str = "X", dtype=np.float32) -> np.ndarray:
     """Coerce ``x`` to a C-contiguous 2-D array of ``dtype``.
@@ -27,10 +31,12 @@ def check_array_2d(x, name: str = "X", dtype=np.float32) -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"{name} must be non-empty, got shape {arr.shape}")
-    # min/max propagate NaN and reach any inf without the n-byte mask
-    # np.isfinite(arr) would allocate on every (100k-row) query matrix.
-    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise ValueError(f"{name} contains NaN or infinite values")
+    # One pass over row blocks: a single reduction per block, and no mask
+    # larger than one block on a 100k-row query matrix.
+    rows = max(1, _FINITE_BLOCK // arr.shape[1])
+    for lo in range(0, arr.shape[0], rows):
+        if not np.isfinite(arr[lo : lo + rows]).all():
+            raise ValueError(f"{name} contains NaN or infinite values")
     return arr
 
 
@@ -60,7 +66,8 @@ def array_crc32(arr: np.ndarray, start: int = 0) -> int:
     node buffer with one digest.  The checksum covers values only, not dtype
     or shape — callers that need those guarantees must check them separately.
     """
-    return zlib.crc32(np.ascontiguousarray(arr).tobytes(), start) & 0xFFFFFFFF
+    # zlib reads the contiguous array's own buffer: no ``tobytes()`` copy.
+    return zlib.crc32(np.ascontiguousarray(arr), start) & 0xFFFFFFFF
 
 
 def check_same_length(*arrays: Sequence, names: Sequence[str] = ()) -> int:

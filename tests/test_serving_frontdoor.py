@@ -19,12 +19,16 @@ from repro.baselines.cpu_reference import reference_predict
 from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import KernelVariant, Platform, RunConfig
 from repro.forest.tree import random_tree
-from repro.reliability import FaultPlan, ResilientClassifier
+from repro.obs import context
+from repro.obs.context import TraceContext
+from repro.reliability import FaultPlan, ResilientClassifier, integrity
+from repro.runtime.plan import CPU_PLATFORM
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
     ChaosScenario,
     Overload,
+    Request,
     RequestStatus,
     ServingFrontDoor,
     run_scenario,
@@ -170,6 +174,88 @@ class TestDeadlines:
                 assert resp.predictions is None
                 assert resp.platform_used != ""  # the batch did execute
         assert late > 0, "hang storm was expected to produce a late shed"
+
+
+class TestLazyTraceIds:
+    """Root contexts are minted on first read, as the same seed-derived ids."""
+
+    def test_read_ids_equal_the_eager_derivation(self, trees, X_pool):
+        _, front, clock = make_front(trees, X_pool, trace_seed=17)
+        shed = front.submit(X_pool[:2], deadline_s=0.01)
+        clock.advance(0.02)
+        served = [front.submit(X_pool[i : i + 3]) for i in range(3)]
+        responses = front.drain()
+        assert [r.status for r in responses] == [
+            RequestStatus.SHED_DEADLINE_QUEUE
+        ] + [RequestStatus.SERVED] * 3
+        # Responses first: a response's read never depends on its request's.
+        for resp in responses:
+            expected = TraceContext.for_request(17, resp.request_id)
+            assert resp.trace == expected
+            assert resp.as_dict()["trace_id"] == expected.trace_hex
+        for req in [shed, *served]:
+            assert req.trace == TraceContext.for_request(17, req.request_id)
+
+    def test_unobserved_serving_mints_no_ids(self, trees, X_pool, monkeypatch):
+        _, front, _ = make_front(trees, X_pool)
+        calls = []
+        real = context.mix64
+        monkeypatch.setattr(
+            context, "mix64", lambda *parts: calls.append(parts) or real(*parts)
+        )
+        for i in range(40):
+            front.submit(X_pool[i : i + 1 + i % 4])
+        responses = front.drain()
+        assert len(responses) == 40 and all(r.ok for r in responses)
+        assert front.stats.batches >= 1
+        assert calls == []
+        # Reading an id mints it on demand, through the same mixer.
+        first = responses[0]
+        assert first.trace == TraceContext.for_request(0, first.request_id)
+        assert calls
+
+    def test_untraced_request_has_no_context(self, trees, X_pool):
+        assert Request(0, "t", X_pool[:1], 0.0, None).trace is None
+
+
+class TestDegradedBatchHashing:
+    def test_one_layout_hash_per_degraded_batch(
+        self, trees, X_pool, monkeypatch
+    ):
+        """The survivor memo is keyed by the digests the failed check made."""
+        clf, front, _ = make_front(trees, X_pool)
+        layouts = {
+            id(layout): layout
+            for plan in front.guard.ladder_plans(front.config)
+            if plan.platform != CPU_PLATFORM
+            for layout in [clf.layout_for(plan.to_run_config())]
+        }
+        (layout,) = layouts.values()  # the accelerator rungs share one layout
+        hit = FaultPlan(seed=0, tree_corruption_rate=0.25).corrupt_layout(layout)
+        assert hit
+        front.guard.notify_layout_rebuild()
+        survivors = [t for k, t in enumerate(trees) if k not in hit]
+        calls = []
+        real = integrity.array_crc32
+        monkeypatch.setattr(
+            integrity, "array_crc32", lambda *a: calls.append(a) or real(*a)
+        )
+        for b in range(3):
+            calls.clear()
+            X = X_pool[b * 4 : b * 4 + 4]
+            front.submit(X)
+            (resp,) = front.drain()
+            assert resp.ok and resp.degraded
+            assert len(calls) == len(integrity._node_arrays(layout))
+            np.testing.assert_array_equal(
+                resp.predictions, reference_predict(survivors, X)
+            )
+        monkeypatch.undo()
+        fresh = layout.integrity.tree_crc == integrity._tree_digests(layout)
+        assert np.flatnonzero(~fresh).tolist() == list(hit)
+        np.testing.assert_array_equal(
+            layout.integrity.surviving_trees(layout), fresh
+        )
 
 
 class TestHedging:
