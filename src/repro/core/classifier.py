@@ -42,7 +42,7 @@ from repro.fpgasim.device import ALVEO_U250, FPGASpec
 from repro.gpusim.device import GPUSpec, TITAN_XP
 from repro.runtime.planner import Planner, compile_plan
 from repro.runtime.session import RuntimeSession
-from repro.utils.validation import check_array_2d
+from repro.utils.validation import check_array_2d, check_feature_width
 
 
 class HierarchicalForestClassifier:
@@ -180,8 +180,9 @@ class HierarchicalForestClassifier:
     ) -> RunResult:
         """Run one simulated classification and return its result.
 
-        ``X`` must be a non-empty, finite 2-D matrix; it is checked (and
-        coerced to C-contiguous float32) before planning or any launch.
+        ``X`` must be a non-empty, finite 2-D matrix with a column for
+        every feature the forest splits on; it is checked (and coerced to
+        C-contiguous float32) before planning or any launch.
         Predictions are verified against the CPU reference unless
         ``verify_against_reference=False`` (useful only for very large
         sweeps where the reference pass dominates).
@@ -206,6 +207,7 @@ class HierarchicalForestClassifier:
         reported via ``on_transfer``.
         """
         X = check_array_2d(X, "X")
+        check_feature_width(X, self.runtime.max_feature)
         plan, config = self._resolve(X, config)
         session = self.runtime
         session.verify_against_reference = self.verify_against_reference

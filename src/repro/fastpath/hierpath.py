@@ -5,11 +5,16 @@ goes to local slot ``2n+1+went_right`` of the same subtree; an inner node
 on the subtree's frontier (its deepest stored level) hops instead through
 the CSR connection arrays to the root slot of the child subtree
 ``subtree_connection[connection_offset[st] + 2 * rank + went_right]``,
-``rank`` being the node's position on the frontier.  Both rules are
+``rank`` being the node's position on the frontier.  The hops are
 resolved *once*, at layout build time, into the flat successor table of an
-:class:`~repro.fastpath.engine.EdgeTable`; the shared
-:func:`~repro.fastpath.engine.traverse_edges` core then steps every
-``(row, tree)`` lane with plain gathers, no per-step crossing logic.
+:class:`~repro.fastpath.engine.EdgeTable`, which also carries the layout's
+RSD and SD.  Subtree roots sit at the fixed tree depths 0, RSD, RSD + SD,
+..., so the shared :func:`~repro.fastpath.engine.traverse_edges` core
+knows from the depth alone which levels hop: it gathers ``succ`` there
+and computes the in-subtree child everywhere else.  That holds only if
+every subtree with an inner frontier slot is exactly as deep as the
+layout's RSD (tree-root subtrees) or SD (the rest), and no subtree is
+deeper; the lowering checks both.
 """
 
 from __future__ import annotations
@@ -70,6 +75,13 @@ def build_edges(layout: HierarchicalForest) -> EdgeTable:
     sd = layout.subtree_depth.astype(np.int64)
     frontier_start = ((np.int64(1) << (sd - 1)) - 1)[owner]
     crossing = local >= frontier_start
+    # The core hops exactly at each subtree's full depth, so a hop from a
+    # shorter subtree, or any subtree deeper than that, breaks its walk.
+    rsd = int(layout.params.rsd)
+    full = np.full(n_subtrees, layout.params.sd, dtype=np.int64)
+    full[layout.tree_root_subtree] = rsd
+    if np.any(sd > full) or np.any((sd < full)[owner[crossing]]):
+        raise RuntimeError("subtree depth disagrees with the layout's RSD/SD")
     args = (layout, node_off, owner, local, frontier_start, crossing)
     return edge_table(
         layout,
@@ -78,6 +90,8 @@ def build_edges(layout: HierarchicalForest) -> EdgeTable:
         _targets(*args, 0),
         _targets(*args, 1),
         node_off[layout.tree_root_subtree],
+        rsd=rsd,
+        sd=int(layout.params.sd),
     )
 
 

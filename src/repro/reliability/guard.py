@@ -50,7 +50,12 @@ from repro.runtime.plan import CPU_PLATFORM, ExecutionPlan
 from repro.runtime.planner import compile_plan
 from repro.runtime.session import ExecutionError
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_array_2d, check_positive_int, check_same_length
+from repro.utils.validation import (
+    check_array_2d,
+    check_feature_width,
+    check_positive_int,
+    check_same_length,
+)
 
 
 class DeadlineExceededError(RuntimeError):
@@ -445,6 +450,7 @@ class ResilientClassifier:
         before the ladder is built.
         """
         X = check_array_2d(X, "X")
+        check_feature_width(X, self.inner.runtime.max_feature)
         if y_true is not None:
             y_true = np.asarray(y_true)
             check_same_length(X, y_true, names=("X", "y_true"))

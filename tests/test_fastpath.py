@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.cpu_reference import reference_predict
 from repro.baselines.cuml_fil import FILForest
@@ -36,10 +37,11 @@ from repro.fastpath import (
     supports_variant,
 )
 from repro.fastpath.engine import FASTPATH_CHUNK_LANES, select_trees, traverse_edges
+from repro.fastpath.hierpath import build_edges
 from repro.forest.tree import LEAF, random_tree
 from repro.fpgasim.replication import Replication
 from repro.kernels import registered_pairs
-from repro.layout.codec import quantize_trees
+from repro.layout.codec import PRECISIONS, quantize_trees
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 from repro.obs import ObsSession
@@ -177,6 +179,32 @@ class TestFastpathEngine:
             assert (stats.trees, stats.lanes) == (4, queries.shape[0] * 4)
             assert np.array_equal(fastpath_predict(layout, queries, trees=mask)[0], ref)
 
+    def test_too_narrow_X_raises_before_any_launch(self, small_trees, queries):
+        """A lane reads feature ``f`` of row ``r`` at flat offset
+        ``r * width + f``, so an ``X`` without a column for the forest's
+        largest split feature would read the next row's values."""
+        top = max(int(t.feature.max()) for t in small_trees)
+        narrow = np.ascontiguousarray(queries[:, :top])
+        for layout in (
+            HierarchicalForest.from_trees(small_trees, LayoutParams(4, 8)),
+            CSRForest.from_trees(small_trees),
+            FILForest.from_trees(small_trees),
+        ):
+            assert layout._fastpath_edges.max_feature == top
+            with pytest.raises(ValueError, match=f"splits on feature {top}"):
+                fastpath_predict(layout, narrow)
+        clf = HierarchicalForestClassifier.from_trees(
+            small_trees, queries.shape[1], verify_against_reference=False
+        )
+        config = RunConfig(variant="hybrid", trace=TRACE_OFF)
+        for classify in (clf.classify, ResilientClassifier(clf, seed=0).classify):
+            with pytest.raises(ValueError, match=f"splits on feature {top}"):
+                classify(narrow, config)
+        assert np.array_equal(
+            clf.classify(queries, config).predictions,
+            reference_predict(small_trees, queries),
+        )
+
     def test_levels_bounded_by_depth(self, small_trees, queries):
         max_depth = max(int(t.depth.max()) for t in small_trees) + 1
         _, stats = fastpath_predict(CSRForest.from_trees(small_trees), queries)
@@ -273,6 +301,49 @@ class TestWorkCounters:
         assert preds.shape == (queries.shape[0],)
         assert not preds.any()
         assert (levels, lane_levels) == (0, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        depths=st.lists(st.integers(0, 14), min_size=1, max_size=5),
+        params=st.sampled_from([(4, 10), (8, 8), (5, 2), (3, 1), (2, 12), (1, 1)]),
+        codec=st.sampled_from(PRECISIONS),
+        mask=st.lists(st.booleans(), min_size=5, max_size=5),
+    )
+    def test_computed_children_equal_host_walk(self, seed, depths, params, codec, mask):
+        """Hierarchical tables compute the child inside complete subtrees and
+        gather ``succ`` only at subtree crossings; predictions and both work
+        counters must match a walk over the host trees, for trees shallower
+        and deeper than RSD and under a tree mask."""
+        rng = np.random.default_rng(seed)
+        trees = [random_tree(rng, 6, d, leaf_prob=0.2) for d in depths]
+        X = rng.standard_normal((int(rng.integers(1, 300)), 6)).astype(np.float32)
+        layout = HierarchicalForest.from_trees(trees, LayoutParams(*params), codec=codec)
+        assert (layout._fastpath_edges.sd, layout._fastpath_edges.rsd) == params
+        host = trees if codec == "float32" else quantize_trees(trees, codec)
+        keep = np.flatnonzero(mask[: len(trees)])
+        for sel in (None, keep):
+            sub = host if sel is None else [host[t] for t in sel]
+            preds, stats = fastpath_predict(layout, X, trees=sel)
+            if not sub:
+                assert (stats.levels, stats.lane_levels) == (0, 0)
+                continue
+            depths_hit = host_leaf_depths(sub, X)
+            assert np.array_equal(preds, reference_predict(sub, X))
+            assert stats.levels == int(depths_hit.max()) + 1
+            assert stats.lane_levels == int(depths_hit.sum()) + depths_hit.size
+
+    @pytest.mark.parametrize("built,claimed", [((4, 4), (4, 6)), ((4, 6), (4, 4))])
+    def test_lowering_rejects_subtree_depth_off_the_crossing_levels(
+        self, deep_trees, built, claimed
+    ):
+        """The core hops at the depths RSD and SD fix.  A root subtree built
+        shallower than the RSD its params claim has inner frontier slots
+        that must hop one level early; one built deeper would hop late."""
+        layout = HierarchicalForest.from_trees(deep_trees, LayoutParams(*built))
+        layout.params = LayoutParams(*claimed)
+        with pytest.raises(RuntimeError, match="RSD/SD"):
+            build_edges(layout)
 
     def test_int8_retired_lanes_gather_in_bounds(self):
         """Lanes that reached a leaf never gather with their negative feature.
