@@ -25,6 +25,8 @@ from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
+from repro.utils.validation import check_feature_width
+
 #: ``feature`` marker for leaf nodes (paper uses -1 in the CSR node table).
 LEAF: int = -1
 #: ``feature`` marker for padding/null nodes in padded layouts (never appears
@@ -260,6 +262,11 @@ class TreeStack:
         return int(self.roots.shape[0])
 
 
+def max_split_feature(trees: Iterable[DecisionTree]) -> int:
+    """Highest feature index any split of ``trees`` reads (-1 if none split)."""
+    return max(int(t.feature.max()) for t in trees)
+
+
 def stack_trees(trees: Union[Iterable[DecisionTree], TreeStack]) -> TreeStack:
     """Stack ``trees`` for :func:`leaf_labels`; a ``TreeStack`` passes through."""
     if isinstance(trees, TreeStack):
@@ -286,7 +293,7 @@ def stack_trees(trees: Union[Iterable[DecisionTree], TreeStack]) -> TreeStack:
         child=child,
         value=np.concatenate([t.value for t in trees]),
         n_classes=max(t.n_classes for t in trees),
-        max_feature=int(feature.max()),
+        max_feature=max_split_feature(trees),
     )
 
 
@@ -323,12 +330,8 @@ def leaf_labels(stack: TreeStack, X: np.ndarray) -> np.ndarray:
     the way NumPy does.  ``X`` must be 2-D C-contiguous float32; its rows
     are all live at once, so callers bound the lane count by chunking rows.
     """
+    check_feature_width(X, stack.max_feature)
     n_rows, n_features = X.shape
-    if stack.max_feature >= n_features:
-        raise IndexError(
-            f"trees split on feature {stack.max_feature}, "
-            f"X has {n_features} features"
-        )
     n_lanes = n_rows * stack.n_trees
     labels = np.empty(n_lanes, dtype=np.int32)
     lane = np.arange(n_lanes, dtype=np.int64)
