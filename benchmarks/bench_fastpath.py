@@ -91,13 +91,14 @@ N_TREES = 12
 TREE_DEPTH = 16
 
 #: One measured config per layout family (hier / csr / fil), plus the
-#: quantized variants of the CSR layout: the gather-time dequantization
-#: runs inside the timed region, so the gate also bounds the codec
-#: surcharge.  CSR is the family with gate headroom — the hybrid's trace
-#: denominator is ~2x faster, which would park its quantized ratio near
-#: the 50x floor where scheduler noise flakes the gate; hier-family codec
-#: correctness is pinned by the golden suite instead (cuml has no
-#: quantized form — the FIL shim is float32-only).
+#: quantized variants of the CSR layout.  The fastpath compares the same
+#: decoded float32 thresholds under every codec, so those rows differ from
+#: gpu-csr only in the thresholds the codec's round trip leaves behind.
+#: CSR is the family with gate headroom — the hybrid's trace denominator
+#: is ~2x faster, which would park its quantized ratio near the 50x floor
+#: where scheduler noise flakes the gate; hier-family codec correctness is
+#: pinned by the golden suite instead (cuml has no quantized form — the
+#: FIL shim is float32-only).
 FAMILIES = (
     ("gpu-hybrid", RunConfig(variant="hybrid", layout=LayoutParams(6, 10))),
     ("gpu-csr", RunConfig(variant="csr")),

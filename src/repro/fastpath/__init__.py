@@ -27,7 +27,6 @@ as it grows.
 """
 
 from repro.fastpath.engine import (
-    FASTPATH_DEQUANT_FACTOR,
     FASTPATH_LAUNCH_OVERHEAD_S,
     FASTPATH_SECONDS_PER_LANE_LEVEL,
     FastpathStats,
@@ -38,7 +37,6 @@ from repro.fastpath.engine import (
 )
 
 __all__ = [
-    "FASTPATH_DEQUANT_FACTOR",
     "FASTPATH_LAUNCH_OVERHEAD_S",
     "FASTPATH_SECONDS_PER_LANE_LEVEL",
     "FastpathStats",

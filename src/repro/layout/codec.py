@@ -23,11 +23,12 @@ The paper's layouts (Sec. 4) store one float32 ``value`` channel per node
 
 Codecs quantize at *build* time: a layout constructed under codec ``c``
 stores the already-decoded (round-tripped) float32 values, so every
-downstream consumer — trace kernels, integrity checksums — runs unchanged
-and agrees bit-for-bit with the fastpath's dequantize-on-gather
-(:mod:`repro.fastpath`), which replays the exact same float32 expression
-per lane.  :func:`quantize_trees` applies the same round trip to the host
-trees, which makes the CPU reference over them the oracle for a quantized
+downstream consumer — trace kernels, integrity checksums, the fastpath
+(:mod:`repro.fastpath`) — compares that one channel unchanged.  The
+stored codes and calibration tables size the device bytes
+(:mod:`repro.layout.footprint`) and the forest file.
+:func:`quantize_trees` applies the same round trip to the host trees,
+which makes the CPU reference over them the oracle for a quantized
 layout.
 
 All decode arithmetic is float32 end to end.  A float64 operand in the
@@ -140,9 +141,9 @@ class NodeCodec:
     ) -> np.ndarray:
         """Decode stored codes back to float32 thresholds.
 
-        This is the *canonical* dequantization expression: the fastpath
-        gather replays it elementwise per lane, so it must stay a pure
-        float32 composition for bit-identity.
+        This is the *canonical* dequantization expression: the layout
+        builders and the forest loader both decode through it, so it must
+        stay a pure float32 composition for bit-identity.
         """
         raise NotImplementedError
 

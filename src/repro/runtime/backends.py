@@ -115,7 +115,7 @@ def _run_fastpath(plan, layout, X, launch_gate, observer) -> BackendOutput:
 
         verify_layout_integrity(layout)
     preds, stats = fastpath_predict(layout, X)
-    seconds = fastpath_seconds(stats.lane_levels, precision=plan.precision) + hang_s
+    seconds = fastpath_seconds(stats.lane_levels) + hang_s
     if observer is not None:
         ensure_observer(observer).on_fastpath(plan, stats, seconds)
     return BackendOutput(

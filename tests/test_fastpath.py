@@ -11,7 +11,7 @@ The contract under test (ISSUE 7 acceptance):
   their modelled seconds are deterministic.
 """
 
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -52,7 +52,6 @@ from repro.runtime.planner import Planner, compile_plan
 from repro.runtime.session import RuntimeSession
 from repro.serving import ServingFrontDoor
 from repro.utils.clock import SimulatedClock
-from tests.test_baselines import NonNegativeTake, three_class_forest
 
 ALL_PAIRS = registered_pairs()
 
@@ -345,30 +344,6 @@ class TestWorkCounters:
         with pytest.raises(RuntimeError, match="RSD/SD"):
             build_edges(layout)
 
-    def test_int8_retired_lanes_gather_in_bounds(self):
-        """Lanes that reached a leaf never gather with their negative feature.
-
-        The per-feature ``qscale``/``qoffset`` tables are read through an
-        array that rejects negative indices, as a device gather would.
-        """
-        trees, X = three_class_forest()
-        host = quantize_trees(trees, "int8")
-        depths = host_leaf_depths(host, X)
-        for layout in (
-            HierarchicalForest.from_trees(trees, LayoutParams(3, 5), codec="int8"),
-            CSRForest.from_trees(trees, codec="int8"),
-        ):
-            table = layout._fastpath_edges
-            strict = replace(
-                table,
-                qscale=table.qscale.view(NonNegativeTake),
-                qoffset=table.qoffset.view(NonNegativeTake),
-            )
-            preds, levels, lane_levels = traverse_edges(strict, X)
-            assert np.array_equal(preds, reference_predict(host, X))
-            assert levels == int(depths.max()) + 1
-            assert lane_levels == int(depths.sum()) + depths.size
-
 
 # ----------------------------------------------------------------------
 # Config / plan lifecycle
@@ -476,13 +451,16 @@ SUSY_FOOTPRINTS = {
 
 #: Trace-off auto decisions on susy d20x20 per memory budget, as the
 #: cost-ranked, probe-run autotuner made them: (variant, layout,
-#: precision), identical on gpu and fpga.
+#: precision), identical on gpu and fpga.  At 410,082 B (CSR int8's exact
+#: footprint) both csr-int8 and hybrid-SD4-packed fit: int8 and packed tie,
+#: and the canonical plan JSON picks the packed hybrid.
 SUSY_BUDGET_PLANS = {
     None: ("hybrid", LayoutParams(4, 10), "float32"),
     10**9: ("hybrid", LayoutParams(4, 10), "float32"),
     600_000: ("hybrid", LayoutParams(4, 4), "float32"),
     520_000: ("csr", LayoutParams(), "float32"),
     480_000: ("hybrid", LayoutParams(4, 4), "float16"),
+    410_082: ("hybrid", LayoutParams(4, 4), "packed"),
     400_000: ("hybrid", LayoutParams(4, 4), "packed"),
     200_000: ("csr", LayoutParams(), "packed"),
     1: ("csr", LayoutParams(), "packed"),
@@ -591,7 +569,7 @@ class TestObsFastpathCounters:
 
 
 # ----------------------------------------------------------------------
-# Quantized layouts: dequantize-on-gather golden equivalence (ISSUE 10)
+# Quantized layouts: golden equivalence on the decoded thresholds
 # ----------------------------------------------------------------------
 QUANT_CODECS = ("float16", "int8", "packed")
 
@@ -624,7 +602,7 @@ def boundary_queries(small_trees, queries):
 
 
 class TestQuantizedGolden:
-    """The gather-time decode must replay the build-time round-trip exactly.
+    """Both execution modes compare the build-time round-trip exactly.
 
     The bit-identity tests run twice: on random queries and on the
     boundary rows of :func:`snap_to_thresholds`.
@@ -644,29 +622,26 @@ class TestQuantizedGolden:
             assert np.array_equal(fast.predictions, model.predictions)
             assert np.array_equal(fast.predictions, reference_predict(oracle_trees, X))
 
-    @pytest.mark.parametrize("codec", QUANT_CODECS)
-    def test_edge_table_really_dequantizes(self, small_trees, queries, codec):
-        """The table compares against gathered codes, not the f32 channel."""
-        from repro.fastpath.csrpath import build_edges
-
-        layout = CSRForest.from_trees(small_trees, codec=codec)
-        table = build_edges(layout)
-        assert table.codec == codec
-        assert table.qcodes is not None
-        if codec == "float16":
-            assert table.qcodes.dtype == np.float16
-            assert table.qscale is None
+    @pytest.mark.parametrize("codec", PRECISIONS)
+    @pytest.mark.parametrize("family", ["hier", "csr", "fil"])
+    def test_edge_table_holds_the_decoded_value_channel(
+        self, small_trees, family, codec
+    ):
+        """Every codec lowers to the same five buffers, and the thresholds
+        the core compares are the layout's decoded channel, bit for bit."""
+        if family == "fil":  # FIL has no codec axis: build from the oracle
+            layout = FILForest.from_trees(quantize_trees(small_trees, codec))
         else:
-            assert table.qcodes.dtype == np.int8
-            assert table.qscale is not None
-            assert table.qoffset is not None
-
-    def test_float32_edge_table_unchanged(self, small_trees):
-        from repro.fastpath.csrpath import build_edges
-
-        table = build_edges(CSRForest.from_trees(small_trees))
-        assert table.codec == "float32"
-        assert table.qcodes is None and table.qscale is None
+            layout = _family_layout(family, small_trees, codec)
+        table = layout._fastpath_edges
+        buffers = [
+            f.name
+            for f in fields(table)
+            if isinstance(getattr(table, f.name), np.ndarray)
+        ]
+        assert buffers == ["feature", "value", "label", "succ", "roots"]
+        assert table.value.dtype == layout.value.dtype == np.float32
+        assert table.value.tobytes() == layout.value.tobytes()
 
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     def test_hier_families_share_the_quantized_table(
@@ -689,20 +664,9 @@ class TestQuantizedGolden:
         agreement = float(np.mean(res.predictions == oracle))
         assert agreement >= 0.98
 
-    def test_seconds_charge_the_dequant_surcharge(self, session, queries):
-        from repro.fastpath import FASTPATH_DEQUANT_FACTOR
-
-        f32 = session.run(_plan("gpu", "hybrid"), queries)
+    def test_quantized_seconds_are_the_one_model(self, session, queries):
         i8 = session.run(_plan("gpu", "hybrid", precision="int8"), queries)
-        lane_levels = i8.details["lane_levels"]
-        assert i8.seconds == pytest.approx(
-            fastpath_seconds(lane_levels, precision="int8")
-        )
-        assert fastpath_seconds(10_000, "int8") > fastpath_seconds(10_000)
-        assert FASTPATH_DEQUANT_FACTOR["float32"] == 1.0
-        assert f32.seconds == pytest.approx(
-            fastpath_seconds(f32.details["lane_levels"])
-        )
+        assert i8.seconds == fastpath_seconds(i8.details["lane_levels"])
 
     @pytest.mark.parametrize("codec", QUANT_CODECS)
     def test_quantized_label_round_trips(self, codec):

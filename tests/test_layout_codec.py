@@ -259,6 +259,3 @@ class TestLayoutDtypes:
         assert not wide, f"{family}/{codec}: float64 arrays {wide}"
         assert layout.value.dtype == np.float32
         assert table.value.dtype == np.float32
-        for name in ("qscale", "qoffset"):
-            channel = getattr(table, name)
-            assert channel is None or channel.dtype == np.float32, name
