@@ -115,7 +115,7 @@ def staged_build(trees, params):
     )
     attach_integrity(layout)
     integrity = sw.restart()
-    lower(layout)
+    lower(layout, stack)
     return layout, {
         "fill": fill,
         "quantize": quantize,

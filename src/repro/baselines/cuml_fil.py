@@ -89,7 +89,7 @@ class FILForest:
             tree_offset=offsets,
             n_classes=stack.n_classes,
         )
-        lower(layout)
+        lower(layout, stack)
         return layout
 
     @property

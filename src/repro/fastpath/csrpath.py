@@ -46,9 +46,9 @@ def build_edges(layout: CSRForest) -> EdgeTable:
     )
 
 
-def traverse(layout: CSRForest, X: np.ndarray, trees=None):
+def traverse(layout: CSRForest, X: np.ndarray, trees=None, leaves=None):
     """Predict ``X`` over ``trees`` (default all); ``(predictions, stats)``."""
     table = select_trees(layout._fastpath_edges, trees)
-    preds, levels, lane_levels = traverse_edges(table, X)
+    preds, levels, lane_levels = traverse_edges(table, X, leaves=leaves)
     stats = make_stats("csr", int(X.shape[0]), table.roots.shape[0], levels, lane_levels)
     return preds, stats

@@ -44,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.forest.tree import LEAF
+from repro.forest.tree import LEAF, TreeStack, stack_trees
 from repro.utils.validation import check_feature_width
 
 #: Fixed per-launch overhead of the modelled fast path, seconds.  Stands in
@@ -160,6 +160,10 @@ class EdgeTable:
       children indirection, FIL adjacent children) are resolved here,
       once, at build time.
     * ``roots`` — ``int32[n_trees]``; each tree's root slot.
+    * ``host`` — ``int32[slots]``; the host-tree node (its
+      :class:`~repro.forest.tree.TreeStack` global id) each slot stands
+      for, -1 on padding.  :func:`lower` fills it; the core reads it only
+      to report each lane's leaf to a caller that certifies them.
 
     Three scalars ride beside the arrays (they are not buffers, so the
     ``edges.*`` layout digests do not cover them):
@@ -185,6 +189,7 @@ class EdgeTable:
     max_feature: int
     rsd: Optional[int] = None
     sd: Optional[int] = None
+    host: Optional[np.ndarray] = None
 
 
 def edge_table(layout, feature, inner, left, right, roots, rsd=None, sd=None) -> EdgeTable:
@@ -225,7 +230,9 @@ def select_trees(table: EdgeTable, trees) -> EdgeTable:
     return replace(table, roots=table.roots[keep])
 
 
-def traverse_edges(table: EdgeTable, X: np.ndarray):
+def traverse_edges(
+    table: EdgeTable, X: np.ndarray, leaves: Optional[np.ndarray] = None
+):
     """Run every ``(row, tree)`` lane of ``X`` through the successor table.
 
     Returns ``(predictions int64[n_rows], levels, lane_levels)``.  The
@@ -233,6 +240,11 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
     bincount, ties breaking toward the lower label because ``argmax``
     returns the first maximum.  ``X`` narrower than the forest's largest
     split feature raises ``ValueError``: a lane would read the next row.
+
+    With ``leaves`` (an integer array of ``n_rows * n_trees`` entries),
+    lane ``row * n_trees + k`` also writes there the host node (the
+    ``host`` channel) of the leaf it reached in the table's ``k``-th tree,
+    for a caller that certifies them against the host trees.
 
     ``levels`` is the deepest frontier iteration count of any block (a
     lane reaching a leaf at depth ``d`` retires on iteration ``d + 1``, so
@@ -252,6 +264,10 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
     check_feature_width(X, table.max_feature)
     n = int(X.shape[0])
     n_trees = int(table.roots.shape[0])
+    if leaves is not None and leaves.shape != (n * n_trees,):
+        raise ValueError(
+            f"leaves must hold {n * n_trees} lanes, got shape {leaves.shape}"
+        )
     n_classes = int(table.n_classes)
     # Lane state indexes the flattened query matrix; int32 keeps the hot
     # arrays half-width unless the batch itself needs 64-bit offsets.
@@ -285,6 +301,9 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
         )
         slot = np.tile(table.roots, stop - start)
         base = slot - 1 if rsd is not None else None
+        lane = None
+        if leaves is not None:
+            lane = np.arange(start * n_trees, stop * n_trees, dtype=idx_dtype)
         flushed = [np.empty(0, dtype=np.int32)]
         depth = 0
         retired_before = 0
@@ -300,9 +319,10 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
             retired_before = int(np.count_nonzero(at_leaf))
             if 2 * retired_before >= rx.size:
                 done = np.flatnonzero(at_leaf)
+                leaf_slot = slot.take(done)
                 flushed.append(
                     ((rx.take(done) - row_base) // n_feat).astype(np.int32) * n_classes32
-                    + label.take(slot.take(done))
+                    + label.take(leaf_slot)
                 )
                 keep = np.flatnonzero(~at_leaf)
                 rx = rx.take(keep)
@@ -310,6 +330,9 @@ def traverse_edges(table: EdgeTable, X: np.ndarray):
                 feats = feats.take(keep)
                 if base is not None:
                     base = base.take(keep)
+                if lane is not None:
+                    leaves[lane.take(done)] = table.host.take(leaf_slot)
+                    lane = lane.take(keep)
                 retired_before = 0
                 if not rx.size:
                     break
@@ -354,10 +377,40 @@ def family_module(layout):
     )
 
 
-def lower(layout) -> EdgeTable:
+def host_map(table: EdgeTable, stack: TreeStack) -> np.ndarray:
+    """Host node of every slot of ``table``: the ``host`` channel.
+
+    One lock-step walk over all trees pairs each root slot with its host
+    root, then each inner pair's two ``succ`` entries with the host node's
+    two children, one depth at a time.  Slots no walk reaches (padding)
+    map to -1.  Raises ``RuntimeError`` where a slot's leaf-ness or split
+    feature disagrees with its host node's.
+    """
+    host = np.full(table.feature.shape[0], -1, dtype=np.int32)
+    slot = table.roots.astype(np.int64)
+    node = stack.roots
+    if slot.shape != node.shape:
+        raise RuntimeError("edge table and host trees differ in tree count")
+    succ = table.succ.reshape(-1, 2)
+    child = stack.child.reshape(-1, 2)
+    while slot.size:
+        feats = table.feature.take(slot)
+        if not np.array_equal(feats, stack.feature.take(node)):
+            raise RuntimeError("edge table disagrees with the host trees")
+        host[slot] = node
+        inner = np.flatnonzero(feats >= 0)
+        slot = succ[slot.take(inner)].ravel()
+        node = child[node.take(inner)].ravel()
+    return host
+
+
+def lower(layout, trees) -> EdgeTable:
     """Lower ``layout`` to its family's :class:`EdgeTable` and attach it.
 
-    Every ``from_trees`` calls this right after attaching the integrity
+    ``trees`` are the host trees (or their
+    :class:`~repro.forest.tree.TreeStack`) the layout was built from; the
+    table's ``host`` channel maps each slot to its node there.  Every
+    ``from_trees`` calls this right after attaching the integrity
     digests, from the same buffers those digests cover; nothing else
     lowers a serving table, and each family's ``traverse`` reads
     ``layout._fastpath_edges`` directly.  The table is a build-time
@@ -366,18 +419,20 @@ def lower(layout) -> EdgeTable:
     (:mod:`repro.reliability.integrity`) can detect buffer corruption.
     """
     table = family_module(layout).build_edges(layout)
+    table = replace(table, host=host_map(table, stack_trees(trees)))
     layout._fastpath_edges = table
     return table
 
 
-def fastpath_predict(layout, X: np.ndarray, trees=None):
+def fastpath_predict(layout, X: np.ndarray, trees=None, leaves=None):
     """Vectorized batched prediction over a built device layout.
 
     Dispatches on the layout's family and returns
     ``(predictions int64[n_rows], FastpathStats)``.  ``trees`` (index
     array or boolean mask) restricts the vote to those trees — the
-    degraded quorum vote uses it.  Predictions are bit-identical to
-    ``reference_predict`` over the same host trees and to the trace
-    kernels (pinned by tests/test_fastpath.py).
+    degraded quorum vote uses it.  ``leaves``, when given, receives each
+    lane's host leaf (see :func:`traverse_edges`).  Predictions are
+    bit-identical to ``reference_predict`` over the same host trees and to
+    the trace kernels (pinned by tests/test_fastpath.py).
     """
-    return family_module(layout).traverse(layout, X, trees)
+    return family_module(layout).traverse(layout, X, trees, leaves)

@@ -37,9 +37,9 @@ def build_edges(layout) -> EdgeTable:
     return edge_table(layout, layout.feature, inner, left, left + 1, tree_offset[:-1])
 
 
-def traverse(layout, X: np.ndarray, trees=None):
+def traverse(layout, X: np.ndarray, trees=None, leaves=None):
     """Predict ``X`` over ``trees`` (default all); ``(predictions, stats)``."""
     table = select_trees(layout._fastpath_edges, trees)
-    preds, levels, lane_levels = traverse_edges(table, X)
+    preds, levels, lane_levels = traverse_edges(table, X, leaves=leaves)
     stats = make_stats("fil", int(X.shape[0]), table.roots.shape[0], levels, lane_levels)
     return preds, stats

@@ -256,6 +256,9 @@ class TreeStack:
     n_classes: int
     #: Highest feature index any split reads (-1 for all-leaf forests).
     max_feature: int
+    #: ``sum(max_depth + 1)`` over the trees: the levels one row's walk
+    #: of every tree steps through at most.
+    levels: int
 
     @property
     def n_trees(self) -> int:
@@ -294,6 +297,7 @@ def stack_trees(trees: Union[Iterable[DecisionTree], TreeStack]) -> TreeStack:
         value=np.concatenate([t.value for t in trees]),
         n_classes=max(t.n_classes for t in trees),
         max_feature=max_split_feature(trees),
+        levels=sum(t.max_depth + 1 for t in trees),
     )
 
 

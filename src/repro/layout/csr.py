@@ -129,7 +129,7 @@ class CSRForest:
             attach_integrity(layout)
         from repro.fastpath.engine import lower
 
-        lower(layout)
+        lower(layout, trees)
         return layout
 
     # ------------------------------------------------------------------

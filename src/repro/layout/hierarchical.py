@@ -170,7 +170,7 @@ class HierarchicalForest:
             attach_integrity(layout)
         from repro.fastpath.engine import lower
 
-        lower(layout)
+        lower(layout, stack)
         return layout
 
     # ------------------------------------------------------------------

@@ -245,8 +245,8 @@ class ReliabilityReport:
 CPU_SECONDS_PER_NODE = CPUBackend.SECONDS_PER_NODE
 
 
-def _cpu_seconds(n_queries: int, trees) -> float:
-    return CPUBackend.seconds_for(n_queries, trees)
+def _cpu_seconds(n_queries: int, stack) -> float:
+    return CPUBackend.seconds_for(n_queries, stack)
 
 
 class ResilientClassifier:
@@ -406,9 +406,13 @@ class ResilientClassifier:
         layout = self.inner.layout_for(config)
         integ = attach_integrity(layout)
         alive = integ.surviving_trees(layout, digests)
+        session = self.inner.runtime
+        boxes = None
+        if self.inner.verify_against_reference:
+            boxes = session.oracle_boxes(plan.precision)
         try:
             preds, dropped = degraded_predict(
-                layout, X, alive, self.min_quorum_fraction
+                layout, X, alive, self.min_quorum_fraction, boxes=boxes
             )
         except QuorumLostError:
             return None
@@ -417,7 +421,7 @@ class ResilientClassifier:
             sorted(set(report.dropped_trees) | set(dropped))
         )
         frac = float(alive.sum()) / max(1, layout.n_trees)
-        seconds = _cpu_seconds(X.shape[0], self.inner.trees) * frac
+        seconds = _cpu_seconds(X.shape[0], session.oracle_trees("float32")) * frac
         return RunResult(
             config=config,
             predictions=preds,
@@ -441,6 +445,8 @@ class ResilientClassifier:
         X: np.ndarray,
         config: RunConfig = RunConfig(),
         y_true: Optional[np.ndarray] = None,
+        *,
+        _checked: bool = False,
     ) -> RunResult:
         """Guarded classification: never raises for injected fault kinds.
 
@@ -448,8 +454,13 @@ class ResilientClassifier:
         predictions; the attached :class:`ReliabilityReport` says exactly
         what it took.  ``variant="auto"`` is resolved by the planner once,
         before the ladder is built.
+
+        ``_checked`` is internal: the serving front door passes it for a
+        batch of rows that each passed ``check_array_2d`` on admission, so
+        they are not scanned for finiteness again.
         """
-        X = check_array_2d(X, "X")
+        if not _checked:
+            X = check_array_2d(X, "X")
         check_feature_width(X, self.inner.runtime.max_feature)
         if y_true is not None:
             y_true = np.asarray(y_true)

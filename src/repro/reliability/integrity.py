@@ -18,7 +18,9 @@ module makes corruption *survivable* instead of merely detectable:
   the availability escape hatch: drop poisoned trees, keep answering.  The
   vote is a root mask over the edge table the layout lowered at build time
   (:func:`repro.fastpath.fastpath_predict`), so it never reads a damaged
-  buffer.
+  buffer.  Given the host trees' leaf boxes, it also certifies every
+  surviving lane's leaf against them
+  (:func:`repro.baselines.cpu_reference.certify_votes`).
 
 Everything here is duck-typed over the layout dataclasses (any object whose
 ``ndarray`` attributes are the node buffers), so the module imports neither
@@ -34,6 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.baselines.cpu_reference import LeafBoxes, certify_votes
 from repro.fastpath import fastpath_predict
 from repro.utils.validation import array_crc32, check_in_range
 
@@ -252,6 +255,7 @@ def degraded_predict(
     X: np.ndarray,
     alive: np.ndarray,
     min_quorum_fraction: float = 0.5,
+    boxes: Optional[LeafBoxes] = None,
 ) -> Tuple[np.ndarray, Tuple[int, ...]]:
     """Majority vote over only the intact trees of a corrupted layout.
 
@@ -260,6 +264,12 @@ def degraded_predict(
     ``ceil(min_quorum_fraction * n_trees)`` trees survive — at that point
     degraded answers would be statistically meaningless and the caller
     should fall back to another platform instead.
+
+    With ``boxes`` (the host trees' :class:`LeafBoxes`), every surviving
+    lane's leaf is certified against them
+    (:func:`~repro.baselines.cpu_reference.certify_votes`), and a vote
+    that disagrees with the surviving host trees raises ``RuntimeError``
+    instead of answering.
     """
     alive = np.asarray(alive, dtype=bool)
     if alive.shape[0] != layout.n_trees:
@@ -271,6 +281,16 @@ def degraded_predict(
             f"only {n_alive}/{layout.n_trees} trees intact, "
             f"quorum requires {needed}"
         )
-    preds, _ = fastpath_predict(layout, X, trees=alive)
+    leaves = None
+    if boxes is not None:
+        leaves = np.empty(X.shape[0] * n_alive, dtype=np.int32)
+    preds, _ = fastpath_predict(layout, X, trees=alive, leaves=leaves)
+    if boxes is not None:
+        votes = certify_votes(boxes, X, leaves, trees=np.flatnonzero(alive))
+        if not np.array_equal(preds, votes.argmax(axis=1)):
+            raise RuntimeError(
+                "degraded vote disagrees with the CPU reference over the "
+                "surviving trees"
+            )
     dropped = tuple(int(t) for t in np.flatnonzero(~alive))
     return preds, dropped

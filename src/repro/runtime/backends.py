@@ -23,6 +23,7 @@ import numpy as np
 from repro.baselines.cpu_reference import reference_predict
 from repro.core.config import TRACE_OFF
 from repro.fastpath import fastpath_predict, fastpath_seconds
+from repro.forest.tree import TreeStack, stack_trees
 from repro.fpgasim.device import ALVEO_U250, FPGASpec
 from repro.gpusim.device import GPUSpec, TITAN_XP
 from repro.kernels import kernel_for
@@ -62,8 +63,13 @@ class Backend:
         X: np.ndarray,
         launch_gate: Optional[Callable[[], float]] = None,
         observer=None,
+        leaves: Optional[np.ndarray] = None,
     ) -> BackendOutput:
-        """Execute ``plan`` over ``X`` against a prebuilt ``layout``."""
+        """Execute ``plan`` over ``X`` against a prebuilt ``layout``.
+
+        ``leaves`` (trace-off plans only) receives the host leaf each
+        ``(row, tree)`` lane reached, for the session's certificate.
+        """
         raise NotImplementedError
 
 
@@ -97,7 +103,7 @@ def _build_accelerator_layout(trees: Sequence, plan: ExecutionPlan):
     )
 
 
-def _run_fastpath(plan, layout, X, launch_gate, observer) -> BackendOutput:
+def _run_fastpath(plan, layout, X, launch_gate, observer, leaves) -> BackendOutput:
     """Shared trace-off execution for the accelerator backends.
 
     Mirrors the trace kernels' launch contract — the gate fires first (a
@@ -114,7 +120,7 @@ def _run_fastpath(plan, layout, X, launch_gate, observer) -> BackendOutput:
         from repro.reliability.integrity import verify_layout_integrity
 
         verify_layout_integrity(layout)
-    preds, stats = fastpath_predict(layout, X)
+    preds, stats = fastpath_predict(layout, X, leaves=leaves)
     seconds = fastpath_seconds(stats.lane_levels) + hang_s
     if observer is not None:
         ensure_observer(observer).on_fastpath(plan, stats, seconds)
@@ -145,9 +151,11 @@ class GPUBackend(Backend):
     def build_layout(self, trees: Sequence, plan: ExecutionPlan):
         return _build_accelerator_layout(trees, plan)
 
-    def run(self, plan, layout, X, launch_gate=None, observer=None) -> BackendOutput:
+    def run(
+        self, plan, layout, X, launch_gate=None, observer=None, leaves=None
+    ) -> BackendOutput:
         if plan.trace == TRACE_OFF:
-            return _run_fastpath(plan, layout, X, launch_gate, observer)
+            return _run_fastpath(plan, layout, X, launch_gate, observer, leaves)
         kernel = kernel_for("gpu", plan.variant)(
             spec=self.spec,
             launch_gate=launch_gate,
@@ -172,11 +180,13 @@ class FPGABackend(Backend):
     def build_layout(self, trees: Sequence, plan: ExecutionPlan):
         return _build_accelerator_layout(trees, plan)
 
-    def run(self, plan, layout, X, launch_gate=None, observer=None) -> BackendOutput:
+    def run(
+        self, plan, layout, X, launch_gate=None, observer=None, leaves=None
+    ) -> BackendOutput:
         if plan.trace == TRACE_OFF:
             # Replication is an FPGA device-model concern; the fast path is
             # host execution of the same layout, so it is ignored here.
-            return _run_fastpath(plan, layout, X, launch_gate, observer)
+            return _run_fastpath(plan, layout, X, launch_gate, observer, leaves)
         kernel = kernel_for("fpga", plan.variant)(
             spec=self.spec,
             launch_gate=launch_gate,
@@ -200,15 +210,17 @@ class CPUBackend(Backend):
     def layout_key(self, plan: ExecutionPlan) -> Tuple:
         return ("host-trees",)
 
-    def build_layout(self, trees: Sequence, plan: ExecutionPlan):
-        return list(trees)
+    def build_layout(self, trees: Sequence, plan: ExecutionPlan) -> TreeStack:
+        # Stacked once per layout cache, not once per call.
+        return stack_trees(trees)
 
     @classmethod
-    def seconds_for(cls, n_queries: int, trees) -> float:
-        levels = sum(int(t.depth.max()) + 1 for t in trees)
-        return n_queries * levels * cls.SECONDS_PER_NODE
+    def seconds_for(cls, n_queries: int, stack: TreeStack) -> float:
+        return n_queries * stack.levels * cls.SECONDS_PER_NODE
 
-    def run(self, plan, layout, X, launch_gate=None, observer=None) -> BackendOutput:
+    def run(
+        self, plan, layout, X, launch_gate=None, observer=None, leaves=None
+    ) -> BackendOutput:
         # launch_gate models *device* launch faults and does not apply to
         # the host rung; the authoritative trees always answer.
         preds = reference_predict(layout, X)

@@ -3,7 +3,10 @@
 The session owns the trees, the backend set, and the layout cache; it is
 the one place where a plan meets data.  Each :meth:`RuntimeSession.run`
 is one backend launch over the whole query matrix, checked against the
-CPU oracle.
+CPU oracle: a trace-off launch reports the host leaf of every (row, tree)
+lane, and :func:`~repro.baselines.cpu_reference.certify_votes` checks each
+against its leaf box; a trace-model launch is checked against a full walk
+of the host trees.
 """
 
 from __future__ import annotations
@@ -12,8 +15,13 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.cpu_reference import reference_predict
-from repro.core.config import RunConfig
+from repro.baselines.cpu_reference import (
+    LeafBoxes,
+    certify_votes,
+    leaf_boxes,
+    reference_predict,
+)
+from repro.core.config import TRACE_OFF, RunConfig
 from repro.core.results import RunResult
 from repro.forest.metrics import accuracy_score
 from repro.forest.tree import TreeStack, max_split_feature, stack_trees
@@ -57,7 +65,9 @@ class RuntimeSession:
     gpu, fpga:
         Device specs handed to the backend adapters.
     verify_against_reference:
-        Check every prediction vector against the CPU oracle.
+        Check every prediction vector against the CPU oracle (trace-off
+        plans by certifying every lane's leaf, trace-model plans by a
+        full host walk).
     observer:
         Default observability sink for runs (a per-run ``observer=``
         overrides it).
@@ -90,6 +100,7 @@ class RuntimeSession:
             layout_cache if layout_cache is not None else {}
         )
         self._oracle_stacks: Dict[str, TreeStack] = {}
+        self._oracle_boxes: Dict[str, LeafBoxes] = {}
 
     @classmethod
     def from_forest(cls, forest, **kwargs) -> "RuntimeSession":
@@ -122,6 +133,12 @@ class RuntimeSession:
                 trees = quantize_trees(trees, precision)
             self._oracle_stacks[precision] = stack_trees(trees)
         return self._oracle_stacks[precision]
+
+    def oracle_boxes(self, precision: str) -> LeafBoxes:
+        """Leaf boxes of :meth:`oracle_trees`, built once per precision."""
+        if precision not in self._oracle_boxes:
+            self._oracle_boxes[precision] = leaf_boxes(self.oracle_trees(precision))
+        return self._oracle_boxes[precision]
 
     def invalidate_layouts(self) -> None:
         """Drop every cached layout (host trees stay authoritative)."""
@@ -164,16 +181,29 @@ class RuntimeSession:
             config = plan.to_run_config()  # raises PlanError for cpu plans
 
         layout = self.layout_for(plan)
+        verify = self.verify_against_reference and plan.platform != CPU_PLATFORM
+        leaves = None
+        if verify and plan.trace == TRACE_OFF:
+            leaves = np.empty(X.shape[0] * len(self.trees), dtype=np.int32)
         try:
             out = backend.run(
-                plan, layout, X, launch_gate=launch_gate, observer=observer
+                plan,
+                layout,
+                X,
+                launch_gate=launch_gate,
+                observer=observer,
+                leaves=leaves,
             )
         except Exception as exc:
             raise ExecutionError(plan, exc) from exc
         predictions, seconds, details = out.predictions, out.seconds, out.details
 
-        if self.verify_against_reference and plan.platform != CPU_PLATFORM:
-            ref = reference_predict(self.oracle_trees(plan.precision), X)
+        if verify:
+            if leaves is None:
+                ref = reference_predict(self.oracle_trees(plan.precision), X)
+            else:
+                boxes = self.oracle_boxes(plan.precision)
+                ref = certify_votes(boxes, X, leaves).argmax(axis=1)
             if not np.array_equal(predictions, ref):
                 raise RuntimeError(
                     f"simulated kernel {plan.label} disagrees with the "

@@ -153,7 +153,7 @@ class ServingFrontDoor:
         if self._models is not None:
             return
         planner = self.guard.inner.planner
-        trees = self.guard.inner.trees
+        host = self.guard.inner.runtime.oracle_trees("float32")
         models: List[Tuple[str, LatencyModel]] = []
         memo: Dict[Tuple, object] = {}
         for plan in self._ladder():
@@ -163,7 +163,7 @@ class ServingFrontDoor:
                         CPU_PLATFORM,
                         LatencyModel(
                             overhead_s=0.0,
-                            per_row_s=CPUBackend.seconds_for(1, trees),
+                            per_row_s=CPUBackend.seconds_for(1, host),
                         ),
                     )
                 )
@@ -330,7 +330,8 @@ class ServingFrontDoor:
         if min_slack != float("inf"):
             self.guard.deadline_s = max(min_slack, 1e-12)
         try:
-            result = self.guard.classify(X, self._config)
+            # Every member's rows passed check_array_2d in submit().
+            result = self.guard.classify(X, self._config, _checked=True)
         finally:
             self.guard.deadline_s = saved_deadline
         report = result.reliability

@@ -11,13 +11,19 @@ The contract under test (ISSUE 7 acceptance):
   their modelled seconds are deterministic.
 """
 
-from dataclasses import fields
+import inspect
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines.cpu_reference import reference_predict
+from repro.baselines.cpu_reference import (
+    certify_votes,
+    leaf_boxes,
+    reference_predict,
+    reference_votes,
+)
 from repro.baselines.cuml_fil import FILForest
 from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import (
@@ -36,9 +42,15 @@ from repro.fastpath import (
     fastpath_seconds,
     supports_variant,
 )
-from repro.fastpath.engine import FASTPATH_CHUNK_LANES, select_trees, traverse_edges
+from repro.fastpath import engine, hierpath
+from repro.fastpath.engine import (
+    FASTPATH_CHUNK_LANES,
+    host_map,
+    select_trees,
+    traverse_edges,
+)
 from repro.fastpath.hierpath import build_edges
-from repro.forest.tree import LEAF, random_tree
+from repro.forest.tree import LEAF, random_tree, stack_trees
 from repro.fpgasim.replication import Replication
 from repro.kernels import registered_pairs
 from repro.layout.codec import PRECISIONS, quantize_trees
@@ -233,13 +245,13 @@ class TestFastpathEngine:
 # ----------------------------------------------------------------------
 # Work counters: exact against a walk over the host trees
 # ----------------------------------------------------------------------
-def host_leaf_depths(trees, X):
-    """Depth of the leaf each ``(row, tree)`` lane reaches, ``(rows, trees)``.
+def host_leaf_nodes(trees, X):
+    """Tree-local node of the leaf each ``(row, tree)`` lane reaches, ``(rows, trees)``.
 
     A plain per-tree walk over the host arrays (``x[feature] < threshold``
     goes left), independent of every layout and of the oracle.
     """
-    depths = np.empty((X.shape[0], len(trees)), dtype=np.int64)
+    nodes = np.empty((X.shape[0], len(trees)), dtype=np.int64)
     for t, tree in enumerate(trees):
         node = np.zeros(X.shape[0], dtype=np.int64)
         rows = np.flatnonzero(tree.feature[node] != LEAF)
@@ -248,8 +260,14 @@ def host_leaf_depths(trees, X):
             right = ~(X[rows, tree.feature[n]] < tree.threshold[n])
             node[rows] = np.where(right, tree.right_child[n], tree.left_child[n])
             rows = rows[tree.feature[node[rows]] != LEAF]
-        depths[:, t] = tree.depth[node]
-    return depths
+        nodes[:, t] = node
+    return nodes
+
+
+def host_leaf_depths(trees, X):
+    """Depth of the leaf each ``(row, tree)`` lane reaches, ``(rows, trees)``."""
+    nodes = host_leaf_nodes(trees, X)
+    return np.stack([tree.depth[nodes[:, t]] for t, tree in enumerate(trees)], axis=1)
 
 
 COUNTER_CASES = [
@@ -627,7 +645,7 @@ class TestQuantizedGolden:
     def test_edge_table_holds_the_decoded_value_channel(
         self, small_trees, family, codec
     ):
-        """Every codec lowers to the same five buffers, and the thresholds
+        """Every codec lowers to the same six buffers, and the thresholds
         the core compares are the layout's decoded channel, bit for bit."""
         if family == "fil":  # FIL has no codec axis: build from the oracle
             layout = FILForest.from_trees(quantize_trees(small_trees, codec))
@@ -639,7 +657,7 @@ class TestQuantizedGolden:
             for f in fields(table)
             if isinstance(getattr(table, f.name), np.ndarray)
         ]
-        assert buffers == ["feature", "value", "label", "succ", "roots"]
+        assert buffers == ["feature", "value", "label", "succ", "roots", "host"]
         assert table.value.dtype == layout.value.dtype == np.float32
         assert table.value.tobytes() == layout.value.tobytes()
 
@@ -675,3 +693,162 @@ class TestQuantizedGolden:
         assert plan.label.endswith("serve")
         again = ExecutionPlan.from_json(plan.to_json())
         assert again.precision == codec
+
+
+# ----------------------------------------------------------------------
+# Leaf certificate
+# ----------------------------------------------------------------------
+class TestLeafCertificate:
+    """A served batch is verified by certifying each lane's claimed host
+    leaf against its box, not by a second walk.  The certificate must
+    accept exactly the walk's leaves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        family=st.sampled_from(["hier", "csr", "fil"]),
+        codec=st.sampled_from(PRECISIONS),
+        snap=st.booleans(),
+    )
+    def test_accepts_the_walk_and_rejects_every_other_claim(
+        self, seed, family, codec, snap
+    ):
+        rng = np.random.default_rng(seed)
+        n_features = int(rng.integers(2, 10))
+        trees = [
+            random_tree(rng, n_features, int(rng.integers(1, 10)), 0.25, min_nodes=3)
+            for _ in range(int(rng.integers(2, 6)))
+        ]
+        host = trees if codec == "float32" else quantize_trees(trees, codec)
+        rows = int(rng.integers(1, 80))
+        X = rng.standard_normal((rows, n_features)).astype(np.float32)
+        if snap:
+            X = snap_to_thresholds(host, X)
+        layout = _family_layout(family, host if family == "fil" else trees, codec)
+        leaves = np.empty(X.shape[0] * len(trees), dtype=np.int32)
+        preds, _ = fastpath_predict(layout, X, leaves=leaves)
+
+        offsets = np.cumsum([0] + [t.n_nodes for t in trees])
+        walked = host_leaf_nodes(host, X) + offsets[:-1]
+        assert np.array_equal(leaves, walked.ravel())
+        boxes = leaf_boxes(host)
+        n_leaves = sum(t.n_leaves for t in trees)
+        assert boxes.lo.nbytes + boxes.hi.nbytes == n_leaves * boxes.lo.shape[1] * 8
+        votes = certify_votes(boxes, X, leaves)
+        assert np.array_equal(votes, reference_votes(host, X))
+        assert np.array_equal(preds, votes.argmax(axis=1))
+
+        lane = int(rng.integers(leaves.size))
+        tree = lane % len(trees)
+        own = np.arange(offsets[tree], offsets[tree + 1])
+        is_leaf = boxes.box[own] >= 0
+        other = (tree + 1) % len(trees)
+        claims = {
+            "another leaf of the same tree": own[is_leaf & (own != leaves[lane])],
+            "a leaf of another tree": np.flatnonzero(
+                (boxes.tree == other) & (boxes.box >= 0)
+            ),
+            "an inner node of the same tree": own[~is_leaf],
+        }
+        for what, nodes in claims.items():
+            swapped = leaves.copy()
+            swapped[lane] = nodes[int(rng.integers(nodes.size))]
+            with pytest.raises(RuntimeError, match="disagree with the CPU reference"):
+                certify_votes(boxes, X, swapped)
+
+    def test_non_finite_rows_fail_closed(self, small_trees, queries):
+        boxes = leaf_boxes(small_trees)
+        layout = _family_layout("csr", small_trees, "float32")
+        X = queries[:4].copy()
+        leaves = np.empty(X.shape[0] * len(small_trees), dtype=np.int32)
+        fastpath_predict(layout, X, leaves=leaves)
+        for bad in (np.nan, np.inf):
+            X[2, small_trees[0].feature[0]] = bad
+            with pytest.raises(RuntimeError, match="outside its claimed leaf"):
+                certify_votes(boxes, X, leaves)
+
+    def test_lowering_maps_every_slot_to_its_host_node(self, small_trees):
+        """The host channel pairs each reachable slot with the host node of
+        the same split feature; padding maps to -1."""
+        stack = stack_trees(small_trees)
+        for family in ("hier", "csr", "fil"):
+            table = _family_layout(family, small_trees, "float32")._fastpath_edges
+            mapped = table.host >= 0
+            assert np.array_equal(
+                table.feature[mapped], stack.feature[table.host[mapped]]
+            )
+            every_node = np.arange(stack.feature.size)
+            assert np.array_equal(np.sort(table.host[mapped]), every_node)
+
+    def test_lowering_rejects_a_table_that_disagrees_with_the_host(self, small_trees):
+        layout = _family_layout("csr", small_trees, "float32")
+        table = layout._fastpath_edges
+        inner = np.flatnonzero(table.feature >= 0)
+        wrong = replace(table, feature=table.feature.copy())
+        wrong.feature[inner[-1]] = -1  # an inner slot posing as a leaf
+        with pytest.raises(RuntimeError, match="disagrees with the host trees"):
+            host_map(wrong, stack_trees(small_trees))
+
+
+#: The traversal-core mutations the computed-children change was checked
+#: against, as ``(source text, mutated text)`` of ``traverse_edges``.
+CORE_MUTANTS = {
+    "crossing-off-by-one": (
+        "(depth - rsd) % sd == sd - 1",
+        "(depth - rsd) % sd == sd - 2",
+    ),
+    "root-crossing-at-rsd": ("depth == rsd - 1 if", "depth == rsd if"),
+    "base-is-slot": (
+        "if base is not None:\n                    base = slot - 1",
+        "if base is not None:\n                    base = slot",
+    ),
+    "no-retired-lane-mask": (
+        "if retired_before:\n                    step *= ~at_leaf",
+        "if False:\n                    step *= ~at_leaf",
+    ),
+}
+
+
+def _mutant(name):
+    old, new = CORE_MUTANTS[name]
+    source = inspect.getsource(engine.traverse_edges)
+    assert source.count(old) == 1, f"{name}: the core no longer reads {old!r}"
+    namespace = dict(vars(engine))
+    exec(compile(source.replace(old, new), f"<{name}>", "exec"), namespace)
+    return namespace["traverse_edges"]
+
+
+class TestCertificateDetection:
+    """Each mutant walks some lane to a wrong leaf; the first served batch
+    must raise instead of answering."""
+
+    PARAMS = LayoutParams(4, 6)
+
+    @pytest.mark.parametrize("name", sorted(CORE_MUTANTS))
+    def test_first_served_batch_raises(self, deep_trees, queries16, monkeypatch, name):
+        mutant = _mutant(name)
+        X = queries16[:64]
+        table = HierarchicalForest.from_trees(deep_trees, self.PARAMS)._fastpath_edges
+        leaves = np.full(X.shape[0] * len(deep_trees), -1, dtype=np.int32)
+        try:
+            mutant(table, X, leaves=leaves)
+        except IndexError:
+            pass  # walked off the table: live either way
+        offsets = np.cumsum([0] + [t.n_nodes for t in deep_trees])
+        walked = host_leaf_nodes(deep_trees, X) + offsets[:-1]
+        assert not np.array_equal(leaves, walked.ravel()), "mutant is not live"
+
+        clf = HierarchicalForestClassifier.from_trees(deep_trees, X.shape[1])
+        guard = ResilientClassifier(clf, deadline_s=10.0, seed=3)
+        front = ServingFrontDoor(
+            guard,
+            config=RunConfig(variant="hybrid", layout=self.PARAMS),
+            clock=SimulatedClock(),
+            probe_X=X[:32],
+        )
+        monkeypatch.setattr(hierpath, "traverse_edges", mutant)
+        for lo in range(0, X.shape[0], 8):
+            front.submit(X[lo : lo + 8])
+        with pytest.raises(RuntimeError, match="disagree"):
+            front.drain()
+        assert front.stats.batches == 0

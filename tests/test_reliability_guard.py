@@ -11,6 +11,7 @@ from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import Platform, RunConfig
 from repro.reliability.faults import FaultPlan
 from repro.reliability.guard import (
+    CPU_SECONDS_PER_NODE,
     BreakerPolicy,
     BreakerState,
     CircuitBreaker,
@@ -19,6 +20,7 @@ from repro.reliability.guard import (
     RetryPolicy,
 )
 from repro.reliability.integrity import attach_integrity, degraded_predict
+from repro.runtime import backends
 
 
 @pytest.fixture()
@@ -103,6 +105,25 @@ class TestTransientFailures:
         assert res.details["mode"] == "cpu-fallback"
         assert res.seconds > 0.0
 
+    def test_cpu_rung_stacks_the_host_trees_once(self, guarded, monkeypatch):
+        """The bottom rung stacks the host trees once per layout cache, and
+        its seconds stay ``rows * sum(max_depth + 1) * CPU_SECONDS_PER_NODE``."""
+        guard, clf, X, _ = guarded(
+            fault_plan=FaultPlan(seed=0, launch_fail_rate=1.0)
+        )
+        calls = []
+        real = backends.stack_trees
+        monkeypatch.setattr(
+            backends, "stack_trees", lambda trees: calls.append(1) or real(trees)
+        )
+        levels = sum(int(t.depth.max()) + 1 for t in clf.trees)
+        for rows in (X[:7], X, X[:7]):
+            res = guard.classify(rows, RunConfig(variant="hybrid"))
+            assert res.details["mode"] == "cpu-fallback"
+            assert res.seconds == rows.shape[0] * levels * CPU_SECONDS_PER_NODE
+            assert np.array_equal(res.predictions, clf.predict(rows))
+        assert len(calls) == 1
+
     def test_backoff_accounting_is_seeded(self, guarded):
         totals = []
         for _ in range(2):
@@ -184,6 +205,24 @@ class TestDegradedQuorum:
         assert r.fallback_depth == 2
         assert r.platform_used == "cpu"
         assert np.array_equal(res.predictions, clf.predict(X))
+
+    def test_degraded_vote_is_certified(self, guarded):
+        """A wrong leaf in a surviving tree's lowered table (whose layout
+        buffers still hash clean) gets an error, not an answer."""
+        guard, clf, X, _ = guarded()
+        config = RunConfig(variant="hybrid")
+        layout = clf.layout_for(config)
+        _corrupt_tree(layout, 2)
+        table = layout._fastpath_edges
+        table.value[int(table.roots[5])] = np.inf  # every row of tree 5 goes left
+        alive = attach_integrity(layout).surviving_trees(layout)
+        assert alive[5] and not alive[2]
+        boxes = clf.runtime.oracle_boxes("float32")
+        degraded_predict(layout, X, alive, 0.5)  # unchecked, it answers
+        with pytest.raises(RuntimeError, match="disagree"):
+            degraded_predict(layout, X, alive, 0.5, boxes=boxes)
+        with pytest.raises(RuntimeError, match="disagree"):
+            guard.classify(X, config)
 
     def test_low_quorum_still_serves_degraded(self, guarded):
         guard, clf, X, _ = guarded(min_quorum_fraction=0.2)

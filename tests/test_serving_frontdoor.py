@@ -11,6 +11,7 @@ The serving contract under test:
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from repro.serving import (
     ServingFrontDoor,
     run_scenario,
 )
+from repro.utils import validation
 from repro.utils.clock import SimulatedClock
 
 N_FEATURES = 12
@@ -97,6 +99,26 @@ class TestFrontDoorCleanPath:
         responses = front.drain()
         assert front.stats.batches == 1
         assert {r.batch_id for r in responses} == {1}
+
+    def test_rows_are_checked_for_finiteness_once(self, trees, X_pool, monkeypatch):
+        """Each request's rows are checked on admission; the batch they
+        form is not scanned again by the guard or the oracle."""
+        _, front, _ = make_front(trees, X_pool)
+        calls = []
+        real = validation.check_array_2d
+        for module in list(sys.modules.values()):
+            if getattr(module, "check_array_2d", None) is real:
+                monkeypatch.setattr(
+                    module,
+                    "check_array_2d",
+                    lambda *a, **k: calls.append(a) or real(*a, **k),
+                )
+        for i in range(8):
+            front.submit(X_pool[i * 2 : i * 2 + 2])
+        responses = front.drain()
+        assert front.stats.batches == 1
+        assert all(r.ok for r in responses)
+        assert len(calls) == 8
 
     def test_responses_carry_monotone_batch_latency(self, trees, X_pool):
         _, front, _ = make_front(trees, X_pool)
