@@ -829,11 +829,8 @@ class TestCertificateDetection:
         mutant = _mutant(name)
         X = queries16[:64]
         table = HierarchicalForest.from_trees(deep_trees, self.PARAMS)._fastpath_edges
-        leaves = np.full(X.shape[0] * len(deep_trees), -1, dtype=np.int32)
-        try:
-            mutant(table, X, leaves=leaves)
-        except IndexError:
-            pass  # walked off the table: live either way
+        leaves = np.empty(X.shape[0] * len(deep_trees), dtype=np.int32)
+        mutant(table, X, leaves=leaves)
         offsets = np.cumsum([0] + [t.n_nodes for t in deep_trees])
         walked = host_leaf_nodes(deep_trees, X) + offsets[:-1]
         assert not np.array_equal(leaves, walked.ravel()), "mutant is not live"
