@@ -70,21 +70,21 @@ def reference_predict(
 
 @dataclass(frozen=True)
 class LeafBoxes:
-    """Every leaf's box over the split features, indexed by host node id.
+    """Every leaf's box over the split features.
 
-    Node ids are the :class:`~repro.forest.tree.TreeStack` global ids.
-    ``tree``, ``box`` and ``label`` hold one entry per node: its tree, its
-    row in ``lo`` / ``hi`` (-1 on inner nodes) and its class label.
-    ``lo`` / ``hi`` are ``float32[n_leaves, max_feature + 1]``; a row ``x``
-    lies in leaf ``l``'s box iff ``lo[l] <= x < hi[l]`` on every feature.
+    ``box`` maps each host node (its :class:`~repro.forest.tree.TreeStack`
+    global id) to its leaf row, -1 on inner nodes.  Rows follow node ids,
+    so tree ``t``'s leaves hold the rows ``first[t]`` to ``first[t + 1]``.
+    Per row: the class ``label``, and ``lo`` / ``hi``, each
+    ``float32[max_feature + 1]``; a row ``x`` lies in leaf ``l``'s box iff
+    ``lo[l] <= x < hi[l]`` on every feature.
     """
 
-    tree: np.ndarray
     box: np.ndarray
+    first: np.ndarray
     label: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    n_trees: int
     n_classes: int
 
 
@@ -95,12 +95,10 @@ def leaf_boxes(trees: Union[Sequence[DecisionTree], TreeStack]) -> LeafBoxes:
     width = stack.max_feature + 1
     leaf = stack.feature == LEAF
     n_leaves = int(np.count_nonzero(leaf))
-    # Leaves take box rows in breadth-first order, so each level's leaves
-    # fill one contiguous block of ``lo`` / ``hi``.
-    box = np.full(n_nodes, -1, dtype=np.int64)
+    box = np.full(n_nodes, -1, dtype=np.int32)
+    box[leaf] = np.arange(n_leaves, dtype=np.int32)
     lo = np.empty((n_leaves, width), dtype=np.float32)
     hi = np.empty_like(lo)
-    filled = 0
     level_lo = level_hi = up = None
     for node, parent in breadth_first_levels(stack):
         if up is None:
@@ -121,22 +119,17 @@ def leaf_boxes(trees: Union[Sequence[DecisionTree], TreeStack]) -> LeafBoxes:
             flat = level_lo.reshape(-1)
             flat.put(at, np.maximum(flat.take(at), t))
         done = np.flatnonzero(leaf.take(node))
-        rows = slice(filled, filled + done.shape[0])
-        box[node.take(done)] = np.arange(rows.start, rows.stop, dtype=np.int64)
-        level_lo.take(done, axis=0, out=lo[rows])
-        level_hi.take(done, axis=0, out=hi[rows])
-        filled = rows.stop
+        rows = box.take(node.take(done))
+        lo[rows] = level_lo.take(done, axis=0)
+        hi[rows] = level_hi.take(done, axis=0)
         up = node
+    ends = np.append(stack.roots, n_nodes)
     return LeafBoxes(
-        tree=np.repeat(
-            np.arange(stack.n_trees, dtype=np.int64),
-            np.diff(np.append(stack.roots, n_nodes)),
-        ),
         box=box,
-        label=stack.value,
+        first=np.concatenate([[0], np.cumsum(leaf)])[ends].astype(np.int64),
+        label=stack.value[leaf],
         lo=lo,
         hi=hi,
-        n_trees=stack.n_trees,
         n_classes=stack.n_classes,
     )
 
@@ -165,19 +158,21 @@ def certify_votes(
     width = boxes.lo.shape[1]
     check_feature_width(X, width - 1)
     if trees is None:
-        trees = np.arange(boxes.n_trees, dtype=np.int64)
+        trees = np.arange(boxes.first.shape[0] - 1, dtype=np.int64)
     trees = np.asarray(trees)
     n_rows, k = int(X.shape[0]), int(trees.shape[0])
-    leaves = np.asarray(leaves, dtype=np.int64)
+    leaves = np.asarray(leaves)
     if leaves.shape != (n_rows * k,):
         raise ValueError(
             f"need {n_rows * k} claimed leaves ({n_rows} rows x {k} trees), "
             f"got shape {leaves.shape}"
         )
-    if leaves.size and (leaves.min() < 0 or leaves.max() >= boxes.tree.shape[0]):
+    if leaves.size and (leaves.min() < 0 or leaves.max() >= boxes.box.shape[0]):
         raise _disagree("a claim is not a host node")
     rows = boxes.box.take(leaves)
-    if np.any(rows < 0) or np.any(boxes.tree.take(leaves).reshape(n_rows, k) != trees):
+    # Inner nodes map to row -1, below every tree's first row.
+    own = rows.reshape(n_rows, k)
+    if np.any(own < boxes.first[trees]) or np.any(own >= boxes.first[trees + 1]):
         raise _disagree("a claim is not a leaf of its lane's tree")
     step = max(1, CERTIFY_CHUNK_LANES // max(1, k))
     for r0 in range(0, n_rows, step):
@@ -192,6 +187,6 @@ def certify_votes(
             raise _disagree("a row lies outside its claimed leaf's box")
     lane_row = np.repeat(np.arange(n_rows, dtype=np.int64), k)
     return np.bincount(
-        lane_row * boxes.n_classes + boxes.label.take(leaves),
+        lane_row * boxes.n_classes + boxes.label.take(rows),
         minlength=n_rows * boxes.n_classes,
     ).reshape(n_rows, boxes.n_classes)

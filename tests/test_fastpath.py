@@ -742,12 +742,11 @@ class TestLeafCertificate:
         tree = lane % len(trees)
         own = np.arange(offsets[tree], offsets[tree + 1])
         is_leaf = boxes.box[own] >= 0
-        other = (tree + 1) % len(trees)
+        nxt = (tree + 1) % len(trees)
+        other = np.arange(offsets[nxt], offsets[nxt + 1])
         claims = {
             "another leaf of the same tree": own[is_leaf & (own != leaves[lane])],
-            "a leaf of another tree": np.flatnonzero(
-                (boxes.tree == other) & (boxes.box >= 0)
-            ),
+            "a leaf of another tree": other[boxes.box[other] >= 0],
             "an inner node of the same tree": own[~is_leaf],
         }
         for what, nodes in claims.items():
