@@ -97,8 +97,9 @@ def leaf_boxes(trees: Union[Sequence[DecisionTree], TreeStack]) -> LeafBoxes:
     n_leaves = int(np.count_nonzero(leaf))
     box = np.full(n_nodes, -1, dtype=np.int32)
     box[leaf] = np.arange(n_leaves, dtype=np.int32)
-    lo = np.empty((n_leaves, width), dtype=np.float32)
-    hi = np.empty_like(lo)
+    # A leaf no walk reaches keeps an empty box, which holds no row.
+    lo = np.full((n_leaves, width), np.inf, dtype=np.float32)
+    hi = np.full((n_leaves, width), -np.inf, dtype=np.float32)
     level_lo = level_hi = up = None
     for node, parent in breadth_first_levels(stack):
         if up is None:
