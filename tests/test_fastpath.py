@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import cpu_reference
 from repro.baselines.cpu_reference import (
     certify_votes,
     leaf_boxes,
@@ -754,6 +755,21 @@ class TestLeafCertificate:
             swapped[lane] = nodes[int(rng.integers(nodes.size))]
             with pytest.raises(RuntimeError, match="disagree with the CPU reference"):
                 certify_votes(boxes, X, swapped)
+
+    def test_certifies_more_lanes_than_one_block(
+        self, small_trees, queries, monkeypatch
+    ):
+        monkeypatch.setattr(cpu_reference, "CERTIFY_CHUNK_LANES", 64)
+        boxes = leaf_boxes(small_trees)
+        layout = _family_layout("hier", small_trees, "float32")
+        leaves = np.empty(queries.shape[0] * len(small_trees), dtype=np.int32)
+        fastpath_predict(layout, queries, leaves=leaves)
+        votes = certify_votes(boxes, queries, leaves)
+        assert np.array_equal(votes, reference_votes(small_trees, queries))
+        X = queries.copy()
+        X[-1] = np.nan  # only the last block holds a bad row
+        with pytest.raises(RuntimeError, match="outside its claimed leaf"):
+            certify_votes(boxes, X, leaves)
 
     def test_non_finite_rows_fail_closed(self, small_trees, queries):
         boxes = leaf_boxes(small_trees)
