@@ -103,10 +103,9 @@ report:
 	python -m repro.experiments.report default EXPERIMENTS.md
 
 # Runtime planner (docs/architecture.md §9): autotune an ExecutionPlan per
-# (dataset, platform) and print the chosen-plan table; the decisions land
-# as JSON in results/plan_cache (CI uploads them as an artifact).
+# (dataset, platform) and print the chosen-plan table.
 plan:
-	PYTHONPATH=src python -m repro.runtime plan --scale smoke --out results/plan_cache
+	PYTHONPATH=src python -m repro.runtime plan --scale smoke
 
 # Observability (docs/architecture.md §8): trace a seeded smoke run into
 # results/obs (Chrome-trace timeline + Prometheus text + run manifest).

@@ -7,14 +7,12 @@ hand means re-running the Fig. 7 / Fig. 9 sweeps for every deployment.
 This example shows the runtime layer doing that automatically: the
 :class:`~repro.runtime.Planner` scores every registered candidate with an
 analytic cost model, probes the finalists with short seeded runs, and
-caches the winning :class:`~repro.runtime.ExecutionPlan` as JSON so the
-next process start replays the decision without re-tuning.
+returns the winning :class:`~repro.runtime.ExecutionPlan`.  The planner
+keeps no state: every step is seeded, so a fresh planner re-tunes to the
+same plan.
 
 Run:  python examples/autotuned_serving.py
 """
-
-import os
-import tempfile
 
 from repro import HierarchicalForestClassifier, RunConfig, load_dataset
 from repro.obs import ObsSession
@@ -23,9 +21,6 @@ from repro.utils.tables import format_table
 
 
 def main() -> None:
-    # Keep this demo's plan cache out of the repo-level results/ dir.
-    cache_dir = os.path.join(tempfile.gettempdir(), "repro-autotune-demo")
-
     print("Training a Susy-profile forest...")
     ds = load_dataset("susy", rows=8_000)
     clf = HierarchicalForestClassifier(n_estimators=12, max_depth=15, seed=0)
@@ -37,7 +32,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     obs = ObsSession()
     session = RuntimeSession.from_forest(clf.forest)
-    planner = Planner(session, cache_dir=cache_dir, observer=obs)
+    planner = Planner(session, observer=obs)
     probe = planner._probe_sample(X)
     memo = {}
     scored = sorted(
@@ -59,7 +54,6 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 2. The one-liner a serving deployment actually writes.
     # ------------------------------------------------------------------
-    os.environ["REPRO_PLAN_CACHE_DIR"] = cache_dir
     baseline = clf.classify(X, RunConfig(variant="csr"))
     auto = clf.classify(X, RunConfig(variant="auto"), y_true=ds.y_test)
     print(f'variant="auto" resolved to: {auto.config.label}')
@@ -70,14 +64,16 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # 3. The decision is cached: a fresh planner replays it, no probes.
+    # 3. A fresh planner re-tunes to the same plan JSON.
     # ------------------------------------------------------------------
-    replay = Planner(session, cache_dir=cache_dir, observer=obs)
-    plan = replay.autotune(X)
+    first = planner.autotune(X)
+    fresh = Planner(session, observer=obs)
+    plan = fresh.autotune(X)
     print(
-        f"second process start: plan came from {plan.source!r} "
-        f"({replay.stats['probe_runs']} probes, "
-        f"{replay.stats['cost_evaluations']} cost evals)"
+        f"fresh planner: plan came from {plan.source!r} "
+        f"({fresh.stats['probe_runs']} probes, "
+        f"{fresh.stats['cost_evaluations']} cost evals), "
+        f"same JSON as the first: {plan.to_json() == first.to_json()}"
     )
     print(f"plan JSON: {plan.to_json()}")
     decisions = sum(

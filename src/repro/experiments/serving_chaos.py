@@ -118,7 +118,7 @@ def run_slo_soak(
     Per scenario: a fresh classifier, a fresh :class:`~repro.obs.ObsSession`
     (request-scoped tracing + metrics + latency exemplars), and a
     :class:`CostDriftMonitor` wired into the front door.  Serving resolves
-    its plan without the plan cache, so replays share no state on disk.
+    its plan without tuning, so replays share no state.
 
     ``miscalibration`` is the injected cost-model error factor (1.0 =
     faithful model); the acceptance test drives 2.0 through here and

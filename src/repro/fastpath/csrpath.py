@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fastpath.engine import (
-    EdgeTable,
-    edge_table,
-    make_stats,
-    select_trees,
-    traverse_edges,
-)
+from repro.fastpath.engine import EdgeTable, edge_table, traverse_edges
 from repro.layout.csr import CSRForest
+
+#: Stats family name.  ``traverse_edges`` is re-exported because
+#: :func:`~repro.fastpath.engine.fastpath_predict` calls it through this
+#: module, where the e2e tracer (``benchmarks/e2e/spans.py``) wraps it.
+FAMILY = "csr"
+__all__ = ["FAMILY", "build_edges", "traverse_edges"]
 
 
 def build_edges(layout: CSRForest) -> EdgeTable:
@@ -44,11 +44,3 @@ def build_edges(layout: CSRForest) -> EdgeTable:
         base + layout.children_arr[child_pos + 1],
         tree_nodes[:-1],
     )
-
-
-def traverse(layout: CSRForest, X: np.ndarray, trees=None, leaves=None):
-    """Predict ``X`` over ``trees`` (default all); ``(predictions, stats)``."""
-    table = select_trees(layout._fastpath_edges, trees)
-    preds, levels, lane_levels = traverse_edges(table, X, leaves=leaves)
-    stats = make_stats("csr", int(X.shape[0]), table.roots.shape[0], levels, lane_levels)
-    return preds, stats

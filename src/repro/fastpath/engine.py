@@ -412,7 +412,7 @@ def lower(layout, trees) -> EdgeTable:
     table's ``host`` channel maps each slot to its node there.  Every
     ``from_trees`` calls this right after attaching the integrity
     digests, from the same buffers those digests cover; nothing else
-    lowers a serving table, and each family's ``traverse`` reads
+    lowers a serving table, and :func:`fastpath_predict` reads
     ``layout._fastpath_edges`` directly.  The table is a build-time
     snapshot: later changes to the layout's buffers never reach it, so
     under ``trace="off"`` only the CRC guard
@@ -435,4 +435,10 @@ def fastpath_predict(layout, X: np.ndarray, trees=None, leaves=None):
     bit-identical to ``reference_predict`` over the same host trees and to
     the trace kernels (pinned by tests/test_fastpath.py).
     """
-    return family_module(layout).traverse(layout, X, trees, leaves)
+    family = family_module(layout)
+    table = select_trees(layout._fastpath_edges, trees)
+    preds, levels, lane_levels = family.traverse_edges(table, X, leaves=leaves)
+    stats = make_stats(
+        family.FAMILY, int(X.shape[0]), table.roots.shape[0], levels, lane_levels
+    )
+    return preds, stats

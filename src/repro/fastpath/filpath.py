@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fastpath.engine import (
-    EdgeTable,
-    edge_table,
-    make_stats,
-    select_trees,
-    traverse_edges,
-)
+from repro.fastpath.engine import EdgeTable, edge_table, traverse_edges
+
+#: Stats family name.  ``traverse_edges`` is re-exported because
+#: :func:`~repro.fastpath.engine.fastpath_predict` calls it through this
+#: module, where the e2e tracer (``benchmarks/e2e/spans.py``) wraps it.
+FAMILY = "fil"
+__all__ = ["FAMILY", "build_edges", "traverse_edges"]
 
 
 def build_edges(layout) -> EdgeTable:
@@ -35,11 +35,3 @@ def build_edges(layout) -> EdgeTable:
     owner = np.repeat(np.arange(n_trees, dtype=np.int64), np.diff(tree_offset))[inner]
     left = tree_offset[owner] + layout.left_child[inner].astype(np.int64)
     return edge_table(layout, layout.feature, inner, left, left + 1, tree_offset[:-1])
-
-
-def traverse(layout, X: np.ndarray, trees=None, leaves=None):
-    """Predict ``X`` over ``trees`` (default all); ``(predictions, stats)``."""
-    table = select_trees(layout._fastpath_edges, trees)
-    preds, levels, lane_levels = traverse_edges(table, X, leaves=leaves)
-    stats = make_stats("fil", int(X.shape[0]), table.roots.shape[0], levels, lane_levels)
-    return preds, stats

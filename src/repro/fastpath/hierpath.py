@@ -21,15 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fastpath.engine import (
-    EdgeTable,
-    edge_table,
-    make_stats,
-    select_trees,
-    traverse_edges,
-)
+from repro.fastpath.engine import EdgeTable, edge_table, traverse_edges
 from repro.forest.tree import EMPTY
 from repro.layout.hierarchical import HierarchicalForest
+
+#: Stats family name.  ``traverse_edges`` is re-exported because
+#: :func:`~repro.fastpath.engine.fastpath_predict` calls it through this
+#: module, where the e2e tracer (``benchmarks/e2e/spans.py``) wraps it.
+FAMILY = "hier"
+__all__ = ["FAMILY", "build_edges", "traverse_edges"]
 
 
 def _targets(layout, node_off, owner, local, frontier_start, crossing, go):
@@ -93,11 +93,3 @@ def build_edges(layout: HierarchicalForest) -> EdgeTable:
         rsd=rsd,
         sd=int(layout.params.sd),
     )
-
-
-def traverse(layout: HierarchicalForest, X: np.ndarray, trees=None, leaves=None):
-    """Predict ``X`` over ``trees`` (default all); ``(predictions, stats)``."""
-    table = select_trees(layout._fastpath_edges, trees)
-    preds, levels, lane_levels = traverse_edges(table, X, leaves=leaves)
-    stats = make_stats("hier", int(X.shape[0]), table.roots.shape[0], levels, lane_levels)
-    return preds, stats

@@ -140,8 +140,8 @@ def record_plan(registry: MetricsRegistry, plan, **labels) -> None:
     """Ingest a chosen :class:`~repro.runtime.ExecutionPlan` as ``plan.*``.
 
     One counter per (platform, variant, source) tells you how often the
-    planner picked each configuration and whether it was autotuned, replayed
-    from the on-disk plan cache or resolved without tuning; the cost gauge
+    planner picked each configuration and whether it was autotuned or
+    resolved without tuning; the cost gauge
     keeps the model's estimate next to the measured kernel seconds.
     """
     registry.counter(

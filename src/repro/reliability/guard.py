@@ -237,18 +237,6 @@ class ReliabilityReport:
 # ----------------------------------------------------------------------
 # The guard itself
 # ----------------------------------------------------------------------
-#: Crude host-traversal cost used for the CPU rung and degraded voting —
-#: simulated seconds per (query, tree-level) step, keeping every rung's
-#: ``seconds`` deterministic and comparable.  The constant lives on
-#: :class:`repro.runtime.backends.CPUBackend` (the ladder's bottom rung
-#: executes through it); this alias preserves the historical import path.
-CPU_SECONDS_PER_NODE = CPUBackend.SECONDS_PER_NODE
-
-
-def _cpu_seconds(n_queries: int, stack) -> float:
-    return CPUBackend.seconds_for(n_queries, stack)
-
-
 class ResilientClassifier:
     """Failure-hardened front end over :class:`HierarchicalForestClassifier`.
 
@@ -421,7 +409,8 @@ class ResilientClassifier:
             sorted(set(report.dropped_trees) | set(dropped))
         )
         frac = float(alive.sum()) / max(1, layout.n_trees)
-        seconds = _cpu_seconds(X.shape[0], session.oracle_trees("float32")) * frac
+        stack = session.oracle_trees("float32")
+        seconds = CPUBackend.seconds_for(X.shape[0], stack) * frac
         return RunResult(
             config=config,
             predictions=preds,

@@ -12,8 +12,8 @@ workload, made operational):
 * :func:`~repro.runtime.planner.compile_plan` /
   :class:`~repro.runtime.planner.Planner` — explicit configs map 1:1 onto
   plans; ``variant="auto"`` autotunes with an analytic cost model plus
-  seeded probe runs, cached under ``results/plan_cache/`` — or, under
-  ``trace="off"``, resolves to one plan without tuning.
+  seeded probe runs — or, under ``trace="off"``, resolves to one plan
+  without tuning.
 * :class:`~repro.runtime.session.RuntimeSession` — executes each plan as
   one launch and returns its :class:`~repro.core.results.RunResult`.
 
@@ -37,8 +37,6 @@ from repro.runtime.plan import CPU_PLATFORM, ExecutionPlan, PlanError
 from repro.runtime.planner import (
     Planner,
     compile_plan,
-    dataset_profile,
-    default_plan_cache_dir,
     forest_fingerprint,
 )
 from repro.runtime.session import ExecutionError, RuntimeSession
@@ -58,8 +56,6 @@ __all__ = [
     "PlanError",
     "Planner",
     "compile_plan",
-    "dataset_profile",
-    "default_plan_cache_dir",
     "forest_fingerprint",
     "ExecutionError",
     "RuntimeSession",

@@ -1,27 +1,25 @@
 """``python -m repro.runtime`` — plan inspection tooling.
 
 ``plan`` autotunes an execution plan for each bundled dataset on each
-platform and prints the chosen-plan table (the ``make plan`` target; CI
-runs it and uploads the plan-cache JSON as an artifact)::
+platform and prints the chosen-plan table (the ``make plan`` target,
+which CI runs)::
 
-    PYTHONPATH=src python -m repro.runtime plan --scale smoke \
-        --out results/plan_cache
+    PYTHONPATH=src python -m repro.runtime plan --scale smoke
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 from typing import List, Optional
 
-from repro.runtime.planner import Planner, default_plan_cache_dir
+from repro.runtime.planner import Planner
 from repro.runtime.session import RuntimeSession
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="python -m repro.runtime",
-        description="ExecutionPlan tooling (autotune + plan cache).",
+        description="ExecutionPlan tooling (autotune).",
     )
     sub = p.add_subparsers(dest="command", required=True)
     plan = sub.add_parser("plan", help="autotune plans for the bundled datasets")
@@ -44,11 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="platforms to tune",
     )
     plan.add_argument(
-        "--out",
-        default=None,
-        help="plan-cache directory (default: results/plan_cache)",
-    )
-    plan.add_argument(
         "--probe-queries",
         type=int,
         default=256,
@@ -68,13 +61,10 @@ def run_plan(args) -> int:
     )
 
     scale = get_scale(args.scale)
-    cache_dir = args.out or default_plan_cache_dir()
-    os.makedirs(cache_dir, exist_ok=True)
     header = (
         f"{'dataset':<10} {'platform':<8} {'chosen plan':<28} "
         f"{'source':<9} {'est. cost (s)':>13}"
     )
-    print(f"plan cache: {cache_dir}")
     print(header)
     print("-" * len(header))
     for name in args.datasets:
@@ -85,7 +75,6 @@ def run_plan(args) -> int:
         session = RuntimeSession.from_forest(forest)
         planner = Planner(
             session,
-            cache_dir=cache_dir,
             probe_queries=args.probe_queries,
             seed=args.seed,
         )
@@ -99,8 +88,7 @@ def run_plan(args) -> int:
             )
     print(
         f"[planner stats: {planner.stats['cost_evaluations']} cost evals, "
-        f"{planner.stats['probe_runs']} probes, "
-        f"{planner.stats['cache_hits']} cache hits]"
+        f"{planner.stats['probe_runs']} probes]"
     )
     return 0
 

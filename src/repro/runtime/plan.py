@@ -70,8 +70,8 @@ class ExecutionPlan:
     layout: LayoutParams = field(default_factory=LayoutParams)
     replication: Replication = field(default_factory=Replication)
     verify_integrity: bool = False
-    #: "explicit" (compiled from a caller's RunConfig), "autotuned",
-    #: "cache" (autotuned earlier, replayed from the plan cache), or
+    #: "explicit" (compiled from a caller's RunConfig), "autotuned"
+    #: (trace-model ``variant="auto"``, ranked and probed), or
     #: "resolved" (trace-off ``variant="auto"``, picked without tuning).
     source: str = "explicit"
     #: The analytic cost model's estimate, seconds (None for explicit plans).
@@ -183,8 +183,9 @@ class ExecutionPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ExecutionPlan":
-        """Inverse of :meth:`as_dict`; keys it does not name are ignored,
-        so JSON written by older versions (plan-cache entries) still loads."""
+        """Inverse of :meth:`as_dict`; keys it does not name are ignored
+        and fields it lacks take their defaults, so plan JSON written
+        before a field was added still loads."""
         layout = data.get("layout") or {}
         repl = data.get("replication") or {}
         return cls(

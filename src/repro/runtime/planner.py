@@ -9,25 +9,22 @@ wiring, made explicit and serializable).
 it enumerates candidate plans for the requested platform, scores them all
 with the analytic cost model (:mod:`repro.runtime.cost`), refines the
 top-k with short simulated probe runs on a seeded query sample, and
-caches the winner under
-``results/plan_cache/`` keyed by (forest fingerprint, dataset profile) —
-a cache hit replays the stored plan without any probes.  Every step is
-deterministic under a fixed seed: candidate order is fixed, ties break on
-the plan's canonical JSON, and the probe sample comes from a seeded
-generator.
+returns the fastest probed plan.  Nothing is kept between calls: every
+step is deterministic under a fixed seed (candidate order is fixed, ties
+break on the plan's canonical JSON, and the probe sample comes from a
+seeded generator), so a fresh planner re-tunes to the same plan.
 
 Under ``trace="off"`` the autotuner has nothing to rank: every codec
 compares the same decoded float32 thresholds, so the fastpath cost of
 every candidate is the same.  Trace-off ``variant="auto"`` is therefore a
 pure resolution over the same candidates: the most precise codec by
 :data:`TRACE_OFF_CODEC_RANK`, ties broken on the canonical JSON, with no
-profile, cost evaluation, probe run or plan-cache file.
+profile, cost evaluation or probe run.
 """
 
 from __future__ import annotations
 
-import json
-import os
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,9 +45,6 @@ from repro.utils.rng import as_rng
 from repro.utils.validation import array_crc32
 
 
-# ----------------------------------------------------------------------
-# Cache keys
-# ----------------------------------------------------------------------
 def forest_fingerprint(trees: Sequence) -> int:
     """CRC32 over every tree's node arrays (order-sensitive)."""
     crc = 0
@@ -61,14 +55,6 @@ def forest_fingerprint(trees: Sequence) -> int:
         crc = array_crc32(np.ascontiguousarray(t.right_child, dtype=np.int32), crc)
         crc = array_crc32(np.ascontiguousarray(t.value, dtype=np.int32), crc)
     return crc
-
-
-def dataset_profile(X: np.ndarray) -> Tuple[int, int, int]:
-    """(n_queries, n_features, sample CRC) identifying a query workload."""
-    X = np.ascontiguousarray(X, dtype=np.float32)
-    step = max(1, X.shape[0] // 32)
-    sample = X[::step][:32]
-    return (int(X.shape[0]), int(X.shape[1]), array_crc32(sample))
 
 
 # ----------------------------------------------------------------------
@@ -117,16 +103,6 @@ HYBRID_RSD_EXTRA = (10,)
 TRACE_OFF_CODEC_RANK = {"float32": 0, "float16": 1, "int8": 2, "packed": 2}
 
 
-def default_plan_cache_dir() -> str:
-    """``REPRO_PLAN_CACHE_DIR`` or ``<repo>/results/plan_cache``."""
-    path = os.environ.get("REPRO_PLAN_CACHE_DIR")
-    if path is None:
-        here = os.path.dirname(os.path.abspath(__file__))
-        repo = os.path.dirname(os.path.dirname(os.path.dirname(here)))
-        path = os.path.join(repo, "results", "plan_cache")
-    return path
-
-
 class Planner:
     """Chooses an :class:`ExecutionPlan` for a session's forest.
 
@@ -135,8 +111,6 @@ class Planner:
     session:
         The :class:`RuntimeSession` whose trees and device specs the
         planner tunes for (probe runs execute through it).
-    cache_dir:
-        Plan-cache directory (``None`` = :func:`default_plan_cache_dir`).
     probe_queries:
         Size of the seeded sample used for cost profiling and probe runs.
     top_k:
@@ -145,32 +119,24 @@ class Planner:
         Seeds the probe-sample draw (determinism of the whole decision).
     observer:
         Optional observability sink; ``on_plan(plan)`` fires when a plan
-        is chosen (autotuned, resolved, or replayed from cache).
+        is chosen (autotuned or resolved).
     """
 
     def __init__(
         self,
         session: RuntimeSession,
-        cache_dir: Optional[str] = None,
         probe_queries: int = 256,
         top_k: int = 2,
         seed: int = 0,
         observer=None,
     ):
         self.session = session
-        self.cache_dir = cache_dir
         self.probe_queries = int(probe_queries)
         self.top_k = int(top_k)
         self.seed = int(seed)
         self.observer = observer
         #: Exact accounting of what each decision took (tests assert on it).
-        self.stats: Dict[str, int] = {
-            "cost_evaluations": 0,
-            "probe_runs": 0,
-            "cache_hits": 0,
-            "cache_writes": 0,
-            "cache_evictions": 0,
-        }
+        self.stats: Dict[str, int] = {"cost_evaluations": 0, "probe_runs": 0}
 
     # ------------------------------------------------------------------
     def plan(self, X: np.ndarray, config: RunConfig = RunConfig()) -> ExecutionPlan:
@@ -306,21 +272,10 @@ class Planner:
         ``trace="off"`` resolves without tuning: the candidate whose
         codec ranks lowest in :data:`TRACE_OFF_CODEC_RANK` wins, ties
         broken on the plan's canonical JSON.  Only the budget filter
-        builds layouts, and nothing is cached.
+        builds layouts.
         """
         platform = Platform(platform)
         X = np.ascontiguousarray(X, dtype=np.float32)
-        if trace != TRACE_OFF:
-            cache_path = self._cache_path(
-                X, platform, precision, memory_budget_bytes
-            )
-            cached = self._load_cached(cache_path)
-            if cached is not None:
-                self.stats["cache_hits"] += 1
-                plan = self._finalize(cached, verify_integrity, source="cache")
-                self._notify(plan)
-                return plan
-
         if memory_budget_bytes is not None and precision == "float32":
             from repro.layout.codec import PRECISIONS
 
@@ -335,7 +290,7 @@ class Planner:
                 pool,
                 key=lambda p: (TRACE_OFF_CODEC_RANK[p.precision], p.to_json()),
             )
-            plan = self._finalize(best, verify_integrity, source="resolved")
+            plan = replace(best, verify_integrity=verify_integrity, source="resolved")
             self._notify(plan)
             return plan
 
@@ -356,19 +311,12 @@ class Planner:
             probed.append((res.seconds, key, cost, plan))
         probed.sort(key=lambda item: (item[0], item[1]))
         _, _, best_cost, best = probed[0]
-
-        chosen = ExecutionPlan(
-            platform=best.platform,
-            variant=best.variant,
-            layout=best.layout,
-            replication=best.replication,
+        plan = replace(
+            best,
+            verify_integrity=verify_integrity,
             source="autotuned",
             cost_estimate_s=best_cost,
-            trace=best.trace,
-            precision=best.precision,
         )
-        self._store_cached(cache_path, chosen)
-        plan = self._finalize(chosen, verify_integrity, source="autotuned")
         self._notify(plan)
         return plan
 
@@ -395,90 +343,6 @@ class Planner:
             return fitting
         return [min(pool, key=lambda p: (footprints[p.to_json()], p.to_json()))]
 
-    def _finalize(
-        self, plan: ExecutionPlan, verify_integrity: bool, source: str
-    ) -> ExecutionPlan:
-        return ExecutionPlan(
-            platform=plan.platform,
-            variant=plan.variant,
-            layout=plan.layout,
-            replication=plan.replication,
-            verify_integrity=verify_integrity,
-            source=source,
-            cost_estimate_s=plan.cost_estimate_s,
-            trace=plan.trace,
-            precision=plan.precision,
-        )
-
     def _notify(self, plan: ExecutionPlan) -> None:
         if self.observer is not None:
             ensure_observer(self.observer).on_plan(plan)
-
-    # ------------------------------------------------------------------
-    # Plan cache
-    # ------------------------------------------------------------------
-    def _cache_path(
-        self,
-        X: np.ndarray,
-        platform: Platform,
-        precision: str = "float32",
-        memory_budget_bytes: Optional[int] = None,
-    ) -> str:
-        root = self.cache_dir or default_plan_cache_dir()
-        fp = forest_fingerprint(self.session.trees)
-        nq, nf, xcrc = dataset_profile(X)
-        # A pinned precision or a memory budget changes the candidate
-        # space, so each (precision, budget) combination caches separately
-        # — the default combination keeps the historical filename.
-        prec = f"_{precision}" if precision != "float32" else ""
-        budget = (
-            f"_b{int(memory_budget_bytes)}"
-            if memory_budget_bytes is not None
-            else ""
-        )
-        name = (
-            f"plan_{platform.value}_f{fp:08x}{prec}{budget}"
-            f"_q{nq}_d{nf}_x{xcrc:08x}"
-            f"_p{self.probe_queries}_s{self.seed}.json"
-        )
-        return os.path.join(root, name)
-
-    def _load_cached(self, path: str) -> Optional[ExecutionPlan]:
-        if not os.path.exists(path):
-            return None
-        try:
-            with open(path, encoding="utf-8") as f:
-                data = json.load(f)
-            return ExecutionPlan.from_dict(data["plan"])
-        except (OSError, ValueError, KeyError) as e:
-            # A corrupt/truncated cache entry (interrupted write, bit rot)
-            # must never poison planning: warn, evict the bad file, and let
-            # the caller re-probe.  The atomic-rename writer makes this
-            # path rare, not impossible (e.g. external truncation).
-            print(
-                f"[plan cache] discarding corrupt entry "
-                f"{os.path.basename(path)}: {type(e).__name__}: {e}"
-            )
-            self.stats["cache_evictions"] += 1
-            try:
-                os.remove(path)
-            except OSError:
-                pass  # eviction is best-effort; retuning overwrites anyway
-            return None
-
-    def _store_cached(self, path: str, plan: ExecutionPlan) -> None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        payload = {
-            "version": 1,
-            "forest_fingerprint": forest_fingerprint(self.session.trees),
-            "probe_queries": self.probe_queries,
-            "seed": self.seed,
-            "plan": plan.as_dict(),
-        }
-        # Write-then-rename so a crash mid-write leaves either the old
-        # entry or none — never a truncated JSON a later run must evict.
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=1, sort_keys=True)
-        os.replace(tmp, path)
-        self.stats["cache_writes"] += 1

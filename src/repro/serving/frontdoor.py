@@ -13,7 +13,8 @@ dataflow over a shared :class:`~repro.utils.clock.SimulatedClock`:
 * every request ends in exactly one :class:`Response`; a request that
   cannot finish inside its deadline is shed *before* burning backend time,
   and one that finished late (faults inflated the batch) has its
-  predictions withheld — never silently served late.
+  predictions withheld — never silently served late.  A batch whose
+  guarded call raises ends every member ``FAILED``, then re-raises.
 
 The core is deliberately synchronous: batches execute one at a time and
 time only moves on the injected clock, so a traffic trace plus a fault
@@ -332,6 +333,13 @@ class ServingFrontDoor:
         try:
             # Every member's rows passed check_array_2d in submit().
             result = self.guard.classify(X, self._config, _checked=True)
+        except RuntimeError:
+            # A check the ladder cannot route around rejected the batch:
+            # each member still ends in one typed outcome, and the error
+            # still surfaces.
+            for req in members:
+                self._shed(req, RequestStatus.FAILED, now)
+            raise
         finally:
             self.guard.deadline_s = saved_deadline
         report = result.reliability

@@ -1,9 +1,10 @@
 """Requests, responses and typed load-shed outcomes for the serving layer.
 
 The serving pipeline never answers "maybe": every submitted request ends in
-exactly one :class:`RequestStatus` — served with predictions, or shed with
-a reason — and a request that missed its deadline is *never* silently served
-late (its predictions are withheld and the status says so).  Admission
+exactly one :class:`RequestStatus` — served with predictions, shed with a
+reason, or failed with its batch — and a request that missed its deadline
+is *never* silently served late (its predictions are withheld and the
+status says so).  Admission
 failures are different from sheds: they are raised synchronously as a typed
 :class:`Overload` so a caller (or an upstream load balancer) can back off
 before the request ever occupies queue memory.
@@ -42,6 +43,9 @@ class RequestStatus(str, enum.Enum):
     #: Execution finished after the deadline (faults inflated the batch);
     #: the predictions are withheld — a late answer is not an answer.
     SHED_DEADLINE_LATE = "shed-deadline-late"
+    #: The batch's guarded call raised (a check rejected the answer); the
+    #: front door re-raises the error after recording this outcome.
+    FAILED = "failed"
 
     @property
     def shed(self) -> bool:
@@ -165,7 +169,7 @@ class ServingStats:
     served: int = 0
     #: Admission rejections by reason ("rate-limit" / "queue-full").
     rejected: Dict[str, int] = field(default_factory=dict)
-    #: Sheds by :class:`RequestStatus` value (deadline family).
+    #: Sheds by :class:`RequestStatus` value (deadline family and failed).
     shed: Dict[str, int] = field(default_factory=dict)
     batches: int = 0
     rows_executed: int = 0

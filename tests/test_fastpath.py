@@ -422,10 +422,10 @@ class TestPlanLifecycle:
 class TestPlannerTraceOff:
     @pytest.mark.parametrize("platform", ["gpu", "fpga"])
     def test_trace_off_auto_resolves_without_tuning(
-        self, small_trees, queries, tmp_path, platform
+        self, small_trees, queries, platform
     ):
         session = RuntimeSession(small_trees)
-        planner = Planner(session, cache_dir=str(tmp_path))
+        planner = Planner(session)
         plan = planner.autotune(queries, platform=platform, trace=TRACE_OFF)
         assert (plan.platform, plan.variant) == (platform, "hybrid")
         assert plan.layout == LayoutParams(4, 10)
@@ -438,12 +438,11 @@ class TestPlannerTraceOff:
         assert len(session._layout_cache) == 1
         assert planner.stats["probe_runs"] == 0
         assert planner.stats["cost_evaluations"] == 0
-        assert list(tmp_path.iterdir()) == []
 
     def test_cost_model_prefers_the_fast_path(self, session, queries):
         """The fastpath latency term must undercut the device models —
         otherwise a trace-off autotune could still pick nothing faster."""
-        planner = Planner(session, cache_dir="unused")
+        planner = Planner(session)
         probe = queries[:128]
         plan_model = ExecutionPlan(trace=TRACE_MODEL)
         plan_serve = ExecutionPlan(trace=TRACE_OFF)
@@ -452,8 +451,8 @@ class TestPlannerTraceOff:
         fast = planner.estimate(plan_serve, probe, 100_000, memo)
         assert fast < slow
 
-    def test_auto_variant_routes_trace_through_plan(self, session, queries, tmp_path):
-        planner = Planner(session, cache_dir=str(tmp_path))
+    def test_auto_variant_routes_trace_through_plan(self, session, queries):
+        planner = Planner(session)
         cfg = RunConfig(variant=KernelVariant.AUTO, trace=TRACE_OFF)
         plan = planner.plan(queries, cfg)
         assert plan.trace == TRACE_OFF
@@ -512,9 +511,9 @@ class TestPlannerTraceOffBudgets:
     @pytest.mark.parametrize("budget", list(SUSY_BUDGET_PLANS))
     @pytest.mark.parametrize("platform", ["gpu", "fpga"])
     def test_budget_decisions_match_the_autotuner(
-        self, susy_session, tmp_path, platform, budget
+        self, susy_session, platform, budget
     ):
-        planner = Planner(susy_session, cache_dir=str(tmp_path))
+        planner = Planner(susy_session)
         X = np.zeros((64, 18), dtype=np.float32)  # resolution never reads rows
         plan = planner.autotune(
             X, platform=platform, trace=TRACE_OFF, memory_budget_bytes=budget
@@ -526,7 +525,6 @@ class TestPlannerTraceOffBudgets:
         assert plan.replication == Replication()
         assert planner.stats["probe_runs"] == 0
         assert planner.stats["cost_evaluations"] == 0
-        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import Platform, RunConfig
 from repro.reliability.faults import FaultPlan
 from repro.reliability.guard import (
-    CPU_SECONDS_PER_NODE,
     BreakerPolicy,
     BreakerState,
     CircuitBreaker,
@@ -107,7 +106,8 @@ class TestTransientFailures:
 
     def test_cpu_rung_stacks_the_host_trees_once(self, guarded, monkeypatch):
         """The bottom rung stacks the host trees once per layout cache, and
-        its seconds stay ``rows * sum(max_depth + 1) * CPU_SECONDS_PER_NODE``."""
+        its seconds stay ``rows * sum(max_depth + 1) * SECONDS_PER_NODE``
+        (:class:`~repro.runtime.backends.CPUBackend`)."""
         guard, clf, X, _ = guarded(
             fault_plan=FaultPlan(seed=0, launch_fail_rate=1.0)
         )
@@ -117,10 +117,11 @@ class TestTransientFailures:
             backends, "stack_trees", lambda trees: calls.append(1) or real(trees)
         )
         levels = sum(int(t.depth.max()) + 1 for t in clf.trees)
+        per_node = backends.CPUBackend.SECONDS_PER_NODE
         for rows in (X[:7], X, X[:7]):
             res = guard.classify(rows, RunConfig(variant="hybrid"))
             assert res.details["mode"] == "cpu-fallback"
-            assert res.seconds == rows.shape[0] * levels * CPU_SECONDS_PER_NODE
+            assert res.seconds == rows.shape[0] * levels * per_node
             assert np.array_equal(res.predictions, clf.predict(rows))
         assert len(calls) == 1
 

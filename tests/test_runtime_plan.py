@@ -123,8 +123,9 @@ class TestJsonRoundTrip:
     def test_exact_round_trip(self, plan):
         clone = ExecutionPlan.from_json(plan.to_json())
         assert clone == plan
-        # Exactness, not just equality: the serialized form is the cache
-        # key, so a second serialization must be byte-identical.
+        # Exactness, not just equality: the serialized form is the
+        # planner's tie-breaking key, so a second serialization must be
+        # byte-identical.
         assert clone.to_json() == plan.to_json()
 
     def test_json_is_deterministic(self):
@@ -134,6 +135,9 @@ class TestJsonRoundTrip:
         assert " " not in a.to_json()
 
     def test_from_dict_defaults(self):
-        plan = ExecutionPlan.from_dict({"platform": "gpu", "variant": "csr"})
+        # "batch_split" names a removed field: unknown keys are ignored.
+        plan = ExecutionPlan.from_dict(
+            {"platform": "gpu", "variant": "csr", "batch_split": 1}
+        )
         assert plan.replication == Replication()
         assert plan.cost_estimate_s is None

@@ -198,6 +198,27 @@ class TestDeadlines:
         assert late > 0, "hang storm was expected to produce a late shed"
 
 
+class TestFailedBatch:
+    def test_members_of_a_rejected_batch_each_fail_once(self, trees, X_pool):
+        """A wrong threshold in the served table makes the guard's check
+        raise; every member still gets one typed, counted outcome."""
+        clf, front, _ = make_front(trees, X_pool)
+        seen = []
+        front._emit = seen.append
+        table = clf.layout_for(front.config)._fastpath_edges
+        table.value[int(table.roots[0])] = np.inf  # every row of tree 0 goes left
+        reqs = [front.submit(X_pool[i * 4 : i * 4 + 4]) for i in range(8)]
+        with pytest.raises(RuntimeError, match="disagree"):
+            front.drain()
+        assert sorted(r.request_id for r in seen) == sorted(
+            r.request_id for r in reqs
+        )
+        assert all(r.status is RequestStatus.FAILED for r in seen)
+        assert front.stats.shed == {RequestStatus.FAILED.value: 8}
+        assert front.stats.served == 0 and front.stats.batches == 0
+        assert front.queue_depth == 0
+
+
 class TestLazyTraceIds:
     """Root contexts are minted on first read, as the same seed-derived ids."""
 
@@ -297,9 +318,8 @@ class TestHedging:
 
 
 class TestAutoVariant:
-    def test_auto_config_resolved_once_via_planner(self, trees, X_pool, tmp_path):
+    def test_auto_config_resolved_once_via_planner(self, trees, X_pool):
         clf = HierarchicalForestClassifier.from_trees(trees, N_FEATURES)
-        clf.planner.cache_dir = str(tmp_path)
         guard = ResilientClassifier(clf, deadline_s=10.0)
         front = ServingFrontDoor(
             guard, config=RunConfig(variant=KernelVariant.AUTO), probe_X=X_pool[:64]
@@ -310,7 +330,7 @@ class TestAutoVariant:
         assert resp.ok
 
     def test_golden_auto_ladder_lands_on_cpu_with_identical_predictions(
-        self, trees, X_pool, tmp_path
+        self, trees, X_pool
     ):
         """ISSUE acceptance: variant="auto" + faults on the winning backend.
 
@@ -319,7 +339,6 @@ class TestAutoVariant:
         reference must serve predictions identical to the host trees.
         """
         clf = HierarchicalForestClassifier.from_trees(trees, N_FEATURES)
-        clf.planner.cache_dir = str(tmp_path)
         guard = ResilientClassifier(
             clf,
             deadline_s=10.0,
