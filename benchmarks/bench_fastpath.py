@@ -90,21 +90,16 @@ N_FEATURES = 16
 N_TREES = 12
 TREE_DEPTH = 16
 
-#: One measured config per layout family (hier / csr / fil), plus the
-#: quantized variants of the CSR layout.  The fastpath compares the same
-#: decoded float32 thresholds under every codec, so those rows differ from
-#: gpu-csr only in the thresholds the codec's round trip leaves behind.
-#: CSR is the family with gate headroom — the hybrid's trace denominator
-#: is ~2x faster, which would park its quantized ratio near the 50x floor
-#: where scheduler noise flakes the gate; hier-family codec correctness is
-#: pinned by the golden suite instead (cuml has no quantized form — the
-#: FIL shim is float32-only).
+#: One measured config per layout family (hier / csr / fil).  There is no
+#: quantized row: the fastpath compares the same decoded float32
+#: thresholds under every codec, so a quantized CSR row times gpu-csr's
+#: traversal again (980k vs 985k rows/s at 100k rows), and its own,
+#: looser baseline would pass a slowdown gpu-csr's gate catches.  Codec
+#: correctness is pinned by the golden suite.
 FAMILIES = (
     ("gpu-hybrid", RunConfig(variant="hybrid", layout=LayoutParams(6, 10))),
     ("gpu-csr", RunConfig(variant="csr")),
     ("gpu-cuml", RunConfig(variant="cuml")),
-    ("gpu-csr-int8", RunConfig(variant="csr", precision="int8")),
-    ("gpu-csr-packed", RunConfig(variant="csr", precision="packed")),
 )
 
 #: Fastpath batch sizes every scale measures: a serving request, the front

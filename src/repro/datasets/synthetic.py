@@ -21,10 +21,10 @@ ceiling is reached* (teacher_depth, signal_decay).
 
 from __future__ import annotations
 
+from statistics import NormalDist
 from typing import Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from repro.forest.tree import LEAF, DecisionTree
 from repro.utils.rng import as_rng
@@ -93,7 +93,7 @@ def make_teacher_tree(
         span = hi[j] - lo[j]
         u = lo[j] + span * rng.uniform(0.35, 0.65)
         feature[node] = int(info[j])
-        threshold[node] = float(ndtri(u))
+        threshold[node] = NormalDist().inv_cdf(u)
         value[node] = -1
         l = add_node(d + 1)
         r = add_node(d + 1)

@@ -14,7 +14,8 @@ dataflow over a shared :class:`~repro.utils.clock.SimulatedClock`:
   cannot finish inside its deadline is shed *before* burning backend time,
   and one that finished late (faults inflated the batch) has its
   predictions withheld — never silently served late.  A batch whose
-  guarded call raises ends every member ``FAILED``, then re-raises.
+  guarded call raises ends every member ``FAILED``, then re-raises; the
+  error carries every response the :meth:`pump` call made before it.
 
 The core is deliberately synchronous: batches execute one at a time and
 time only moves on the injected clock, so a traffic trace plus a fault
@@ -267,11 +268,19 @@ class ServingFrontDoor:
         ``force=True`` drains regardless of the coalescing window (the
         shutdown path).  Shed decisions and executions interleave exactly
         as the simulated clock dictates, so the response stream is a pure
-        function of (traffic, seeds).
+        function of (traffic, seeds).  When a batch's guarded call raises,
+        the error propagates with ``responses``: every response this call
+        made, in order, up to the failed batch's ``FAILED`` ones.
         """
         responses: List[Response] = []
-        while self._batcher.depth and (force or self._batcher.due(self.clock.now())):
-            responses.extend(self._run_one_batch())
+        try:
+            while self._batcher.depth and (
+                force or self._batcher.due(self.clock.now())
+            ):
+                self._run_one_batch(responses)
+        except RuntimeError as err:
+            err.responses = responses
+            raise
         self._note_queue_depth()
         return responses
 
@@ -280,9 +289,9 @@ class ServingFrontDoor:
         return self.pump(force=True)
 
     # ------------------------------------------------------------------
-    def _run_one_batch(self) -> List[Response]:
+    def _run_one_batch(self, responses: List[Response]) -> None:
+        """Run the next batch, appending each response to ``responses``."""
         now = self.clock.now()
-        responses: List[Response] = []
 
         # 1. Queue-expired requests never reach a backend.
         for req in self._batcher.take_expired(now):
@@ -290,7 +299,7 @@ class ServingFrontDoor:
                 self._shed(req, RequestStatus.SHED_DEADLINE_QUEUE, now)
             )
         if not self._batcher.depth:
-            return responses
+            return
 
         # 2. Calibrate against real rows on the very first batch.
         if self._models is None:
@@ -313,7 +322,7 @@ class ServingFrontDoor:
                 self._shed(req, RequestStatus.SHED_DEADLINE_PREDICTED, now)
             )
         if not members:
-            return responses
+            return
 
         # 5. Execute through the guard, propagating the tightest member
         #    deadline as the per-call budget on simulated device seconds.
@@ -338,7 +347,7 @@ class ServingFrontDoor:
             # each member still ends in one typed outcome, and the error
             # still surfaces.
             for req in members:
-                self._shed(req, RequestStatus.FAILED, now)
+                responses.append(self._shed(req, RequestStatus.FAILED, now))
             raise
         finally:
             self.guard.deadline_s = saved_deadline
@@ -401,7 +410,6 @@ class ServingFrontDoor:
             resp.batch_id = self._batch_id
             responses.append(resp)
             lo = hi
-        return responses
 
     # ------------------------------------------------------------------
     def _shed(

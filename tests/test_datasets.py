@@ -1,8 +1,13 @@
 """Tests for the synthetic dataset generators and named profiles."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.datasets.profiles import (
     PROFILES,
     load_dataset,
@@ -150,3 +155,29 @@ class TestSyntheticForest:
         )
         pred = forest.predict(X)
         assert pred.shape == (100,)
+
+
+class TestWithoutScipy:
+    def test_load_train_and_classify_import_no_scipy(self):
+        """Only ``repro.paper`` needs scipy; the serving and batch paths,
+        from dataset generation to a fastpath launch, run without it."""
+        src = Path(repro.__file__).resolve().parent.parent
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            "from repro.core.classifier import HierarchicalForestClassifier\n"
+            "from repro.core.config import RunConfig\n"
+            "from repro.datasets.profiles import load_dataset\n"
+            "ds = load_dataset('susy', rows=400, seed=0)\n"
+            "clf = HierarchicalForestClassifier(n_estimators=3, max_depth=6, seed=0)\n"
+            "clf.fit(ds.X_train, ds.y_train)\n"
+            "res = clf.classify(ds.X_test, RunConfig(trace='off'))\n"
+            "assert (res.predictions == clf.predict(ds.X_test)).all()\n"
+            "print(res.predictions.shape[0])\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "200"

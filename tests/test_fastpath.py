@@ -12,6 +12,8 @@ The contract under test (ISSUE 7 acceptance):
 """
 
 import inspect
+import sys
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
@@ -362,6 +364,105 @@ class TestWorkCounters:
         layout.params = LayoutParams(*claimed)
         with pytest.raises(RuntimeError, match="RSD/SD"):
             build_edges(layout)
+
+
+class TestParallelBlocks:
+    """A batch of several row blocks runs them on several threads.  No
+    output may depend on how many threads ran or which ran which block,
+    and a failing block must fail the whole call."""
+
+    @pytest.mark.parametrize("family", ["hier", "csr", "fil"])
+    def test_outputs_do_not_depend_on_the_thread_count(
+        self, small_trees, queries, monkeypatch, family
+    ):
+        # 25 rows per block, so the batch spans 62 blocks.
+        monkeypatch.setattr(engine, "FASTPATH_CHUNK_LANES", 256)
+        table = _family_layout(family, small_trees, "float32")._fastpath_edges
+        depths = host_leaf_depths(small_trees, queries)
+        offsets = np.cumsum([0] + [t.n_nodes for t in small_trees])
+        expected_leaves = (host_leaf_nodes(small_trees, queries) + offsets[:-1]).ravel()
+        expected = (
+            reference_predict(small_trees, queries),
+            int(depths.max()) + 1,
+            int(depths.sum()) + depths.size,
+        )
+        default_cpus = engine._cpu_count()
+        interval = sys.getswitchinterval()
+        # 8 threads is more than this box has cores; the short switch
+        # interval makes a lost update between them likely to show.
+        for cpus in (1, default_cpus, 8):
+            monkeypatch.setattr(engine, "_cpu_count", lambda: cpus)
+            leaves = np.full(expected_leaves.shape, -1, dtype=np.int32)
+            sys.setswitchinterval(1e-6)
+            try:
+                preds, levels, lane_levels = traverse_edges(table, queries, leaves=leaves)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(preds, expected[0]), cpus
+            assert (levels, lane_levels) == expected[1:], cpus
+            assert np.array_equal(leaves, expected_leaves), cpus
+
+    def test_a_failing_worker_block_fails_the_call(
+        self, small_trees, queries, monkeypatch
+    ):
+        monkeypatch.setattr(engine, "FASTPATH_CHUNK_LANES", 256)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 4)
+        table = _family_layout("csr", small_trees, "float32")._fastpath_edges
+        worker_failed = threading.Event()
+        caller = []
+        flushed_blocks = []
+        real_bincount = np.bincount
+
+        def bincount(*args, **kwargs):
+            # The caller's first block waits until a worker's block has
+            # raised, so a worker surely runs one.
+            flushed_blocks.append(threading.get_ident())
+            if threading.get_ident() != caller[0]:
+                worker_failed.set()
+                raise ValueError("planted block failure")
+            worker_failed.wait(timeout=30)
+            return real_bincount(*args, **kwargs)
+
+        outcome = []
+
+        def call():
+            caller.append(threading.get_ident())
+            try:
+                outcome.append(traverse_edges(table, queries))
+            except ValueError as err:
+                outcome.append(err)
+
+        monkeypatch.setattr(np, "bincount", bincount)
+        threads_before = threading.active_count()
+        runner = threading.Thread(target=call)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert worker_failed.is_set()
+        assert len(outcome) == 1 and isinstance(outcome[0], ValueError)
+        assert "planted block failure" in str(outcome[0])
+        assert threading.active_count() == threads_before
+        # The failure stopped further claims; the batch spans 62 blocks.
+        assert len(flushed_blocks) < 16
+
+    def test_one_block_starts_no_thread(self, small_trees, monkeypatch):
+        started = []
+
+        class SpyThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", SpyThread)
+        monkeypatch.setattr(engine, "_cpu_count", lambda: 4)
+        table = _family_layout("hier", small_trees, "float32")._fastpath_edges
+        one_block = FASTPATH_CHUNK_LANES // len(small_trees)
+        X = np.random.default_rng(12).standard_normal((one_block + 1, 12))
+        for rows in (256, one_block):  # a serving batch; a full block
+            traverse_edges(table, X[:rows])
+        assert started == []
+        traverse_edges(table, X)  # two blocks: the caller and one worker
+        assert len(started) == 1
 
 
 # ----------------------------------------------------------------------

@@ -218,6 +218,35 @@ class TestFailedBatch:
         assert front.stats.served == 0 and front.stats.batches == 0
         assert front.queue_depth == 0
 
+    def test_answers_served_before_a_rejected_batch_reach_the_caller(
+        self, trees, X_pool
+    ):
+        """One request per batch: the batch before the rejected one was
+        served, and its answer travels on the error, in order."""
+        clf, front, _ = make_front(
+            trees, X_pool, batching=BatchPolicy(max_batch_rows=1)
+        )
+        table = clf.layout_for(front.config)._fastpath_edges
+        root = int(table.roots[0])
+        feature, threshold = int(table.feature[root]), float(table.value[root])
+        goes_right = X_pool[:, feature] >= threshold
+        left_row = X_pool[np.flatnonzero(~goes_right)[:1]]
+        right_row = X_pool[np.flatnonzero(goes_right)[:1]]
+        table.value[root] = np.inf  # only the right-going row is misrouted
+        reqs = [front.submit(left_row), front.submit(right_row)]
+        with pytest.raises(RuntimeError, match="disagree") as raised:
+            front.drain()
+        responses = raised.value.responses
+        assert [r.request_id for r in responses] == [r.request_id for r in reqs]
+        assert [r.status for r in responses] == [
+            RequestStatus.SERVED,
+            RequestStatus.FAILED,
+        ]
+        np.testing.assert_array_equal(
+            responses[0].predictions, reference_predict(trees, left_row)
+        )
+        assert front.stats.served == 1 and front.stats.batches == 1
+
 
 class TestLazyTraceIds:
     """Root contexts are minted on first read, as the same seed-derived ids."""
