@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.core.config import KernelVariant, Platform, RunConfig
 from repro.core.results import RunResult
+from repro.fastpath import fastpath_seconds
 from repro.forest.metrics import accuracy_score
 from repro.obs.protocol import ensure_observer
 from repro.reliability.faults import FaultPlan, TransientKernelError
@@ -45,7 +46,6 @@ from repro.reliability.integrity import (
     attach_integrity,
     degraded_predict,
 )
-from repro.runtime.backends import CPUBackend
 from repro.runtime.plan import CPU_PLATFORM, ExecutionPlan
 from repro.runtime.planner import compile_plan
 from repro.runtime.session import ExecutionError
@@ -394,12 +394,11 @@ class ResilientClassifier:
         layout = self.inner.layout_for(config)
         integ = attach_integrity(layout)
         alive = integ.surviving_trees(layout, digests)
-        session = self.inner.runtime
         boxes = None
         if self.inner.verify_against_reference:
-            boxes = session.oracle_boxes(plan.precision)
+            boxes = self.inner.runtime.oracle_boxes(plan.precision)
         try:
-            preds, dropped = degraded_predict(
+            preds, dropped, stats = degraded_predict(
                 layout, X, alive, self.min_quorum_fraction, boxes=boxes
             )
         except QuorumLostError:
@@ -408,13 +407,12 @@ class ResilientClassifier:
         report.dropped_trees = tuple(
             sorted(set(report.dropped_trees) | set(dropped))
         )
-        frac = float(alive.sum()) / max(1, layout.n_trees)
-        stack = session.oracle_trees("float32")
-        seconds = CPUBackend.seconds_for(X.shape[0], stack) * frac
         return RunResult(
             config=config,
             predictions=preds,
-            seconds=seconds,
+            # The vote is one fastpath launch: priced by the same model
+            # as the clean path's.
+            seconds=fastpath_seconds(stats.lane_levels),
             details={
                 "mode": "degraded-quorum",
                 "trees_alive": int(alive.sum()),

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.baselines.cpu_reference import LeafBoxes, certify_votes
-from repro.fastpath import fastpath_predict
+from repro.fastpath import FastpathStats, fastpath_predict
 from repro.utils.validation import array_crc32, check_in_range
 
 #: Whole-array digests of a layout: ``(name, crc)`` in attribute order.
@@ -256,10 +256,11 @@ def degraded_predict(
     alive: np.ndarray,
     min_quorum_fraction: float = 0.5,
     boxes: Optional[LeafBoxes] = None,
-) -> Tuple[np.ndarray, Tuple[int, ...]]:
+) -> Tuple[np.ndarray, Tuple[int, ...], FastpathStats]:
     """Majority vote over only the intact trees of a corrupted layout.
 
-    Returns ``(predictions, dropped_tree_ids)``.  Raises
+    Returns ``(predictions, dropped_tree_ids, stats)``, ``stats`` being the
+    vote's fastpath launch counters (what the guard prices it by).  Raises
     :class:`QuorumLostError` when fewer than
     ``ceil(min_quorum_fraction * n_trees)`` trees survive — at that point
     degraded answers would be statistically meaningless and the caller
@@ -284,7 +285,7 @@ def degraded_predict(
     leaves = None
     if boxes is not None:
         leaves = np.empty(X.shape[0] * n_alive, dtype=np.int32)
-    preds, _ = fastpath_predict(layout, X, trees=alive, leaves=leaves)
+    preds, stats = fastpath_predict(layout, X, trees=alive, leaves=leaves)
     if boxes is not None:
         votes = certify_votes(boxes, X, leaves, trees=np.flatnonzero(alive))
         if not np.array_equal(preds, votes.argmax(axis=1)):
@@ -293,4 +294,4 @@ def degraded_predict(
                 "surviving trees"
             )
     dropped = tuple(int(t) for t in np.flatnonzero(~alive))
-    return preds, dropped
+    return preds, dropped, stats

@@ -2,9 +2,10 @@
 
 Turns the guarded classifier into a *service*: requests are admitted (or
 refused with a typed :class:`Overload`), queued in a bounded micro-batcher,
-coalesced into cost-model-optimal batches, executed through the reliability
-guard's fallback ladder, and answered inside their deadlines — or shed with
-an explicit reason, never silently served late (docs/architecture.md §10).
+launched in deadline-safe batches as soon as the server is idle, executed
+through the reliability guard's fallback ladder, and answered inside their
+deadlines — or shed with an explicit reason, never silently served late
+(docs/architecture.md §10).
 Everything runs on a :class:`~repro.utils.clock.SimulatedClock`, so a
 traffic trace plus a fault seed replays the entire serving history
 bit-identically; the chaos harness and the CI soak are built on exactly

@@ -2,7 +2,9 @@
 
 Batching amortises the backend's per-launch overhead (kernel launch on GPU,
 pipeline fill on FPGA) across many requests — but an over-greedy batch can
-bust the *earliest* member's deadline.  The batcher therefore works against
+bust the *earliest* member's deadline.  There is no coalescing window: the
+front door launches whatever is queued as soon as it is idle, so batches
+grow only with the requests that arrived while the previous one executed.  The batcher therefore works against
 an explicit :class:`LatencyModel` (calibrated from the runtime cost model,
 see :mod:`repro.serving.frontdoor`): requests join a batch only while the
 model's predicted execution time fits inside every member's remaining
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
 from repro.serving.request import Request
 from repro.utils.validation import check_positive_int
@@ -39,35 +41,19 @@ class LatencyModel:
     def seconds_for(self, rows: int) -> float:
         return self.overhead_s + rows * self.per_row_s
 
-    def optimal_rows(self, target_latency_s: float, cap: int = 4096) -> int:
-        """Largest batch whose predicted latency fits ``target_latency_s``.
-
-        This is the cost-model-optimal coalescing size: bigger amortises
-        the launch overhead further, but would overshoot the latency
-        target.  At least 1 — a single request must always be launchable.
-        """
-        if self.per_row_s <= 0:
-            return cap
-        rows = int((target_latency_s - self.overhead_s) / self.per_row_s)
-        return max(1, min(cap, rows))
-
 
 @dataclass(frozen=True)
 class BatchPolicy:
     """Coalescing knobs.
 
-    ``max_batch_rows`` caps one launch; ``max_wait_s`` bounds how long the
-    oldest queued request may age before a batch is forced out (the classic
-    throughput/latency coalescing window).
+    ``max_batch_rows`` caps one launch.  Requests wait only while another
+    batch runs, never for a timer (see :meth:`MicroBatcher.due`).
     """
 
     max_batch_rows: int = 256
-    max_wait_s: float = 0.002
 
     def __post_init__(self):
         check_positive_int(self.max_batch_rows, "max_batch_rows")
-        if self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be non-negative")
 
 
 class MicroBatcher:
@@ -94,22 +80,16 @@ class MicroBatcher:
     def add(self, request: Request) -> None:
         self._queue.append(request)
 
-    def oldest_wait_s(self, now: float) -> float:
-        if not self._queue:
-            return 0.0
-        return now - self._queue[0].arrival_s
-
     def due(self, now: float) -> bool:
-        """Should a batch be formed now?
+        """Should a batch follow the one just run, in the same pump?
 
-        Either the coalescing window expired for the oldest request, the
-        queue already holds a full batch, or the oldest request's slack is
-        about to be eaten by further waiting.
+        Only if the queue already holds a full batch, or the oldest
+        request's slack is about to be eaten by further waiting.  The
+        first batch of a pump needs no reason (the server is idle); a
+        shorter remainder waits for the caller's next submissions.
         """
         if not self._queue:
             return False
-        if self.oldest_wait_s(now) >= self.policy.max_wait_s:
-            return True
         if self.queued_rows >= self.policy.max_batch_rows:
             return True
         head = self._queue[0]

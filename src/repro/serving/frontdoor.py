@@ -6,7 +6,7 @@ dataflow over a shared :class:`~repro.utils.clock.SimulatedClock`:
 * :meth:`submit` admits a request (or raises a typed
   :class:`~repro.serving.request.Overload`) and queues it in the
   micro-batcher;
-* :meth:`pump` forms due batches and executes them through a
+* :meth:`pump` launches what is queued and executes it through a
   :class:`~repro.reliability.guard.ResilientClassifier` — the guard's
   retry/breaker/fallback machinery is reused unchanged, and the tightest
   member deadline is propagated into the guard as its per-call budget;
@@ -263,17 +263,25 @@ class ServingFrontDoor:
         return self._batcher.depth
 
     def pump(self, force: bool = False) -> List[Response]:
-        """Execute every due batch; returns the completed responses.
+        """Execute due batches; returns the completed responses.
 
-        ``force=True`` drains regardless of the coalescing window (the
-        shutdown path).  Shed decisions and executions interleave exactly
-        as the simulated clock dictates, so the response stream is a pure
-        function of (traffic, seeds).  When a batch's guarded call raises,
-        the error propagates with ``responses``: every response this call
-        made, in order, up to the failed batch's ``FAILED`` ones.
+        The core is synchronous, so nothing executes while the caller is
+        away: the first batch runs as soon as anything is queued.  A
+        further batch runs in the same call only when the queue holds a
+        full batch or the head's slack forces it
+        (:meth:`MicroBatcher.due`); a shorter remainder waits for the
+        caller's next submissions and goes first in the next call.
+        ``force=True`` drains everything (the shutdown path).  Shed
+        decisions and executions interleave exactly as the simulated clock
+        dictates, so the response stream is a pure function of (traffic,
+        seeds).  When a batch's guarded call raises, the error propagates
+        with ``responses``: every response this call made, in order, up to
+        the failed batch's ``FAILED`` ones.
         """
         responses: List[Response] = []
         try:
+            if self._batcher.depth:
+                self._run_one_batch(responses)
             while self._batcher.depth and (
                 force or self._batcher.due(self.clock.now())
             ):
@@ -285,7 +293,7 @@ class ServingFrontDoor:
         return responses
 
     def drain(self) -> List[Response]:
-        """Pump until the queue is empty (coalescing window ignored)."""
+        """Pump until the queue is empty."""
         return self.pump(force=True)
 
     # ------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import Platform, RunConfig
+from repro.fastpath import fastpath_predict, fastpath_seconds
 from repro.reliability.faults import FaultPlan
 from repro.reliability.guard import (
     BreakerPolicy,
@@ -186,9 +187,22 @@ class TestDegradedQuorum:
         assert res.details["trees_alive"] == layout.n_trees - 2
         # Predictions equal quorum voting over the surviving trees.
         alive = attach_integrity(layout).surviving_trees(layout)
-        expect, dropped = degraded_predict(layout, X, alive, 0.5)
+        expect, dropped, _ = degraded_predict(layout, X, alive, 0.5)
         assert dropped == (2, 7)
         assert np.array_equal(res.predictions, expect)
+
+    def test_degraded_batch_is_priced_by_its_vote(self, guarded):
+        # The vote is one fastpath launch over the survivors, so it costs
+        # what the fastpath model charges for that launch's lane-levels.
+        guard, clf, X, _ = guarded()
+        config = RunConfig(variant="hybrid")
+        layout = clf.layout_for(config)
+        _corrupt_tree(layout, 3)
+        res = guard.classify(X, config)
+        assert res.reliability.degraded
+        alive = attach_integrity(layout).surviving_trees(layout)
+        _, stats = fastpath_predict(layout, X, trees=alive)
+        assert res.seconds == fastpath_seconds(stats.lane_levels)
 
     def test_quorum_lost_walks_the_ladder_to_cpu(self, guarded):
         guard, clf, X, _ = guarded(min_quorum_fraction=0.5)

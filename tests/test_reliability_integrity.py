@@ -170,7 +170,7 @@ class TestDegradedVoting:
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         alive = np.ones(h.n_trees, dtype=bool)
         alive[[1, 4]] = False
-        preds, dropped = degraded_predict(h, queries, alive, 0.5)
+        preds, dropped, _ = degraded_predict(h, queries, alive, 0.5)
         assert dropped == (1, 4)
         survivors = [t for t, ok in zip(small_trees, alive) if ok]
         assert np.array_equal(preds, reference_predict(survivors, queries))
@@ -178,7 +178,7 @@ class TestDegradedVoting:
     def test_all_alive_matches_full_vote(self, small_trees, queries):
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         alive = np.ones(h.n_trees, dtype=bool)
-        preds, dropped = degraded_predict(h, queries, alive, 1.0)
+        preds, dropped, _ = degraded_predict(h, queries, alive, 1.0)
         assert dropped == ()
         assert np.array_equal(preds, reference_predict(small_trees, queries))
 
@@ -214,7 +214,7 @@ class TestDegradedUnderRealCorruption:
             with pytest.raises(QuorumLostError):
                 degraded_predict(layout, queries, alive, 0.5)
             return
-        preds, dropped = degraded_predict(layout, queries, alive, 0.5)
+        preds, dropped, _ = degraded_predict(layout, queries, alive, 0.5)
         assert dropped == hit
         survivors = [t for t, ok in zip(small_trees, alive) if ok]
         assert np.array_equal(preds, reference_predict(survivors, queries))

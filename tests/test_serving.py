@@ -156,12 +156,10 @@ class TestRequestPrimitives:
 # Latency model + micro-batching
 # ----------------------------------------------------------------------
 class TestLatencyModel:
-    def test_affine_and_optimal_rows(self):
+    def test_seconds_for_is_affine(self):
         m = LatencyModel(overhead_s=0.001, per_row_s=0.0001)
+        assert m.seconds_for(0) == pytest.approx(0.001)
         assert m.seconds_for(10) == pytest.approx(0.002)
-        assert m.optimal_rows(0.002) == 10
-        assert m.optimal_rows(0.0) == 1  # always launchable
-        assert LatencyModel(0.0, 0.0).optimal_rows(1.0, cap=64) == 64
 
     def test_calibration_fits_two_points(self):
         m = calibrate_latency_model(lambda rows: 0.5 + 0.25 * rows)
@@ -174,9 +172,9 @@ class TestLatencyModel:
 
 
 class TestMicroBatcher:
-    def make(self, per_row=0.01, max_rows=8, max_wait=0.002):
+    def make(self, per_row=0.01, max_rows=8):
         return MicroBatcher(
-            BatchPolicy(max_batch_rows=max_rows, max_wait_s=max_wait),
+            BatchPolicy(max_batch_rows=max_rows),
             LatencyModel(overhead_s=0.0, per_row_s=per_row),
         )
 
@@ -184,11 +182,16 @@ class TestMicroBatcher:
         b = self.make()
         assert not b.due(0.0)
         b.add(req(0, rows=1, arrival=0.0))
-        assert not b.due(0.001)
-        assert b.due(0.002)  # coalescing window expired
+        # No window: a short queue is never due, however long it waited.
+        assert not b.due(0.002)
+        assert not b.due(100.0)
         b2 = self.make(max_rows=2)
         b2.add(req(0, rows=2, arrival=0.0))
         assert b2.due(0.0)  # already a full batch
+        b3 = self.make(per_row=0.01)
+        b3.add(req(0, rows=1, arrival=0.0, deadline=0.05))
+        assert not b3.due(0.03)  # 0.02 s slack > 0.01 s alone
+        assert b3.due(0.045)  # waiting longer would eat the slack
 
     def test_take_expired_preserves_fifo_of_rest(self):
         b = self.make()

@@ -128,6 +128,61 @@ class TestFrontDoorCleanPath:
         assert resp.finish_s > resp.arrival_s
 
 
+class TestLaunchWhenIdle:
+    """The first batch of a pump runs at once; a short remainder waits."""
+
+    UNLIMITED = AdmissionPolicy(rate_qps=1e6, burst=1e6)
+
+    def test_idle_pump_runs_a_lone_request_at_once(self, trees, X_pool):
+        _, front, clock = make_front(trees, X_pool)
+        req = front.submit(X_pool[:1])
+        (resp,) = front.pump()  # the clock was not advanced first
+        assert resp.status is RequestStatus.SERVED
+        assert resp.request_id == req.request_id
+        assert front.stats.batches == 1
+        assert front.queue_depth == 0
+        # It launched at its arrival: it waited for nothing but itself.
+        assert resp.arrival_s == 0.0
+        assert resp.finish_s == clock.now()
+
+    def test_remainder_after_a_full_batch_waits_then_goes_first(
+        self, trees, X_pool
+    ):
+        _, front, _ = make_front(
+            trees, X_pool, batching=BatchPolicy(max_batch_rows=4),
+            admission=self.UNLIMITED,
+        )
+        for i in range(6):
+            front.submit(X_pool[i : i + 1])
+        first = front.pump()
+        assert [r.request_id for r in first] == [0, 1, 2, 3]
+        assert front.queue_depth == 2
+        front.submit(X_pool[6:7])
+        second = front.pump()
+        assert [r.request_id for r in second] == [4, 5, 6]
+        assert {r.batch_id for r in second} == {2}
+        assert front.stats.batches == 2
+
+    def test_closed_loop_keeps_batches_at_the_cap(self, trees, X_pool):
+        # 12 callers of 2 rows each, resubmitting on every answer: 24 rows
+        # are queued at each pump, and each pump runs one 16-row batch.
+        # Running the 8-row remainder as well would double the batches.
+        callers, rows, cap, rounds = 12, 2, 16, 10
+        _, front, _ = make_front(
+            trees, X_pool, batching=BatchPolicy(max_batch_rows=cap),
+            admission=self.UNLIMITED,
+        )
+        for c in range(callers):
+            front.submit(X_pool[c * rows : (c + 1) * rows])
+        for _ in range(rounds):
+            for resp in front.pump():
+                assert resp.status is RequestStatus.SERVED
+                front.submit(X_pool[:rows])
+        assert front.stats.batches == rounds
+        assert front.stats.rows_executed == rounds * cap
+        assert front.queue_depth == callers
+
+
 class TestOverload:
     def test_queue_full_is_typed(self, trees, X_pool):
         _, front, _ = make_front(
