@@ -2,14 +2,16 @@
 
 Batching amortises the backend's per-launch overhead (kernel launch on GPU,
 pipeline fill on FPGA) across many requests — but an over-greedy batch can
-bust the *earliest* member's deadline.  There is no coalescing window: the
-front door launches whatever is queued as soon as it is idle, so batches
-grow only with the requests that arrived while the previous one executed.  The batcher therefore works against
+bust the *earliest* member's deadline.  The batcher therefore works against
 an explicit :class:`LatencyModel` (calibrated from the runtime cost model,
 see :mod:`repro.serving.frontdoor`): requests join a batch only while the
 model's predicted execution time fits inside every member's remaining
 slack.  Requests whose deadline already passed, or that cannot finish in
 time even alone, are shed *here*, before any backend time is burnt.
+
+There is no coalescing window: the front door launches whatever is queued
+as soon as it is idle, so a batch grows only with the requests that
+arrived while the previous one executed.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ class LatencyModel:
     """Affine execution-time model: ``overhead_s + rows * per_row_s``.
 
     Calibrated per backend from the analytic cost model (two evaluations
-    pin the line).  Deliberately simple: its job is ranking batch sizes and
-    guarding deadlines, not nanosecond accuracy.
+    pin the line).  Deliberately simple: its job is guarding deadlines,
+    not nanosecond accuracy.
     """
 
     overhead_s: float

@@ -141,7 +141,7 @@ class TestLaunchWhenIdle:
         assert resp.request_id == req.request_id
         assert front.stats.batches == 1
         assert front.queue_depth == 0
-        # It launched at its arrival: it waited for nothing but itself.
+        # Only the batch's own execution moved the clock.
         assert resp.arrival_s == 0.0
         assert resp.finish_s == clock.now()
 
