@@ -6,10 +6,10 @@ combination depends on the forest shape and the workload; picking it by
 hand means re-running the Fig. 7 / Fig. 9 sweeps for every deployment.
 This example shows the runtime layer doing that automatically: the
 :class:`~repro.runtime.Planner` scores every registered candidate with an
-analytic cost model, probes the finalists with short seeded runs, and
-returns the winning :class:`~repro.runtime.ExecutionPlan`.  The planner
-keeps no state: every step is seeded, so a fresh planner re-tunes to the
-same plan.
+analytic cost model over a seeded query sample's work counts and returns
+the cheapest :class:`~repro.runtime.ExecutionPlan`, without running any
+simulation.  The planner keeps no state: every step is seeded, so a
+fresh planner re-tunes to the same plan.
 
 Run:  python examples/autotuned_serving.py
 """
@@ -71,8 +71,7 @@ def main() -> None:
     plan = fresh.autotune(X)
     print(
         f"fresh planner: plan came from {plan.source!r} "
-        f"({fresh.stats['probe_runs']} probes, "
-        f"{fresh.stats['cost_evaluations']} cost evals), "
+        f"({fresh.stats['cost_evaluations']} cost evals), "
         f"same JSON as the first: {plan.to_json() == first.to_json()}"
     )
     print(f"plan JSON: {plan.to_json()}")

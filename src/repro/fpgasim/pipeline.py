@@ -58,6 +58,14 @@ def derive_ii(chain: Sequence[str], spec: FPGASpec) -> int:
     return max(1, total)
 
 
+def check_replication(replication: Replication, spec: FPGASpec) -> None:
+    """Refuse a replication that asks for more SLRs than the device has."""
+    if replication.n_slrs > spec.n_slrs:
+        raise ValueError(
+            f"{replication.n_slrs} SLRs requested, device has {spec.n_slrs}"
+        )
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     """Timing of one pipelined loop under a replication config."""
@@ -96,7 +104,6 @@ class PipelineTimer:
         stream_bytes_per_item: float = 0.0,
         extra_stall_cycles_per_item: float = 0.0,
         launches: int = 1,
-        extra_demand_rho: float = 0.0,
     ) -> PipelineResult:
         """Time one loop.
 
@@ -119,18 +126,11 @@ class PipelineTimer:
             the collaborative kernel's query-state round trip).
         launches:
             Pipeline fill/drain events (per tree or per subtree batch).
-        extra_demand_rho:
-            Channel utilisation contributed by *other* loops running
-            concurrently on the same SLR (the fused hybrid kernel's two
-            stages contend jointly; see FPGAHybridKernel).
         """
         if work_items < 0:
             raise ValueError("work_items must be non-negative")
         spec = self.spec
-        if replication.n_slrs > spec.n_slrs:
-            raise ValueError(
-                f"{replication.n_slrs} SLRs requested, device has {spec.n_slrs}"
-            )
+        check_replication(replication, spec)
         freq_hz = (replication.freq_mhz or spec.clock_mhz) * 1e6
         cus = replication.total_cus
         items_per_cu = work_items / cus
@@ -151,7 +151,7 @@ class PipelineTimer:
         stream_rate = (
             k * stream_bytes_per_item / ii / bytes_per_cycle if ii > 0 else 0.0
         )
-        rho = rand_rate + stream_rate + max(0.0, extra_demand_rho)
+        rho = rand_rate + stream_rate
         # Saturated (rho >= 1): throughput capped by the channel, so time
         # scales with demand.  Below saturation a mild quadratic queueing
         # term models controller arbitration (calibrated so 12 CUs at
@@ -169,42 +169,4 @@ class PipelineTimer:
             ii=ii,
             freq_mhz=freq_hz / 1e6,
             work_items=work_items,
-        )
-
-    # ------------------------------------------------------------------
-    def demand_rho(
-        self,
-        ii: float,
-        cus_per_slr: int,
-        random_accesses_per_item: float = 0.0,
-        stream_bytes_per_item: float = 0.0,
-        freq_mhz: float = None,
-    ) -> float:
-        """Channel utilisation one loop presents to its SLR (no queueing)."""
-        spec = self.spec
-        if ii <= 0:
-            return 0.0
-        freq_hz = (freq_mhz or spec.clock_mhz) * 1e6
-        bytes_per_cycle = spec.ext_bandwidth_per_slr / freq_hz
-        return (
-            cus_per_slr * random_accesses_per_item / ii * spec.ext_random_service
-            + cus_per_slr * stream_bytes_per_item / ii / bytes_per_cycle
-        )
-
-    # ------------------------------------------------------------------
-    def combine(self, *results: PipelineResult) -> PipelineResult:
-        """Sequential composition of pipeline stages (e.g. hybrid 1 then 2)."""
-        if not results:
-            raise ValueError("combine needs at least one result")
-        seconds = sum(r.seconds for r in results)
-        cycles = sum(r.cycles_per_cu for r in results)
-        ideal = sum((1.0 - r.stall_pct) * r.cycles_per_cu for r in results)
-        stall = 1.0 - ideal / cycles if cycles > 0 else 0.0
-        return PipelineResult(
-            seconds=seconds,
-            cycles_per_cu=cycles,
-            stall_pct=stall,
-            ii=float("nan"),
-            freq_mhz=min(r.freq_mhz for r in results),
-            work_items=sum(r.work_items for r in results),
         )

@@ -4,6 +4,12 @@ Each FPGA kernel classifies the queries functionally (votes come from the
 same traversal statistics pass used for work-item counting) and produces a
 :class:`FPGAKernelResult` holding the pipeline timing under a given
 :class:`~repro.fpgasim.replication.Replication` configuration.
+
+The timing is one pricing call per kernel class,
+:meth:`FPGAKernel.timing`, from work counts and layout constants alone:
+a run prices the counts of the walk it just did, and the planner's cost
+model (:func:`repro.runtime.cost.fpga_plan_cost`) prices a probe
+sample's counts scaled to the workload, so both read one formula.
 """
 
 from __future__ import annotations
@@ -15,8 +21,10 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.fpgasim.device import ALVEO_U250, FPGASpec
-from repro.fpgasim.pipeline import PipelineResult, PipelineTimer
+from repro.fpgasim.pipeline import PipelineResult, check_replication
 from repro.fpgasim.replication import Replication
+from repro.kernels.traversal_stats import WorkloadProfile, profile_workload
+from repro.layout.hierarchical import HierarchicalForest
 from repro.utils.validation import check_array_2d
 
 
@@ -46,6 +54,8 @@ class FPGAKernel(ABC):
     """Base class for the FPGA code variants."""
 
     name: str = "fpga-base"
+    #: The layout family the kernel walks.
+    LAYOUT: type = HierarchicalForest
 
     def __init__(
         self,
@@ -55,7 +65,6 @@ class FPGAKernel(ABC):
         observer=None,
     ):
         self.spec = spec
-        self.timer = PipelineTimer(spec)
         #: Called at launch; may raise (failed launch) or return simulated
         #: hang seconds.  Wired up by the reliability guard / fault plans.
         self.launch_gate = launch_gate
@@ -80,8 +89,13 @@ class FPGAKernel(ABC):
             from repro.reliability.integrity import verify_layout_integrity
 
             verify_layout_integrity(layout)
+        if not isinstance(layout, self.LAYOUT):
+            raise TypeError(
+                f"{type(self).__name__} expects a {self.LAYOUT.__name__}"
+            )
         votes = np.zeros((X.shape[0], layout.n_classes), dtype=np.int64)
-        pipeline = self._run(layout, X, replication, votes)
+        counts = self._walk(layout, X, votes)
+        pipeline = self.timing(counts, layout, replication, self.spec)
         result = FPGAKernelResult(
             predictions=votes.argmax(axis=1),
             votes=votes,
@@ -92,14 +106,33 @@ class FPGAKernel(ABC):
             self.observer.on_fpga_kernel(self, result, replication)
         return result
 
-    @abstractmethod
-    def _run(
-        self, layout, X: np.ndarray, replication: Replication, votes: np.ndarray
-    ) -> PipelineResult:
-        """Accumulate votes and return the pipeline timing."""
+    def _walk(self, layout, X: np.ndarray, votes: np.ndarray) -> WorkloadProfile:
+        """Accumulate votes and count the walk's work items."""
+        return profile_workload(layout, X, votes)
 
-    @staticmethod
-    def _accumulate_votes(votes: np.ndarray, labels: np.ndarray) -> None:
-        if np.any(labels < 0):
-            raise RuntimeError("traversal left some queries unclassified")
-        votes[np.arange(labels.shape[0], dtype=np.int64), labels] += 1
+    @classmethod
+    def timing(
+        cls,
+        counts: WorkloadProfile,
+        layout,
+        replication: Replication,
+        spec: FPGASpec,
+    ) -> PipelineResult:
+        """Price ``counts`` on ``spec`` under ``replication``.
+
+        ``layout`` supplies only constants (tree, subtree and slot
+        counts), so any query set's counts price against it.
+        """
+        check_replication(replication, spec)
+        return cls._timing(counts, layout, replication, spec)
+
+    @classmethod
+    @abstractmethod
+    def _timing(
+        cls,
+        counts: WorkloadProfile,
+        layout,
+        replication: Replication,
+        spec: FPGASpec,
+    ) -> PipelineResult:
+        """The variant's pipeline algebra (paper Table 3)."""

@@ -19,11 +19,8 @@ best-in-class II — the paper's headline observation for this kernel.
 
 from __future__ import annotations
 
-from repro.fpgasim.pipeline import derive_ii
-from repro.fpgasim.replication import Replication
+from repro.fpgasim.pipeline import PipelineTimer, derive_ii
 from repro.kernels.fpga_base import FPGAKernel
-from repro.kernels.traversal_stats import traverse_tree_stats, subtree_level_totals
-from repro.layout.hierarchical import HierarchicalForest
 
 
 class FPGACollaborativeKernel(FPGAKernel):
@@ -35,36 +32,23 @@ class FPGACollaborativeKernel(FPGAKernel):
     #: External round trips of query state per (query, subtree) pair.
     STATE_ROUNDTRIPS = 2.0
 
-    def _run(self, layout: HierarchicalForest, X, replication: Replication, votes):
-        if not isinstance(layout, HierarchicalForest):
-            raise TypeError("FPGACollaborativeKernel expects a HierarchicalForest")
-        n = X.shape[0]
-        work_items = 0
-        state_pairs = 0
-        for t in range(layout.n_trees):
-            stats = traverse_tree_stats(layout, X, t)
-            self._accumulate_votes(votes, stats.labels)
-            levels = subtree_level_totals(layout, t)
-            work_items += n * levels
-            first = int(layout.tree_root_subtree[t])
-            last = (
-                int(layout.tree_root_subtree[t + 1])
-                if t + 1 < layout.n_trees
-                else layout.n_subtrees
-            )
-            state_pairs += n * (last - first)
-        ii = derive_ii(self.II_CHAIN, self.spec)
+    @classmethod
+    def _timing(cls, counts, layout, replication, spec):
+        # Every query occupies every level of every subtree, and its state
+        # round-trips once per subtree.
+        work_items = counts.n_queries * counts.sum_levels
+        state_pairs = counts.n_queries * layout.n_subtrees
         serial_per_item = (
-            self.STATE_ROUNDTRIPS
-            * self.spec.ext_load_latency
+            cls.STATE_ROUNDTRIPS
+            * spec.ext_load_latency
             * state_pairs
             / max(1, work_items)
         )
         # Burst-staging every subtree once per run (bandwidth bytes).
         stage_bytes = layout.total_slots * 8
-        return self.timer.time(
+        return PipelineTimer(spec).time(
             work_items=work_items,
-            ii=ii,
+            ii=derive_ii(cls.II_CHAIN, spec),
             replication=replication,
             random_accesses_per_item=0.0,
             stream_bytes_per_item=stage_bytes / max(1, work_items),

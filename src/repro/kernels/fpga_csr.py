@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fpgasim.pipeline import derive_ii
-from repro.fpgasim.replication import Replication
+from repro.fpgasim.pipeline import PipelineTimer, derive_ii
 from repro.forest.tree import LEAF
 from repro.kernels.fpga_base import FPGAKernel
+from repro.kernels.traversal_stats import WorkloadProfile, accumulate_votes
 from repro.layout.csr import CSRForest
 
 
@@ -34,23 +34,31 @@ class FPGACSRKernel(FPGAKernel):
         "arith",
     )
     RANDOM_ACCESSES_PER_ITEM = 4.0
+    LAYOUT = CSRForest
 
-    def _run(self, layout: CSRForest, X, replication: Replication, votes):
-        if not isinstance(layout, CSRForest):
-            raise TypeError("FPGACSRKernel expects a CSRForest layout")
-        n = X.shape[0]
-        rows = np.arange(n, dtype=np.int64)
+    def _walk(self, layout: CSRForest, X, votes) -> WorkloadProfile:
+        rows = np.arange(X.shape[0], dtype=np.int64)
         total_visits = 0
         for t in range(layout.n_trees):
             visits, labels = self._tree_visits(layout, X, t, rows)
             total_visits += visits
-            self._accumulate_votes(votes, labels)
-        ii = derive_ii(self.II_CHAIN, self.spec)
-        return self.timer.time(
-            work_items=total_visits,
-            ii=ii,
+            accumulate_votes(votes, labels)
+        # CSR has no subtrees: only the visits are priced.
+        return WorkloadProfile(
+            n_queries=X.shape[0],
+            visits=total_visits,
+            crossings=0,
+            stage1=0,
+            sum_levels=0,
+        )
+
+    @classmethod
+    def _timing(cls, counts, layout, replication, spec):
+        return PipelineTimer(spec).time(
+            work_items=counts.visits,
+            ii=derive_ii(cls.II_CHAIN, spec),
             replication=replication,
-            random_accesses_per_item=self.RANDOM_ACCESSES_PER_ITEM,
+            random_accesses_per_item=cls.RANDOM_ACCESSES_PER_ITEM,
             launches=layout.n_trees,
         )
 

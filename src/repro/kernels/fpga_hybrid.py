@@ -18,10 +18,7 @@ Average stage-2 utilisation drops to ``2^-s`` of the queries (paper
 from __future__ import annotations
 
 from repro.fpgasim.pipeline import PipelineResult, derive_ii
-from repro.fpgasim.replication import Replication
 from repro.kernels.fpga_base import FPGAKernel
-from repro.kernels.traversal_stats import traverse_tree_stats
-from repro.layout.hierarchical import HierarchicalForest
 
 
 class FPGAHybridKernel(FPGAKernel):
@@ -43,26 +40,18 @@ class FPGAHybridKernel(FPGAKernel):
     S1_RANDOM_ACCESSES = 3.5
     CROSS_ACCESSES = 2.0
 
-    def _run(self, layout: HierarchicalForest, X, replication: Replication, votes):
-        if not isinstance(layout, HierarchicalForest):
-            raise TypeError("FPGAHybridKernel expects a HierarchicalForest")
-        s1_items = 0
-        s2_items = 0
-        crossings = 0
-        stage_bytes = 0
-        for t in range(layout.n_trees):
-            stats = traverse_tree_stats(layout, X, t)
-            self._accumulate_votes(votes, stats.labels)
-            s1_items += stats.total_stage1
-            s2_items += stats.total_visits - stats.total_stage1
-            crossings += stats.total_crossings
-            _, size = layout.root_subtree_slots(t)
-            stage_bytes += size * 8
+    @classmethod
+    def _timing(cls, counts, layout, replication, spec):
+        s1_items = counts.stage1
+        s2_items = counts.visits - counts.stage1
+        crossings = counts.crossings
+        stage_bytes = sum(
+            layout.root_subtree_slots(t)[1] * 8 for t in range(layout.n_trees)
+        )
 
-        ii1 = derive_ii(self.II_CHAIN_S1, self.spec)
-        ii2 = derive_ii(self.II_CHAIN_S2, self.spec)
+        ii1 = derive_ii(cls.II_CHAIN_S1, spec)
+        ii2 = derive_ii(cls.II_CHAIN_S2, spec)
 
-        spec = self.spec
         freq_mhz = replication.freq_mhz or spec.clock_mhz
         freq_hz = freq_mhz * 1e6
         cus = replication.total_cus
@@ -71,11 +60,11 @@ class FPGAHybridKernel(FPGAKernel):
 
         rand_per_item = 1.0
         if s2_items:
-            rand_per_item += self.CROSS_ACCESSES * crossings / s2_items
+            rand_per_item += cls.CROSS_ACCESSES * crossings / s2_items
 
         # Per-CU pipeline cycles of the two (sequential) stages.
         depth = spec.pipeline_depth * layout.n_trees
-        c1 = s1_items / s1_cus * (ii1 + self.S1_SERIAL_CYCLES) + depth
+        c1 = s1_items / s1_cus * (ii1 + cls.S1_SERIAL_CYCLES) + depth
         c2 = s2_items / cus * ii2 + depth
         pipeline_cycles = c1 + c2
 
@@ -86,9 +75,9 @@ class FPGAHybridKernel(FPGAKernel):
         # "replicating stage one caused ~70% external memory stalling"
         # observation, and the reason its split configuration exists.
         bytes_per_cycle = spec.ext_bandwidth_per_slr / freq_hz
-        s1_stream_total = s1_items * self.S1_STREAM_BYTES + stage_bytes
+        s1_stream_total = s1_items * cls.S1_STREAM_BYTES + stage_bytes
         if not replication.split_stage1 and replication.cus_per_slr > 1:
-            channel = s1_items * self.S1_RANDOM_ACCESSES * spec.ext_random_service
+            channel = s1_items * cls.S1_RANDOM_ACCESSES * spec.ext_random_service
         else:
             channel = s1_stream_total / bytes_per_cycle
         channel += s2_items * rand_per_item * spec.ext_random_service

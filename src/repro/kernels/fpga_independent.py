@@ -11,11 +11,8 @@ item.
 
 from __future__ import annotations
 
-from repro.fpgasim.pipeline import derive_ii
-from repro.fpgasim.replication import Replication
+from repro.fpgasim.pipeline import PipelineTimer, derive_ii
 from repro.kernels.fpga_base import FPGAKernel
-from repro.kernels.traversal_stats import traverse_tree_stats
-from repro.layout.hierarchical import HierarchicalForest
 
 
 class FPGAIndependentKernel(FPGAKernel):
@@ -27,23 +24,14 @@ class FPGAIndependentKernel(FPGAKernel):
     #: Extra random accesses per subtree crossing (connection offset + id).
     CROSS_ACCESSES = 2.0
 
-    def _run(self, layout: HierarchicalForest, X, replication: Replication, votes):
-        if not isinstance(layout, HierarchicalForest):
-            raise TypeError("FPGAIndependentKernel expects a HierarchicalForest")
-        total_visits = 0
-        total_crossings = 0
-        for t in range(layout.n_trees):
-            stats = traverse_tree_stats(layout, X, t)
-            total_visits += stats.total_visits
-            total_crossings += stats.total_crossings
-            self._accumulate_votes(votes, stats.labels)
-        ii = derive_ii(self.II_CHAIN, self.spec)
+    @classmethod
+    def _timing(cls, counts, layout, replication, spec):
         rand_per_item = 1.0
-        if total_visits:
-            rand_per_item += self.CROSS_ACCESSES * total_crossings / total_visits
-        return self.timer.time(
-            work_items=total_visits,
-            ii=ii,
+        if counts.visits:
+            rand_per_item += cls.CROSS_ACCESSES * counts.crossings / counts.visits
+        return PipelineTimer(spec).time(
+            work_items=counts.visits,
+            ii=derive_ii(cls.II_CHAIN, spec),
             replication=replication,
             random_accesses_per_item=rand_per_item,
             launches=layout.n_trees,

@@ -5,12 +5,15 @@ per query-tree path length (= inner-loop iterations), subtree crossings
 (= extra external accesses) and the number of levels walked inside the root
 subtree (= hybrid stage-1 items).  This module computes all of them in one
 vectorised pass over the hierarchical layout, together with the predicted
-labels so FPGA kernels stay functional.
+labels so FPGA kernels stay functional.  :class:`WorkloadProfile` sums
+them over a forest: an FPGA kernel prices the counts of its own walk, the
+planner the counts of a probe sample scaled to the workload.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -109,3 +112,66 @@ def subtree_level_totals(layout: HierarchicalForest, tree: int) -> int:
         else layout.n_subtrees
     )
     return int(layout.subtree_depth[first:last].sum())
+
+
+@dataclass(frozen=True)
+class WorkloadProfile:
+    """Work-item counts of one traversal of a query set, over a forest."""
+
+    #: Queries the counts cover.
+    n_queries: int
+    #: Total node visits across all trees (layout-independent).
+    visits: float
+    #: Subtree-to-subtree crossings (depends on SD/RSD).
+    crossings: float
+    #: Levels walked inside root subtrees (hybrid stage-1 items).
+    stage1: float
+    #: Sum of subtree levels over the forest (collaborative occupancy,
+    #: per query; *not* scaled by the query count).
+    sum_levels: int
+
+    def scaled(self, n_queries: int) -> "WorkloadProfile":
+        """The counts expected for ``n_queries`` queries (query ratio)."""
+        scale = n_queries / max(1, self.n_queries)
+        return WorkloadProfile(
+            n_queries=int(n_queries),
+            visits=self.visits * scale,
+            crossings=self.crossings * scale,
+            stage1=self.stage1 * scale,
+            sum_levels=self.sum_levels,
+        )
+
+
+def accumulate_votes(votes: np.ndarray, labels: np.ndarray) -> None:
+    """Add one tree's per-query class labels into the vote table."""
+    if np.any(labels < 0):
+        raise RuntimeError("traversal left some queries unclassified")
+    votes[np.arange(labels.shape[0], dtype=np.int64), labels] += 1
+
+
+def profile_workload(
+    layout: HierarchicalForest, X: np.ndarray, votes: Optional[np.ndarray] = None
+) -> WorkloadProfile:
+    """Traverse every tree for ``X``, counting work items.
+
+    With ``votes`` given, each tree's labels are added into it.
+    """
+    visits = 0
+    crossings = 0
+    stage1 = 0
+    sum_levels = 0
+    for t in range(layout.n_trees):
+        stats = traverse_tree_stats(layout, X, t)
+        if votes is not None:
+            accumulate_votes(votes, stats.labels)
+        visits += stats.total_visits
+        crossings += stats.total_crossings
+        stage1 += stats.total_stage1
+        sum_levels += subtree_level_totals(layout, t)
+    return WorkloadProfile(
+        n_queries=int(X.shape[0]),
+        visits=visits,
+        crossings=crossings,
+        stage1=stage1,
+        sum_levels=sum_levels,
+    )

@@ -11,9 +11,9 @@ workload, made operational):
   shared registry in :mod:`repro.kernels`.
 * :func:`~repro.runtime.planner.compile_plan` /
   :class:`~repro.runtime.planner.Planner` — explicit configs map 1:1 onto
-  plans; ``variant="auto"`` autotunes with an analytic cost model plus
-  seeded probe runs — or, under ``trace="off"``, resolves to one plan
-  without tuning.
+  plans; ``variant="auto"`` autotunes with an analytic cost model over
+  a seeded query sample's work counts — or, under ``trace="off"``,
+  resolves to one plan without tuning.
 * :class:`~repro.runtime.session.RuntimeSession` — executes each plan as
   one launch and returns its :class:`~repro.core.results.RunResult`.
 
@@ -28,11 +28,8 @@ from repro.runtime.backends import (
     GPUBackend,
     default_backends,
 )
-from repro.runtime.cost import (
-    WorkloadProfile,
-    estimate_plan_cost,
-    profile_workload,
-)
+from repro.kernels.traversal_stats import WorkloadProfile, profile_workload
+from repro.runtime.cost import estimate_plan_cost
 from repro.runtime.plan import CPU_PLATFORM, ExecutionPlan, PlanError
 from repro.runtime.planner import (
     Planner,

@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--probe-queries",
         type=int,
         default=256,
-        help="seeded probe-sample size for cost profiling and probe runs",
+        help="seeded sample size whose work counts the cost model scales",
     )
     plan.add_argument("--seed", type=int, default=0, help="probe-sample seed")
     return p
@@ -86,10 +86,7 @@ def run_plan(args) -> int:
                 f"{name:<10} {platform:<8} {plan.label:<28} "
                 f"{plan.source:<9} {est_s:>13}"
             )
-    print(
-        f"[planner stats: {planner.stats['cost_evaluations']} cost evals, "
-        f"{planner.stats['probe_runs']} probes]"
-    )
+    print(f"[planner stats: {planner.stats['cost_evaluations']} cost evals]")
     return 0
 
 

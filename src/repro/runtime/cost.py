@@ -1,32 +1,28 @@
-"""Cheap analytic cost model used by the autotuning planner.
+"""Analytic cost model used by the autotuning planner.
 
 The planner cannot afford to run every candidate plan through the full
 simulators, so this module scores candidates from a *probe sample*: one
 vectorised traversal pass (:func:`repro.kernels.traversal_stats.
-traverse_tree_stats`) over a few hundred queries yields the work-item
-counts (node visits, subtree crossings, stage-1 levels) that both device
-models are driven by, and :mod:`repro.layout.footprint` supplies the
-bytes that determine GPU L2 behaviour.  The estimates are deliberately
-coarse — their job is *ranking* candidates so only the top-k get a real
-probe run, mirroring how the paper's own evaluation reasons about the
-variants (transactions per visit on GPU, initiation intervals on FPGA).
+profile_workload`) over a few hundred queries yields the work-item counts
+(node visits, subtree crossings, stage-1 levels) that both device models
+are driven by, scaled to the workload's query count.  The FPGA estimate
+is the simulator's own pricing call (:meth:`repro.kernels.fpga_base.
+FPGAKernel.timing`) on those counts, so it differs from a simulated run
+only by the probe's sampling error.  The GPU estimate is a coarse
+transaction count (:mod:`repro.layout.footprint` supplies the bytes that
+determine L2 behaviour), mirroring how the paper reasons about the GPU
+variants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from repro.core.config import TRACE_OFF
 from repro.fpgasim.device import FPGASpec
-from repro.fpgasim.pipeline import derive_ii
 from repro.gpusim.cache import capacity_miss_fraction
 from repro.gpusim.device import GPUSpec
 from repro.kernels import kernel_for
-from repro.kernels.traversal_stats import subtree_level_totals, traverse_tree_stats
+from repro.kernels.traversal_stats import WorkloadProfile
 from repro.layout.footprint import csr_bytes, hierarchical_bytes
-from repro.layout.hierarchical import HierarchicalForest
 from repro.runtime.plan import ExecutionPlan, PlanError
 
 #: Global-memory transactions per work item, by GPU variant.  CSR touches
@@ -54,43 +50,6 @@ CODEC_TXN_FACTOR = {
 }
 
 
-@dataclass(frozen=True)
-class WorkloadProfile:
-    """Work-item counts from one probe traversal of one layout."""
-
-    probe_queries: int
-    #: Total node visits across all trees (layout-independent).
-    visits: int
-    #: Subtree-to-subtree crossings (depends on SD/RSD).
-    crossings: int
-    #: Levels walked inside root subtrees (hybrid stage-1 items).
-    stage1: int
-    #: Sum of subtree levels over the forest (collaborative occupancy,
-    #: per query; *not* scaled by the probe count).
-    sum_levels: int
-
-
-def profile_workload(layout: HierarchicalForest, X: np.ndarray) -> WorkloadProfile:
-    """One probe pass: traverse every tree for the sample queries."""
-    visits = 0
-    crossings = 0
-    stage1 = 0
-    sum_levels = 0
-    for t in range(layout.n_trees):
-        stats = traverse_tree_stats(layout, X, t)
-        visits += stats.total_visits
-        crossings += stats.total_crossings
-        stage1 += stats.total_stage1
-        sum_levels += subtree_level_totals(layout, t)
-    return WorkloadProfile(
-        probe_queries=int(X.shape[0]),
-        visits=visits,
-        crossings=crossings,
-        stage1=stage1,
-        sum_levels=sum_levels,
-    )
-
-
 def plan_footprint_bytes(plan: ExecutionPlan, layout, trees) -> int:
     """Device-resident bytes of the plan's layout (GPU cache pressure)."""
     if plan.variant == "csr":
@@ -105,28 +64,23 @@ def plan_footprint_bytes(plan: ExecutionPlan, layout, trees) -> int:
 
 def gpu_plan_cost(
     plan: ExecutionPlan,
-    profile: WorkloadProfile,
-    n_queries: int,
+    counts: WorkloadProfile,
     footprint_bytes: int,
     spec: GPUSpec,
 ) -> float:
     """Transaction-throughput estimate of one GPU plan, seconds."""
-    scale = n_queries / max(1, profile.probe_queries)
-    visits = profile.visits * scale
-    crossings = profile.crossings * scale
-    stage1 = profile.stage1 * scale
     if plan.variant == "collaborative":
         # Every query occupies every level of every subtree (paper §3.2.2).
-        txns = 2.0 * n_queries * profile.sum_levels
+        txns = 2.0 * counts.n_queries * counts.sum_levels
     elif plan.variant in ("csr", "cuml"):
-        txns = GPU_TXN_PER_VISIT[plan.variant] * visits
+        txns = GPU_TXN_PER_VISIT[plan.variant] * counts.visits
     elif plan.variant == "independent":
-        txns = GPU_TXN_PER_VISIT["independent"] * visits
-        txns += GPU_TXN_PER_CROSSING * crossings
+        txns = GPU_TXN_PER_VISIT["independent"] * counts.visits
+        txns += GPU_TXN_PER_CROSSING * counts.crossings
     elif plan.variant == "hybrid":
-        txns = GPU_TXN_PER_VISIT["hybrid"] * (visits - stage1)
-        txns += GPU_TXN_PER_CROSSING * crossings
-        txns += GPU_HYBRID_STAGE1_TXN * stage1
+        txns = GPU_TXN_PER_VISIT["hybrid"] * (counts.visits - counts.stage1)
+        txns += GPU_TXN_PER_CROSSING * counts.crossings
+        txns += GPU_HYBRID_STAGE1_TXN * counts.stage1
     else:
         raise PlanError(f"no GPU cost model for variant {plan.variant!r}")
     txns *= CODEC_TXN_FACTOR[plan.precision]
@@ -136,48 +90,19 @@ def gpu_plan_cost(
 
 
 def fpga_plan_cost(
-    plan: ExecutionPlan,
-    profile: WorkloadProfile,
-    n_queries: int,
-    spec: FPGASpec,
+    plan: ExecutionPlan, counts: WorkloadProfile, layout, spec: FPGASpec
 ) -> float:
-    """Initiation-interval estimate of one FPGA plan, seconds.
-
-    IIs are derived from the registered kernel classes' dependency chains
-    so the estimate tracks the device constants (292 / 76 / 3 on the
-    Alveo defaults).
-    """
-    scale = n_queries / max(1, profile.probe_queries)
-    visits = profile.visits * scale
-    stage1 = profile.stage1 * scale
-    repl = plan.replication
-    cus = repl.total_cus
+    """The simulator's pricing of ``counts`` under the plan, seconds."""
     kernel_cls = kernel_for("fpga", plan.variant)
-    if plan.variant == "hybrid":
-        ii1 = derive_ii(kernel_cls.II_CHAIN_S1, spec)
-        ii2 = derive_ii(kernel_cls.II_CHAIN_S2, spec)
-        s1_cus = repl.n_slrs if repl.split_stage1 else cus
-        cycles = stage1 * (ii1 + kernel_cls.S1_SERIAL_CYCLES) / s1_cus
-        cycles += (visits - stage1) * ii2 / cus
-    elif plan.variant == "collaborative":
-        ii = derive_ii(kernel_cls.II_CHAIN, spec)
-        cycles = n_queries * profile.sum_levels * ii / cus
-    elif plan.variant in ("csr", "independent"):
-        ii = derive_ii(kernel_cls.II_CHAIN, spec)
-        cycles = visits * ii / cus
-    else:
-        raise PlanError(f"no FPGA cost model for variant {plan.variant!r}")
-    freq_hz = (repl.freq_mhz or spec.clock_mhz) * 1e6
-    return cycles / (1.0 - spec.base_stall) / freq_hz
+    return kernel_cls.timing(counts, layout, plan.replication, spec).seconds
 
 
-def fastpath_plan_cost(profile: WorkloadProfile, n_queries: int) -> float:
+def fastpath_plan_cost(counts: WorkloadProfile) -> float:
     """Latency estimate of one trace-off (fastpath) plan, seconds.
 
-    The fast path charges per active lane-level; the probe's total node
-    visits *are* the lane-levels a traversal of the probe sample executes
-    (one visit = one lane advanced one level), so scaling by the query
-    ratio gives the expected work directly.  Same constants as
+    The fast path charges per active lane-level, and the node visits
+    *are* the lane-levels a traversal executes (one visit = one lane
+    advanced one level).  Same constants as
     :func:`repro.fastpath.fastpath_seconds`, so the estimate and the
     simulated launch agree by construction.  Every codec compares the
     decoded float32 threshold channel, so no plan field changes the
@@ -185,24 +110,26 @@ def fastpath_plan_cost(profile: WorkloadProfile, n_queries: int) -> float:
     """
     from repro.fastpath import fastpath_seconds
 
-    scale = n_queries / max(1, profile.probe_queries)
-    lane_levels = profile.visits * scale
-    return fastpath_seconds(lane_levels)
+    return fastpath_seconds(counts.visits)
 
 
 def estimate_plan_cost(
     plan: ExecutionPlan,
-    profile: WorkloadProfile,
-    n_queries: int,
+    counts: WorkloadProfile,
+    layout,
     footprint_bytes: int,
     gpu_spec: GPUSpec,
     fpga_spec: FPGASpec,
 ) -> float:
-    """Dispatch to the plan's execution mode / platform cost model."""
+    """Dispatch to the plan's execution mode / platform cost model.
+
+    ``counts`` are the workload's (a probe's, already scaled), and
+    ``layout`` is the plan's own.
+    """
     if plan.trace == TRACE_OFF:
-        return fastpath_plan_cost(profile, n_queries)
+        return fastpath_plan_cost(counts)
     if plan.platform == "gpu":
-        return gpu_plan_cost(plan, profile, n_queries, footprint_bytes, gpu_spec)
+        return gpu_plan_cost(plan, counts, footprint_bytes, gpu_spec)
     if plan.platform == "fpga":
-        return fpga_plan_cost(plan, profile, n_queries, fpga_spec)
+        return fpga_plan_cost(plan, counts, layout, fpga_spec)
     raise PlanError(f"no cost model for platform {plan.platform!r}")

@@ -71,7 +71,7 @@ class ExecutionPlan:
     replication: Replication = field(default_factory=Replication)
     verify_integrity: bool = False
     #: "explicit" (compiled from a caller's RunConfig), "autotuned"
-    #: (trace-model ``variant="auto"``, ranked and probed), or
+    #: (trace-model ``variant="auto"``, ranked by the cost model), or
     #: "resolved" (trace-off ``variant="auto"``, picked without tuning).
     source: str = "explicit"
     #: The analytic cost model's estimate, seconds (None for explicit plans).

@@ -7,19 +7,20 @@ wiring, made explicit and serializable).
 
 :class:`Planner` is the ``variant="auto"`` path.  Under ``trace="model"``
 it enumerates candidate plans for the requested platform, scores them all
-with the analytic cost model (:mod:`repro.runtime.cost`), refines the
-top-k with short simulated probe runs on a seeded query sample, and
-returns the fastest probed plan.  Nothing is kept between calls: every
-step is deterministic under a fixed seed (candidate order is fixed, ties
-break on the plan's canonical JSON, and the probe sample comes from a
-seeded generator), so a fresh planner re-tunes to the same plan.
+with the analytic cost model (:mod:`repro.runtime.cost`) from the work
+counts of a seeded query sample, and returns the cheapest.  It runs no
+simulation: the FPGA estimate is the simulator's own pricing of the
+sample's counts.  Nothing is kept between calls: every step is
+deterministic under a fixed seed (candidate order is fixed, ties break on
+the plan's canonical JSON, and the sample comes from a seeded generator),
+so a fresh planner re-tunes to the same plan.
 
 Under ``trace="off"`` the autotuner has nothing to rank: every codec
 compares the same decoded float32 thresholds, so the fastpath cost of
 every candidate is the same.  Trace-off ``variant="auto"`` is therefore a
 pure resolution over the same candidates: the most precise codec by
 :data:`TRACE_OFF_CODEC_RANK`, ties broken on the canonical JSON, with no
-profile, cost evaluation or probe run.
+profile or cost evaluation.
 """
 
 from __future__ import annotations
@@ -31,14 +32,10 @@ import numpy as np
 
 from repro.core.config import TRACE_MODEL, TRACE_OFF, KernelVariant, Platform, RunConfig
 from repro.fpgasim.replication import FULL_4S12C, HYBRID_SPLIT_4S10C, Replication
+from repro.kernels.traversal_stats import WorkloadProfile, profile_workload
 from repro.layout.hierarchical import LayoutParams
 from repro.obs.protocol import ensure_observer
-from repro.runtime.cost import (
-    WorkloadProfile,
-    estimate_plan_cost,
-    plan_footprint_bytes,
-    profile_workload,
-)
+from repro.runtime.cost import estimate_plan_cost, plan_footprint_bytes
 from repro.runtime.plan import ExecutionPlan, PlanError
 from repro.runtime.session import RuntimeSession
 from repro.utils.rng import as_rng
@@ -109,12 +106,10 @@ class Planner:
     Parameters
     ----------
     session:
-        The :class:`RuntimeSession` whose trees and device specs the
-        planner tunes for (probe runs execute through it).
+        The :class:`RuntimeSession` whose trees, layouts and device specs
+        the planner tunes for.
     probe_queries:
-        Size of the seeded sample used for cost profiling and probe runs.
-    top_k:
-        How many cost-ranked candidates get a real probe run.
+        Size of the seeded sample whose work counts the cost model scales.
     seed:
         Seeds the probe-sample draw (determinism of the whole decision).
     observer:
@@ -126,16 +121,15 @@ class Planner:
         self,
         session: RuntimeSession,
         probe_queries: int = 256,
-        top_k: int = 2,
         seed: int = 0,
         observer=None,
     ):
         self.session = session
         self.probe_queries = int(probe_queries)
-        self.top_k = int(top_k)
         self.seed = int(seed)
         self.observer = observer
         #: Exact accounting of what each decision took (tests assert on it).
+        #: ``probe_runs`` always reads 0; the e2e benchmark still reads it.
         self.stats: Dict[str, int] = {"cost_evaluations": 0, "probe_runs": 0}
 
     # ------------------------------------------------------------------
@@ -233,17 +227,17 @@ class Planner:
         n_queries: int,
         memo: Optional[Dict[Tuple, WorkloadProfile]] = None,
     ) -> float:
-        """Analytic cost of one candidate, seconds."""
+        """Analytic cost of one candidate over ``n_queries``, seconds."""
         if memo is None:
             memo = {}
-        profile = self._profile_for(plan, probe, memo)
+        counts = self._profile_for(plan, probe, memo).scaled(n_queries)
         layout = self.session.layout_for(plan)
         footprint = plan_footprint_bytes(plan, layout, self.session.trees)
         self.stats["cost_evaluations"] += 1
         return estimate_plan_cost(
             plan,
-            profile,
-            n_queries,
+            counts,
+            layout,
             footprint,
             self.session.gpu,
             self.session.fpga,
@@ -260,6 +254,9 @@ class Planner:
         memory_budget_bytes: Optional[int] = None,
     ) -> ExecutionPlan:
         """Pick the cheapest plan for this (forest, workload, platform).
+
+        Every candidate is ranked by its cost estimate over ``X``; ties
+        break on the canonical plan JSON.
 
         With ``memory_budget_bytes`` set, candidates whose layout
         footprint exceeds the budget are dropped before ranking; when
@@ -301,16 +298,7 @@ class Planner:
             (self.estimate(plan, probe, n_queries, memo), plan.to_json(), plan)
             for plan in pool
         ]
-        scored.sort(key=lambda item: (item[0], item[1]))
-        finalists = scored[: max(1, self.top_k)]
-
-        probed = []
-        for cost, key, plan in finalists:
-            res = self.session.run(plan, probe, config=plan.to_run_config())
-            self.stats["probe_runs"] += 1
-            probed.append((res.seconds, key, cost, plan))
-        probed.sort(key=lambda item: (item[0], item[1]))
-        _, _, best_cost, best = probed[0]
+        best_cost, _, best = min(scored, key=lambda item: item[:2])
         plan = replace(
             best,
             verify_integrity=verify_integrity,

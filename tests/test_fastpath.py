@@ -541,8 +541,8 @@ class TestPlannerTraceOff:
         assert planner.stats["cost_evaluations"] == 0
 
     def test_cost_model_prefers_the_fast_path(self, session, queries):
-        """The fastpath latency term must undercut the device models —
-        otherwise a trace-off autotune could still pick nothing faster."""
+        """The fastpath latency term, which the front door calibrates its
+        latency models from, must undercut the device models."""
         planner = Planner(session)
         probe = queries[:128]
         plan_model = ExecutionPlan(trace=TRACE_MODEL)

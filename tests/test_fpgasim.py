@@ -121,21 +121,3 @@ class TestPipelineTimer:
     def test_negative_work(self):
         with pytest.raises(ValueError):
             PipelineTimer(ALVEO_U250).time(-1, ii=1)
-
-    def test_demand_rho_linear_in_cus(self):
-        t = PipelineTimer(ALVEO_U250)
-        r1 = t.demand_rho(76, 1, random_accesses_per_item=1.0)
-        r12 = t.demand_rho(76, 12, random_accesses_per_item=1.0)
-        assert r12 == pytest.approx(12 * r1)
-
-    def test_combine_sequential(self):
-        t = PipelineTimer(ALVEO_U250)
-        a = t.time(1000, ii=3)
-        b = t.time(1000, ii=76)
-        c = t.combine(a, b)
-        assert c.seconds == pytest.approx(a.seconds + b.seconds)
-        assert c.work_items == 2000
-
-    def test_combine_empty(self):
-        with pytest.raises(ValueError):
-            PipelineTimer(ALVEO_U250).combine()

@@ -83,6 +83,22 @@ class TestCorrectness:
         with pytest.raises(TypeError):
             FPGAIndependentKernel().run(layouts["csr"], queries)
 
+    @pytest.mark.parametrize(
+        "kernel_cls, family",
+        [
+            (FPGACSRKernel, "csr"),
+            (FPGAIndependentKernel, "hier"),
+            (FPGACollaborativeKernel, "hier"),
+            (FPGAHybridKernel, "hier"),
+        ],
+    )
+    def test_more_slrs_than_the_device_rejected(
+        self, layouts, queries, kernel_cls, family
+    ):
+        """Every variant refuses a replication the 4-SLR U250 cannot hold."""
+        with pytest.raises(ValueError, match="5 SLRs requested"):
+            kernel_cls().run(layouts[family], queries[:64], Replication(5, 1))
+
 
 class TestTable3Orderings:
     """The paper's Table 3 relationships on a small workload."""

@@ -86,13 +86,16 @@ class TestPlannerExplicitPath:
 
 class TestAutotune:
     def test_deterministic_under_fixed_seed(self, workload):
-        # One planner asked twice ranks and probes twice: it keeps no memo.
+        # One planner asked twice ranks every candidate twice: it keeps
+        # no memo.
         forest, X = workload
         planner = make_planner(forest, seed=0)
         a = planner.autotune(X)
-        probes = planner.stats["probe_runs"]
+        evals = planner.stats["cost_evaluations"]
         b = planner.autotune(X)
-        assert planner.stats["probe_runs"] == 2 * probes > 0
+        assert evals == len(planner.candidates(Platform.GPU))
+        assert planner.stats["cost_evaluations"] == 2 * evals
+        assert planner.stats["probe_runs"] == 0
         assert a.to_json() == b.to_json()
         assert a.cost_estimate_s is not None
 
@@ -102,10 +105,39 @@ class TestAutotune:
         forest, X = workload
         first, second = make_planner(forest), make_planner(forest)
         a, b = first.autotune(X), second.autotune(X)
-        assert first.stats["probe_runs"] > 0
-        assert second.stats["probe_runs"] > 0
+        assert first.stats == second.stats
+        assert first.stats["cost_evaluations"] > 0
         assert a.to_json() == b.to_json()
         assert a.source == b.source == "autotuned"
+
+    @pytest.mark.parametrize("platform", [Platform.GPU, Platform.FPGA])
+    def test_autotune_runs_no_simulation(self, workload, monkeypatch, platform):
+        forest, X = workload
+        planner = make_planner(forest)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the planner ran a plan")
+
+        monkeypatch.setattr(RuntimeSession, "run", refuse)
+        plan = planner.autotune(X, platform=platform)
+        assert plan.platform == platform.value
+        assert plan.cost_estimate_s > 0
+
+    def test_fpga_estimate_is_the_simulated_seconds(self, workload):
+        """With the whole query set as the sample, the FPGA estimate is the
+        simulator's own pricing of the same counts, for every candidate."""
+        forest, X = workload
+        X = X[:200]
+        planner = make_planner(forest, probe_queries=256)
+        session = planner.session
+        pool = planner.candidates(Platform.FPGA)
+        labels = {p.label for p in pool}
+        assert {"fpga-csr", "fpga-independent-SD8-4S12C"} <= labels
+        assert any(p.replication.split_stage1 for p in pool)
+        for plan in pool:
+            estimate = planner.estimate(plan, X, len(X))
+            simulated = session.run(plan, X).seconds
+            assert estimate == pytest.approx(simulated, rel=1e-9), plan.label
 
     def test_candidates_enumerate_hybrid_rsd(self, workload):
         forest, _ = workload
@@ -141,6 +173,29 @@ class TestAutotune:
         explicit = clf.classify(X, res.config)
         np.testing.assert_array_equal(res.predictions, explicit.predictions)
         assert res.seconds == pytest.approx(explicit.seconds, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["covertype", "susy", "higgs"])
+def test_smoke_forest_picks(name):
+    """The checked-in smoke forests' picks, as ``make plan`` prints them."""
+    from repro.experiments.common import (
+        band_depths,
+        get_dataset,
+        get_forest,
+        get_scale,
+        queries_for,
+    )
+
+    scale = get_scale("smoke")
+    forest = get_forest(name, band_depths(name, scale)[0], scale.n_trees, scale)
+    X = queries_for(get_dataset(name, scale), scale)
+    planner = make_planner(forest)
+    assert planner.autotune(X, platform=Platform.GPU).label == (
+        "gpu-hybrid-SD8-RSD10"
+    )
+    assert planner.autotune(X, platform=Platform.FPGA).label == (
+        "fpga-independent-SD8-4S12C"
+    )
 
 
 class TestFingerprints:
