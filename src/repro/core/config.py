@@ -72,11 +72,11 @@ class RunConfig:
         historical identity.  The cuML baseline models a fixed 16-byte
         node record and has no quantized form.
     memory_budget_bytes:
-        Optional device-memory ceiling for the planner: with
-        ``variant="auto"`` the autotuner only considers candidate plans
-        whose layout footprint fits the budget, enumerating quantized
-        codecs to get under it.  ``None`` (default) keeps the historical
-        float32-only candidate space.
+        Optional device-memory ceiling for ``variant="auto"``: the
+        autotuner only considers plans whose footprint fits it (the served
+        edge table under ``trace="off"``; under ``trace="model"`` the
+        layout's arrays, enumerating quantized codecs to get under it).
+        ``None`` (default) keeps the historical float32-only space.
     """
 
     platform: Platform = Platform.GPU

@@ -7,7 +7,8 @@ modeled device-resident arrays (:func:`csr_device_arrays` /
 :func:`hierarchical_device_arrays`) whose widths derive from the layout's
 codec, and the byte totals are the sum of their ``nbytes``.  Fig. 6, the
 cost model, the quantization frontier and the transfer model all read
-these totals, which is how they see quantized layouts shrink.
+these totals, which is how they see quantized layouts shrink.  A served
+plan is charged its lowered edge table instead (:func:`edge_table_bytes`).
 
 Unpacked codecs ship the representations of §2.3/§3.1: 32-bit feature
 ids and child/connection indices, 64-bit offsets, and the codec's value
@@ -205,6 +206,12 @@ def layout_device_arrays(layout):
     if isinstance(layout, HierarchicalForest):
         return hierarchical_device_arrays(layout)
     raise TypeError(f"unknown layout type {type(layout).__name__}")
+
+
+def edge_table_bytes(table) -> int:
+    """Bytes of every buffer of a lowered edge table (the ``edges.*``
+    digests' set): 24 B per slot plus 4 B per tree under every codec."""
+    return sum(a.nbytes for a in vars(table).values() if isinstance(a, np.ndarray))
 
 
 def footprint_ratio(hier: HierarchicalForest, csr: CSRForest) -> float:

@@ -17,12 +17,13 @@ variants.
 from __future__ import annotations
 
 from repro.core.config import TRACE_OFF
+from repro.fastpath import fastpath_seconds
 from repro.fpgasim.device import FPGASpec
 from repro.gpusim.cache import capacity_miss_fraction
 from repro.gpusim.device import GPUSpec
 from repro.kernels import kernel_for
 from repro.kernels.traversal_stats import WorkloadProfile
-from repro.layout.footprint import csr_bytes, hierarchical_bytes
+from repro.layout.footprint import csr_bytes, edge_table_bytes, hierarchical_bytes
 from repro.runtime.plan import ExecutionPlan, PlanError
 
 #: Global-memory transactions per work item, by GPU variant.  CSR touches
@@ -51,7 +52,10 @@ CODEC_TXN_FACTOR = {
 
 
 def plan_footprint_bytes(plan: ExecutionPlan, layout, trees) -> int:
-    """Device-resident bytes of the plan's layout (GPU cache pressure)."""
+    """Device-resident bytes of the plan: its served edge table under
+    ``trace="off"``, else its layout's arrays (GPU cache pressure)."""
+    if plan.trace == TRACE_OFF:
+        return edge_table_bytes(layout._fastpath_edges)
     if plan.variant == "csr":
         return csr_bytes(layout)
     if plan.variant == "cuml":
@@ -97,22 +101,6 @@ def fpga_plan_cost(
     return kernel_cls.timing(counts, layout, plan.replication, spec).seconds
 
 
-def fastpath_plan_cost(counts: WorkloadProfile) -> float:
-    """Latency estimate of one trace-off (fastpath) plan, seconds.
-
-    The fast path charges per active lane-level, and the node visits
-    *are* the lane-levels a traversal executes (one visit = one lane
-    advanced one level).  Same constants as
-    :func:`repro.fastpath.fastpath_seconds`, so the estimate and the
-    simulated launch agree by construction.  Every codec compares the
-    decoded float32 threshold channel, so no plan field changes the
-    estimate.
-    """
-    from repro.fastpath import fastpath_seconds
-
-    return fastpath_seconds(counts.visits)
-
-
 def estimate_plan_cost(
     plan: ExecutionPlan,
     counts: WorkloadProfile,
@@ -127,7 +115,9 @@ def estimate_plan_cost(
     ``layout`` is the plan's own.
     """
     if plan.trace == TRACE_OFF:
-        return fastpath_plan_cost(counts)
+        # A node visit is one lane advanced one level, the fastpath's unit
+        # of work; no plan field (codec included) changes the count.
+        return fastpath_seconds(counts.visits)
     if plan.platform == "gpu":
         return gpu_plan_cost(plan, counts, footprint_bytes, gpu_spec)
     if plan.platform == "fpga":

@@ -18,9 +18,10 @@ so a fresh planner re-tunes to the same plan.
 Under ``trace="off"`` the autotuner has nothing to rank: every codec
 compares the same decoded float32 thresholds, so the fastpath cost of
 every candidate is the same.  Trace-off ``variant="auto"`` is therefore a
-pure resolution over the same candidates: the most precise codec by
-:data:`TRACE_OFF_CODEC_RANK`, ties broken on the canonical JSON, with no
-profile or cost evaluation.
+pure resolution over the candidates of the requested precision: the first
+canonical plan JSON wins, with no profile or cost evaluation.  A memory
+budget there counts the served edge table, which is the same size under
+every codec, so it never widens the codec space.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from repro.core.config import TRACE_MODEL, TRACE_OFF, KernelVariant, Platform, RunConfig
 from repro.fpgasim.replication import FULL_4S12C, HYBRID_SPLIT_4S10C, Replication
 from repro.kernels.traversal_stats import WorkloadProfile, profile_workload
+from repro.layout.codec import PRECISIONS
 from repro.layout.hierarchical import LayoutParams
 from repro.obs.protocol import ensure_observer
 from repro.runtime.cost import estimate_plan_cost, plan_footprint_bytes
@@ -93,12 +95,6 @@ def compile_plan(forest, config: RunConfig = RunConfig()) -> ExecutionPlan:
 SD_CANDIDATES = (4, 6, 8)
 HYBRID_RSD_EXTRA = (10,)
 
-#: Trace-off codec preference, lowest first.  A budget that float32 cannot
-#: meet falls back to float16, then to int8 and packed, which tie: their
-#: thresholds decode the same way, so the canonical plan JSON decides
-#: between them and between layouts of one rank.
-TRACE_OFF_CODEC_RANK = {"float32": 0, "float16": 1, "int8": 2, "packed": 2}
-
 
 class Planner:
     """Chooses an :class:`ExecutionPlan` for a session's forest.
@@ -158,8 +154,9 @@ class Planner:
         The cuML baseline is excluded on purpose: it is the comparator the
         paper argues against, not a deployment choice of this system.
         With ``trace="off"`` every candidate carries the mode.  The default
-        ``precisions`` keeps the historical float32-only space; a memory
-        budget widens it to the full codec family (see :meth:`autotune`).
+        ``precisions`` keeps the historical float32-only space; a
+        trace-model memory budget widens it to the full codec family (see
+        :meth:`autotune`).
         """
         platform = Platform(platform)
         plans: List[ExecutionPlan] = []
@@ -258,35 +255,29 @@ class Planner:
         Every candidate is ranked by its cost estimate over ``X``; ties
         break on the canonical plan JSON.
 
-        With ``memory_budget_bytes`` set, candidates whose layout
-        footprint exceeds the budget are dropped before ranking; when
+        With ``memory_budget_bytes`` set, candidates whose footprint
+        (:func:`~repro.runtime.cost.plan_footprint_bytes`) exceeds the
+        budget are dropped before ranking.  Under ``trace="model"``, when
         ``precision`` is left at its float32 default, the budget also
         widens the candidate space to every codec so the planner can
         quantize its way under the ceiling.  If nothing fits, the
         smallest-footprint candidate wins (the least-bad answer beats
         refusing to plan).
 
-        ``trace="off"`` resolves without tuning: the candidate whose
-        codec ranks lowest in :data:`TRACE_OFF_CODEC_RANK` wins, ties
-        broken on the plan's canonical JSON.  Only the budget filter
-        builds layouts.
+        ``trace="off"`` resolves without tuning over the requested
+        precision only: a served plan is charged its edge table, which no
+        codec shrinks.  The first canonical plan JSON wins; only the
+        budget filter builds layouts.
         """
         platform = Platform(platform)
         X = np.ascontiguousarray(X, dtype=np.float32)
-        if memory_budget_bytes is not None and precision == "float32":
-            from repro.layout.codec import PRECISIONS
-
-            precisions: Tuple[str, ...] = tuple(PRECISIONS)
-        else:
-            precisions = (precision,)
+        widen = trace == TRACE_MODEL and memory_budget_bytes is not None
+        precisions = PRECISIONS if widen and precision == "float32" else (precision,)
         pool = self._within_budget(
             self.candidates(platform, trace, precisions), memory_budget_bytes
         )
         if trace == TRACE_OFF:
-            best = min(
-                pool,
-                key=lambda p: (TRACE_OFF_CODEC_RANK[p.precision], p.to_json()),
-            )
+            best = min(pool, key=ExecutionPlan.to_json)
             plan = replace(best, verify_integrity=verify_integrity, source="resolved")
             self._notify(plan)
             return plan
@@ -310,14 +301,14 @@ class Planner:
 
     # ------------------------------------------------------------------
     def _footprint(self, plan: ExecutionPlan) -> int:
-        """Device bytes of a candidate's layout (builds/caches the layout)."""
+        """Device bytes of a candidate (builds/caches its layout)."""
         layout = self.session.layout_for(plan)
         return plan_footprint_bytes(plan, layout, self.session.trees)
 
     def _within_budget(
         self, pool: List[ExecutionPlan], budget: Optional[int]
     ) -> List[ExecutionPlan]:
-        """The candidates whose layout fits ``budget`` bytes.
+        """The candidates whose footprint fits ``budget`` bytes.
 
         If none fits, only the smallest-footprint candidate.  Builds every
         candidate's layout (:meth:`_footprint` needs one); under

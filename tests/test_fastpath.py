@@ -58,6 +58,7 @@ from repro.fpgasim.replication import Replication
 from repro.kernels import registered_pairs
 from repro.layout.codec import PRECISIONS, quantize_trees
 from repro.layout.csr import CSRForest
+from repro.layout.footprint import edge_table_bytes
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 from repro.obs import ObsSession
 from repro.reliability import ResilientClassifier
@@ -568,21 +569,27 @@ SUSY_FOOTPRINTS = {
     "packed": (447_456, 126_296),
 }
 
-#: Trace-off auto decisions on susy d20x20 per memory budget, as the
-#: cost-ranked, probe-run autotuner made them: (variant, layout,
-#: precision), identical on gpu and fpga.  At 410,082 B (CSR int8's exact
-#: footprint) both csr-int8 and hybrid-SD4-packed fit: int8 and packed tie,
-#: and the canonical plan JSON picks the packed hybrid.
+#: Trace-off auto decisions on susy d20x20 per memory budget: (variant,
+#: layout, served edge-table bytes), identical on gpu and fpga, and always
+#: float32 with the default replication.  A served plan is charged its
+#: EdgeTable (24 B per slot under every codec), so the CSR table
+#: (756,416 B) is the smallest: it fits from there up to the 914,576 B of
+#: hybrid SD4/SD4, and below it nothing fits and it wins as the fallback.
 SUSY_BUDGET_PLANS = {
-    None: ("hybrid", LayoutParams(4, 10), "float32"),
-    10**9: ("hybrid", LayoutParams(4, 10), "float32"),
-    600_000: ("hybrid", LayoutParams(4, 4), "float32"),
-    520_000: ("csr", LayoutParams(), "float32"),
-    480_000: ("hybrid", LayoutParams(4, 4), "float16"),
-    410_082: ("hybrid", LayoutParams(4, 4), "packed"),
-    400_000: ("hybrid", LayoutParams(4, 4), "packed"),
-    200_000: ("csr", LayoutParams(), "packed"),
-    1: ("csr", LayoutParams(), "packed"),
+    None: ("hybrid", LayoutParams(4, 10), 1_162_592),
+    10**9: ("hybrid", LayoutParams(4, 10), 1_162_592),
+    1_162_592: ("hybrid", LayoutParams(4, 10), 1_162_592),
+    1_162_591: ("hybrid", LayoutParams(4, 4), 914_576),
+    914_576: ("hybrid", LayoutParams(4, 4), 914_576),
+    914_575: ("csr", LayoutParams(), 756_416),
+    756_416: ("csr", LayoutParams(), 756_416),
+    600_000: ("csr", LayoutParams(), 756_416),
+    520_000: ("csr", LayoutParams(), 756_416),
+    480_000: ("csr", LayoutParams(), 756_416),
+    410_082: ("csr", LayoutParams(), 756_416),
+    400_000: ("csr", LayoutParams(), 756_416),
+    200_000: ("csr", LayoutParams(), 756_416),
+    1: ("csr", LayoutParams(), 756_416),
 }
 
 
@@ -591,6 +598,10 @@ def susy_session():
     from repro.experiments.common import get_forest
 
     return RuntimeSession.from_forest(get_forest("susy", 20, 20, "default"))
+
+
+def _served_bytes(session, plan):
+    return edge_table_bytes(session.layout_for(plan)._fastpath_edges)
 
 
 class TestPlannerTraceOffBudgets:
@@ -619,13 +630,38 @@ class TestPlannerTraceOffBudgets:
         plan = planner.autotune(
             X, platform=platform, trace=TRACE_OFF, memory_budget_bytes=budget
         )
-        assert plan.platform == platform
-        assert (plan.variant, plan.layout, plan.precision) == SUSY_BUDGET_PLANS[
-            budget
-        ]
+        variant, layout, served = SUSY_BUDGET_PLANS[budget]
+        assert (plan.platform, plan.variant, plan.layout) == (
+            platform,
+            variant,
+            layout,
+        )
+        assert plan.precision == "float32"
         assert plan.replication == Replication()
+        assert _served_bytes(susy_session, plan) == served
         assert planner.stats["probe_runs"] == 0
         assert planner.stats["cost_evaluations"] == 0
+
+    @pytest.mark.parametrize("budget", list(SUSY_BUDGET_PLANS))
+    def test_budget_never_changes_predictions(self, susy_session, budget):
+        """A budget picks a table that fits it (or the smallest), never a
+        codec that saves no served byte but changes answers."""
+        from repro.experiments.common import get_dataset
+
+        X = get_dataset("susy", "default").X_test
+        planner = Planner(susy_session)
+        base = planner.autotune(X, trace=TRACE_OFF)
+        plan = planner.autotune(X, trace=TRACE_OFF, memory_budget_bytes=budget)
+        got, _ = fastpath_predict(susy_session.layout_for(plan), X)
+        want, _ = fastpath_predict(susy_session.layout_for(base), X)
+        np.testing.assert_array_equal(got, want)
+        if budget is not None:
+            served = _served_bytes(susy_session, plan)
+            smallest = min(
+                _served_bytes(susy_session, p)
+                for p in planner.candidates(Platform.GPU, TRACE_OFF)
+            )
+            assert served <= budget or served == smallest > budget
 
 
 # ----------------------------------------------------------------------

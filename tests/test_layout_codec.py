@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.cuml_fil import FILForest
+from repro.core.config import TRACE_OFF
 from repro.fastpath import fastpath_predict
 from repro.layout import (
     CSRForest,
@@ -20,6 +21,8 @@ from repro.layout import (
     layout_device_arrays,
 )
 from repro.layout.codec import PackedCodec, quantize_layout_values, quantize_trees
+from repro.runtime.cost import plan_footprint_bytes
+from repro.runtime.plan import ExecutionPlan
 
 QUANTIZED = tuple(p for p in PRECISIONS if p != "float32")
 
@@ -259,3 +262,11 @@ class TestLayoutDtypes:
         assert not wide, f"{family}/{codec}: float64 arrays {wide}"
         assert layout.value.dtype == np.float32
         assert table.value.dtype == np.float32
+        # A served plan is charged its table: 24 B per slot under every codec.
+        plan = ExecutionPlan(
+            variant={"csr": "csr", "hier": "hybrid", "fil": "cuml"}[family],
+            trace=TRACE_OFF,
+        )
+        served = sum(a.nbytes for a in _arrays(table).values())
+        assert plan_footprint_bytes(plan, layout, small_trees) == served
+        assert served == 24 * table.feature.shape[0] + 4 * table.roots.shape[0]
