@@ -11,15 +11,20 @@ pays *nothing* beyond that build-time hash:
 3. Wall-clock per classify call stays within noise of the no-integrity
    build (generous 1.5x bound — the arrays are untouched, so anything
    above noise would be a wiring bug).
-4. The guarded wrapper's clean path adds only its one post-transfer check
-   per layout, and returns the exact same predictions and seconds.
+4. The guarded wrapper's clean path adds its one post-transfer check per
+   served image, and returns the exact same predictions and seconds.  A
+   trace-model rung also re-checks its layout before every launch.
+5. With the CPU oracle on, a guarded ``trace="off"`` rung launches without
+   the pre-launch check (the leaf certificate proves its answers), so any
+   number of clean batches runs exactly one check: the post-transfer one,
+   over the served edge table.
 """
 
 import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.core.classifier import HierarchicalForestClassifier
-from repro.core.config import RunConfig
+from repro.core.config import TRACE_OFF, RunConfig
 from repro.forest.tree import random_tree
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 from repro.reliability import ResilientClassifier
@@ -28,6 +33,7 @@ from repro.utils.clock import Stopwatch
 from repro.utils.tables import format_table
 
 _REPEATS = 20
+_GUARDED_BATCHES = 5
 
 
 def _trees():
@@ -83,6 +89,20 @@ def _run():
     guard = ResilientClassifier(clf_checked)
     res_guarded = guard.classify(X, config)
 
+    # Guarded clean trace-off batches, oracle on: the certificate guards
+    # each one, and only the served table's post-transfer check hashes.
+    served = RunConfig(variant="hybrid", trace=TRACE_OFF)
+    guard_off = ResilientClassifier(clf_checked)
+    counter["n"] = 0
+    LayoutIntegrity.check = counting
+    try:
+        for lo in range(0, _GUARDED_BATCHES * 8, 8):
+            res_off = guard_off.classify(X[lo : lo + 8], served)
+            assert not res_off.reliability.degraded
+        trace_off_checks = counter["n"]
+    finally:
+        LayoutIntegrity.check = orig
+
     return {
         "build_plain_s": build_plain_s,
         "build_checked_s": build_checked_s,
@@ -96,6 +116,7 @@ def _run():
         "guarded_transfer_verifications": (
             res_guarded.reliability.transfer_verifications
         ),
+        "guarded_trace_off_checks": trace_off_checks,
         "predictions_equal": bool(
             np.array_equal(res_plain.predictions, res_checked.predictions)
             and np.array_equal(res_plain.predictions, res_guarded.predictions)
@@ -122,5 +143,7 @@ def test_reliability_clean_path_overhead(benchmark):
     assert out["clean_path_verifications"] == 0
     # The guard verifies each distinct layout exactly once after "transfer".
     assert out["guarded_transfer_verifications"] == 1
+    # Certified trace-off batches: the post-transfer check and nothing else.
+    assert out["guarded_trace_off_checks"] == 1
     # Wall-clock within noise of the no-integrity build.
     assert out["wall_ratio"] < 1.5

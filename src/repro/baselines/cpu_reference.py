@@ -135,8 +135,18 @@ def leaf_boxes(trees: Union[Sequence[DecisionTree], TreeStack]) -> LeafBoxes:
     )
 
 
-def _disagree(what: str) -> RuntimeError:
-    return RuntimeError(f"claimed leaves disagree with the CPU reference: {what}")
+class CertificateError(RuntimeError):
+    """Served answers failed their proof against the host trees.
+
+    Raised for a claimed leaf outside its row's box or its lane's tree, and
+    for a served vote that differs from the host labels' vote.  Either
+    means the image that answered is damaged, or the code that walked it is
+    wrong; a caller tells the two apart by hashing that image.
+    """
+
+
+def _disagree(what: str) -> CertificateError:
+    return CertificateError(f"claimed leaves disagree with the CPU reference: {what}")
 
 
 def certify_votes(
@@ -151,7 +161,7 @@ def certify_votes(
     ``trees[j]`` claims to reach (``trees`` defaults to every tree, in
     order; ``k`` is its length).  Every claim must be a leaf of its lane's
     tree whose box holds the row's float32 features; otherwise this raises
-    ``RuntimeError``.  Returns per-class vote counts from the host labels,
+    :class:`CertificateError`.  Returns per-class vote counts from the host labels,
     shape ``(n_rows, n_classes)``: their ``argmax`` is what
     :func:`reference_predict` over those trees returns.
     """

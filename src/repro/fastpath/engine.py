@@ -177,7 +177,7 @@ class EdgeTable:
       for, -1 on padding.  :func:`lower` fills it; the core reads it only
       to report each lane's leaf to a caller that certifies them.
 
-    Three scalars ride beside the arrays (they are not buffers, so the
+    Four scalars ride beside the arrays (they are not buffers, so the
     ``edges.*`` layout digests do not cover them):
 
     * ``max_feature`` — the largest split feature over all trees (-1 when
@@ -190,6 +190,10 @@ class EdgeTable:
       the child slot instead of gathering ``succ``; the lowering guarantees
       that no inner slot elsewhere needs a connection hop.  ``None`` (CSR,
       FIL) means every level gathers ``succ``.
+    * ``max_levels`` — set by :func:`lower`: the levels the deepest walk
+      takes (its leaf depth + 1).  The core steps no lane further, so a
+      damaged ``succ`` that loops ends there; ``None`` bounds the walk by
+      the slot count instead.
     """
 
     feature: np.ndarray
@@ -202,6 +206,7 @@ class EdgeTable:
     rsd: Optional[int] = None
     sd: Optional[int] = None
     host: Optional[np.ndarray] = None
+    max_levels: Optional[int] = None
 
 
 def edge_table(layout, feature, inner, left, right, roots, rsd=None, sd=None) -> EdgeTable:
@@ -321,8 +326,15 @@ def traverse_edges(
     does not wrap around the way NumPy's does.  A carried retired lane
     still gathers ``X`` at its row offset plus its negative ``LEAF``
     marker: the element before its row, clamped to element 0 for row 0.
-    The width check makes that clamp the only one the ``X`` gather ever
-    applies.
+    The width check makes that clamp the only one the ``X`` gather applies
+    on an intact table.
+
+    A damaged table never raises.  Every gather at an index read from the
+    table (``roots``, ``succ``, ``feature``, ``label``) clamps into its
+    array, a label outside ``[0, n_classes)`` votes for the last class,
+    and a lane still walking after ``max_levels`` levels votes for nothing
+    and claims leaf -1.  So the damage shows as a wrong claimed leaf or a
+    wrong vote, both of which the caller's certificate rejects.
 
     Rows are traversed in blocks of at most :data:`FASTPATH_CHUNK_LANES`
     lanes.  A batch of several blocks runs them on up to one thread per
@@ -349,6 +361,10 @@ def traverse_edges(
     succ = table.succ
     rsd, sd = table.rsd, table.sd
     n_classes32 = np.int32(n_classes)
+    top_class = np.uint32(n_classes - 1)
+    limit = table.max_levels
+    if limit is None:
+        limit = feature.shape[0]
     votes = np.zeros(n * n_classes, dtype=np.int32)
     block = max(1, FASTPATH_CHUNK_LANES // max(1, n_trees))
 
@@ -377,22 +393,27 @@ def traverse_edges(
         depth = 0
         lane_levels = 0
         retired_before = 0
-        while rx.size:
+        while rx.size and depth < limit:
             # Every carried live lane sits at tree depth ``depth`` now.
             crossing = rsd is None or (
                 depth == rsd - 1 if depth < rsd else (depth - rsd) % sd == sd - 1
             )
             depth += 1
             lane_levels += int(rx.size) - retired_before
-            feats = feature.take(slot)
+            feats = feature.take(slot, mode="clip")
             at_leaf = feats < 0
             retired_before = int(np.count_nonzero(at_leaf))
             if 2 * retired_before >= rx.size:
                 done = np.flatnonzero(at_leaf)
                 leaf_slot = slot.take(done)
+                # As uint32 a negative label is huge, so one minimum keeps
+                # every label's vote inside its own row.
+                votes_for = np.minimum(
+                    label.take(leaf_slot, mode="clip").view(np.uint32), top_class
+                ).view(np.int32)
                 flushed.append(
                     ((rx.take(done) - row_base) // n_feat).astype(np.int32) * n_classes32
-                    + label.take(leaf_slot)
+                    + votes_for
                 )
                 keep = np.flatnonzero(~at_leaf)
                 rx = rx.take(keep)
@@ -401,14 +422,16 @@ def traverse_edges(
                 if base is not None:
                     base = base.take(keep)
                 if lane is not None:
-                    leaves[lane.take(done)] = table.host.take(leaf_slot)
+                    leaves[lane.take(done)] = table.host.take(leaf_slot, mode="clip")
                     lane = lane.take(keep)
                 retired_before = 0
                 if not rx.size:
                     break
-            went_right = flat_x.take(rx + feats, mode="clip") >= value.take(slot)
+            went_right = flat_x.take(rx + feats, mode="clip") >= value.take(
+                slot, mode="clip"
+            )
             if crossing:
-                slot = succ.take(slot + slot + went_right)
+                slot = succ.take(slot + slot + went_right, mode="clip")
                 if base is not None:
                     base = slot - 1
             else:
@@ -419,6 +442,8 @@ def traverse_edges(
                 if retired_before:
                     step *= ~at_leaf
                 slot += step
+        if lane is not None and rx.size:
+            leaves[lane] = -1  # walked past every leaf: a damaged table
         counts = np.bincount(
             np.concatenate(flushed), minlength=(stop - start) * n_classes
         )
@@ -448,8 +473,9 @@ def family_module(layout):
     )
 
 
-def host_map(table: EdgeTable, stack: TreeStack) -> np.ndarray:
-    """Host node of every slot of ``table``: the ``host`` channel.
+def host_map(table: EdgeTable, stack: TreeStack) -> Tuple[np.ndarray, int]:
+    """Host node of every slot of ``table`` (the ``host`` channel), and the
+    number of depths the deepest tree spans (``max_levels``).
 
     One lock-step walk over all trees pairs each root slot with its host
     root, then each inner pair's two ``succ`` entries with the host node's
@@ -464,7 +490,9 @@ def host_map(table: EdgeTable, stack: TreeStack) -> np.ndarray:
         raise RuntimeError("edge table and host trees differ in tree count")
     succ = table.succ.reshape(-1, 2)
     child = stack.child.reshape(-1, 2)
+    levels = 0
     while slot.size:
+        levels += 1
         feats = table.feature.take(slot)
         if not np.array_equal(feats, stack.feature.take(node)):
             raise RuntimeError("edge table disagrees with the host trees")
@@ -472,7 +500,7 @@ def host_map(table: EdgeTable, stack: TreeStack) -> np.ndarray:
         inner = np.flatnonzero(feats >= 0)
         slot = succ[slot.take(inner)].ravel()
         node = child[node.take(inner)].ravel()
-    return host
+    return host, levels
 
 
 def lower(layout, trees) -> EdgeTable:
@@ -481,17 +509,26 @@ def lower(layout, trees) -> EdgeTable:
     ``trees`` are the host trees (or their
     :class:`~repro.forest.tree.TreeStack`) the layout was built from; the
     table's ``host`` channel maps each slot to its node there.  Every
-    ``from_trees`` calls this right after attaching the integrity
-    digests, from the same buffers those digests cover; nothing else
-    lowers a serving table, and :func:`fastpath_predict` reads
-    ``layout._fastpath_edges`` directly.  The table is a build-time
-    snapshot: later changes to the layout's buffers never reach it, so
-    under ``trace="off"`` only the CRC guard
-    (:mod:`repro.reliability.integrity`) can detect buffer corruption.
+    ``from_trees`` calls this right after attaching the layout's integrity
+    digests; nothing else lowers a serving table, and
+    :func:`fastpath_predict` reads ``layout._fastpath_edges`` directly.
+
+    The table is a build-time snapshot: later changes to the layout's
+    buffers never reach it.  So ``trace="off"`` plans are guarded on the
+    table itself: its whole-array and per-tree digests
+    (:class:`~repro.reliability.integrity.LayoutIntegrity` over
+    :func:`~repro.reliability.integrity.table_regions`) are taken here from
+    its own buffers and kept beside it as ``layout._fastpath_integrity``.
     """
+    from repro.reliability.integrity import LayoutIntegrity, table_regions
+
     table = family_module(layout).build_edges(layout)
-    table = replace(table, host=host_map(table, stack_trees(trees)))
+    host, levels = host_map(table, stack_trees(trees))
+    table = replace(table, host=host, max_levels=levels)
     layout._fastpath_edges = table
+    layout._fastpath_integrity = LayoutIntegrity.from_layout(
+        table, table_regions(layout)
+    )
     return table
 
 

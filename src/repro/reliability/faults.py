@@ -8,7 +8,9 @@ fault families are covered:
 * **Buffer corruption** — :meth:`FaultPlan.corrupt_layout` flips one random
   bit inside a randomly chosen buffer region of each afflicted tree of a
   ``HierarchicalForest`` / ``CSRForest`` (in place, exactly what a DMA error
-  or bad DIMM does to a device-resident forest).
+  or bad DIMM does to a device-resident forest), and one bit of the same
+  tree in the edge table lowered from it, which ``trace="off"`` plans
+  execute instead.
 * **Cache-file corruption** — :meth:`FaultPlan.corrupt_file` flips bytes in,
   or truncates, a cached ``.npz`` forest so ``load_forest`` must turn the
   damage into a clear :class:`~repro.forest.io.ForestIntegrityError`.
@@ -30,9 +32,27 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.reliability.integrity import _tree_regions
+from repro.reliability.integrity import _region_table, _tree_regions
 from repro.utils.validation import check_in_range
 from repro.utils.rng import as_rng
+
+
+def _flip(arr: np.ndarray, lo: int, pos: int, bit: int) -> None:
+    """XOR ``bit`` of byte ``pos`` of the slice ``arr[lo:]``, in place."""
+    arr[lo:].view(np.uint8)[pos] ^= np.uint8(1 << bit)
+
+
+def _flip_tree(image, regions, tree: int, offset: int, bit: int) -> str:
+    """Flip ``bit`` of byte ``offset`` of ``tree``'s regions of ``image``,
+    counted across those regions in order (modulo their total size)."""
+    spans = _tree_regions(regions, tree)
+    sizes = [(hi - lo) * getattr(image, name).itemsize for name, lo, hi in spans]
+    offset %= sum(sizes)
+    k = int(np.searchsorted(np.cumsum(sizes), offset, side="right"))
+    name, lo, _ = spans[k]
+    pos = offset - sum(sizes[:k])
+    _flip(getattr(image, name), lo, pos, bit)
+    return f"edges.{name} byte {lo * getattr(image, name).itemsize + pos} bit {bit}"
 
 
 class TransientKernelError(RuntimeError):
@@ -93,35 +113,44 @@ class FaultPlan:
 
         Each tree is hit independently with probability ``rate`` (default
         ``tree_corruption_rate``).  The flipped bit lands in a random
-        non-empty ``(array, element, bit)`` of the tree's own regions, so
-        per-tree checksums localise the damage exactly.
+        non-empty ``(array, element, bit)`` of the tree's own layout
+        regions, so per-tree checksums localise the damage exactly.  The
+        same tree's regions of the lowered edge table
+        (``layout._fastpath_edges``, when there is one) get one flip too:
+        the same bit, at the same byte offset into the tree's table bytes
+        as into its layout bytes.  That takes no draw of its own, so
+        trace-model runs replay unchanged, and two different layout flips
+        of one tree never cancel in the table (a tree's table bytes
+        outnumber its layout bytes).
         """
         rate = self.tree_corruption_rate if rate is None else rate
         check_in_range(rate, "rate", 0.0, 1.0)
+        table = getattr(layout, "_fastpath_edges", None)
+        layout_regions = _region_table(layout)
         corrupted = []
         for t in range(layout.n_trees):
             if self._rng.random() >= rate:
                 continue
-            regions = [
-                (name, lo, hi)
-                for name, lo, hi in _tree_regions(layout, t)
-                if hi > lo
-            ]
+            regions = _tree_regions(layout_regions, t)
             if not regions:  # pragma: no cover - every tree has nodes
                 continue
-            name, lo, hi = regions[self._rng.integers(len(regions))]
+            k = int(self._rng.integers(len(regions)))
+            name, lo, hi = regions[k]
             arr = getattr(layout, name)
-            raw = arr[lo:hi].view(np.uint8)
-            pos = int(self._rng.integers(raw.shape[0]))
+            pos = int(self._rng.integers((hi - lo) * arr.itemsize))
             bit = int(self._rng.integers(8))
-            raw[pos] ^= np.uint8(1 << bit)
+            offset = pos + sum(
+                (b - a) * getattr(layout, n).itemsize for n, a, b in regions[:k]
+            )
+            detail = f"byte {lo * arr.itemsize + pos} bit {bit}"
+            _flip(arr, lo, pos, bit)
+            if table is not None:
+                detail += "; " + _flip_tree(
+                    table, layout._fastpath_integrity.regions, t, offset, bit
+                )
             corrupted.append(t)
             self.events.append(
-                FaultEvent(
-                    kind="bitflip",
-                    target=f"tree{t}/{name}",
-                    detail=f"byte {lo * arr.itemsize + pos} bit {bit}",
-                )
+                FaultEvent(kind="bitflip", target=f"tree{t}/{name}", detail=detail)
             )
         return tuple(corrupted)
 

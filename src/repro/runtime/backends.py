@@ -111,15 +111,18 @@ def _run_fastpath(plan, layout, X, launch_gate, observer, leaves) -> BackendOutp
     pre-launch integrity re-verification — but the traversal itself is the
     vectorized :mod:`repro.fastpath` engine, and the reported ``seconds``
     come from its deterministic latency model (plus any gate hang), so
-    chaos-soak replays stay byte-identical.
+    chaos-soak replays stay byte-identical.  The engine reads only the
+    layout's lowered edge table, so that table is what the pre-launch
+    check hashes.
     """
     hang_s = 0.0
     if launch_gate is not None:
         hang_s = float(launch_gate() or 0.0)
     if plan.verify_integrity:
-        from repro.reliability.integrity import verify_layout_integrity
+        from repro.reliability.integrity import served_image
 
-        verify_layout_integrity(layout)
+        table, integrity = served_image(layout, table=True)
+        integrity.check(table)
     preds, stats = fastpath_predict(layout, X, leaves=leaves)
     seconds = fastpath_seconds(stats.lane_levels) + hang_s
     if observer is not None:

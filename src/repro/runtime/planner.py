@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import TRACE_MODEL, TRACE_OFF, KernelVariant, Platform, RunConfig
+from repro.fastpath import fastpath_predict
 from repro.fpgasim.replication import FULL_4S12C, HYBRID_SPLIT_4S10C, Replication
 from repro.kernels.traversal_stats import WorkloadProfile, profile_workload
 from repro.layout.codec import PRECISIONS
@@ -202,6 +203,20 @@ class Planner:
     def _profile_for(
         self, plan: ExecutionPlan, probe: np.ndarray, memo: Dict[Tuple, WorkloadProfile]
     ) -> WorkloadProfile:
+        if plan.trace == TRACE_OFF:
+            # The fastpath's cost reads only the visit count, and one launch
+            # over the plan's own table reports it as lane-levels; the other
+            # counts are never read under trace="off".
+            if (TRACE_OFF,) not in memo:
+                _, stats = fastpath_predict(self.session.layout_for(plan), probe)
+                memo[(TRACE_OFF,)] = WorkloadProfile(
+                    n_queries=int(probe.shape[0]),
+                    visits=stats.lane_levels,
+                    crossings=0,
+                    stage1=0,
+                    sum_levels=0,
+                )
+            return memo[(TRACE_OFF,)]
         # Hierarchical profiles depend on (sd, rsd); CSR/cuML costs only use
         # the layout-independent visit count, so any profile serves them —
         # keyed under the plan's own layout params to keep lookups trivial.

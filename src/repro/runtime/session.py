@@ -6,7 +6,8 @@ is one backend launch over the whole query matrix, checked against the
 CPU oracle: a trace-off launch reports the host leaf of every (row, tree)
 lane, and :func:`~repro.baselines.cpu_reference.certify_votes` checks each
 against its leaf box; a trace-model launch is checked against a full walk
-of the host trees.
+of the host trees.  Either check that fails raises
+:class:`~repro.baselines.cpu_reference.CertificateError`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.baselines.cpu_reference import (
+    CertificateError,
     LeafBoxes,
     certify_votes,
     leaf_boxes,
@@ -205,7 +207,7 @@ class RuntimeSession:
                 boxes = self.oracle_boxes(plan.precision)
                 ref = certify_votes(boxes, X, leaves).argmax(axis=1)
             if not np.array_equal(predictions, ref):
-                raise RuntimeError(
+                raise CertificateError(
                     f"simulated kernel {plan.label} disagrees with the "
                     "CPU reference — layout or kernel bug"
                 )

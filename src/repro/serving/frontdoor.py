@@ -142,14 +142,15 @@ class ServingFrontDoor:
         """The (possibly auto-resolved) run configuration."""
         return self._config
 
-    def _ladder(self) -> List[ExecutionPlan]:
+    def _ladder(self) -> Tuple[ExecutionPlan, ...]:
         return self.guard.ladder_plans(self._config)
 
     def _ensure_models(self, X: np.ndarray) -> None:
         """Calibrate one affine latency model per fallback rung.
 
         Accelerator rungs fit the planner's analytic cost model at two
-        batch sizes; the CPU rung's model comes straight from
+        batch sizes, scaled from one fastpath launch over ``X`` (its
+        lane-levels); the CPU rung's model comes straight from
         :meth:`CPUBackend.seconds_for` (exactly linear, zero overhead).
         """
         if self._models is not None:

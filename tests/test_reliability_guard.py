@@ -7,6 +7,7 @@ the report is the subsystem's observable contract.
 import numpy as np
 import pytest
 
+from repro.baselines.cpu_reference import reference_predict
 from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import Platform, RunConfig
 from repro.fastpath import fastpath_predict, fastpath_seconds
@@ -349,3 +350,55 @@ class TestInputValidation:
         guard, _, _, _ = guarded()
         with pytest.raises(ValueError, match="X"):
             guard.classify(np.array([[np.nan, 1.0]]))
+
+
+class TestServedTableBitFlips:
+    """Any single bit flip in a served edge table, with the oracle on: the
+    leaf certificate fails and a certified degraded vote answers, or the
+    answers are unchanged.  Never another exception, never a wrong answer."""
+
+    @pytest.mark.parametrize(
+        "variant,flips_per_buffer", [("hybrid", 340), ("csr", 120), ("cuml", 120)]
+    )
+    def test_every_flip_is_caught_or_harmless(
+        self, trained_small, variant, flips_per_buffer
+    ):
+        forest, _, _, Xte, _ = trained_small
+        X = Xte[:64]
+        clf = HierarchicalForestClassifier.from_forest(forest)
+        config = RunConfig(variant=variant, trace="off")
+        layout = clf.layout_for(config)
+        table = layout._fastpath_edges
+        regions = layout._fastpath_integrity.regions
+        expected = {None: reference_predict(clf.trees, X)}
+        outcomes = {"unchanged": 0, "degraded": 0}
+        rng = np.random.default_rng(2024)
+        for k, name in enumerate(regions.names):
+            buf = getattr(table, name)
+            owner = np.full(buf.shape[0], -1)
+            for u, tree in enumerate(regions.owner):
+                owner[regions.lo[u, k] : regions.hi[u, k]] = tree
+            assert (owner >= 0).all()  # every entry belongs to one tree
+            raw = buf.view(np.uint8)
+            at = rng.integers(raw.shape[0], size=flips_per_buffer)
+            bits = rng.integers(8, size=flips_per_buffer)
+            for byte, bit in zip(at, bits):
+                raw[byte] ^= np.uint8(1 << bit)
+                try:
+                    guard = ResilientClassifier(clf, verify_after_transfer=False)
+                    res = guard.classify(X, config)
+                finally:
+                    raw[byte] ^= np.uint8(1 << bit)
+                r = res.reliability
+                assert r.fallback_depth == 0
+                dropped = None
+                if r.degraded:
+                    dropped = int(owner[byte // buf.itemsize])
+                    assert r.dropped_trees == (dropped,)
+                    assert r.integrity_failures == 1
+                if dropped not in expected:
+                    survivors = [t for i, t in enumerate(clf.trees) if i != dropped]
+                    expected[dropped] = reference_predict(survivors, X)
+                np.testing.assert_array_equal(res.predictions, expected[dropped])
+                outcomes["degraded" if r.degraded else "unchanged"] += 1
+        assert outcomes["degraded"] and outcomes["unchanged"]
