@@ -7,9 +7,11 @@ cooperating layers (see docs/architecture.md §6):
 * :mod:`~repro.reliability.faults` — seeded deterministic fault injection
   (:class:`FaultPlan`): buffer bit flips, cache-file corruption, transient
   launch failures and hangs.
-* :mod:`~repro.reliability.integrity` — CRC32 checksums over every node
-  buffer, computed at layout-build time, re-verified before kernel launch
-  and after simulated transfer; degraded quorum voting over intact trees.
+* :mod:`~repro.reliability.integrity` — CRC32 checksums over the buffers a
+  plan executes (the layout, or the edge table the fastpath serves),
+  computed at build time, re-verified after simulated transfer, before a
+  launch that no certificate proves, and after a failed certificate;
+  degraded quorum voting over intact trees.
 * :mod:`~repro.reliability.guard` — :class:`ResilientClassifier` with
   per-call deadlines, seeded retry/backoff, per-platform circuit breakers,
   the GPU → FPGA → CPU fallback ladder and :class:`ReliabilityReport`

@@ -166,9 +166,12 @@ def replay_scenario(
         drift=drift,
     )
 
-    # Corrupt the accelerator layouts up front (the DMA-error model): the
-    # pre-launch integrity check turns the damage into degraded serving,
-    # never into silent wrong answers.
+    # Corrupt the accelerator layouts and their served tables up front (the
+    # DMA-error model): the post-transfer check, then each batch's failed
+    # leaf certificate, turn the damage into degraded serving, never into
+    # silent wrong answers.  Rungs that share a layout corrupt it once
+    # each; two flips of one tree land on different table bits unless they
+    # land on the same layout bit, so they cancel only where the layout's do.
     if scenario.tree_corruption_rate > 0:
         for plan in guard.ladder_plans(front.config):
             if plan.platform == CPU_PLATFORM:
