@@ -67,6 +67,42 @@ class TestAvailability:
         assert 0.0 < faulty["accuracy"] <= 1.0
 
 
+#: Integer counters of seeded smoke cells, read at the commit where the
+#: pre-launch check moved from the kernels into the guard's launch hook.
+#: Every cell has both transient and integrity failures: a trace-model
+#: rung draws the fault gate first and then runs the pre-launch check, so
+#: any change to that order (or to the draws) moves these numbers.
+_PINNED_COUNTERS = (
+    "corrupted_trees",
+    "dropped_trees",
+    "retries",
+    "transient_failures",
+    "integrity_failures",
+    "max_fallback_depth",
+)
+_PINNED_CELLS = {
+    (0, "csr", 0.05): (1, 1, 1, 1, 16, 0),
+    (0, "csr", 0.2): (2, 2, 7, 8, 16, 1),
+    (1, "hybrid", 0.2): (2, 2, 4, 4, 16, 0),
+    (1, "hybrid", 0.3): (3, 3, 9, 9, 16, 0),
+}
+
+
+class TestPinnedReplay:
+    @pytest.mark.parametrize(
+        "seed,variant,rates",
+        [(0, "csr", (0.05, 0.2)), (1, "hybrid", (0.2, 0.3))],
+    )
+    def test_guarded_counters_replay_exactly(self, seed, variant, rates):
+        rows = fault_sweep.run(
+            scale="smoke", seed=seed, fault_rates=rates, variants=(variant,)
+        )
+        for row, rate in zip(rows, rates):
+            assert row["availability"] == 1.0
+            got = tuple(row[k] for k in _PINNED_COUNTERS)
+            assert got == _PINNED_CELLS[(seed, variant, rate)], (variant, rate)
+
+
 class TestRowShape:
     def test_rows_are_json_serialisable(self, rows):
         json.dumps(rows)

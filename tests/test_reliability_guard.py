@@ -106,6 +106,27 @@ class TestTransientFailures:
         assert res.details["mode"] == "cpu-fallback"
         assert res.seconds > 0.0
 
+    def test_failed_launches_never_reach_the_pre_launch_check(self, guarded):
+        """The fault gate fires before the pre-launch hash, so a launch that
+        fails never hashes: over a corrupted trace-model layout every
+        accelerator attempt is a transient failure, not an integrity one."""
+        guard, clf, X, _ = guarded(
+            fault_plan=FaultPlan(seed=0, launch_fail_rate=1.0)
+        )
+        config = RunConfig(variant="hybrid")
+        guard.classify(X, config)  # spends the post-transfer check
+        _corrupt_tree(clf.layout_for(config), 2)
+        res = guard.classify(X, config)
+        r = res.reliability
+        assert r.attempts == 6
+        assert r.transient_failures == 6
+        assert r.integrity_failures == 0
+        assert r.transfer_verifications == 0
+        assert not r.degraded
+        assert r.fallback_depth == 2
+        assert r.platform_used == "cpu"
+        assert np.array_equal(res.predictions, clf.predict(X))
+
     def test_cpu_rung_stacks_the_host_trees_once(self, guarded, monkeypatch):
         """The bottom rung stacks the host trees once per layout cache, and
         its seconds stay ``rows * sum(max_depth + 1) * SECONDS_PER_NODE``
