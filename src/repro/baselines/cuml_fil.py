@@ -31,6 +31,7 @@ from repro.forest.tree import LEAF, DecisionTree, breadth_first_levels, stack_tr
 from repro.gpusim.engine import WarpGrid
 from repro.gpusim.memory import CoalescingTracker
 from repro.kernels.base import AddressSpace, GPUKernel
+from repro.kernels.traversal_stats import accumulate_votes
 
 
 @dataclass
@@ -154,4 +155,4 @@ class CuMLFILKernel(GPUKernel):
                 grid.record_step(metrics, active, self.INSTR_PER_STEP)
                 grid.record_loop_branch(metrics, active, inner)
                 active = inner
-            self._accumulate_votes(votes, out)
+            accumulate_votes(votes, out)

@@ -27,6 +27,7 @@ from repro.forest.tree import EMPTY, LEAF
 from repro.gpusim.engine import WarpGrid
 from repro.gpusim.memory import CoalescingTracker
 from repro.kernels.gpu_independent import GPUIndependentKernel
+from repro.kernels.traversal_stats import accumulate_votes
 from repro.layout.hierarchical import HierarchicalForest
 
 
@@ -167,7 +168,7 @@ class GPUGreedyKernel(GPUIndependentKernel):
                 uniform = int((warp_any & (all_t | none_t)).sum())
                 metrics.branches += int(warp_any.sum()) - grid.n_warps
                 metrics.uniform_branches += uniform
-            self._accumulate_votes(votes, out)
+            accumulate_votes(votes, out)
 
     def _record_lane_step(self, grid, metrics, active):
         """Step accounting over the lane array (not the query array)."""

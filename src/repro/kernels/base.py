@@ -185,13 +185,6 @@ class GPUKernel(ABC):
         """Traverse every tree for every query, updating counters/votes."""
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _accumulate_votes(votes: np.ndarray, labels: np.ndarray) -> None:
-        """Add one tree's per-query class labels into the vote table."""
-        if np.any(labels < 0):
-            raise RuntimeError("traversal left some queries unclassified")
-        votes[np.arange(labels.shape[0], dtype=np.int64), labels] += 1
-
     def _query_addresses(
         self,
         space: AddressSpace,

@@ -26,6 +26,7 @@ from repro.gpusim.engine import WarpGrid
 from repro.gpusim.memory import CoalescingTracker
 from repro.gpusim.timing import KernelTiming
 from repro.kernels.base import AddressSpace, GPUKernel
+from repro.kernels.traversal_stats import accumulate_votes
 from repro.layout.hierarchical import HierarchicalForest
 
 
@@ -104,7 +105,7 @@ class GPUCollaborativeKernel(GPUKernel):
                         n_features,
                     )
                 batch_start = batch_end
-            self._accumulate_votes(votes, out)
+            accumulate_votes(votes, out)
 
     # ------------------------------------------------------------------
     def _plan_batch(self, layout, start, last, capacity_slots):

@@ -22,6 +22,7 @@ from repro.gpusim.engine import WarpGrid
 from repro.gpusim.memory import CoalescingTracker
 from repro.gpusim.metrics import KernelMetrics
 from repro.kernels.base import AddressSpace, GPUKernel
+from repro.kernels.traversal_stats import accumulate_votes
 from repro.layout.csr import CSRForest
 
 
@@ -99,4 +100,4 @@ class GPUCSRKernel(GPUKernel):
                 new_active = inner
                 grid.record_loop_branch(metrics, active, new_active)
                 active = new_active
-            self._accumulate_votes(votes, out)
+            accumulate_votes(votes, out)

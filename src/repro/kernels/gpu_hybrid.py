@@ -24,6 +24,7 @@ from repro.gpusim.engine import WarpGrid
 from repro.gpusim.memory import CoalescingTracker
 from repro.kernels.base import AddressSpace
 from repro.kernels.gpu_independent import GPUIndependentKernel
+from repro.kernels.traversal_stats import accumulate_votes
 from repro.layout.hierarchical import HierarchicalForest
 
 
@@ -82,7 +83,7 @@ class GPUHybridKernel(GPUIndependentKernel):
                     layout, X, t, grid, metrics, space, trackers, rows,
                     start_st=st, start_local=local, start_active=active, out=out,
                 )
-            self._accumulate_votes(votes, out)
+            accumulate_votes(votes, out)
 
     # ------------------------------------------------------------------
     def _stage_root_subtree(self, layout, grid, metrics, space, trackers, t):

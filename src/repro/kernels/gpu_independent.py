@@ -18,6 +18,7 @@ from repro.gpusim.engine import WarpGrid
 from repro.gpusim.memory import CoalescingTracker
 from repro.gpusim.metrics import KernelMetrics
 from repro.kernels.base import AddressSpace, GPUKernel
+from repro.kernels.traversal_stats import accumulate_votes
 from repro.layout.hierarchical import HierarchicalForest
 
 
@@ -79,7 +80,7 @@ class GPUIndependentKernel(GPUKernel):
             out = self._traverse_tree(
                 layout, X, t, grid, metrics, space, trackers, rows,
             )
-            self._accumulate_votes(votes, out)
+            accumulate_votes(votes, out)
 
     # ------------------------------------------------------------------
     def _traverse_tree(

@@ -104,13 +104,13 @@ class TestKernelGuards:
     def test_unclassified_query_detected(self, small_trees, queries):
         """If a kernel somehow leaves a query unclassified the vote
         accumulator refuses."""
-        from repro.kernels.base import GPUKernel
+        from repro.kernels.traversal_stats import accumulate_votes
 
         labels = np.zeros(4, dtype=np.int64)
         labels[2] = -1
         votes = np.zeros((4, 2), dtype=np.int64)
         with pytest.raises(RuntimeError, match="unclassified"):
-            GPUKernel._accumulate_votes(votes, labels)
+            accumulate_votes(votes, labels)
 
     def test_metrics_validation_runs_in_timing(self):
         from repro.gpusim.device import TITAN_XP
