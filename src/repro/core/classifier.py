@@ -189,17 +189,15 @@ class HierarchicalForestClassifier:
 
         ``config.variant="auto"`` routes through the
         :class:`~repro.runtime.Planner`: the returned result carries the
-        resolved config, and the chosen plan is cached under the plan
-        cache for identical (forest, workload) pairs.
+        resolved config.
 
         ``include_transfer=True`` adds host-to-device transfer time (query
         round trip; the one-time layout upload goes into ``details``) — the
         paper reports kernel time only, so the default matches the paper.
 
-        ``launch_gate`` is forwarded to the kernel (fault injection /
-        guarded execution; see :mod:`repro.reliability`); with
-        ``config.verify_integrity`` the kernel re-checks the layout's
-        build-time checksums before traversing.
+        ``launch_gate`` is called by the launch before it traverses (fault
+        injection and the guard's pre-launch check; see
+        :mod:`repro.reliability`).
 
         ``observer`` is an observability sink (duck-typed, e.g.
         :class:`repro.obs.ObsSession`): the kernel reports each launch to

@@ -55,11 +55,6 @@ class RunConfig:
         Hierarchical layout parameters (ignored for CSR / cuML variants).
     replication:
         FPGA CU/SLR replication (ignored on GPU).
-    verify_integrity:
-        Re-verify the layout's build-time checksums before the kernel
-        launches (see :mod:`repro.reliability.integrity`).  Off by default
-        so the clean path pays nothing beyond the one hash at layout build;
-        the reliability guard turns it on per rung.
     trace:
         Execution mode (:data:`TRACE_MODEL` or :data:`TRACE_OFF`).
         ``"model"`` (default, the historical behaviour) executes the
@@ -83,7 +78,6 @@ class RunConfig:
     variant: KernelVariant = KernelVariant.HYBRID
     layout: LayoutParams = field(default_factory=LayoutParams)
     replication: Replication = field(default_factory=Replication)
-    verify_integrity: bool = False
     trace: str = TRACE_MODEL
     precision: str = "float32"
     memory_budget_bytes: Optional[int] = None

@@ -96,7 +96,6 @@ class GPUKernel(ABC):
         timing_model: Optional[TimingModel] = None,
         record_trace: bool = False,
         launch_gate: Optional[Callable[[], float]] = None,
-        verify_layout: bool = False,
         observer=None,
     ):
         self.spec = spec
@@ -105,8 +104,6 @@ class GPUKernel(ABC):
         #: Called at launch; may raise (failed launch) or return simulated
         #: hang seconds.  Wired up by the reliability guard / fault plans.
         self.launch_gate = launch_gate
-        #: Re-verify the layout's build-time checksums before traversing.
-        self.verify_layout = bool(verify_layout)
         #: Observability sink (duck-typed, e.g. repro.obs.ObsSession); its
         #: ``on_gpu_kernel(kernel, result, grid)`` fires after each run.
         self.observer = observer
@@ -120,10 +117,6 @@ class GPUKernel(ABC):
         hang_s = 0.0
         if self.launch_gate is not None:
             hang_s = float(self.launch_gate() or 0.0)
-        if self.verify_layout:
-            from repro.reliability.integrity import verify_layout_integrity
-
-            verify_layout_integrity(layout)
         metrics = KernelMetrics(launches=1)
         if self.record_trace:
             from repro.gpusim.trace import TraceLog

@@ -61,15 +61,12 @@ class FPGAKernel(ABC):
         self,
         spec: FPGASpec = ALVEO_U250,
         launch_gate: Optional[Callable[[], float]] = None,
-        verify_layout: bool = False,
         observer=None,
     ):
         self.spec = spec
         #: Called at launch; may raise (failed launch) or return simulated
         #: hang seconds.  Wired up by the reliability guard / fault plans.
         self.launch_gate = launch_gate
-        #: Re-verify the layout's build-time checksums before traversing.
-        self.verify_layout = bool(verify_layout)
         #: Observability sink (duck-typed, e.g. repro.obs.ObsSession); its
         #: ``on_fpga_kernel(kernel, result, replication)`` fires per run.
         self.observer = observer
@@ -85,10 +82,6 @@ class FPGAKernel(ABC):
         hang_s = 0.0
         if self.launch_gate is not None:
             hang_s = float(self.launch_gate() or 0.0)
-        if self.verify_layout:
-            from repro.reliability.integrity import verify_layout_integrity
-
-            verify_layout_integrity(layout)
         if not isinstance(layout, self.LAYOUT):
             raise TypeError(
                 f"{type(self).__name__} expects a {self.LAYOUT.__name__}"

@@ -35,7 +35,6 @@ from repro.reliability.integrity import (
     QuorumLostError,
     attach_integrity,
     degraded_predict,
-    verify_layout_integrity,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "QuorumLostError",
     "attach_integrity",
     "degraded_predict",
-    "verify_layout_integrity",
 ]

@@ -24,8 +24,9 @@ hardening a production inference service needs:
   guard hash the served edge table tree by tree, to name the trees the
   degraded vote drops.  If every tree hashes clean, the table is intact
   and the failure is a bug, so it is re-raised, never routed down the
-  ladder.  With the oracle off, and for trace-model rungs, the pre-launch
-  hash stays;
+  ladder.  With the oracle off, and for trace-model rungs, the guard's
+  launch hook hashes the served image before every launch, right after
+  the fault plan's gate draws;
 * a structured :class:`ReliabilityReport` on every result, with exact
   counters for retries, breaker transitions, fallback depth and dropped
   trees.
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from repro.obs.protocol import ensure_observer
 from repro.reliability.faults import FaultPlan, TransientKernelError
 from repro.reliability.integrity import (
     Digests,
+    LayoutIntegrity,
     LayoutIntegrityError,
     QuorumLostError,
     degraded_predict,
@@ -265,12 +267,12 @@ class ResilientClassifier:
         ``launch_gate`` is wired into every kernel launch.
     seed:
         Seeds the jitter generator (determinism of backoff accounting).
-    verify_before_launch / verify_after_transfer:
-        Enable the two checksum re-verification points.  Each hashes the
-        image the rung executes: the layout's arrays under
-        ``trace="model"``, its lowered edge table under ``trace="off"``.
-        A trace-off rung whose answers the oracle certifies skips the
-        pre-launch one.
+
+    The guard re-verifies checksums at two points, each over the image
+    the rung executes: the layout's arrays under ``trace="model"``, its
+    lowered edge table under ``trace="off"``.  Every image is checked once
+    after its simulated transfer, and again before every launch whose
+    answers the oracle does not certify (see :meth:`_launch_gate`).
     """
 
     #: Accelerator rung order per requested platform; the ladder-plan list
@@ -289,8 +291,6 @@ class ResilientClassifier:
         min_quorum_fraction: float = 0.5,
         fault_plan: Optional[FaultPlan] = None,
         seed: int = 0,
-        verify_before_launch: bool = True,
-        verify_after_transfer: bool = True,
         observer=None,
     ):
         if deadline_s is not None and deadline_s <= 0:
@@ -300,8 +300,6 @@ class ResilientClassifier:
         self.retry = retry
         self.min_quorum_fraction = min_quorum_fraction
         self.fault_plan = fault_plan
-        self.verify_before_launch = bool(verify_before_launch)
-        self.verify_after_transfer = bool(verify_after_transfer)
         #: Observability sink (e.g. repro.obs.ObsSession): forwarded to
         #: each kernel launch; ``on_rung_attempt`` fires per retry and
         #: ``on_guarded_call(result, report)`` once per guarded call with
@@ -315,7 +313,7 @@ class ResilientClassifier:
             p: CircuitBreaker(breaker, p.value) for p in Platform
         }
         self._transfer_verified: set = set()
-        self._ladders: Dict[Tuple, Tuple[ExecutionPlan, ...]] = {}
+        self._ladders: Dict[RunConfig, Tuple[ExecutionPlan, ...]] = {}
 
     # ------------------------------------------------------------------
     def _rung_config(self, config: RunConfig, platform: Platform) -> RunConfig:
@@ -323,31 +321,23 @@ class ResilientClassifier:
         variant = config.variant
         if platform is Platform.FPGA and variant is KernelVariant.CUML:
             variant = KernelVariant.HYBRID  # cuML baseline is GPU-only
-        certified = config.trace == TRACE_OFF and self.inner.verify_against_reference
-        return replace(
-            config,
-            platform=platform,
-            variant=variant,
-            verify_integrity=self.verify_before_launch and not certified,
-        )
+        return replace(config, platform=platform, variant=variant)
 
     def ladder_plans(self, config: RunConfig) -> Tuple[ExecutionPlan, ...]:
         """The fallback ladder as an ordered :class:`ExecutionPlan` tuple.
 
         Requested accelerator first, then the other accelerator, then the
         CPU rung (which always answers).  Each accelerator plan carries the
-        rung's adapted config (variant swap for GPU-only kernels, pre-launch
-        integrity verification); the plan's index is the call's
-        ``fallback_depth`` when that rung serves it.  Compiled once per
-        (config, pre-launch switch, oracle switch), everything it reads.
+        rung's adapted config (variant swap for GPU-only kernels); the
+        plan's index is the call's ``fallback_depth`` when that rung serves
+        it.  Compiled once per config.
         """
-        key = (config, self.verify_before_launch, self.inner.verify_against_reference)
-        if key not in self._ladders:
+        if config not in self._ladders:
             accelerators = tuple(
                 compile_plan(None, self._rung_config(config, platform))
                 for platform in self._LADDERS[config.platform]
             )
-            self._ladders[key] = accelerators + (
+            self._ladders[config] = accelerators + (
                 ExecutionPlan(
                     platform=CPU_PLATFORM,
                     variant=config.variant.value,
@@ -357,7 +347,7 @@ class ResilientClassifier:
                     trace=config.trace,
                 ),
             )
-        return self._ladders[key]
+        return self._ladders[config]
 
     def notify_layout_rebuild(self) -> None:
         """Forget which images passed post-transfer verification.
@@ -372,13 +362,36 @@ class ResilientClassifier:
         layout = self.inner.layout_for(config)
         return served_image(layout, table=config.trace == TRACE_OFF)
 
-    def _verify_transfer(self, config: RunConfig, report: ReliabilityReport) -> None:
+    def _verify_transfer(
+        self, image, integrity: LayoutIntegrity, report: ReliabilityReport
+    ) -> None:
         """Post-transfer readback check, once per distinct served image."""
-        image, integrity = self._image(config)
         if id(image) not in self._transfer_verified:
             report.transfer_verifications += 1
             self._transfer_verified.add(id(image))
             integrity.check(image)
+
+    def _launch_gate(
+        self, config: RunConfig, image, integrity: LayoutIntegrity
+    ) -> Optional[Callable[[], float]]:
+        """The hook the rung's launch calls before it traverses.
+
+        The fault plan's gate draws first (it may raise a transient
+        failure or return hang seconds), then the served image is hashed
+        against its build-time digests.  A certified rung (``trace="off"``
+        with the oracle on) gets the fault plan's gate alone: the leaf
+        certificate proves its answers, and a failed one is hashed then.
+        """
+        gate = self.fault_plan.launch_gate if self.fault_plan else None
+        if config.trace == TRACE_OFF and self.inner.verify_against_reference:
+            return gate
+
+        def checked_gate() -> float:
+            hang_s = gate() if gate is not None else 0.0
+            integrity.check(image)
+            return hang_s
+
+        return checked_gate
 
     def _survivors(
         self, plan: ExecutionPlan, digests: Optional[Digests] = None
@@ -397,9 +410,9 @@ class ResilientClassifier:
     ) -> RunResult:
         """One guarded kernel launch on one rung's plan."""
         config = plan.to_run_config()
-        if self.verify_after_transfer:
-            self._verify_transfer(config, report)
-        gate = self.fault_plan.launch_gate if self.fault_plan else None
+        image, integrity = self._image(config)
+        self._verify_transfer(image, integrity, report)
+        gate = self._launch_gate(config, image, integrity)
         session = self.inner.runtime
         session.verify_against_reference = self.inner.verify_against_reference
         res = session.run(

@@ -12,14 +12,13 @@ module makes corruption *survivable* instead of merely detectable:
   :class:`~repro.fastpath.engine.EdgeTable` that ``trace="off"`` plans
   read (hashed by :func:`repro.fastpath.engine.lower` over
   :func:`table_regions`).  :func:`served_image` names a plan's image.  The
-  clean classification path never re-hashes anything; verification runs
-  only where the guarded path asks for it: after a simulated transfer, and
-  before a launch whose answers nothing else proves.  With the CPU oracle
-  on, a trace-off batch is proven by its leaf certificate instead, and the
-  table is hashed only after a certificate fails, to name the trees to
-  drop.
-* :func:`verify_layout_integrity` — raises :class:`LayoutIntegrityError`
-  naming the mismatched arrays.
+  clean classification path never re-hashes anything; only the
+  reliability guard (:mod:`repro.reliability.guard`) verifies, after a
+  simulated transfer and before a launch whose answers nothing else
+  proves.  With the CPU oracle on, a trace-off batch is proven by its leaf
+  certificate instead, and the table is hashed only after a certificate
+  fails, to name the trees to drop.  :meth:`LayoutIntegrity.check` raises
+  :class:`LayoutIntegrityError` naming the mismatched arrays.
 * :func:`degraded_predict` — majority vote over only the trees whose
   served regions still hash correctly, provided a configurable quorum
   survives.  This is the availability escape hatch: drop poisoned trees,
@@ -284,7 +283,7 @@ class LayoutIntegrity:
 
 
 # ----------------------------------------------------------------------
-# Attachment / verification entry points
+# Attachment
 # ----------------------------------------------------------------------
 def attach_integrity(layout) -> LayoutIntegrity:
     """Compute and attach checksums to ``layout`` (idempotent)."""
@@ -293,15 +292,6 @@ def attach_integrity(layout) -> LayoutIntegrity:
         integ = LayoutIntegrity.from_layout(layout)
         layout.integrity = integ
     return integ
-
-
-def verify_layout_integrity(layout) -> None:
-    """Verify ``layout`` against its attached checksums.
-
-    Layouts built through ``from_trees`` carry checksums already; for
-    hand-assembled layouts the first verification establishes the baseline.
-    """
-    attach_integrity(layout).check(layout)
 
 
 def served_image(layout, table: bool) -> Tuple[object, LayoutIntegrity]:

@@ -107,22 +107,15 @@ def _run_fastpath(plan, layout, X, launch_gate, observer, leaves) -> BackendOutp
     """Shared trace-off execution for the accelerator backends.
 
     Mirrors the trace kernels' launch contract — the gate fires first (a
-    fault plan may raise or charge hang seconds), then the optional
-    pre-launch integrity re-verification — but the traversal itself is the
-    vectorized :mod:`repro.fastpath` engine, and the reported ``seconds``
-    come from its deterministic latency model (plus any gate hang), so
-    chaos-soak replays stay byte-identical.  The engine reads only the
-    layout's lowered edge table, so that table is what the pre-launch
-    check hashes.
+    fault plan, or the reliability guard's pre-launch check, may raise or
+    charge hang seconds) — but the traversal itself is the vectorized
+    :mod:`repro.fastpath` engine, and the reported ``seconds`` come from
+    its deterministic latency model (plus any gate hang), so chaos-soak
+    replays stay byte-identical.
     """
     hang_s = 0.0
     if launch_gate is not None:
         hang_s = float(launch_gate() or 0.0)
-    if plan.verify_integrity:
-        from repro.reliability.integrity import served_image
-
-        table, integrity = served_image(layout, table=True)
-        integrity.check(table)
     preds, stats = fastpath_predict(layout, X, leaves=leaves)
     seconds = fastpath_seconds(stats.lane_levels) + hang_s
     if observer is not None:
@@ -162,7 +155,6 @@ class GPUBackend(Backend):
         kernel = kernel_for("gpu", plan.variant)(
             spec=self.spec,
             launch_gate=launch_gate,
-            verify_layout=plan.verify_integrity,
             observer=observer,
         )
         out = kernel.run(layout, X)
@@ -193,7 +185,6 @@ class FPGABackend(Backend):
         kernel = kernel_for("fpga", plan.variant)(
             spec=self.spec,
             launch_gate=launch_gate,
-            verify_layout=plan.verify_integrity,
             observer=observer,
         )
         out = kernel.run(layout, X, replication=plan.replication)

@@ -69,7 +69,6 @@ class ExecutionPlan:
     variant: str = KernelVariant.HYBRID.value
     layout: LayoutParams = field(default_factory=LayoutParams)
     replication: Replication = field(default_factory=Replication)
-    verify_integrity: bool = False
     #: "explicit" (compiled from a caller's RunConfig), "autotuned"
     #: (trace-model ``variant="auto"``, ranked by the cost model), or
     #: "resolved" (trace-off ``variant="auto"``, picked without tuning).
@@ -140,7 +139,6 @@ class ExecutionPlan:
             variant=self.variant,
             layout=self.layout,
             replication=self.replication,
-            verify_integrity=self.verify_integrity,
             trace=self.trace,
             precision=self.precision,
         )
@@ -170,7 +168,6 @@ class ExecutionPlan:
                 ),
                 "split_stage1": bool(self.replication.split_stage1),
             },
-            "verify_integrity": bool(self.verify_integrity),
             "source": self.source,
             "cost_estimate_s": self.cost_estimate_s,
             "trace": self.trace,
@@ -207,7 +204,6 @@ class ExecutionPlan:
                 ),
                 split_stage1=bool(repl.get("split_stage1", False)),
             ),
-            verify_integrity=bool(data.get("verify_integrity", False)),
             source=str(data.get("source", "explicit")),
             cost_estimate_s=(
                 None

@@ -81,7 +81,6 @@ def compile_plan(forest, config: RunConfig = RunConfig()) -> ExecutionPlan:
         variant=config.variant.value,
         layout=config.layout,
         replication=config.replication,
-        verify_integrity=config.verify_integrity,
         source="explicit",
         trace=config.trace,
         precision=config.precision,
@@ -137,7 +136,6 @@ class Planner:
         return self.autotune(
             X,
             platform=config.platform,
-            verify_integrity=config.verify_integrity,
             trace=config.trace,
             precision=config.precision,
             memory_budget_bytes=config.memory_budget_bytes,
@@ -260,7 +258,6 @@ class Planner:
         self,
         X: np.ndarray,
         platform: Platform = Platform.GPU,
-        verify_integrity: bool = False,
         trace: str = TRACE_MODEL,
         precision: str = "float32",
         memory_budget_bytes: Optional[int] = None,
@@ -293,7 +290,7 @@ class Planner:
         )
         if trace == TRACE_OFF:
             best = min(pool, key=ExecutionPlan.to_json)
-            plan = replace(best, verify_integrity=verify_integrity, source="resolved")
+            plan = replace(best, source="resolved")
             self._notify(plan)
             return plan
 
@@ -305,12 +302,7 @@ class Planner:
             for plan in pool
         ]
         best_cost, _, best = min(scored, key=lambda item: item[:2])
-        plan = replace(
-            best,
-            verify_integrity=verify_integrity,
-            source="autotuned",
-            cost_estimate_s=best_cost,
-        )
+        plan = replace(best, source="autotuned", cost_estimate_s=best_cost)
         self._notify(plan)
         return plan
 

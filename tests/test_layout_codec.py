@@ -166,13 +166,13 @@ class TestLayoutThreading:
 
     @pytest.mark.parametrize("codec", QUANTIZED)
     def test_integrity_covers_decoded_channel(self, small_trees, codec):
-        from repro.reliability.integrity import verify_layout_integrity
+        from repro.reliability.integrity import attach_integrity
 
         csr = CSRForest.from_trees(small_trees, codec=codec)
-        verify_layout_integrity(csr)  # no raise
+        attach_integrity(csr).check(csr)  # no raise
         csr.value[0] += np.float32(1.0)
         with pytest.raises(Exception):
-            verify_layout_integrity(csr)
+            attach_integrity(csr).check(csr)
 
 
 class TestByteAccounting:

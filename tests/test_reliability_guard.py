@@ -392,6 +392,8 @@ class TestServedTableBitFlips:
         table = layout._fastpath_edges
         regions = layout._fastpath_integrity.regions
         expected = {None: reference_predict(clf.trees, X)}
+        guard = ResilientClassifier(clf)
+        guard.classify(X, config)  # spends the post-transfer check on the table
         outcomes = {"unchanged": 0, "degraded": 0}
         rng = np.random.default_rng(2024)
         for k, name in enumerate(regions.names):
@@ -406,7 +408,6 @@ class TestServedTableBitFlips:
             for byte, bit in zip(at, bits):
                 raw[byte] ^= np.uint8(1 << bit)
                 try:
-                    guard = ResilientClassifier(clf, verify_after_transfer=False)
                     res = guard.classify(X, config)
                 finally:
                     raw[byte] ^= np.uint8(1 << bit)

@@ -9,6 +9,7 @@ from repro.core.config import RunConfig
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 from repro.reliability.faults import FaultPlan
+from repro.reliability.guard import ResilientClassifier
 from repro.reliability.integrity import (
     LayoutIntegrity,
     LayoutIntegrityError,
@@ -16,7 +17,7 @@ from repro.reliability.integrity import (
     attach_integrity,
     degraded_predict,
     quorum_size,
-    verify_layout_integrity,
+    served_image,
 )
 from repro.runtime.session import ExecutionError
 
@@ -59,8 +60,8 @@ class TestBuildTimeAttachment:
 
 class TestVerification:
     def test_clean_layout_verifies(self, hier, csr):
-        verify_layout_integrity(hier)
-        verify_layout_integrity(csr)
+        attach_integrity(hier).check(hier)
+        attach_integrity(csr).check(csr)
 
     @pytest.mark.parametrize("array", ["feature_id", "value", "subtree_connection"])
     def test_array_mismatch_named(self, small_trees, array):
@@ -71,14 +72,14 @@ class TestVerification:
         else:
             arr[0] ^= 1
         with pytest.raises(LayoutIntegrityError, match=array):
-            verify_layout_integrity(h)
+            attach_integrity(h).check(h)
 
     def test_offset_corruption_detected(self, small_trees):
         """Offset arrays are covered by the whole-array digests too."""
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         h.subtree_node_offset[1] += 1
         with pytest.raises(LayoutIntegrityError, match="subtree_node_offset"):
-            verify_layout_integrity(h)
+            attach_integrity(h).check(h)
 
     def test_surviving_trees_localises(self, small_trees):
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
@@ -101,9 +102,9 @@ class TestVerification:
         h = HierarchicalForest.from_trees(
             small_trees, LayoutParams(4), with_integrity=False
         )
-        verify_layout_integrity(h)  # attaches, then trivially passes
+        attach_integrity(h).check(h)  # attaches, then trivially passes
         assert h.integrity is not None
-        verify_layout_integrity(h)
+        attach_integrity(h).check(h)
 
     def test_from_layout_rebuild_matches(self, hier):
         rebuilt = LayoutIntegrity.from_layout(hier)
@@ -111,25 +112,34 @@ class TestVerification:
 
 
 class TestKernelPreLaunchVerification:
+    """The pre-launch check is the reliability guard's: its launch hook
+    draws the fault gate, then hashes the served image."""
+
     def test_classify_raises_on_corruption(self, trained_small):
         clf_src, _, _, Xte, _ = trained_small
         clf = HierarchicalForestClassifier.from_forest(clf_src)
-        config = RunConfig(variant="hybrid", verify_integrity=True)
-        clf.classify(Xte[:64], config)  # clean pass
+        config = RunConfig(variant="hybrid")
+        guard = ResilientClassifier(clf)
+        guard.classify(Xte[:64], config)  # clean pass spends the transfer check
         layout = clf.layout_for(config)
         layout.value[0] += 1.0
         # The session wraps backend failures in a typed ExecutionError
         # carrying the plan; the integrity failure rides as its cause.
+        gate = guard._launch_gate(config, *served_image(layout, table=False))
         with pytest.raises(ExecutionError) as err:
-            clf.classify(Xte[:64], config)
+            clf.classify(Xte[:64], config, launch_gate=gate)
         assert isinstance(err.value.__cause__, LayoutIntegrityError)
         assert err.value.platform == "gpu"
+        r = guard.classify(Xte[:64], config).reliability
+        assert r.transfer_verifications == 0
+        assert r.integrity_failures == 1
+        assert r.dropped_trees == (0,)
 
     def test_fastpath_serves_build_time_snapshot(self, trained_small):
         """Under trace="off" the table lowered at build keeps answering after
-        the layout's buffers change, and the pre-launch check hashes that
-        table: it passes the layout damage no answer can see, and fails a
-        flip in the table."""
+        the layout's buffers change, and the guard's pre-launch check (the
+        oracle off) hashes that table: it passes the layout damage no
+        answer can see, and fails a flip in the table."""
         clf_src, _, _, Xte, _ = trained_small
         clf = HierarchicalForestClassifier.from_forest(clf_src)
         config = RunConfig(variant="csr", trace="off")
@@ -138,14 +148,22 @@ class TestKernelPreLaunchVerification:
         leaves = np.flatnonzero(layout.feature_id == -1)
         layout.value[leaves] += 1.0  # every leaf now votes another class
         assert np.array_equal(clf.classify(Xte[:64], config).predictions, clean)
-        checked = RunConfig(variant="csr", trace="off", verify_integrity=True)
-        assert np.array_equal(clf.classify(Xte[:64], checked).predictions, clean)
+        clf.verify_against_reference = False
+        guard = ResilientClassifier(clf)
+        res = guard.classify(Xte[:64], config)
+        assert np.array_equal(res.predictions, clean)
+        assert res.reliability.integrity_failures == 0
         table = layout._fastpath_edges
         table.succ[2 * int(table.roots[0])] ^= 1
+        gate = guard._launch_gate(config, *served_image(layout, table=True))
         with pytest.raises(ExecutionError) as err:
-            clf.classify(Xte[:64], checked)
+            clf.classify(Xte[:64], config, launch_gate=gate)
         assert isinstance(err.value.__cause__, LayoutIntegrityError)
         assert "succ" in str(err.value)
+        r = guard.classify(Xte[:64], config).reliability
+        assert r.transfer_verifications == 0
+        assert r.integrity_failures == 1
+        assert r.dropped_trees == (0,)
 
     def test_clean_path_never_verifies(self, trained_small, monkeypatch):
         """The default config must not hash anything per call."""

@@ -87,14 +87,12 @@ class TestRunConfigBridge:
             variant="hybrid",
             layout=LayoutParams(6, 10),
             replication=HYBRID_SPLIT_4S10C,
-            verify_integrity=True,
         )
         cfg = plan.to_run_config()
         assert cfg.platform.value == "fpga"
         assert cfg.variant.value == "hybrid"
         assert cfg.layout == plan.layout
         assert cfg.replication == plan.replication
-        assert cfg.verify_integrity is True
 
     def test_cpu_plan_has_no_run_config(self):
         plan = ExecutionPlan(platform=CPU_PLATFORM, variant="hybrid")
@@ -112,7 +110,6 @@ class TestJsonRoundTrip:
             variant="hybrid",
             layout=LayoutParams(6, 10),
             replication=HYBRID_SPLIT_4S10C,
-            verify_integrity=True,
             source="autotuned",
             cost_estimate_s=1.25e-4,
         ),
@@ -135,9 +132,15 @@ class TestJsonRoundTrip:
         assert " " not in a.to_json()
 
     def test_from_dict_defaults(self):
-        # "batch_split" names a removed field: unknown keys are ignored.
+        # "batch_split" and "verify_integrity" name removed fields:
+        # unknown keys are ignored, so older plan JSON still loads.
         plan = ExecutionPlan.from_dict(
-            {"platform": "gpu", "variant": "csr", "batch_split": 1}
+            {
+                "platform": "gpu",
+                "variant": "csr",
+                "batch_split": 1,
+                "verify_integrity": True,
+            }
         )
         assert plan.replication == Replication()
         assert plan.cost_estimate_s is None

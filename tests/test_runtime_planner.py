@@ -39,14 +39,12 @@ class TestCompilePlan:
             variant=KernelVariant.HYBRID,
             layout=LayoutParams(6, 10),
             replication=Replication(4, 12),
-            verify_integrity=True,
         )
         plan = compile_plan(forest, cfg)
         assert plan.platform == "fpga"
         assert plan.variant == "hybrid"
         assert plan.layout == cfg.layout
         assert plan.replication == cfg.replication
-        assert plan.verify_integrity is True
         assert plan.source == "explicit"
         # The round trip back to a RunConfig is the legacy wiring exactly.
         back = plan.to_run_config()
