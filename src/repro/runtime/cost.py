@@ -17,7 +17,6 @@ variants.
 from __future__ import annotations
 
 from repro.core.config import TRACE_OFF
-from repro.fastpath import fastpath_seconds
 from repro.fpgasim.device import FPGASpec
 from repro.gpusim.cache import capacity_miss_fraction
 from repro.gpusim.device import GPUSpec
@@ -109,15 +108,11 @@ def estimate_plan_cost(
     gpu_spec: GPUSpec,
     fpga_spec: FPGASpec,
 ) -> float:
-    """Dispatch to the plan's execution mode / platform cost model.
+    """Dispatch to the plan's platform cost model.
 
     ``counts`` are the workload's (a probe's, already scaled), and
     ``layout`` is the plan's own.
     """
-    if plan.trace == TRACE_OFF:
-        # A node visit is one lane advanced one level, the fastpath's unit
-        # of work; no plan field (codec included) changes the count.
-        return fastpath_seconds(counts.visits)
     if plan.platform == "gpu":
         return gpu_plan_cost(plan, counts, footprint_bytes, gpu_spec)
     if plan.platform == "fpga":

@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import TRACE_MODEL, TRACE_OFF, KernelVariant, Platform, RunConfig
-from repro.fastpath import fastpath_predict
 from repro.fpgasim.replication import FULL_4S12C, HYBRID_SPLIT_4S10C, Replication
 from repro.kernels.traversal_stats import WorkloadProfile, profile_workload
 from repro.layout.codec import PRECISIONS
@@ -201,20 +200,6 @@ class Planner:
     def _profile_for(
         self, plan: ExecutionPlan, probe: np.ndarray, memo: Dict[Tuple, WorkloadProfile]
     ) -> WorkloadProfile:
-        if plan.trace == TRACE_OFF:
-            # The fastpath's cost reads only the visit count, and one launch
-            # over the plan's own table reports it as lane-levels; the other
-            # counts are never read under trace="off".
-            if (TRACE_OFF,) not in memo:
-                _, stats = fastpath_predict(self.session.layout_for(plan), probe)
-                memo[(TRACE_OFF,)] = WorkloadProfile(
-                    n_queries=int(probe.shape[0]),
-                    visits=stats.lane_levels,
-                    crossings=0,
-                    stage1=0,
-                    sum_levels=0,
-                )
-            return memo[(TRACE_OFF,)]
         # Hierarchical profiles depend on (sd, rsd); CSR/cuML costs only use
         # the layout-independent visit count, so any profile serves them —
         # keyed under the plan's own layout params to keep lookups trivial.
@@ -237,7 +222,19 @@ class Planner:
         n_queries: int,
         memo: Optional[Dict[Tuple, WorkloadProfile]] = None,
     ) -> float:
-        """Analytic cost of one candidate over ``n_queries``, seconds."""
+        """Analytic cost of one trace-model candidate over ``n_queries``,
+        seconds.
+
+        A ``trace="off"`` plan raises :class:`PlanError`: it is priced by
+        the fastpath's launch model (:func:`~repro.fastpath.fastpath_seconds`),
+        not by a device model.
+        """
+        if plan.trace == TRACE_OFF:
+            raise PlanError(
+                f"plan {plan.label} runs the fastpath; its launch model "
+                "(repro.fastpath.fastpath_seconds) prices it, not the "
+                "device cost model"
+            )
         if memo is None:
             memo = {}
         counts = self._profile_for(plan, probe, memo).scaled(n_queries)

@@ -30,7 +30,6 @@ from repro.serving.batching import (
     BatchPolicy,
     LatencyModel,
     MicroBatcher,
-    calibrate_latency_model,
 )
 from repro.serving.chaos import (
     ChaosReplay,
@@ -63,7 +62,6 @@ __all__ = [
     "BatchPolicy",
     "LatencyModel",
     "MicroBatcher",
-    "calibrate_latency_model",
     "ChaosReplay",
     "ChaosScenario",
     "default_scenarios",

@@ -3,8 +3,8 @@
 Batching amortises the backend's per-launch overhead (kernel launch on GPU,
 pipeline fill on FPGA) across many requests — but an over-greedy batch can
 bust the *earliest* member's deadline.  The batcher therefore works against
-an explicit :class:`LatencyModel` (calibrated from the runtime cost model,
-see :mod:`repro.serving.frontdoor`): requests join a batch only while the
+an explicit :class:`LatencyModel` (one per fallback rung, see
+:mod:`repro.serving.frontdoor`): requests join a batch only while the
 model's predicted execution time fits inside every member's remaining
 slack.  Requests whose deadline already passed, or that cannot finish in
 time even alone, are shed *here*, before any backend time is burnt.
@@ -28,9 +28,10 @@ from repro.utils.validation import check_positive_int
 class LatencyModel:
     """Affine execution-time model: ``overhead_s + rows * per_row_s``.
 
-    Calibrated per backend from the analytic cost model (two evaluations
-    pin the line).  Deliberately simple: its job is guarding deadlines,
-    not nanosecond accuracy.
+    One per fallback rung: an accelerator rung's is the fastpath launch
+    model at a probe's lane-levels per row, the CPU rung's the host
+    backend's per-row constant.  Deliberately simple: its job is guarding
+    deadlines, not nanosecond accuracy.
     """
 
     overhead_s: float
@@ -146,18 +147,3 @@ class MicroBatcher:
         out = list(self._queue)
         self._queue.clear()
         return out
-
-
-def calibrate_latency_model(estimate, lo_rows: int = 1,
-                            hi_rows: int = 4096) -> LatencyModel:
-    """Fit the affine model through two cost-model evaluations.
-
-    ``estimate`` maps a row count to predicted seconds (the front door
-    closes it over the planner's analytic cost model, or over the CPU
-    backend's constant for the host rung).
-    """
-    lo = float(estimate(lo_rows))
-    hi = float(estimate(hi_rows))
-    per_row = max(0.0, (hi - lo) / max(1, hi_rows - lo_rows))
-    overhead = max(0.0, lo - per_row * lo_rows)
-    return LatencyModel(overhead_s=overhead, per_row_s=per_row)

@@ -26,23 +26,23 @@ chaos harness and its CI soak are built on).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import TRACE_OFF, KernelVariant, Platform, RunConfig
+from repro.fastpath import (
+    FASTPATH_LAUNCH_OVERHEAD_S,
+    FASTPATH_SECONDS_PER_LANE_LEVEL,
+    fastpath_predict,
+)
 from repro.obs.protocol import ensure_observer
 from repro.reliability.guard import BreakerState, ResilientClassifier
 from repro.runtime.backends import CPUBackend
 from repro.runtime.drift import CostDriftMonitor
 from repro.runtime.plan import CPU_PLATFORM, ExecutionPlan
 from repro.serving.admission import AdmissionController, AdmissionPolicy
-from repro.serving.batching import (
-    BatchPolicy,
-    LatencyModel,
-    MicroBatcher,
-    calibrate_latency_model,
-)
+from repro.serving.batching import BatchPolicy, LatencyModel, MicroBatcher
 from repro.serving.request import (
     Overload,
     Request,
@@ -148,38 +148,28 @@ class ServingFrontDoor:
     def _ensure_models(self, X: np.ndarray) -> None:
         """Calibrate one affine latency model per fallback rung.
 
-        Accelerator rungs fit the planner's analytic cost model at two
-        batch sizes, scaled from one fastpath launch over ``X`` (its
-        lane-levels); the CPU rung's model comes straight from
+        Accelerator rungs serve through the fastpath, whose launch model
+        (:func:`~repro.fastpath.fastpath_seconds`) is affine in
+        lane-levels already.  One launch over ``X`` gives the lane-levels
+        per row, which no layout changes, so every accelerator rung gets
+        the same model.  The CPU rung's model comes straight from
         :meth:`CPUBackend.seconds_for` (exactly linear, zero overhead).
         """
         if self._models is not None:
             return
-        planner = self.guard.inner.planner
+        ladder = self._ladder()
+        layout = self.guard.inner.layout_for(ladder[0].to_run_config())
+        _, stats = fastpath_predict(layout, X)
+        fastpath = LatencyModel(
+            overhead_s=FASTPATH_LAUNCH_OVERHEAD_S,
+            per_row_s=stats.lane_levels / X.shape[0] * FASTPATH_SECONDS_PER_LANE_LEVEL,
+        )
         host = self.guard.inner.runtime.oracle_trees("float32")
-        models: List[Tuple[str, LatencyModel]] = []
-        memo: Dict[Tuple, object] = {}
-        for plan in self._ladder():
-            if plan.platform == CPU_PLATFORM:
-                models.append(
-                    (
-                        CPU_PLATFORM,
-                        LatencyModel(
-                            overhead_s=0.0,
-                            per_row_s=CPUBackend.seconds_for(1, host),
-                        ),
-                    )
-                )
-                continue
-            models.append(
-                (
-                    plan.platform,
-                    calibrate_latency_model(
-                        lambda rows, p=plan: planner.estimate(p, X, rows, memo)
-                    ),
-                )
-            )
-        self._models = models
+        cpu = LatencyModel(overhead_s=0.0, per_row_s=CPUBackend.seconds_for(1, host))
+        self._models = [
+            (plan.platform, cpu if plan.platform == CPU_PLATFORM else fastpath)
+            for plan in ladder
+        ]
 
     def _primary_model(self) -> LatencyModel:
         if self._models is None:

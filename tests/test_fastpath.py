@@ -541,17 +541,15 @@ class TestPlannerTraceOff:
         assert planner.stats["probe_runs"] == 0
         assert planner.stats["cost_evaluations"] == 0
 
-    def test_cost_model_prefers_the_fast_path(self, session, queries):
-        """The fastpath latency term, which the front door calibrates its
-        latency models from, must undercut the device models."""
+    def test_estimate_rejects_trace_off_plans(self, session, queries):
+        """The device cost model prices trace-model plans only; the
+        fastpath's launch model prices a served plan."""
         planner = Planner(session)
         probe = queries[:128]
-        plan_model = ExecutionPlan(trace=TRACE_MODEL)
-        plan_serve = ExecutionPlan(trace=TRACE_OFF)
-        memo = {}
-        slow = planner.estimate(plan_model, probe, 100_000, memo)
-        fast = planner.estimate(plan_serve, probe, 100_000, memo)
-        assert fast < slow
+        assert planner.estimate(ExecutionPlan(trace=TRACE_MODEL), probe, 100) > 0
+        with pytest.raises(PlanError, match="fastpath"):
+            planner.estimate(ExecutionPlan(trace=TRACE_OFF), probe, 100)
+        assert planner.stats["cost_evaluations"] == 1
 
     def test_auto_variant_routes_trace_through_plan(self, session, queries):
         planner = Planner(session)

@@ -16,7 +16,6 @@ from repro.serving import (
     ServingStats,
     TokenBucket,
     TrafficProfile,
-    calibrate_latency_model,
     generate_trace,
 )
 
@@ -160,11 +159,6 @@ class TestLatencyModel:
         m = LatencyModel(overhead_s=0.001, per_row_s=0.0001)
         assert m.seconds_for(0) == pytest.approx(0.001)
         assert m.seconds_for(10) == pytest.approx(0.002)
-
-    def test_calibration_fits_two_points(self):
-        m = calibrate_latency_model(lambda rows: 0.5 + 0.25 * rows)
-        assert m.overhead_s == pytest.approx(0.5)
-        assert m.per_row_s == pytest.approx(0.25)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -19,15 +19,23 @@ import pytest
 from repro.baselines.cpu_reference import CertificateError, reference_predict
 from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import KernelVariant, Platform, RunConfig
+from repro.fastpath import (
+    FASTPATH_LAUNCH_OVERHEAD_S,
+    FASTPATH_SECONDS_PER_LANE_LEVEL,
+    fastpath_predict,
+    fastpath_seconds,
+)
 from repro.forest.tree import random_tree
 from repro.obs import context
 from repro.obs.context import TraceContext
 from repro.reliability import FaultPlan, ResilientClassifier, integrity
+from repro.runtime.backends import CPUBackend
 from repro.runtime.plan import CPU_PLATFORM
 from repro.serving import (
     AdmissionPolicy,
     BatchPolicy,
     ChaosScenario,
+    LatencyModel,
     Overload,
     Request,
     RequestStatus,
@@ -126,6 +134,36 @@ class TestFrontDoorCleanPath:
         (resp,) = front.drain()
         assert resp.latency_s > 0.0
         assert resp.finish_s > resp.arrival_s
+
+
+class TestLatencyModels:
+    def test_accelerator_rungs_share_the_fastpath_launch_model(
+        self, trees, X_pool
+    ):
+        """Each accelerator rung is priced by the fastpath's launch model at
+        the probe's lane-levels per row, without the planner.  The cuML
+        rung (FIL layout) and its FPGA fallback (hybrid layout) walk
+        different layouts to the same lane-levels."""
+        clf, front, _ = make_front(
+            trees, X_pool, config=RunConfig(variant="cuml")
+        )
+        probe = X_pool[:64]
+        ladder = front.guard.ladder_plans(front.config)
+        lane_levels = {
+            fastpath_predict(clf.layout_for(plan.to_run_config()), probe)[1].lane_levels
+            for plan in ladder[:-1]
+        }
+        assert [p.variant for p in ladder[:-1]] == ["cuml", "hybrid"]
+        assert len(lane_levels) == 1
+        (ll,) = lane_levels
+        fastpath = LatencyModel(
+            FASTPATH_LAUNCH_OVERHEAD_S, ll / 64 * FASTPATH_SECONDS_PER_LANE_LEVEL
+        )
+        host = clf.runtime.oracle_trees("float32")
+        cpu = LatencyModel(0.0, CPUBackend.seconds_for(1, host))
+        assert front._models == [("gpu", fastpath), ("fpga", fastpath), ("cpu", cpu)]
+        assert fastpath.seconds_for(64) == pytest.approx(fastpath_seconds(ll))
+        assert clf.planner.stats["cost_evaluations"] == 0
 
 
 class TestLaunchWhenIdle:
