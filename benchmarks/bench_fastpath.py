@@ -17,8 +17,10 @@ Measures *wall-clock* rows/s through the runtime seam
 The speedup is structural, not just constant-factor: the trace path runs
 warp-lockstep, so every warp pays Python-level work down to the *deepest*
 member lane, while the fastpath stops charging each lane at its own leaf
-depth and drops retired lanes once they are half of its frontier — the
-deeper the trees, the wider the gap.  The bench forest uses depth-16
+depth and, on calls above ``FASTPATH_FLAT_LANES`` lanes (the 256-row and
+paper-scale cells), drops retired lanes once they are half of its
+frontier — the deeper the trees, the wider the gap.  The 16-row cell
+walks flat, every lane down to the deepest level, like a warp.  The bench forest uses depth-16
 trees (unbounded depth is the usual random-forest default; 16 is a modest
 cap).
 

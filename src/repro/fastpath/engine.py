@@ -3,11 +3,16 @@
 All three traversals share one shape: the ``(row, tree)`` cross product is
 flattened into *lanes*, every lane carries a cursor through its tree, and
 the lane arrays are stepped level-synchronously until every lane lands on a
-leaf.  A lane that lands retires in place, stepping on its leaf's
-self-loop, and the retired lanes are compacted out only once they make up
-at least half of the carried lanes, so compaction runs on a few levels
-instead of every level.  The loop count is bounded by the deepest tree,
-never by the number of rows — that is what makes the fast path scale.
+leaf.  A lane that lands steps in place on its leaf's self-loop.  Two walks
+share that shape.  A call of at most :data:`FASTPATH_FLAT_LANES` lanes (a
+serving-size batch) walks *flat*: every lane steps down to the table's
+deepest level, as a warp does (paper §3.2), and the vote and work counters
+are read once at the end, since at that size the walk costs NumPy dispatch
+per level, not memory.  A larger call *compacts*: retired lanes are
+dropped once they make up at least half of the carried lanes, so
+compaction runs on a few levels instead of every level.  Either loop count
+is bounded by the deepest tree, never by the number of rows — that is what
+makes the fast path scale.
 
 The family modules (:mod:`repro.fastpath.hierpath` /
 :mod:`~repro.fastpath.csrpath` / :mod:`~repro.fastpath.filpath`) do not
@@ -19,10 +24,12 @@ indirection, FIL adjacent children) — and the shared :func:`traverse_edges`
 core gathers node feature, query value and split threshold on every
 lane-level.  The successor is a fourth gather on CSR and FIL tables and on
 the hierarchical levels that cross into a child subtree; inside a complete
-subtree (paper §3.1) it is computed, ``2n + 1 + went_right`` in local
-numbering, with no gather at all.  Lanes are
-materialized in row blocks of at most :data:`FASTPATH_CHUNK_LANES` so the
-working set stays cache-resident at any batch size.
+subtree (paper §3.1) the compacting walk computes it, ``2n + 1 +
+went_right`` in local numbering, with no gather at all.  (The flat walk
+gathers it on every level: computing it would need a mask to hold its
+retired lanes on their leaves.)  The compacting walk materializes lanes in
+row blocks of at most :data:`FASTPATH_CHUNK_LANES` so the working set
+stays cache-resident at any batch size.
 
 Blocks are independent, so a batch that spans two or more of them runs
 them on ``min(blocks, CPUs)`` threads: the caller's and workers started
@@ -86,12 +93,13 @@ class FastpathStats:
 
     ``lane_levels`` is the total number of active lane-steps — one per
     lane per level down to and including its leaf — and the work metric
-    the latency model charges for.  Retired lanes carried until the next
-    compaction step as well but are not counted; the half rule keeps the
-    steps executed below ``2 * lane_levels``.  ``frontier_occupancy`` is
-    ``lane_levels / (lanes * levels)``: 1.0 means every lane stayed active
-    through every level, lower means lanes retired early (shallow
-    leaves).
+    the latency model charges for.  It does not depend on the walk: the
+    steps a retired lane takes on its leaf's self-loop are not counted,
+    whether the compacting walk carries it until the next compaction or
+    the flat walk (:data:`FASTPATH_FLAT_LANES`) to the last level.
+    ``frontier_occupancy`` is ``lane_levels / (lanes * levels)``: 1.0
+    means every lane stayed active through every level, lower means lanes
+    retired early (shallow leaves).
     """
 
     family: str
@@ -151,6 +159,19 @@ def supports_variant(variant: str) -> bool:
 #: size.
 FASTPATH_CHUNK_LANES = 65536
 
+#: Largest call, in lanes, that takes the flat walk: every lane steps
+#: the table's ``max_levels`` levels in lock-step, with no retirement
+#: bookkeeping.  Below it a walk is bound by NumPy dispatch per level, and
+#: the flat walk makes about half the calls per level that the compacting
+#: walk does; above it the compacting walk stops carrying retired lanes
+#: and stops at the batch's deepest leaf, not the table's.  Measured on
+#: 2 vCPUs over the served hybrid tables (SD4/RSD10 and SD6/RSD6), flat
+#: over compacting time: susy d20x20 (21 levels) 0.57x at 20 lanes, 0.83x
+#: at 2,040 and 0.94x at 5,120; covertype d35x20 (36 levels) 0.78x at 20,
+#: 0.97x at 2,040, 1.08x at 2,560 and 1.24x at 5,120.  So a 256-row
+#: serving batch of 20 trees compacts.
+FASTPATH_FLAT_LANES = 2048
+
 
 @dataclass(frozen=True)
 class EdgeTable:
@@ -167,7 +188,8 @@ class EdgeTable:
     * ``label`` — ``int32``; class label on leaf slots, 0 elsewhere.
     * ``succ`` — ``int32[2 * slots]``; ``succ[2 * g + went_right]`` is the
       next slot.  Terminal slots self-loop: a retired lane that is still
-      carried steps in place until the next compaction drops it.  All
+      carried steps in place, until the next compaction drops it or the
+      flat walk ends.  All
       layout-specific stepping rules (hierarchical subtree crossings, CSR
       children indirection, FIL adjacent children) are resolved here,
       once, at build time.
@@ -215,7 +237,8 @@ def edge_table(layout, feature, inner, left, right, roots, rsd=None, sd=None) ->
     ``left`` / ``right`` are the global successor slots of the ``inner``
     slots.  Terminal (leaf / padding) slots self-loop; the traversal core
     keeps stepping a retired lane on that self-edge until it compacts the
-    lane away.  ``rsd`` / ``sd`` are set by the hierarchical family only.
+    lane away or its flat walk ends.  ``rsd`` / ``sd`` are set by the
+    hierarchical family only.
     """
     succ = np.repeat(np.arange(feature.shape[0], dtype=np.int32), 2)
     succ[0::2][inner] = left
@@ -299,6 +322,15 @@ def _run_blocks(run_block, starts) -> Tuple[int, int]:
     return max(levels), sum(lane_levels)
 
 
+def walks_flat(table: EdgeTable, lanes: int) -> bool:
+    """Whether :func:`traverse_edges` walks ``lanes`` lanes of ``table`` flat.
+
+    Calls of at most :data:`FASTPATH_FLAT_LANES` lanes do, on a table that
+    knows its ``max_levels``; every other call compacts retired lanes.
+    """
+    return table.max_levels is not None and 0 < lanes <= FASTPATH_FLAT_LANES
+
+
 def traverse_edges(
     table: EdgeTable, X: np.ndarray, leaves: Optional[np.ndarray] = None
 ):
@@ -320,7 +352,11 @@ def traverse_edges(
     ``levels == max_depth + 1`` over the leaves reached); ``lane_levels``
     is the number of active lane-steps, ``sum(d + 1)`` over all lanes, the
     work metric :func:`fastpath_seconds` charges.  Neither counts the
-    steps retired lanes take while carried until a compaction.
+    steps retired lanes take while carried, so neither depends on the walk
+    (:func:`walks_flat`): a call of at most :data:`FASTPATH_FLAT_LANES`
+    lanes steps every lane through ``succ`` down to ``max_levels`` and
+    reads both counters, the vote and the leaf claims once, from each
+    level's ``feature`` gather; a larger one compacts retired lanes away.
 
     No gather ever uses a negative index, as on a device, where a gather
     does not wrap around the way NumPy's does.  A carried retired lane
@@ -336,10 +372,10 @@ def traverse_edges(
     and claims leaf -1.  So the damage shows as a wrong claimed leaf or a
     wrong vote, both of which the caller's certificate rejects.
 
-    Rows are traversed in blocks of at most :data:`FASTPATH_CHUNK_LANES`
-    lanes.  A batch of several blocks runs them on up to one thread per
-    CPU (:func:`_run_blocks`); every output is the same whichever thread
-    runs which block.
+    The compacting walk traverses rows in blocks of at most
+    :data:`FASTPATH_CHUNK_LANES` lanes.  A batch of several blocks runs
+    them on up to one thread per CPU (:func:`_run_blocks`); every output is
+    the same whichever thread runs which block.
     """
     X = np.ascontiguousarray(X, dtype=np.float32)
     check_feature_width(X, table.max_feature)
@@ -450,7 +486,45 @@ def traverse_edges(
         votes[start * n_classes : stop * n_classes] = counts
         return depth, lane_levels
 
-    levels, lane_levels = _run_blocks(run_block, range(0, n, block))
+    def run_flat():
+        # Every lane walks all ``limit`` levels in lock-step, as a warp
+        # does: a lane on a terminal slot steps on its self-loop, so no lane
+        # is retired or compacted.  The counters, the vote and the leaf
+        # claims are read once, after the walk, from the ``feature`` gather
+        # each level keeps in its row of ``kept``.
+        rx = np.repeat(np.arange(0, n * n_feat, n_feat, dtype=idx_dtype), n_trees)
+        slot = np.tile(table.roots, n)
+        kept = np.empty((limit, slot.size), dtype=feature.dtype)
+        feats = feature.take(slot, mode="clip", out=kept[0])
+        level = 1
+        while level < limit:
+            went_right = flat_x.take(rx + feats, mode="clip") >= value.take(
+                slot, mode="clip"
+            )
+            slot = succ.take(slot + slot + went_right, mode="clip")
+            feats = feature.take(slot, mode="clip", out=kept[level])
+            level += 1
+        inner = kept >= 0
+        # A lane still walking at the last level claims -1 and votes
+        # nothing, as in the compacting walk.
+        done = np.flatnonzero(feats < 0)
+        leaf_slot = slot.take(done)
+        votes_for = np.minimum(
+            label.take(leaf_slot, mode="clip").view(np.uint32), top_class
+        ).view(np.int32)
+        votes[:] = np.bincount(
+            done // n_trees * n_classes + votes_for, minlength=n * n_classes
+        )
+        if leaves is not None:
+            leaves[:] = -1
+            leaves[done] = table.host.take(leaf_slot, mode="clip")
+        levels = min(int(np.count_nonzero(inner.any(axis=1))) + 1, limit)
+        return levels, int(np.count_nonzero(inner)) + int(done.size)
+
+    if walks_flat(table, n * n_trees):
+        levels, lane_levels = run_flat()
+    else:
+        levels, lane_levels = _run_blocks(run_block, range(0, n, block))
     return votes.reshape(n, n_classes).argmax(axis=1), levels, lane_levels
 
 

@@ -357,10 +357,10 @@ class ResilientClassifier:
         """
         self._transfer_verified.clear()
 
-    def _image(self, config: RunConfig):
-        """``(image, integrity)``: the buffers the rung of ``config`` executes."""
-        layout = self.inner.layout_for(config)
-        return served_image(layout, table=config.trace == TRACE_OFF)
+    def _image(self, plan: ExecutionPlan):
+        """``(image, integrity)``: the buffers the rung of ``plan`` executes."""
+        layout = self.inner.runtime.layout_for(plan)
+        return served_image(layout, table=plan.trace == TRACE_OFF)
 
     def _verify_transfer(
         self, image, integrity: LayoutIntegrity, report: ReliabilityReport
@@ -402,15 +402,19 @@ class ResilientClassifier:
         image just computed; passing them keys the survivor memo without
         hashing the image a second time.
         """
-        image, integrity = self._image(plan.to_run_config())
+        image, integrity = self._image(plan)
         return integrity.surviving_trees(image, digests)
 
     def _attempt(
-        self, X: np.ndarray, plan: ExecutionPlan, report: ReliabilityReport
+        self,
+        X: np.ndarray,
+        plan: ExecutionPlan,
+        config: RunConfig,
+        report: ReliabilityReport,
     ) -> RunResult:
-        """One guarded kernel launch on one rung's plan."""
-        config = plan.to_run_config()
-        image, integrity = self._image(config)
+        """One guarded kernel launch on one rung's plan (``config`` is its
+        :meth:`~repro.runtime.plan.ExecutionPlan.to_run_config`)."""
+        image, integrity = self._image(plan)
         self._verify_transfer(image, integrity, report)
         gate = self._launch_gate(config, image, integrity)
         session = self.inner.runtime
@@ -429,12 +433,12 @@ class ResilientClassifier:
         self,
         X: np.ndarray,
         plan: ExecutionPlan,
+        config: RunConfig,
         report: ReliabilityReport,
         alive: np.ndarray,
     ) -> Optional[RunResult]:
         """Quorum voting over the rung's ``alive`` trees; None if quorum lost."""
-        config = plan.to_run_config()
-        layout = self.inner.layout_for(config)
+        layout = self.inner.runtime.layout_for(plan)
         boxes = None
         if self.inner.verify_against_reference:
             boxes = self.inner.runtime.oracle_boxes(plan.precision)
@@ -527,12 +531,13 @@ class ResilientClassifier:
         report: ReliabilityReport,
     ) -> Optional[RunResult]:
         """Retry loop on one rung's plan; None means the rung gave up."""
+        config = plan.to_run_config()
         for attempt in range(self.retry.max_attempts):
             report.attempts += 1
             self._obs.on_rung_attempt(plan, attempt, report.retries)
             alive = None
             try:
-                res = self._attempt(X, plan, report)
+                res = self._attempt(X, plan, config, report)
                 report.note_transition(breaker.name, breaker.record_success())
                 return res
             except CertificateError:
@@ -568,7 +573,7 @@ class ResilientClassifier:
                 # Corruption is persistent — retrying the same buffers is
                 # pointless.  Salvage via quorum voting or fail the rung.
                 report.integrity_failures += 1
-                res = self._degraded(X, plan, report, alive)
+                res = self._degraded(X, plan, config, report, alive)
                 if res is not None:
                     report.note_transition(breaker.name, breaker.record_success())
                     return res

@@ -48,6 +48,7 @@ from repro.fastpath import (
 from repro.fastpath import engine, hierpath
 from repro.fastpath.engine import (
     FASTPATH_CHUNK_LANES,
+    FASTPATH_FLAT_LANES,
     host_map,
     select_trees,
     traverse_edges,
@@ -365,6 +366,103 @@ class TestWorkCounters:
         layout.params = LayoutParams(*claimed)
         with pytest.raises(RuntimeError, match="RSD/SD"):
             build_edges(layout)
+
+
+def _walk(table, X, flat_lanes, trees=None):
+    """``traverse_edges`` outputs and leaf claims with the flat walk bounded
+    at ``flat_lanes`` lanes."""
+    table = select_trees(table, trees)
+    leaves = np.full(X.shape[0] * table.roots.shape[0], -2, dtype=np.int32)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "FASTPATH_FLAT_LANES", flat_lanes)
+        preds, levels, lane_levels = traverse_edges(table, X, leaves=leaves)
+    return preds, levels, lane_levels, leaves
+
+
+class TestFlatWalk:
+    """A call of at most ``FASTPATH_FLAT_LANES`` lanes walks every lane down
+    to the table's ``max_levels`` without retiring any; a larger call
+    compacts.  Which walk runs must change no output."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        family=st.sampled_from(["hier", "csr", "fil"]),
+        n_trees=st.integers(1, 6),
+        above_bound=st.booleans(),
+        mask=st.lists(st.booleans(), min_size=6, max_size=6),
+    )
+    def test_flat_and_compacting_walks_agree(
+        self, seed, family, n_trees, above_bound, mask
+    ):
+        rng = np.random.default_rng(seed)
+        trees = [
+            random_tree(rng, 6, int(rng.integers(0, 12)), leaf_prob=0.2)
+            for _ in range(n_trees)
+        ]
+        # Row counts on both sides of the bound the dispatch applies.
+        fits = FASTPATH_FLAT_LANES // n_trees
+        rows = int(
+            rng.integers(fits + 1, fits + 40) if above_bound else rng.integers(1, fits + 1)
+        )
+        X = rng.standard_normal((rows, 6)).astype(np.float32)
+        table = _family_layout(family, trees, "float32")._fastpath_edges
+        keep = np.flatnonzero(mask[:n_trees])
+        for edges, sel in (
+            (table, None),
+            (table, keep),
+            (replace(table, max_levels=None), None),  # always compacts
+        ):
+            flat = _walk(edges, X, 2**31, sel)
+            compacting = _walk(edges, X, 0, sel)
+            dispatched = _walk(edges, X, FASTPATH_FLAT_LANES, sel)
+            for a, b, c in zip(flat, compacting, dispatched):
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(a, c)
+            sub = trees if sel is None else [trees[t] for t in sel]
+            if sub:
+                assert np.array_equal(flat[0], reference_predict(sub, X))
+
+    def test_a_lane_still_walking_at_max_levels_claims_and_votes_nothing(
+        self, small_trees, queries
+    ):
+        X = queries[:40]
+        depths = host_leaf_depths(small_trees, X)
+        cut = int(np.median(depths))
+        table = _family_layout("csr", small_trees, "float32")._fastpath_edges
+        short = replace(table, max_levels=cut)
+        assert engine.walks_flat(short, depths.size)
+        preds, levels, lane_levels, leaves = _walk(short, X, FASTPATH_FLAT_LANES)
+        offsets = np.cumsum([0] + [t.n_nodes for t in small_trees])
+        nodes = host_leaf_nodes(small_trees, X)
+        done = depths < cut
+        assert np.array_equal(leaves, np.where(done, nodes + offsets[:-1], -1).ravel())
+        assert levels == cut
+        assert lane_levels == int(np.minimum(depths + 1, cut).sum())
+        labels = np.stack(
+            [tree.value[nodes[:, t]] for t, tree in enumerate(small_trees)], axis=1
+        ).astype(np.int64)
+        votes = np.stack(
+            [np.bincount(labels[r][done[r]], minlength=2) for r in range(X.shape[0])]
+        )
+        assert np.array_equal(preds, votes.argmax(axis=1))
+
+    def test_a_serving_cap_batch_compacts(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        trees = [random_tree(rng, 6, 8, leaf_prob=0.2) for _ in range(20)]
+        table = CSRForest.from_trees(trees)._fastpath_edges
+        walks = []
+        real = engine.walks_flat
+
+        def spy(edges, lanes):
+            walks.append(real(edges, lanes))
+            return walks[-1]
+
+        monkeypatch.setattr(engine, "walks_flat", spy)
+        X = rng.standard_normal((256, 6)).astype(np.float32)
+        traverse_edges(table, X[:8])
+        traverse_edges(table, X)  # a batch at the front door's 256-row cap
+        assert walks == [True, False]
 
 
 class TestParallelBlocks:
@@ -939,7 +1037,9 @@ class TestLeafCertificate:
 
 
 #: The traversal-core mutations the computed-children change was checked
-#: against, as ``(source text, mutated text)`` of ``traverse_edges``.
+#: against, as ``(source text, mutated text)`` of ``traverse_edges``.  They
+#: live in the compacting walk, which these tests force by bounding the
+#: flat walk at 0 lanes.
 CORE_MUTANTS = {
     "crossing-off-by-one": (
         "(depth - rsd) % sd == sd - 1",
@@ -957,8 +1057,27 @@ CORE_MUTANTS = {
 }
 
 
+#: Mutations of the flat walk, which every call of at most
+#: ``FASTPATH_FLAT_LANES`` lanes takes.
+FLAT_MUTANTS = {
+    "flat-one-level-short": (
+        "while level < limit:",
+        "while level < limit - 1:",
+    ),
+    "flat-no-went-right": (
+        "slot = succ.take(slot + slot + went_right, mode=\"clip\")\n"
+        "            feats",
+        "slot = succ.take(slot + slot, mode=\"clip\")\n            feats",
+    ),
+    "flat-no-row-offset": (
+        "np.arange(0, n * n_feat, n_feat, dtype=idx_dtype)",
+        "np.zeros(n, dtype=idx_dtype)",
+    ),
+}
+
+
 def _mutant(name):
-    old, new = CORE_MUTANTS[name]
+    old, new = {**CORE_MUTANTS, **FLAT_MUTANTS}[name]
     source = inspect.getsource(engine.traverse_edges)
     assert source.count(old) == 1, f"{name}: the core no longer reads {old!r}"
     namespace = dict(vars(engine))
@@ -972,8 +1091,10 @@ class TestCertificateDetection:
 
     PARAMS = LayoutParams(4, 6)
 
-    @pytest.mark.parametrize("name", sorted(CORE_MUTANTS))
+    @pytest.mark.parametrize("name", sorted(CORE_MUTANTS) + sorted(FLAT_MUTANTS))
     def test_first_served_batch_raises(self, deep_trees, queries16, monkeypatch, name):
+        if name in CORE_MUTANTS:
+            monkeypatch.setattr(engine, "FASTPATH_FLAT_LANES", 0)
         mutant = _mutant(name)
         X = queries16[:64]
         table = HierarchicalForest.from_trees(deep_trees, self.PARAMS)._fastpath_edges
