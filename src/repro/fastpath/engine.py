@@ -162,9 +162,9 @@ FASTPATH_CHUNK_LANES = 65536
 #: Largest call, in lanes, that takes the flat walk: every lane steps
 #: the table's ``max_levels`` levels in lock-step, with no retirement
 #: bookkeeping.  Below it a walk is bound by NumPy dispatch per level, and
-#: the flat walk makes about half the calls per level that the compacting
-#: walk does; above it the compacting walk stops carrying retired lanes
-#: and stops at the batch's deepest leaf, not the table's.  Measured on
+#: the flat walk makes 8 NumPy calls per level against the compacting
+#: walk's 11-13; above it the compacting walk wins by dropping retired
+#: lanes and stopping at the batch's deepest leaf, not the table's.  Measured on
 #: 2 vCPUs over the served hybrid tables (SD4/RSD10 and SD6/RSD6), flat
 #: over compacting time: susy d20x20 (21 levels) 0.57x at 20 lanes, 0.83x
 #: at 2,040 and 0.94x at 5,120; covertype d35x20 (36 levels) 0.78x at 20,
