@@ -10,9 +10,9 @@ modes a real deployment sees:
 1. a clean warm-up window (baseline accuracy and latency),
 2. transient kernel-launch failures (retried with backoff, then the
    GPU -> FPGA -> CPU fallback ladder),
-3. mid-stream buffer corruption of the device-resident forest — checksum
-   verification catches it, the poisoned trees are dropped, and the
-   surviving quorum keeps voting,
+3. mid-stream buffer corruption of the device-resident forest — the CPU
+   oracle rejects the batches it changes, checksums name the poisoned
+   trees, they are dropped, and the surviving quorum keeps voting,
 4. a hang storm that trips the per-call deadline and the circuit breaker.
 
 The punchline is the final table: availability stays at 100% throughout,
@@ -71,7 +71,6 @@ def main() -> None:
         elif phase == "hang storm (deadline + breaker)":
             # Ops repaired the corruption: re-upload a clean forest.
             clf.invalidate_layouts()
-            guard.notify_layout_rebuild()
             guard.fault_plan = FaultPlan(
                 seed=13, launch_hang_rate=1.0, hang_seconds=60.0
             )

@@ -22,7 +22,7 @@ and timing model as the paper's variants, so Fig. 7's three-way comparison
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +56,9 @@ class FILForest:
     left_child: np.ndarray
     tree_offset: np.ndarray
     n_classes: int
+    #: Build-time CRC32 digests of the node buffers (see
+    #: :mod:`repro.reliability.integrity`).
+    integrity: Optional[object] = None
     #: Bytes per packed node record (FIL sparse16).
     NODE_BYTES = 16
 
@@ -90,6 +93,9 @@ class FILForest:
             tree_offset=offsets,
             n_classes=stack.n_classes,
         )
+        from repro.reliability.integrity import attach_integrity
+
+        attach_integrity(layout)
         lower(layout, stack)
         return layout
 
@@ -130,7 +136,10 @@ class CuMLFILKernel(GPUKernel):
             cur = np.zeros(n, dtype=np.int64)
             out = np.full(n, -1, dtype=np.int64)
             active = np.ones(n, dtype=bool)
-            while np.any(active):
+            # Bounded walk (see accumulate_votes): a longer one loops.
+            for _ in range(layout.tree_offset[t + 1] - base):
+                if not np.any(active):
+                    break
                 g = base + cur
                 tr_nodes.record(space.addr("nodes", g), active)
                 feats = np.where(active, layout.feature[g], 0)

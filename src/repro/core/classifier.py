@@ -196,8 +196,7 @@ class HierarchicalForestClassifier:
         paper reports kernel time only, so the default matches the paper.
 
         ``launch_gate`` is called by the launch before it traverses (fault
-        injection and the guard's pre-launch check; see
-        :mod:`repro.reliability`).
+        injection; see :mod:`repro.reliability`).
 
         ``observer`` is an observability sink (duck-typed, e.g.
         :class:`repro.obs.ObsSession`): the kernel reports each launch to

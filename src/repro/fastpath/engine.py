@@ -414,8 +414,8 @@ def traverse_edges(
         # one, so ``slot - base`` is the 1-based local slot.  Lanes are in
         # row-major (row, tree) order.  A lane that reaches a leaf retires
         # but stays carried, self-looping on its terminal slot, until at
-        # least half of the carried lanes have retired; that level flushes
-        # the retired lanes' labels and compacts them away.
+        # least half of the carried lanes have retired; that level (or the
+        # last) flushes the retired lanes' labels and compacts them away.
         rx = np.repeat(
             np.arange(row_base, idx_dtype(stop) * n_feat, n_feat, dtype=idx_dtype),
             n_trees,
@@ -439,7 +439,10 @@ def traverse_edges(
             feats = feature.take(slot, mode="clip")
             at_leaf = feats < 0
             retired_before = int(np.count_nonzero(at_leaf))
-            if 2 * retired_before >= rx.size:
+            if 2 * retired_before >= rx.size or depth == limit:
+                # Flush the retired lanes.  At the last level every lane
+                # flushes that has reached a leaf, so that only lanes still
+                # walking (a damaged, looping ``succ``) claim -1 below.
                 done = np.flatnonzero(at_leaf)
                 leaf_slot = slot.take(done)
                 # As uint32 a negative label is huge, so one minimum keeps
@@ -461,7 +464,7 @@ def traverse_edges(
                     leaves[lane.take(done)] = table.host.take(leaf_slot, mode="clip")
                     lane = lane.take(keep)
                 retired_before = 0
-                if not rx.size:
+                if not rx.size or depth == limit:
                     break
             went_right = flat_x.take(rx + feats, mode="clip") >= value.take(
                 slot, mode="clip"

@@ -72,7 +72,10 @@ class FPGACSRKernel(FPGAKernel):
         out = np.full(n, -1, dtype=np.int64)
         active = np.ones(n, dtype=bool)
         visits = 0
-        while np.any(active):
+        # Bounded walk (see accumulate_votes): a longer one loops.
+        for _ in range(layout.tree_node_offset[t + 1] - base):
+            if not np.any(active):
+                break
             visits += int(np.count_nonzero(active))
             g = base + cur[active]
             feats = layout.feature_id[g]

@@ -72,12 +72,8 @@ class GPUCollaborativeKernel(GPUKernel):
         rows = np.arange(n, dtype=np.int64)
 
         capacity_slots = self.spec.shared_mem_per_sm // self.BYTES_PER_SLOT
-        roots = layout.tree_root_subtree
         for t in range(layout.n_trees):
-            first = int(roots[t])
-            last = (
-                int(roots[t + 1]) if t + 1 < layout.n_trees else layout.n_subtrees
-            )
+            first, last = layout.tree_subtrees(t)
             st = np.full(n, first, dtype=np.int64)
             local = np.zeros(n, dtype=np.int64)
             out = np.full(n, -1, dtype=np.int64)
@@ -158,7 +154,11 @@ class GPUCollaborativeKernel(GPUKernel):
         sd = int(layout.subtree_depth[s])
         frontier_start = (1 << (sd - 1)) - 1
         walking = present.copy()
-        while np.any(walking):
+        # A walk inside one subtree visits at most its slots (see
+        # accumulate_votes); a longer one loops.
+        for _ in range(layout.subtree_size(s)):
+            if not np.any(walking):
+                break
             self._serial_cycles += self.LEVEL_CYCLES
             # Stale lanes (parked in other subtrees) must not index out of
             # this subtree's slot range.

@@ -67,7 +67,10 @@ class GPUCSRKernel(GPUKernel):
             cur = np.zeros(n, dtype=np.int64)
             out = np.full(n, -1, dtype=np.int64)
             active = np.ones(n, dtype=bool)
-            while np.any(active):
+            # Bounded walk (see accumulate_votes): a longer one loops.
+            for _ in range(layout.tree_node_offset[t + 1] - base):
+                if not np.any(active):
+                    break
                 g = base + cur
                 # Node attribute loads (masked to active lanes).
                 tr_feat.record(space.addr("feature_id", g), active)

@@ -106,7 +106,10 @@ class GPUIndependentKernel(GPUKernel):
             out = np.full(n, -1, dtype=np.int64)
         tr = trackers
 
-        while np.any(active):
+        # Bounded walk (see accumulate_votes): a longer one loops.
+        for _ in range(layout.tree_slots(t)):
+            if not np.any(active):
+                break
             g = layout.subtree_node_offset[st] + local
             if node_trackers is None:
                 tr["feature_id"].record(space.addr("feature_id", g), active)

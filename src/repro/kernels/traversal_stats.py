@@ -62,7 +62,10 @@ def traverse_tree_stats(
     stage1 = np.zeros(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
     rows = np.arange(n, dtype=np.int64)
-    while np.any(active):
+    # Bounded walk (see accumulate_votes): a longer one loops.
+    for _ in range(layout.tree_slots(tree)):
+        if not np.any(active):
+            break
         g = layout.subtree_node_offset[st] + local
         feats = np.where(active, layout.feature_id[g], EMPTY)
         path[active] += 1
@@ -105,12 +108,7 @@ def subtree_level_totals(layout: HierarchicalForest, tree: int) -> int:
     query is pushed through every level of every subtree whether or not it is
     present (paper §3.2.2).
     """
-    first = int(layout.tree_root_subtree[tree])
-    last = (
-        int(layout.tree_root_subtree[tree + 1])
-        if tree + 1 < layout.n_trees
-        else layout.n_subtrees
-    )
+    first, last = layout.tree_subtrees(tree)
     return int(layout.subtree_depth[first:last].sum())
 
 
@@ -143,7 +141,16 @@ class WorkloadProfile:
 
 
 def accumulate_votes(votes: np.ndarray, labels: np.ndarray) -> None:
-    """Add one tree's per-query class labels into the vote table."""
+    """Add one tree's per-query class labels into the vote table.
+
+    A label of -1 marks a lane that reached no leaf, and raises.  Every
+    trace kernel bounds its walk of a tree by the tree's node count from
+    the layout's offsets: an intact walk never visits more, so a lane
+    still walking there follows damaged pointers round a loop (one flipped
+    bit of a CSR ``children_arr`` can send a node back to the root).  The
+    raise then reaches the reliability guard, which hashes the layout to
+    name the damaged tree, where an unbounded walk would hang.
+    """
     if np.any(labels < 0):
         raise RuntimeError("traversal left some queries unclassified")
     votes[np.arange(labels.shape[0], dtype=np.int64), labels] += 1

@@ -209,6 +209,19 @@ class HierarchicalForest:
         off = int(self.subtree_node_offset[st])
         return off, self.subtree_size(st)
 
+    def tree_subtrees(self, tree: int) -> Tuple[int, int]:
+        """``[first, last)`` subtree ids of ``tree``: subtrees are packed
+        tree by tree, each tree's root subtree first."""
+        first = int(self.tree_root_subtree[tree])
+        if tree + 1 < self.n_trees:
+            return first, int(self.tree_root_subtree[tree + 1])
+        return first, self.n_subtrees
+
+    def tree_slots(self, tree: int) -> int:
+        """Slots of ``tree``'s subtrees: no walk of the intact tree is longer."""
+        first, last = self.tree_subtrees(tree)
+        return int(self.subtree_node_offset[last] - self.subtree_node_offset[first])
+
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------

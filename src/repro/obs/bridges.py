@@ -209,7 +209,6 @@ def record_reliability(registry: MetricsRegistry, report,
         "deadline_exceeded",
         "integrity_failures",
         "breaker_skips",
-        "transfer_verifications",
         "calls",
     ):
         registry.counter(

@@ -9,9 +9,9 @@ cooperating layers (see docs/architecture.md §6):
   launch failures and hangs.
 * :mod:`~repro.reliability.integrity` — CRC32 checksums over the buffers a
   plan executes (the layout, or the edge table the fastpath serves),
-  computed at build time, re-verified after simulated transfer, before a
-  launch that no certificate proves, and after a failed certificate;
-  degraded quorum voting over intact trees.
+  computed at build time and re-verified only after a launch fails (the
+  CPU oracle proves every launch that does not); degraded quorum voting
+  over intact trees.
 * :mod:`~repro.reliability.guard` — :class:`ResilientClassifier` with
   per-call deadlines, seeded retry/backoff, per-platform circuit breakers,
   the GPU → FPGA → CPU fallback ladder and :class:`ReliabilityReport`

@@ -14,19 +14,19 @@ hardening a production inference service needs:
 * **fallback ladder** — requested platform → other accelerator → CPU
   ``reference_predict`` (the host trees are authoritative, so the bottom
   rung always answers);
-* **degraded ensemble voting** — when a checksum verification or a failed
-  leaf certificate exposes corrupted buffers, intact trees above the
-  configured quorum keep serving (see :mod:`repro.reliability.integrity`);
-* **proof before hashing** — with the CPU oracle on, a ``trace="off"``
-  rung launches without a pre-launch hash: the session's leaf certificate
-  proves every answer.  A failed certificate
-  (:class:`~repro.baselines.cpu_reference.CertificateError`) makes the
-  guard hash the served edge table tree by tree, to name the trees the
-  degraded vote drops.  If every tree hashes clean, the table is intact
-  and the failure is a bug, so it is re-raised, never routed down the
-  ladder.  With the oracle off, and for trace-model rungs, the guard's
-  launch hook hashes the served image before every launch, right after
-  the fault plan's gate draws;
+* **degraded ensemble voting** — when a launch's failure turns out to be
+  corrupted buffers, intact trees above the configured quorum keep serving
+  (see :mod:`repro.reliability.integrity`);
+* **proof before hashing** — every rung launches with the CPU oracle on
+  and no hash: the session proves each answer (a leaf certificate under
+  ``trace="off"``, a host walk under ``trace="model"``).  A launch that
+  fails other than transiently (a failed proof,
+  :class:`~repro.baselines.cpu_reference.CertificateError`, or an
+  exception from the kernel) makes the guard hash the rung's served
+  image, to name the trees the degraded vote drops.  If every array
+  hashes clean, the image is intact and the failure is a bug, so it is
+  re-raised, never routed down the ladder.  One rule for both trace
+  modes, so the guard requires a classifier with the oracle on;
 * a structured :class:`ReliabilityReport` on every result, with exact
   counters for retries, breaker transitions, fallback depth and dropped
   trees.
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -51,8 +51,6 @@ from repro.forest.metrics import accuracy_score
 from repro.obs.protocol import ensure_observer
 from repro.reliability.faults import FaultPlan, TransientKernelError
 from repro.reliability.integrity import (
-    Digests,
-    LayoutIntegrity,
     LayoutIntegrityError,
     QuorumLostError,
     degraded_predict,
@@ -197,8 +195,6 @@ class ReliabilityReport:
     dropped_trees: Tuple[int, ...] = ()
     #: (breaker name, from-state, to-state) in occurrence order.
     breaker_transitions: List[Tuple[str, str, str]] = field(default_factory=list)
-    #: Post-transfer checksum verifications performed.
-    transfer_verifications: int = 0
     #: Calls merged into this report (1 for a single classify).
     calls: int = 1
 
@@ -224,7 +220,6 @@ class ReliabilityReport:
             sorted(set(self.dropped_trees) | set(other.dropped_trees))
         )
         self.breaker_transitions.extend(other.breaker_transitions)
-        self.transfer_verifications += other.transfer_verifications
         self.calls += other.calls
 
     def as_dict(self) -> Dict[str, object]:
@@ -241,7 +236,6 @@ class ReliabilityReport:
             "degraded": self.degraded,
             "dropped_trees": list(self.dropped_trees),
             "breaker_transitions": list(self.breaker_transitions),
-            "transfer_verifications": self.transfer_verifications,
             "calls": self.calls,
         }
 
@@ -268,11 +262,13 @@ class ResilientClassifier:
     seed:
         Seeds the jitter generator (determinism of backoff accounting).
 
-    The guard re-verifies checksums at two points, each over the image
-    the rung executes: the layout's arrays under ``trace="model"``, its
-    lowered edge table under ``trace="off"``.  Every image is checked once
-    after its simulated transfer, and again before every launch whose
-    answers the oracle does not certify (see :meth:`_launch_gate`).
+    The classifier must check its answers against the CPU oracle
+    (``verify_against_reference``, on by default): the guard trusts each
+    launch the oracle proves and hashes nothing on that path.  Only a
+    launch that fails other than transiently hashes the image the rung
+    executes (the layout's arrays under ``trace="model"``, its lowered
+    edge table under ``trace="off"``), to tell damage from a bug and to
+    name the damaged trees (see :meth:`_survivors`).
     """
 
     #: Accelerator rung order per requested platform; the ladder-plan list
@@ -295,6 +291,11 @@ class ResilientClassifier:
     ):
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
+        if not classifier.verify_against_reference:
+            raise ValueError(
+                "the guard requires verify_against_reference: the CPU oracle "
+                "is what proves each launch"
+            )
         self.inner = classifier
         self.deadline_s = deadline_s
         self.retry = retry
@@ -312,7 +313,6 @@ class ResilientClassifier:
         self.breakers: Dict[Platform, CircuitBreaker] = {
             p: CircuitBreaker(breaker, p.value) for p in Platform
         }
-        self._transfer_verified: set = set()
         self._ladders: Dict[RunConfig, Tuple[ExecutionPlan, ...]] = {}
 
     # ------------------------------------------------------------------
@@ -350,75 +350,38 @@ class ResilientClassifier:
         return self._ladders[config]
 
     def notify_layout_rebuild(self) -> None:
-        """Forget which images passed post-transfer verification.
+        """Does nothing: the guard keeps no per-image state to forget.
 
-        Call after ``inner.invalidate_layouts()`` (or any other layout
-        rebuild) so the freshly built buffers get their own readback check.
+        Kept only because ``benchmarks/e2e/workloads.py`` still calls it
+        after corrupting the serve-degraded layouts.
         """
-        self._transfer_verified.clear()
 
-    def _image(self, plan: ExecutionPlan):
-        """``(image, integrity)``: the buffers the rung of ``plan`` executes."""
+    def _survivors(self, plan: ExecutionPlan) -> Optional[np.ndarray]:
+        """Trees of the rung's served image that still hash clean, or
+        ``None`` when the whole image does.
+
+        The image is hashed whole first (:meth:`LayoutIntegrity.check`);
+        only a damaged one is hashed tree by tree, keyed on the digests
+        that check computed.  Damage confined to arrays no tree owns (a
+        layout's offsets or ``subtree_depth``) leaves every tree alive.
+        """
         layout = self.inner.runtime.layout_for(plan)
-        return served_image(layout, table=plan.trace == TRACE_OFF)
-
-    def _verify_transfer(
-        self, image, integrity: LayoutIntegrity, report: ReliabilityReport
-    ) -> None:
-        """Post-transfer readback check, once per distinct served image."""
-        if id(image) not in self._transfer_verified:
-            report.transfer_verifications += 1
-            self._transfer_verified.add(id(image))
+        image, integrity = served_image(layout, table=plan.trace == TRACE_OFF)
+        try:
             integrity.check(image)
-
-    def _launch_gate(
-        self, config: RunConfig, image, integrity: LayoutIntegrity
-    ) -> Optional[Callable[[], float]]:
-        """The hook the rung's launch calls before it traverses.
-
-        The fault plan's gate draws first (it may raise a transient
-        failure or return hang seconds), then the served image is hashed
-        against its build-time digests.  A certified rung (``trace="off"``
-        with the oracle on) gets the fault plan's gate alone: the leaf
-        certificate proves its answers, and a failed one is hashed then.
-        """
-        gate = self.fault_plan.launch_gate if self.fault_plan else None
-        if config.trace == TRACE_OFF and self.inner.verify_against_reference:
-            return gate
-
-        def checked_gate() -> float:
-            hang_s = gate() if gate is not None else 0.0
-            integrity.check(image)
-            return hang_s
-
-        return checked_gate
-
-    def _survivors(
-        self, plan: ExecutionPlan, digests: Optional[Digests] = None
-    ) -> np.ndarray:
-        """Trees whose served regions still hash clean.
-
-        ``digests`` are the whole-array digests a failed check of this
-        image just computed; passing them keys the survivor memo without
-        hashing the image a second time.
-        """
-        image, integrity = self._image(plan)
-        return integrity.surviving_trees(image, digests)
+        except LayoutIntegrityError as damage:
+            return integrity.surviving_trees(image, damage.digests)
+        return None
 
     def _attempt(
-        self,
-        X: np.ndarray,
-        plan: ExecutionPlan,
-        config: RunConfig,
-        report: ReliabilityReport,
+        self, X: np.ndarray, plan: ExecutionPlan, config: RunConfig
     ) -> RunResult:
         """One guarded kernel launch on one rung's plan (``config`` is its
-        :meth:`~repro.runtime.plan.ExecutionPlan.to_run_config`)."""
-        image, integrity = self._image(plan)
-        self._verify_transfer(image, integrity, report)
-        gate = self._launch_gate(config, image, integrity)
+        :meth:`~repro.runtime.plan.ExecutionPlan.to_run_config`), checked
+        by the CPU oracle."""
+        gate = self.fault_plan.launch_gate if self.fault_plan else None
         session = self.inner.runtime
-        session.verify_against_reference = self.inner.verify_against_reference
+        session.verify_against_reference = True
         res = session.run(
             plan, X, launch_gate=gate, observer=self.observer, config=config
         )
@@ -438,13 +401,14 @@ class ResilientClassifier:
         alive: np.ndarray,
     ) -> Optional[RunResult]:
         """Quorum voting over the rung's ``alive`` trees; None if quorum lost."""
-        layout = self.inner.runtime.layout_for(plan)
-        boxes = None
-        if self.inner.verify_against_reference:
-            boxes = self.inner.runtime.oracle_boxes(plan.precision)
+        session = self.inner.runtime
         try:
             preds, dropped, stats = degraded_predict(
-                layout, X, alive, self.min_quorum_fraction, boxes=boxes
+                session.layout_for(plan),
+                X,
+                alive,
+                self.min_quorum_fraction,
+                boxes=session.oracle_boxes(plan.precision),
             )
         except QuorumLostError:
             return None
@@ -535,49 +499,37 @@ class ResilientClassifier:
         for attempt in range(self.retry.max_attempts):
             report.attempts += 1
             self._obs.on_rung_attempt(plan, attempt, report.retries)
-            alive = None
             try:
-                res = self._attempt(X, plan, config, report)
+                res = self._attempt(X, plan, config)
                 report.note_transition(breaker.name, breaker.record_success())
                 return res
-            except CertificateError:
-                # Only the served image's hash tells damage from a bug: if
-                # every tree hashes clean, the code that walked it is wrong.
-                alive = self._survivors(plan)
-                if alive.all():
-                    raise
-            except (
-                TransientKernelError,
-                DeadlineExceededError,
-                LayoutIntegrityError,
-                ExecutionError,
-            ) as exc:
+            except (CertificateError, DeadlineExceededError, ExecutionError) as exc:
                 # The session wraps backend failures in a typed
                 # ExecutionError carrying plan context; the guard
-                # dispatches on the chained cause (a bare exception can
-                # still arrive from its own post-transfer verification).
-                fault = (
-                    exc.__cause__ if isinstance(exc, ExecutionError) else exc
-                )
+                # dispatches on the chained cause.
+                fault = exc.__cause__ if isinstance(exc, ExecutionError) else exc
                 if isinstance(fault, TransientKernelError):
                     report.transient_failures += 1
                 elif isinstance(fault, DeadlineExceededError):
                     report.deadline_exceeded += 1
-                elif isinstance(fault, LayoutIntegrityError):
-                    alive = self._survivors(plan, fault.digests)
                 else:
-                    # Not an injected-fault kind: a genuine bug must
-                    # surface, never be retried into the fallback ladder.
-                    raise
-            if alive is not None:
-                # Corruption is persistent — retrying the same buffers is
-                # pointless.  Salvage via quorum voting or fail the rung.
-                report.integrity_failures += 1
-                res = self._degraded(X, plan, config, report, alive)
-                if res is not None:
-                    report.note_transition(breaker.name, breaker.record_success())
-                    return res
-                break
+                    # Only the served image's hash tells damage from a bug:
+                    # if it hashes clean, the code that walked it is wrong
+                    # and must surface, never be retried down the ladder.
+                    alive = self._survivors(plan)
+                    if alive is None:
+                        raise
+                    # Corruption is persistent, so retrying the same
+                    # buffers is pointless: salvage a quorum vote or fail
+                    # the rung.
+                    report.integrity_failures += 1
+                    res = self._degraded(X, plan, config, report, alive)
+                    if res is not None:
+                        report.note_transition(
+                            breaker.name, breaker.record_success()
+                        )
+                        return res
+                    break
             if attempt < self.retry.max_attempts - 1:
                 report.retries += 1
                 report.backoff_seconds += self.retry.backoff_seconds(

@@ -11,14 +11,14 @@ module makes corruption *survivable* instead of merely detectable:
   the trace-model kernels read, and the
   :class:`~repro.fastpath.engine.EdgeTable` that ``trace="off"`` plans
   read (hashed by :func:`repro.fastpath.engine.lower` over
-  :func:`table_regions`).  :func:`served_image` names a plan's image.  The
-  clean classification path never re-hashes anything; only the
-  reliability guard (:mod:`repro.reliability.guard`) verifies, after a
-  simulated transfer and before a launch whose answers nothing else
-  proves.  With the CPU oracle on, a trace-off batch is proven by its leaf
-  certificate instead, and the table is hashed only after a certificate
-  fails, to name the trees to drop.  :meth:`LayoutIntegrity.check` raises
-  :class:`LayoutIntegrityError` naming the mismatched arrays.
+  :func:`table_regions`).  :func:`served_image` names a plan's image.  No
+  launch re-hashes anything: the CPU oracle proves every guarded launch
+  (a leaf certificate under ``trace="off"``, a host walk under
+  ``trace="model"``).  Only after a launch fails other than transiently
+  does the reliability guard (:mod:`repro.reliability.guard`) hash the
+  rung's image, to tell damage from a bug and to name the trees to drop.
+  :meth:`LayoutIntegrity.check` raises :class:`LayoutIntegrityError`
+  naming the mismatched arrays.
 * :func:`degraded_predict` — majority vote over only the trees whose
   served regions still hash correctly, provided a configurable quorum
   survives.  This is the availability escape hatch: drop poisoned trees,

@@ -107,11 +107,10 @@ def _run_fastpath(plan, layout, X, launch_gate, observer, leaves) -> BackendOutp
     """Shared trace-off execution for the accelerator backends.
 
     Mirrors the trace kernels' launch contract — the gate fires first (a
-    fault plan, or the reliability guard's pre-launch check, may raise or
-    charge hang seconds) — but the traversal itself is the vectorized
-    :mod:`repro.fastpath` engine, and the reported ``seconds`` come from
-    its deterministic latency model (plus any gate hang), so chaos-soak
-    replays stay byte-identical.
+    fault plan may raise or charge hang seconds) — but the traversal itself
+    is the vectorized :mod:`repro.fastpath` engine, and the reported
+    ``seconds`` come from its deterministic latency model (plus any gate
+    hang), so chaos-soak replays stay byte-identical.
     """
     hang_s = 0.0
     if launch_gate is not None:

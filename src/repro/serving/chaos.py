@@ -167,18 +167,18 @@ def replay_scenario(
     )
 
     # Corrupt the accelerator layouts and their served tables up front (the
-    # DMA-error model): the post-transfer check, then each batch's failed
-    # leaf certificate, turn the damage into degraded serving, never into
-    # silent wrong answers.  Rungs that share a layout corrupt it once
-    # each; two flips of one tree land on different table bits unless they
-    # land on the same layout bit, so they cancel only where the layout's do.
+    # DMA-error model).  A batch whose walk reads a flipped byte fails its
+    # oracle check, and the guard turns the damage into degraded serving,
+    # never into silent wrong answers; a flip no walk reads changes no
+    # answer.  Rungs that share a layout corrupt it once each; two flips of
+    # one tree land on different table bits unless they land on the same
+    # layout bit, so they cancel only where the layout's do.
     if scenario.tree_corruption_rate > 0:
         for plan in guard.ladder_plans(front.config):
             if plan.platform == CPU_PLATFORM:
                 continue
             layout = classifier.layout_for(plan.to_run_config())
             fault_plan.corrupt_layout(layout)
-        guard.notify_layout_rebuild()
 
     trace = generate_trace(profile, seed=scenario.traffic_seed)
     requests: Dict[int, Request] = {}

@@ -209,9 +209,7 @@ class TestFastpathEngine:
             assert layout._fastpath_edges.max_feature == top
             with pytest.raises(ValueError, match=f"splits on feature {top}"):
                 fastpath_predict(layout, narrow)
-        clf = HierarchicalForestClassifier.from_trees(
-            small_trees, queries.shape[1], verify_against_reference=False
-        )
+        clf = HierarchicalForestClassifier.from_trees(small_trees, queries.shape[1])
         config = RunConfig(variant="hybrid", trace=TRACE_OFF)
         for classify in (clf.classify, ResilientClassifier(clf, seed=0).classify):
             with pytest.raises(ValueError, match=f"splits on feature {top}"):
@@ -423,16 +421,22 @@ class TestFlatWalk:
             if sub:
                 assert np.array_equal(flat[0], reference_predict(sub, X))
 
+    @pytest.mark.parametrize(
+        "flat_lanes", [FASTPATH_FLAT_LANES, 0], ids=["flat", "compacting"]
+    )
     def test_a_lane_still_walking_at_max_levels_claims_and_votes_nothing(
-        self, small_trees, queries
+        self, small_trees, queries, flat_lanes
     ):
+        """Only lanes still walking at ``max_levels`` claim -1; a lane that
+        reached a leaf votes and claims it, whether or not the compacting
+        walk has flushed it yet."""
         X = queries[:40]
         depths = host_leaf_depths(small_trees, X)
         cut = int(np.median(depths))
         table = _family_layout("csr", small_trees, "float32")._fastpath_edges
         short = replace(table, max_levels=cut)
         assert engine.walks_flat(short, depths.size)
-        preds, levels, lane_levels, leaves = _walk(short, X, FASTPATH_FLAT_LANES)
+        preds, levels, lane_levels, leaves = _walk(short, X, flat_lanes)
         offsets = np.cumsum([0] + [t.n_nodes for t in small_trees])
         nodes = host_leaf_nodes(small_trees, X)
         done = depths < cut

@@ -20,8 +20,14 @@ from repro.reliability.guard import (
     ResilientClassifier,
     RetryPolicy,
 )
-from repro.reliability.integrity import attach_integrity, degraded_predict
+from repro.reliability.integrity import (
+    LayoutIntegrity,
+    _region_table,
+    attach_integrity,
+    degraded_predict,
+)
 from repro.runtime import backends
+from repro.runtime.session import ExecutionError
 
 
 @pytest.fixture()
@@ -37,10 +43,15 @@ def guarded(trained_small):
 
 
 def _corrupt_tree(layout, t):
-    """Flip one bit in tree ``t``'s root-subtree feature buffer."""
+    """Flip one bit in tree ``t``'s root-subtree feature buffer.
+
+    The flipped root splits on a feature far past the query width, so
+    every walk of the tree fails: damage that no answer shows is not a
+    failed launch, and the guard would never hash it.
+    """
     st = int(layout.tree_root_subtree[t])
     lo = int(layout.subtree_node_offset[st])
-    layout.feature_id[lo] ^= 1
+    layout.feature_id[lo] ^= 1 << 20
 
 
 class TestCleanPath:
@@ -60,17 +71,8 @@ class TestCleanPath:
         assert r.dropped_trees == ()
         assert r.breaker_transitions == []
         assert r.backoff_seconds == 0.0
-        assert r.transfer_verifications == 1
         assert np.array_equal(res.predictions, clf.predict(X))
         assert res.accuracy == pytest.approx(float(np.mean(clf.predict(X) == y)))
-
-    def test_transfer_verified_once_per_layout(self, guarded):
-        guard, _, X, _ = guarded()
-        config = RunConfig(variant="hybrid")
-        first = guard.classify(X, config)
-        second = guard.classify(X, config)
-        assert first.reliability.transfer_verifications == 1
-        assert second.reliability.transfer_verifications == 0
 
     def test_fpga_request_served_on_fpga(self, guarded):
         guard, _, X, _ = guarded()
@@ -100,28 +102,32 @@ class TestTransientFailures:
         assert r.fallback_depth == 2
         assert r.platform_used == "cpu"
         assert r.backoff_seconds > 0.0
-        # hybrid gpu/fpga share one layout -> verified exactly once
-        assert r.transfer_verifications == 1
         assert np.array_equal(res.predictions, clf.predict(X))
         assert res.details["mode"] == "cpu-fallback"
         assert res.seconds > 0.0
 
-    def test_failed_launches_never_reach_the_pre_launch_check(self, guarded):
-        """The fault gate fires before the pre-launch hash, so a launch that
-        fails never hashes: over a corrupted trace-model layout every
-        accelerator attempt is a transient failure, not an integrity one."""
+    def test_transient_failures_never_hash(self, guarded, monkeypatch):
+        """Only a failure that is not transient hashes the served image: over
+        a corrupted trace-model layout, every accelerator attempt fails at
+        the fault gate, is counted as transient, and hashes nothing."""
         guard, clf, X, _ = guarded(
             fault_plan=FaultPlan(seed=0, launch_fail_rate=1.0)
         )
         config = RunConfig(variant="hybrid")
-        guard.classify(X, config)  # spends the post-transfer check
         _corrupt_tree(clf.layout_for(config), 2)
+        checks = []
+        real = LayoutIntegrity.check
+        monkeypatch.setattr(
+            LayoutIntegrity,
+            "check",
+            lambda self, image: checks.append(1) or real(self, image),
+        )
         res = guard.classify(X, config)
         r = res.reliability
         assert r.attempts == 6
         assert r.transient_failures == 6
         assert r.integrity_failures == 0
-        assert r.transfer_verifications == 0
+        assert checks == []
         assert not r.degraded
         assert r.fallback_depth == 2
         assert r.platform_used == "cpu"
@@ -235,7 +241,7 @@ class TestDegradedQuorum:
         res = guard.classify(X, config)
         r = res.reliability
         # gpu and fpga share the corrupted hybrid layout; both rungs fail
-        # their pre-launch check and cannot salvage a quorum.
+        # their launch, hash it and cannot salvage a quorum.
         assert r.integrity_failures == 2
         assert r.attempts == 2
         assert not r.degraded
@@ -373,6 +379,48 @@ class TestInputValidation:
             guard.classify(np.array([[np.nan, 1.0]]))
 
 
+def _flip_every_region(guard, config, X, image, regions, flips_per_buffer):
+    """Flip seeded single bits of ``image``, one at a time, in each array of
+    ``regions``, and classify ``X`` through ``guard`` after each flip.
+
+    Every answer must be the host trees' (unchanged), or a certified
+    degraded vote that drops exactly the tree owning the flipped byte.
+    Returns how many flips gave each outcome.
+    """
+    trees = guard.inner.trees
+    expected = {None: reference_predict(trees, X)}
+    outcomes = {"unchanged": 0, "degraded": 0}
+    rng = np.random.default_rng(2024)
+    for k, name in enumerate(regions.names):
+        buf = getattr(image, name)
+        owner = np.full(buf.shape[0], -1)
+        for u, tree in enumerate(regions.owner):
+            owner[regions.lo[u, k] : regions.hi[u, k]] = tree
+        assert (owner >= 0).all()  # every entry belongs to one tree
+        raw = buf.view(np.uint8)
+        at = rng.integers(raw.shape[0], size=flips_per_buffer)
+        bits = rng.integers(8, size=flips_per_buffer)
+        for byte, bit in zip(at, bits):
+            raw[byte] ^= np.uint8(1 << bit)
+            try:
+                res = guard.classify(X, config)
+            finally:
+                raw[byte] ^= np.uint8(1 << bit)
+            r = res.reliability
+            assert r.fallback_depth == 0
+            dropped = None
+            if r.degraded:
+                dropped = int(owner[byte // buf.itemsize])
+                assert r.dropped_trees == (dropped,)
+                assert r.integrity_failures == 1
+            if dropped not in expected:
+                survivors = [t for i, t in enumerate(trees) if i != dropped]
+                expected[dropped] = reference_predict(survivors, X)
+            np.testing.assert_array_equal(res.predictions, expected[dropped])
+            outcomes["degraded" if r.degraded else "unchanged"] += 1
+    return outcomes
+
+
 class TestServedTableBitFlips:
     """Any single bit flip in a served edge table, with the oracle on: the
     leaf certificate fails and a certified degraded vote answers, or the
@@ -385,42 +433,64 @@ class TestServedTableBitFlips:
         self, trained_small, variant, flips_per_buffer
     ):
         forest, _, _, Xte, _ = trained_small
-        X = Xte[:64]
         clf = HierarchicalForestClassifier.from_forest(forest)
         config = RunConfig(variant=variant, trace="off")
         layout = clf.layout_for(config)
-        table = layout._fastpath_edges
-        regions = layout._fastpath_integrity.regions
-        expected = {None: reference_predict(clf.trees, X)}
-        guard = ResilientClassifier(clf)
-        guard.classify(X, config)  # spends the post-transfer check on the table
-        outcomes = {"unchanged": 0, "degraded": 0}
-        rng = np.random.default_rng(2024)
-        for k, name in enumerate(regions.names):
-            buf = getattr(table, name)
-            owner = np.full(buf.shape[0], -1)
-            for u, tree in enumerate(regions.owner):
-                owner[regions.lo[u, k] : regions.hi[u, k]] = tree
-            assert (owner >= 0).all()  # every entry belongs to one tree
-            raw = buf.view(np.uint8)
-            at = rng.integers(raw.shape[0], size=flips_per_buffer)
-            bits = rng.integers(8, size=flips_per_buffer)
-            for byte, bit in zip(at, bits):
-                raw[byte] ^= np.uint8(1 << bit)
-                try:
-                    res = guard.classify(X, config)
-                finally:
-                    raw[byte] ^= np.uint8(1 << bit)
-                r = res.reliability
-                assert r.fallback_depth == 0
-                dropped = None
-                if r.degraded:
-                    dropped = int(owner[byte // buf.itemsize])
-                    assert r.dropped_trees == (dropped,)
-                    assert r.integrity_failures == 1
-                if dropped not in expected:
-                    survivors = [t for i, t in enumerate(clf.trees) if i != dropped]
-                    expected[dropped] = reference_predict(survivors, X)
-                np.testing.assert_array_equal(res.predictions, expected[dropped])
-                outcomes["degraded" if r.degraded else "unchanged"] += 1
+        outcomes = _flip_every_region(
+            ResilientClassifier(clf),
+            config,
+            Xte[:64],
+            layout._fastpath_edges,
+            layout._fastpath_integrity.regions,
+            flips_per_buffer,
+        )
         assert outcomes["degraded"] and outcomes["unchanged"]
+
+
+class TestServedLayoutBitFlips:
+    """The trace-model twin: any single bit flip in a tree's regions of a
+    served layout, with the oracle on, leaves the answers unchanged, or
+    fails the launch (the oracle's host walk disagrees, or the kernel
+    raises, a bounded walk's unclassified lanes included), and a certified
+    degraded vote drops exactly the flipped tree.  Never another
+    exception, never a wrong answer, never a hang."""
+
+    @pytest.mark.parametrize(
+        "platform,variant",
+        [("gpu", "hybrid"), ("gpu", "csr"), ("gpu", "cuml"), ("fpga", "hybrid")],
+    )
+    def test_every_flip_is_caught_or_harmless(self, trained_small, platform, variant):
+        forest, _, _, Xte, _ = trained_small
+        clf = HierarchicalForestClassifier.from_forest(forest)
+        config = RunConfig(platform=platform, variant=variant)
+        layout = clf.layout_for(config)
+        outcomes = _flip_every_region(
+            ResilientClassifier(clf),
+            config,
+            Xte[:64],
+            layout,
+            _region_table(layout),
+            flips_per_buffer=30,
+        )
+        assert outcomes["degraded"] and outcomes["unchanged"]
+
+    def test_a_child_pointer_loop_is_bounded(self, trained_small):
+        """``children_arr[0] ^= 1`` points the root's left child back at the
+        root.  The bounded walk leaves those lanes unclassified, so the
+        launch raises instead of looping forever, and the guard drops the
+        tree."""
+        forest, _, _, Xte, _ = trained_small
+        X = Xte[:64]
+        clf = HierarchicalForestClassifier.from_forest(forest)
+        config = RunConfig(variant="csr")
+        layout = clf.layout_for(config)
+        layout.children_arr[0] ^= 1
+        assert layout.children_arr[0] == 0  # tree 0's root
+        with pytest.raises(ExecutionError, match="unclassified"):
+            clf.classify(X, config)
+        res = ResilientClassifier(clf).classify(X, config)
+        r = res.reliability
+        assert (r.degraded, r.dropped_trees, r.fallback_depth) == (True, (0,), 0)
+        np.testing.assert_array_equal(
+            res.predictions, reference_predict(clf.trees[1:], X)
+        )

@@ -1,9 +1,9 @@
-"""Layout checksums, pre-launch verification, and degraded quorum voting."""
+"""Layout checksums, hashing after a failed launch, and degraded quorum voting."""
 
 import numpy as np
 import pytest
 
-from repro.baselines.cpu_reference import reference_predict
+from repro.baselines.cpu_reference import CertificateError, reference_predict
 from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import RunConfig
 from repro.layout.csr import CSRForest
@@ -17,7 +17,6 @@ from repro.reliability.integrity import (
     attach_integrity,
     degraded_predict,
     quorum_size,
-    served_image,
 )
 from repro.runtime.session import ExecutionError
 
@@ -112,34 +111,36 @@ class TestVerification:
 
 
 class TestKernelPreLaunchVerification:
-    """The pre-launch check is the reliability guard's: its launch hook
-    draws the fault gate, then hashes the served image."""
+    """Nothing is hashed before a launch: the CPU oracle checks every
+    guarded launch, and only a launch that fails other than transiently
+    makes the guard hash the served image, to name the damaged trees."""
 
     def test_classify_raises_on_corruption(self, trained_small):
         clf_src, _, _, Xte, _ = trained_small
         clf = HierarchicalForestClassifier.from_forest(clf_src)
         config = RunConfig(variant="hybrid")
         guard = ResilientClassifier(clf)
-        guard.classify(Xte[:64], config)  # clean pass spends the transfer check
+        guard.classify(Xte[:64], config)
         layout = clf.layout_for(config)
-        layout.value[0] += 1.0
+        layout.feature_id[0] ^= 1 << 20  # tree 0's root: a feature past X
         # The session wraps backend failures in a typed ExecutionError
-        # carrying the plan; the integrity failure rides as its cause.
-        gate = guard._launch_gate(config, *served_image(layout, table=False))
+        # carrying the plan; the kernel's own error rides as its cause.
         with pytest.raises(ExecutionError) as err:
-            clf.classify(Xte[:64], config, launch_gate=gate)
-        assert isinstance(err.value.__cause__, LayoutIntegrityError)
+            clf.classify(Xte[:64], config)
+        assert isinstance(err.value.__cause__, IndexError)
         assert err.value.platform == "gpu"
-        r = guard.classify(Xte[:64], config).reliability
-        assert r.transfer_verifications == 0
+        res = guard.classify(Xte[:64], config)
+        r = res.reliability
         assert r.integrity_failures == 1
         assert r.dropped_trees == (0,)
+        survivors = clf.trees[1:]
+        assert np.array_equal(res.predictions, reference_predict(survivors, Xte[:64]))
 
     def test_fastpath_serves_build_time_snapshot(self, trained_small):
         """Under trace="off" the table lowered at build keeps answering after
-        the layout's buffers change, and the guard's pre-launch check (the
-        oracle off) hashes that table: it passes the layout damage no
-        answer can see, and fails a flip in the table."""
+        the layout's buffers change, so the guard sees no failure and hashes
+        nothing; a flip in the table fails the leaf certificate, and the
+        guard hashes the table to drop the flipped tree."""
         clf_src, _, _, Xte, _ = trained_small
         clf = HierarchicalForestClassifier.from_forest(clf_src)
         config = RunConfig(variant="csr", trace="off")
@@ -148,22 +149,25 @@ class TestKernelPreLaunchVerification:
         leaves = np.flatnonzero(layout.feature_id == -1)
         layout.value[leaves] += 1.0  # every leaf now votes another class
         assert np.array_equal(clf.classify(Xte[:64], config).predictions, clean)
-        clf.verify_against_reference = False
         guard = ResilientClassifier(clf)
         res = guard.classify(Xte[:64], config)
         assert np.array_equal(res.predictions, clean)
         assert res.reliability.integrity_failures == 0
         table = layout._fastpath_edges
         table.succ[2 * int(table.roots[0])] ^= 1
-        gate = guard._launch_gate(config, *served_image(layout, table=True))
-        with pytest.raises(ExecutionError) as err:
-            clf.classify(Xte[:64], config, launch_gate=gate)
-        assert isinstance(err.value.__cause__, LayoutIntegrityError)
-        assert "succ" in str(err.value)
+        with pytest.raises(CertificateError):
+            clf.classify(Xte[:64], config)
         r = guard.classify(Xte[:64], config).reliability
-        assert r.transfer_verifications == 0
         assert r.integrity_failures == 1
         assert r.dropped_trees == (0,)
+
+    def test_guard_refuses_an_unproven_classifier(self, trained_small):
+        """The oracle is what proves a guarded launch, so a classifier with
+        it off cannot be guarded."""
+        clf = HierarchicalForestClassifier.from_forest(trained_small[0])
+        clf.verify_against_reference = False
+        with pytest.raises(ValueError, match="verify_against_reference"):
+            ResilientClassifier(clf)
 
     def test_clean_path_never_verifies(self, trained_small, monkeypatch):
         """The default config must not hash anything per call."""

@@ -419,7 +419,7 @@ class TestDegradedBatchHashing:
 
     def test_clean_batches_hash_nothing(self, trees, X_pool, monkeypatch):
         _, front, _ = make_front(trees, X_pool)
-        self._served(front, X_pool[:4])  # pays the one post-transfer check
+        self._served(front, X_pool[:4])  # builds (and hashes) the served table
         calls = self._count_hashes(monkeypatch)
         for b in range(1, 4):
             X = X_pool[b * 4 : b * 4 + 4]
