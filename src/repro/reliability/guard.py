@@ -362,8 +362,10 @@ class ResilientClassifier:
 
         The image is hashed whole first (:meth:`LayoutIntegrity.check`);
         only a damaged one is hashed tree by tree, keyed on the digests
-        that check computed.  Damage confined to arrays no tree owns (a
-        layout's offsets or ``subtree_depth``) leaves every tree alive.
+        that check computed.  Damage confined to arrays no tree's regions
+        read (a hier layout's ``subtree_depth`` or ``tree_root_subtree``)
+        leaves every tree alive; damaged offsets shift the regions they
+        bound, so those trees drop.
         """
         layout = self.inner.runtime.layout_for(plan)
         image, integrity = served_image(layout, table=plan.trace == TRACE_OFF)

@@ -219,6 +219,20 @@ class TestDegradedQuorum:
         assert dropped == (2, 7)
         assert np.array_equal(res.predictions, expect)
 
+    def test_damage_no_tree_reads_keeps_every_tree(self, guarded):
+        """A flip in an array no tree's regions cover (the root subtree's
+        depth) fails the launch, yet every tree hashes clean: the degraded
+        vote keeps them all."""
+        guard, clf, X, _ = guarded()
+        config = RunConfig(variant="hybrid")
+        layout = clf.layout_for(config)
+        layout.subtree_depth[int(layout.tree_root_subtree[0])] ^= 1
+        res = guard.classify(X, config)
+        r = res.reliability
+        assert (r.integrity_failures, r.degraded, r.dropped_trees) == (1, True, ())
+        assert res.details["trees_alive"] == layout.n_trees
+        assert np.array_equal(res.predictions, clf.predict(X))
+
     def test_degraded_batch_is_priced_by_its_vote(self, guarded):
         # The vote is one fastpath launch over the survivors, so it costs
         # what the fastpath model charges for that launch's lane-levels.
