@@ -162,3 +162,57 @@ class TestTable3Orderings:
         a = FPGAIndependentKernel().run(layouts["hier"], queries)
         b = FPGAIndependentKernel().run(layouts["hier"], queries, Replication(4, 12))
         assert np.array_equal(a.predictions, b.predictions)
+
+
+class TestPinnedSmokeRun:
+    """Work items, simulated seconds and predictions of every variant on
+    the checked-in susy smoke forest (256 queries), pinned bit for bit."""
+
+    PINS = {
+        # kernel: (layout, replication, work_items, seconds)
+        FPGACSRKernel: ("csr", "single", 24535, 0.026827804321841092),
+        FPGAIndependentKernel: ("hier", "4s12c", 24535, 0.00019747346461873981),
+        FPGACollaborativeKernel: ("hier", "single", 340992, 0.08619372598194383),
+        FPGAHybridKernel: ("hier", "split", 24535, 0.0003140547868811202),
+    }
+
+    @pytest.fixture(scope="class")
+    def smoke(self):
+        from repro.experiments.common import (
+            band_depths,
+            get_dataset,
+            get_forest,
+            get_scale,
+            queries_for,
+        )
+
+        scale = get_scale("smoke")
+        forest = get_forest("susy", band_depths("susy", scale)[0], scale.n_trees, scale)
+        X = queries_for(get_dataset("susy", scale), scale)[:256]
+        layouts = {
+            "csr": CSRForest.from_trees(forest.trees_),
+            "hier": HierarchicalForest.from_trees(forest.trees_, LayoutParams(6, 10)),
+        }
+        return forest.trees_, X, layouts
+
+    @pytest.mark.parametrize(
+        "kernel_cls",
+        [FPGACSRKernel, FPGAIndependentKernel, FPGACollaborativeKernel, FPGAHybridKernel],
+    )
+    def test_pinned(self, smoke, kernel_cls):
+        from repro.fpgasim.replication import FULL_4S12C, HYBRID_SPLIT_4S10C
+        from repro.utils.validation import array_crc32
+
+        trees, X, layouts = smoke
+        family, repl, work_items, seconds = self.PINS[kernel_cls]
+        replication = {
+            "single": Replication(),
+            "4s12c": FULL_4S12C,
+            "split": HYBRID_SPLIT_4S10C,
+        }[repl]
+        res = kernel_cls().run(layouts[family], X, replication)
+        assert res.pipeline.work_items == work_items
+        assert res.seconds == seconds
+        preds = np.asarray(res.predictions, dtype=np.int64)
+        assert array_crc32(preds) == 0x6918FF82
+        assert np.array_equal(preds, reference_predict(trees, X))

@@ -173,6 +173,14 @@ class TestAutotune:
         assert res.seconds == pytest.approx(explicit.seconds, abs=1e-12)
 
 
+#: The GPU and FPGA picks' estimated seconds, as ``make plan`` prints them.
+SMOKE_PICK_COSTS = {
+    "covertype": ("0.000034", "0.000794"),
+    "susy": ("0.000033", "0.000784"),
+    "higgs": ("0.000035", "0.000796"),
+}
+
+
 @pytest.mark.parametrize("name", ["covertype", "susy", "higgs"])
 def test_smoke_forest_picks(name):
     """The checked-in smoke forests' picks, as ``make plan`` prints them."""
@@ -188,12 +196,13 @@ def test_smoke_forest_picks(name):
     forest = get_forest(name, band_depths(name, scale)[0], scale.n_trees, scale)
     X = queries_for(get_dataset(name, scale), scale)
     planner = make_planner(forest)
-    assert planner.autotune(X, platform=Platform.GPU).label == (
-        "gpu-hybrid-SD8-RSD10"
-    )
-    assert planner.autotune(X, platform=Platform.FPGA).label == (
-        "fpga-independent-SD8-4S12C"
-    )
+    gpu = planner.autotune(X, platform=Platform.GPU)
+    fpga = planner.autotune(X, platform=Platform.FPGA)
+    assert gpu.label == "gpu-hybrid-SD8-RSD10"
+    assert fpga.label == "fpga-independent-SD8-4S12C"
+    gpu_cost, fpga_cost = SMOKE_PICK_COSTS[name]
+    assert f"{gpu.cost_estimate_s:.6f}" == gpu_cost
+    assert f"{fpga.cost_estimate_s:.6f}" == fpga_cost
 
 
 class TestFingerprints:
