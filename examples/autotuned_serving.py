@@ -34,9 +34,8 @@ def main() -> None:
     session = RuntimeSession.from_forest(clf.forest)
     planner = Planner(session, observer=obs)
     probe = planner._probe_sample(X)
-    memo = {}
     scored = sorted(
-        ((planner.estimate(p, probe, X.shape[0], memo), p)
+        ((planner.estimate(p, probe, X.shape[0]), p)
          for p in planner.candidates("gpu")),
         key=lambda item: (item[0], item[1].to_json()),
     )

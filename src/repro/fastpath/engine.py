@@ -332,7 +332,10 @@ def walks_flat(table: EdgeTable, lanes: int) -> bool:
 
 
 def traverse_edges(
-    table: EdgeTable, X: np.ndarray, leaves: Optional[np.ndarray] = None
+    table: EdgeTable,
+    X: np.ndarray,
+    leaves: Optional[np.ndarray] = None,
+    walking: Optional[np.ndarray] = None,
 ):
     """Run every ``(row, tree)`` lane of ``X`` through the successor table.
 
@@ -346,6 +349,14 @@ def traverse_edges(
     lane ``row * n_trees + k`` also writes there the host node (the
     ``host`` channel) of the leaf it reached in the table's ``k``-th tree,
     for a caller that certifies them against the host trees.
+
+    With ``walking`` (an integer array of ``limit + 1`` entries, ``limit``
+    being ``max_levels`` or, where that is ``None``, the slot count),
+    entry ``d`` receives the number of lanes that walk level ``d`` (visit
+    a node at tree depth ``d``), and entry ``limit`` the lanes still
+    walking when the bound stops them, which only a damaged, looping
+    ``succ`` leaves.  The work counts of the FPGA cost models are sums
+    over it (:mod:`repro.kernels.traversal_stats`).
 
     ``levels`` is the deepest frontier iteration count of any block (a
     lane reaching a leaf at depth ``d`` retires on iteration ``d + 1``, so
@@ -401,8 +412,16 @@ def traverse_edges(
     limit = table.max_levels
     if limit is None:
         limit = feature.shape[0]
+    if walking is not None and walking.shape != (limit + 1,):
+        raise ValueError(
+            f"walking must hold {limit + 1} levels, got shape {walking.shape}"
+        )
     votes = np.zeros(n * n_classes, dtype=np.int32)
     block = max(1, FASTPATH_CHUNK_LANES // max(1, n_trees))
+    # One row of walked levels per block, so threads never share a row.
+    block_walking = None
+    if walking is not None:
+        block_walking = np.zeros((-(-n // block), limit + 1), dtype=np.int64)
 
     def run_block(start):
         # Writes only this block's rows of ``votes`` and lanes of
@@ -425,6 +444,9 @@ def traverse_edges(
         lane = None
         if leaves is not None:
             lane = np.arange(start * n_trees, stop * n_trees, dtype=idx_dtype)
+        walked = None
+        if block_walking is not None:
+            walked = block_walking[start // block]
         flushed = [np.empty(0, dtype=np.int32)]
         depth = 0
         lane_levels = 0
@@ -434,8 +456,11 @@ def traverse_edges(
             crossing = rsd is None or (
                 depth == rsd - 1 if depth < rsd else (depth - rsd) % sd == sd - 1
             )
+            live = int(rx.size) - retired_before
+            if walked is not None:
+                walked[depth] = live
             depth += 1
-            lane_levels += int(rx.size) - retired_before
+            lane_levels += live
             feats = feature.take(slot, mode="clip")
             at_leaf = feats < 0
             retired_before = int(np.count_nonzero(at_leaf))
@@ -481,8 +506,11 @@ def traverse_edges(
                 if retired_before:
                     step *= ~at_leaf
                 slot += step
-        if lane is not None and rx.size:
-            leaves[lane] = -1  # walked past every leaf: a damaged table
+        if rx.size:  # walked past every leaf: a damaged table
+            if lane is not None:
+                leaves[lane] = -1
+            if walked is not None:
+                walked[depth] = rx.size
         counts = np.bincount(
             np.concatenate(flushed), minlength=(stop - start) * n_classes
         )
@@ -521,6 +549,11 @@ def traverse_edges(
         if leaves is not None:
             leaves[:] = -1
             leaves[done] = table.host.take(leaf_slot, mode="clip")
+        if walking is not None:
+            # Every lane walks level 0; a lane walks level ``d + 1`` when
+            # level ``d`` left it on an inner slot.
+            walking[0] = slot.size
+            walking[1:] = np.count_nonzero(inner, axis=1)
         levels = min(int(np.count_nonzero(inner.any(axis=1))) + 1, limit)
         return levels, int(np.count_nonzero(inner)) + int(done.size)
 
@@ -528,6 +561,8 @@ def traverse_edges(
         levels, lane_levels = run_flat()
     else:
         levels, lane_levels = _run_blocks(run_block, range(0, n, block))
+        if walking is not None:
+            walking[:] = block_walking.sum(axis=0)
     return votes.reshape(n, n_classes).argmax(axis=1), levels, lane_levels
 
 

@@ -1,9 +1,11 @@
 """Common infrastructure for the simulated FPGA kernels.
 
-Each FPGA kernel classifies the queries functionally (votes come from the
-same traversal statistics pass used for work-item counting) and produces a
+Each FPGA kernel classifies the queries functionally and produces a
 :class:`FPGAKernelResult` holding the pipeline timing under a given
-:class:`~repro.fpgasim.replication.Replication` configuration.
+:class:`~repro.fpgasim.replication.Replication` configuration.  Every
+variant shares one walk, :func:`~repro.kernels.traversal_stats.
+profile_workload`: the fastpath core classifies the queries over the
+layout's current buffers and counts the work items as it goes.
 
 The timing is one pricing call per kernel class,
 :meth:`FPGAKernel.timing`, from work counts and layout constants alone:
@@ -33,7 +35,6 @@ class FPGAKernelResult:
     """Outcome of one simulated FPGA kernel run."""
 
     predictions: np.ndarray
-    votes: np.ndarray
     pipeline: PipelineResult
     #: Extra simulated seconds from an injected hang (reliability testing).
     penalty_s: float = 0.0
@@ -86,22 +87,14 @@ class FPGAKernel(ABC):
             raise TypeError(
                 f"{type(self).__name__} expects a {self.LAYOUT.__name__}"
             )
-        votes = np.zeros((X.shape[0], layout.n_classes), dtype=np.int64)
-        counts = self._walk(layout, X, votes)
+        predictions, counts = profile_workload(layout, X)
         pipeline = self.timing(counts, layout, replication, self.spec)
         result = FPGAKernelResult(
-            predictions=votes.argmax(axis=1),
-            votes=votes,
-            pipeline=pipeline,
-            penalty_s=hang_s,
+            predictions=predictions, pipeline=pipeline, penalty_s=hang_s
         )
         if self.observer is not None:
             self.observer.on_fpga_kernel(self, result, replication)
         return result
-
-    def _walk(self, layout, X: np.ndarray, votes: np.ndarray) -> WorkloadProfile:
-        """Accumulate votes and count the walk's work items."""
-        return profile_workload(layout, X, votes)
 
     @classmethod
     def timing(

@@ -56,8 +56,7 @@ class CSRForest:
     tree_children_offset: np.ndarray
     n_classes: int
     #: Build-time CRC32 digests of the node buffers (see
-    #: :mod:`repro.reliability.integrity`); ``None`` when built with
-    #: ``with_integrity=False``.
+    #: :mod:`repro.reliability.integrity`), attached by :meth:`from_trees`.
     integrity: Optional[object] = None
     #: Precision-axis codec this layout was built under; ``value`` already
     #: holds the decoded (round-tripped) float32 channel, so every float32
@@ -72,7 +71,6 @@ class CSRForest:
     def from_trees(
         cls,
         trees: Sequence[DecisionTree],
-        with_integrity: bool = True,
         codec: str = "float32",
     ) -> "CSRForest":
         """Build the CSR layout from trained trees.
@@ -123,12 +121,10 @@ class CSRForest:
             codec=quant.codec if quant is not None else "float32",
             quant=quant,
         )
-        if with_integrity:
-            from repro.reliability.integrity import attach_integrity
-
-            attach_integrity(layout)
         from repro.fastpath.engine import lower
+        from repro.reliability.integrity import attach_integrity
 
+        attach_integrity(layout)
         lower(layout, trees)
         return layout
 

@@ -120,8 +120,7 @@ class HierarchicalForest:
     params: LayoutParams
     n_classes: int
     #: Build-time CRC32 digests of the node buffers (see
-    #: :mod:`repro.reliability.integrity`); ``None`` when built with
-    #: ``with_integrity=False``.
+    #: :mod:`repro.reliability.integrity`), attached by :meth:`from_trees`.
     integrity: Optional[object] = None
     #: Precision-axis codec this layout was built under; ``value`` already
     #: holds the decoded (round-tripped) float32 channel, so every float32
@@ -139,7 +138,6 @@ class HierarchicalForest:
         cls,
         trees: Sequence[DecisionTree],
         params: LayoutParams = LayoutParams(),
-        with_integrity: bool = True,
         codec: str = "float32",
     ) -> "HierarchicalForest":
         """Partition ``trees`` into complete subtrees and pack the arrays.
@@ -164,12 +162,10 @@ class HierarchicalForest:
             quant=quant,
             **arrays,
         )
-        if with_integrity:
-            from repro.reliability.integrity import attach_integrity
-
-            attach_integrity(layout)
         from repro.fastpath.engine import lower
+        from repro.reliability.integrity import attach_integrity
 
+        attach_integrity(layout)
         lower(layout, stack)
         return layout
 

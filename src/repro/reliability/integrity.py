@@ -24,9 +24,8 @@ module makes corruption *survivable* instead of merely detectable:
   survives.  This is the availability escape hatch: drop poisoned trees,
   keep answering.  The vote is a root mask over the edge table
   (:func:`repro.fastpath.fastpath_predict`), so it walks only surviving
-  trees.  Given the host trees' leaf boxes, it also certifies every
-  surviving lane's leaf against them
-  (:func:`repro.baselines.cpu_reference.certify_votes`).
+  trees, and it certifies every surviving lane's leaf against the host
+  trees' leaf boxes (:func:`repro.baselines.cpu_reference.certify_votes`).
 
 Everything here is duck-typed over the layout dataclasses (any object whose
 ``ndarray`` attributes are the node buffers), so the module imports neither
@@ -295,15 +294,24 @@ def attach_integrity(layout) -> LayoutIntegrity:
 
 
 def served_image(layout, table: bool) -> Tuple[object, LayoutIntegrity]:
-    """The buffers a plan over ``layout`` executes, with their digests.
+    """The buffers a plan over ``layout`` executes, with their build-time
+    digests.
 
     With ``table`` (every ``trace="off"`` plan) that is the
     :class:`~repro.fastpath.engine.EdgeTable` :func:`~repro.fastpath.engine.lower`
-    built and hashed beside the layout; otherwise the layout's own arrays.
+    built and hashed beside the layout; otherwise the layout's own arrays
+    and the digests ``from_trees`` attached.  A layout without them raises
+    ``ValueError``: digests taken now would baseline the very bytes a
+    failed launch suspects, so no later damage could be localized.
     """
     if table:
         return layout._fastpath_edges, layout._fastpath_integrity
-    return layout, attach_integrity(layout)
+    if getattr(layout, "integrity", None) is None:
+        raise ValueError(
+            f"{type(layout).__name__} carries no build-time integrity "
+            "digests; build it with from_trees"
+        )
+    return layout, layout.integrity
 
 
 # ----------------------------------------------------------------------
@@ -320,9 +328,11 @@ def degraded_predict(
     X: np.ndarray,
     alive: np.ndarray,
     min_quorum_fraction: float = 0.5,
-    boxes: Optional[LeafBoxes] = None,
+    *,
+    boxes: LeafBoxes,
 ) -> Tuple[np.ndarray, Tuple[int, ...], FastpathStats]:
-    """Majority vote over only the intact trees of a corrupted layout.
+    """Certified majority vote over only the intact trees of a corrupted
+    layout.
 
     Returns ``(predictions, dropped_tree_ids, stats)``, ``stats`` being the
     vote's fastpath launch counters (what the guard prices it by).  Raises
@@ -331,8 +341,8 @@ def degraded_predict(
     degraded answers would be statistically meaningless and the caller
     should fall back to another platform instead.
 
-    With ``boxes`` (the host trees' :class:`LeafBoxes`), every surviving
-    lane's leaf is certified against them
+    Every surviving lane's leaf is certified against ``boxes``, the host
+    trees' :class:`LeafBoxes`
     (:func:`~repro.baselines.cpu_reference.certify_votes`), and a vote
     that disagrees with the surviving host trees raises
     :class:`~repro.baselines.cpu_reference.CertificateError` instead of
@@ -348,16 +358,13 @@ def degraded_predict(
             f"only {n_alive}/{layout.n_trees} trees intact, "
             f"quorum requires {needed}"
         )
-    leaves = None
-    if boxes is not None:
-        leaves = np.empty(X.shape[0] * n_alive, dtype=np.int32)
+    leaves = np.empty(X.shape[0] * n_alive, dtype=np.int32)
     preds, stats = fastpath_predict(layout, X, trees=alive, leaves=leaves)
-    if boxes is not None:
-        votes = certify_votes(boxes, X, leaves, trees=np.flatnonzero(alive))
-        if not np.array_equal(preds, votes.argmax(axis=1)):
-            raise CertificateError(
-                "degraded vote disagrees with the CPU reference over the "
-                "surviving trees"
-            )
+    votes = certify_votes(boxes, X, leaves, trees=np.flatnonzero(alive))
+    if not np.array_equal(preds, votes.argmax(axis=1)):
+        raise CertificateError(
+            "degraded vote disagrees with the CPU reference over the "
+            "surviving trees"
+        )
     dropped = tuple(int(t) for t in np.flatnonzero(~alive))
     return preds, dropped, stats

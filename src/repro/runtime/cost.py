@@ -2,10 +2,13 @@
 
 The planner cannot afford to run every candidate plan through the full
 simulators, so this module scores candidates from a *probe sample*: one
-vectorised traversal pass (:func:`repro.kernels.traversal_stats.
-profile_workload`) over a few hundred queries yields the work-item counts
-(node visits, subtree crossings, stage-1 levels) that both device models
-are driven by, scaled to the workload's query count.  The FPGA estimate
+walk of the fastpath core over a few hundred queries
+(:func:`repro.kernels.traversal_stats.level_counts`) counts the lanes on
+each tree level, and every candidate layout's work-item counts (node
+visits, subtree crossings, stage-1 levels) that both device models are
+driven by are sums over that one vector
+(:meth:`~repro.kernels.traversal_stats.WorkloadProfile.from_levels`),
+scaled to the workload's query count.  The FPGA estimate
 is the simulator's own pricing call (:meth:`repro.kernels.fpga_base.
 FPGAKernel.timing`) on those counts, so it differs from a simulated run
 only by the probe's sampling error.  The GPU estimate is a coarse

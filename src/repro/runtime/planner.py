@@ -8,9 +8,9 @@ wiring, made explicit and serializable).
 :class:`Planner` is the ``variant="auto"`` path.  Under ``trace="model"``
 it enumerates candidate plans for the requested platform, scores them all
 with the analytic cost model (:mod:`repro.runtime.cost`) from the work
-counts of a seeded query sample, and returns the cheapest.  It runs no
-simulation: the FPGA estimate is the simulator's own pricing of the
-sample's counts.  Nothing is kept between calls: every step is
+counts of one walk of a seeded query sample, and returns the cheapest.  It
+runs no simulation: the FPGA estimate is the simulator's own pricing of
+the sample's counts.  Nothing is kept between calls: every step is
 deterministic under a fixed seed (candidate order is fixed, ties break on
 the plan's canonical JSON, and the sample comes from a seeded generator),
 so a fresh planner re-tunes to the same plan.
@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.config import TRACE_MODEL, TRACE_OFF, KernelVariant, Platform, RunConfig
 from repro.fpgasim.replication import FULL_4S12C, HYBRID_SPLIT_4S10C, Replication
-from repro.kernels.traversal_stats import WorkloadProfile, profile_workload
+from repro.kernels.traversal_stats import WorkloadProfile, level_counts
 from repro.layout.codec import PRECISIONS
 from repro.layout.hierarchical import LayoutParams
 from repro.obs.protocol import ensure_observer
@@ -197,31 +197,18 @@ class Planner:
         idx = np.sort(rng.choice(n, size=self.probe_queries, replace=False))
         return X[idx]
 
-    def _profile_for(
-        self, plan: ExecutionPlan, probe: np.ndarray, memo: Dict[Tuple, WorkloadProfile]
-    ) -> WorkloadProfile:
-        # Hierarchical profiles depend on (sd, rsd); CSR/cuML costs only use
-        # the layout-independent visit count, so any profile serves them —
-        # keyed under the plan's own layout params to keep lookups trivial.
-        key = (plan.layout.sd, plan.layout.rsd)
-        if key not in memo:
-            hier_plan = ExecutionPlan(
-                platform=plan.platform if plan.platform != "cpu" else "gpu",
-                variant="independent",
-                layout=plan.layout,
-                replication=plan.replication,
-            )
-            layout = self.session.layout_for(hier_plan)
-            memo[key] = profile_workload(layout, probe)
-        return memo[key]
+    def _probe_levels(self, probe: np.ndarray) -> np.ndarray:
+        """Lanes of one walk of ``probe`` on each level
+        (:func:`~repro.kernels.traversal_stats.level_counts`).
 
-    def estimate(
-        self,
-        plan: ExecutionPlan,
-        probe: np.ndarray,
-        n_queries: int,
-        memo: Optional[Dict[Tuple, WorkloadProfile]] = None,
-    ) -> float:
+        Every layout of the forest walks the same levels, so the walk runs
+        once, over the float32 CSR layout's served table, and prices every
+        candidate.
+        """
+        layout = self.session.layout_for(ExecutionPlan(variant="csr"))
+        return level_counts(layout._fastpath_edges, probe)[1]
+
+    def estimate(self, plan: ExecutionPlan, probe: np.ndarray, n_queries: int) -> float:
         """Analytic cost of one trace-model candidate over ``n_queries``,
         seconds.
 
@@ -235,10 +222,14 @@ class Planner:
                 "(repro.fastpath.fastpath_seconds) prices it, not the "
                 "device cost model"
             )
-        if memo is None:
-            memo = {}
-        counts = self._profile_for(plan, probe, memo).scaled(n_queries)
+        return self._estimate(plan, self._probe_levels(probe), probe.shape[0], n_queries)
+
+    def _estimate(
+        self, plan: ExecutionPlan, walking: np.ndarray, n_probe: int, n_queries: int
+    ) -> float:
+        """:meth:`estimate` from the probe's walk (:meth:`_probe_levels`)."""
         layout = self.session.layout_for(plan)
+        counts = WorkloadProfile.from_levels(walking, n_probe, layout).scaled(n_queries)
         footprint = plan_footprint_bytes(plan, layout, self.session.trees)
         self.stats["cost_evaluations"] += 1
         return estimate_plan_cost(
@@ -292,10 +283,10 @@ class Planner:
             return plan
 
         probe = self._probe_sample(X)
-        n_queries = int(X.shape[0])
-        memo: Dict[Tuple, WorkloadProfile] = {}
+        walking = self._probe_levels(probe)
+        n_probe, n_queries = int(probe.shape[0]), int(X.shape[0])
         scored = [
-            (self.estimate(plan, probe, n_queries, memo), plan.to_json(), plan)
+            (self._estimate(plan, walking, n_probe, n_queries), plan.to_json(), plan)
             for plan in pool
         ]
         best_cost, _, best = min(scored, key=lambda item: item[:2])

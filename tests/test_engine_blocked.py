@@ -57,11 +57,11 @@ class TestHybridInternals:
 
     def test_stage1_covers_root_subtree_depth(self, hier, queries):
         """Stage-1 items never exceed RSD levels per query-tree."""
-        from repro.kernels.traversal_stats import traverse_tree_stats
+        from repro.kernels.traversal_stats import profile_workload
 
-        for t in range(hier.n_trees):
-            stats = traverse_tree_stats(hier, queries, t)
-            assert np.all(stats.stage1_levels <= hier.params.rsd)
+        _, counts = profile_workload(hier, queries)
+        lanes = queries.shape[0] * hier.n_trees
+        assert counts.stage1 <= hier.params.rsd * lanes
 
     def test_hybrid_stages_root_bytes(self, hier, queries):
         result = GPUHybridKernel().run(hier, queries)
@@ -75,14 +75,11 @@ class TestHybridInternals:
         )
 
     def test_hybrid_shared_loads_bounded_by_stage1_steps(self, hier, queries):
-        from repro.kernels.traversal_stats import traverse_tree_stats
+        from repro.kernels.traversal_stats import profile_workload
 
         result = GPUHybridKernel().run(hier, queries)
         # 2 shared loads per active warp-step; warp-steps <= lane-steps.
-        stage1_lane_steps = sum(
-            traverse_tree_stats(hier, queries, t).total_stage1
-            for t in range(hier.n_trees)
-        )
+        stage1_lane_steps = profile_workload(hier, queries)[1].stage1
         assert result.metrics.shared_load_requests <= 2 * stage1_lane_steps
 
     def test_larger_rsd_shifts_loads_to_shared(self, small_trees, queries):

@@ -315,6 +315,24 @@ class TestWorkCounters:
             assert stats.lane_levels == int(depths.sum()) + depths.size
             assert stats.levels == int(depths.max()) + 1
 
+    @pytest.mark.parametrize("family", ["hier", "csr", "fil"])
+    def test_walking_counts_the_lanes_on_each_level(self, small_trees, queries, family):
+        """Entry ``d`` counts the lanes whose leaf sits at depth ``d`` or
+        deeper, in a flat walk, one compacting block and several blocks."""
+        table = _family_layout(family, small_trees, "float32")._fastpath_edges
+        wide = np.random.default_rng(11).standard_normal(
+            (FASTPATH_CHUNK_LANES // len(small_trees) + 300, queries.shape[1])
+        ).astype(np.float32)
+        for X in (queries[:100], queries, wide):
+            depths = host_leaf_depths(small_trees, X).ravel()
+            walking = np.full(table.max_levels + 1, -1, dtype=np.int64)
+            _, _, lane_levels = traverse_edges(table, X, walking=walking)
+            expected = [int(np.count_nonzero(depths >= d)) for d in range(table.max_levels)]
+            assert walking.tolist() == expected + [0]
+            assert walking.sum() == lane_levels
+        with pytest.raises(ValueError, match="walking must hold"):
+            traverse_edges(table, queries, walking=np.zeros(3, dtype=np.int64))
+
     def test_zero_selected_trees_terminate(self, small_trees, queries):
         table = CSRForest.from_trees(small_trees)._fastpath_edges
         preds, levels, lane_levels = traverse_edges(select_trees(table, []), queries)
@@ -367,14 +385,18 @@ class TestWorkCounters:
 
 
 def _walk(table, X, flat_lanes, trees=None):
-    """``traverse_edges`` outputs and leaf claims with the flat walk bounded
-    at ``flat_lanes`` lanes."""
+    """``traverse_edges`` outputs, leaf claims and lanes per level with the
+    flat walk bounded at ``flat_lanes`` lanes."""
     table = select_trees(table, trees)
     leaves = np.full(X.shape[0] * table.roots.shape[0], -2, dtype=np.int32)
+    limit = table.max_levels or table.feature.shape[0]
+    walking = np.full(limit + 1, -2, dtype=np.int64)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(engine, "FASTPATH_FLAT_LANES", flat_lanes)
-        preds, levels, lane_levels = traverse_edges(table, X, leaves=leaves)
-    return preds, levels, lane_levels, leaves
+        preds, levels, lane_levels = traverse_edges(
+            table, X, leaves=leaves, walking=walking
+        )
+    return preds, levels, lane_levels, leaves, walking
 
 
 class TestFlatWalk:
@@ -436,13 +458,16 @@ class TestFlatWalk:
         table = _family_layout("csr", small_trees, "float32")._fastpath_edges
         short = replace(table, max_levels=cut)
         assert engine.walks_flat(short, depths.size)
-        preds, levels, lane_levels, leaves = _walk(short, X, flat_lanes)
+        preds, levels, lane_levels, leaves, walking = _walk(short, X, flat_lanes)
         offsets = np.cumsum([0] + [t.n_nodes for t in small_trees])
         nodes = host_leaf_nodes(small_trees, X)
         done = depths < cut
         assert np.array_equal(leaves, np.where(done, nodes + offsets[:-1], -1).ravel())
         assert levels == cut
         assert lane_levels == int(np.minimum(depths + 1, cut).sum())
+        # The last entry counts the lanes the bound stopped.
+        expected = [int(np.count_nonzero(depths >= d)) for d in range(cut + 1)]
+        assert walking.tolist() == expected
         labels = np.stack(
             [tree.value[nodes[:, t]] for t, tree in enumerate(small_trees)], axis=1
         ).astype(np.int64)

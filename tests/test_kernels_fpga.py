@@ -11,7 +11,8 @@ from repro.kernels import (
     FPGAHybridKernel,
     FPGAIndependentKernel,
 )
-from repro.kernels.traversal_stats import subtree_level_totals, traverse_tree_stats
+from repro.fastpath.engine import select_trees
+from repro.kernels.traversal_stats import level_counts, profile_workload
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
 
@@ -31,39 +32,41 @@ def reference(small_trees, queries):
 
 class TestTraversalStats:
     def test_labels_match_reference(self, layouts, small_trees, queries):
+        table = layouts["hier"]._fastpath_edges
         for t, tree in enumerate(small_trees):
-            stats = traverse_tree_stats(layouts["hier"], queries, t)
-            assert np.array_equal(stats.labels, tree.predict(queries))
+            labels, _ = level_counts(select_trees(table, [t]), queries)
+            assert np.array_equal(labels, tree.predict(queries))
 
     def test_path_lengths_match_decision_paths(self, layouts, small_trees, queries):
-        stats = traverse_tree_stats(layouts["hier"], queries, 0)
-        tree = small_trees[0]
-        for i in range(50):
-            expected = len(list(tree.decision_path(queries[i])))
-            assert stats.path_lengths[i] == expected
+        """Level ``d`` is walked by every query whose path is longer than ``d``."""
+        table = select_trees(layouts["hier"]._fastpath_edges, [0])
+        _, walking = level_counts(table, queries[:50])
+        lengths = [len(list(small_trees[0].decision_path(x))) for x in queries[:50]]
+        expected = [sum(n > d for n in lengths) for d in range(walking.shape[0])]
+        assert walking.tolist() == expected
 
     def test_stage1_bounded_by_rsd_and_path(self, layouts, queries):
         h = layouts["hier"]
-        stats = traverse_tree_stats(h, queries, 0)
-        rsd = h.params.rsd
-        assert np.all(stats.stage1_levels <= rsd)
-        assert np.all(stats.stage1_levels <= stats.path_lengths)
-        assert np.all(stats.stage1_levels >= 1)
+        _, counts = profile_workload(h, queries)
+        lanes = queries.shape[0] * h.n_trees
+        assert counts.stage1 <= h.params.rsd * lanes
+        assert counts.stage1 <= counts.visits
+        assert counts.stage1 >= lanes
 
     def test_crossings_consistent_with_paths(self, layouts, queries):
-        """A path of length L inside subtrees of depth sd crosses at most
-        ceil(L / 1) - but at least (L - rsd) / sd times rounded down."""
+        """Every crossing is followed by a visit in the child subtree."""
         h = layouts["hier"]
-        stats = traverse_tree_stats(h, queries, 0)
-        assert np.all(stats.crossings <= stats.path_lengths)
-        # Crossing count equals path length minus in-subtree steps; each
-        # subtree contributes at least 1 step.
-        assert np.all(stats.crossings * 1 <= stats.path_lengths)
+        _, counts = profile_workload(h, queries)
+        assert counts.crossings <= counts.visits - counts.stage1
 
-    def test_subtree_level_totals(self, layouts):
+    def test_subtree_level_totals(self, layouts, queries):
         h = layouts["hier"]
-        total = sum(subtree_level_totals(h, t) for t in range(h.n_trees))
-        assert total == int(h.subtree_depth.sum())
+        _, counts = profile_workload(h, queries)
+        total = sum(
+            int(h.subtree_depth[slice(*h.tree_subtrees(t))].sum())
+            for t in range(h.n_trees)
+        )
+        assert counts.sum_levels == total
 
 
 class TestCorrectness:

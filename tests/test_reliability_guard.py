@@ -215,7 +215,8 @@ class TestDegradedQuorum:
         assert res.details["trees_alive"] == layout.n_trees - 2
         # Predictions equal quorum voting over the surviving trees.
         alive = attach_integrity(layout).surviving_trees(layout)
-        expect, dropped, _ = degraded_predict(layout, X, alive, 0.5)
+        boxes = clf.runtime.oracle_boxes("float32")
+        expect, dropped, _ = degraded_predict(layout, X, alive, 0.5, boxes=boxes)
         assert dropped == (2, 7)
         assert np.array_equal(res.predictions, expect)
 
@@ -275,7 +276,6 @@ class TestDegradedQuorum:
         alive = attach_integrity(layout).surviving_trees(layout)
         assert alive[5] and not alive[2]
         boxes = clf.runtime.oracle_boxes("float32")
-        degraded_predict(layout, X, alive, 0.5)  # unchecked, it answers
         with pytest.raises(RuntimeError, match="disagree"):
             degraded_predict(layout, X, alive, 0.5, boxes=boxes)
         with pytest.raises(RuntimeError, match="disagree"):
@@ -493,10 +493,19 @@ class TestServedLayoutBitFlips:
         root.  The bounded walk leaves those lanes unclassified, so the
         launch raises instead of looping forever, and the guard drops the
         tree."""
+        self._child_pointer_loop(trained_small, "gpu")
+
+    def test_an_fpga_child_pointer_loop_is_bounded(self, trained_small):
+        """The same loop under the FPGA CSR kernel, whose walk is the
+        fastpath core's over the layout's current buffers."""
+        self._child_pointer_loop(trained_small, "fpga")
+
+    @staticmethod
+    def _child_pointer_loop(trained_small, platform):
         forest, _, _, Xte, _ = trained_small
         X = Xte[:64]
         clf = HierarchicalForestClassifier.from_forest(forest)
-        config = RunConfig(variant="csr")
+        config = RunConfig(platform=platform, variant="csr")
         layout = clf.layout_for(config)
         layout.children_arr[0] ^= 1
         assert layout.children_arr[0] == 0  # tree 0's root

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines.cpu_reference import CertificateError, reference_predict
+from repro.baselines.cpu_reference import CertificateError, leaf_boxes, reference_predict
 from repro.core.classifier import HierarchicalForestClassifier
 from repro.core.config import RunConfig
 from repro.layout.csr import CSRForest
@@ -17,6 +17,7 @@ from repro.reliability.integrity import (
     attach_integrity,
     degraded_predict,
     quorum_size,
+    served_image,
 )
 from repro.runtime.session import ExecutionError
 
@@ -31,6 +32,11 @@ def csr(small_trees):
     return CSRForest.from_trees(small_trees)
 
 
+@pytest.fixture(scope="module")
+def boxes(small_trees):
+    return leaf_boxes(small_trees)
+
+
 class TestBuildTimeAttachment:
     def test_layouts_carry_checksums(self, hier, csr):
         assert hier.integrity is not None
@@ -38,13 +44,20 @@ class TestBuildTimeAttachment:
         assert hier.integrity.tree_crc.shape == (hier.n_trees,)
         assert csr.integrity.tree_crc.shape == (csr.n_trees,)
 
-    def test_opt_out(self, small_trees):
-        h = HierarchicalForest.from_trees(
-            small_trees, LayoutParams(4), with_integrity=False
-        )
-        assert h.integrity is None
-        c = CSRForest.from_trees(small_trees, with_integrity=False)
-        assert c.integrity is None
+    @pytest.mark.parametrize("family", ["hier", "csr"])
+    def test_served_image_needs_build_time_digests(self, small_trees, family):
+        """A layout that lost its build-time digests is refused: digests
+        taken now would baseline the damage a failed launch suspects."""
+        if family == "hier":
+            layout = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
+        else:
+            layout = CSRForest.from_trees(small_trees)
+        assert served_image(layout, table=False) == (layout, layout.integrity)
+        layout.integrity = None
+        layout.value[0] += 1.0
+        with pytest.raises(ValueError, match="no build-time integrity digests"):
+            served_image(layout, table=False)
+        assert layout.integrity is None
 
     def test_attach_is_idempotent(self, hier):
         integ = hier.integrity
@@ -98,9 +111,8 @@ class TestVerification:
         assert alive.sum() == c.n_trees - 1
 
     def test_hand_built_layout_baselines_on_first_verify(self, small_trees):
-        h = HierarchicalForest.from_trees(
-            small_trees, LayoutParams(4), with_integrity=False
-        )
+        h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
+        h.integrity = None
         attach_integrity(h).check(h)  # attaches, then trivially passes
         assert h.integrity is not None
         attach_integrity(h).check(h)
@@ -194,33 +206,33 @@ class TestDegradedVoting:
         assert quorum_size(10, 0.0) == 1
         assert quorum_size(3, 1.0) == 3
 
-    def test_degraded_matches_alive_subvote(self, small_trees, queries):
+    def test_degraded_matches_alive_subvote(self, small_trees, queries, boxes):
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         alive = np.ones(h.n_trees, dtype=bool)
         alive[[1, 4]] = False
-        preds, dropped, _ = degraded_predict(h, queries, alive, 0.5)
+        preds, dropped, _ = degraded_predict(h, queries, alive, 0.5, boxes=boxes)
         assert dropped == (1, 4)
         survivors = [t for t, ok in zip(small_trees, alive) if ok]
         assert np.array_equal(preds, reference_predict(survivors, queries))
 
-    def test_all_alive_matches_full_vote(self, small_trees, queries):
+    def test_all_alive_matches_full_vote(self, small_trees, queries, boxes):
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         alive = np.ones(h.n_trees, dtype=bool)
-        preds, dropped, _ = degraded_predict(h, queries, alive, 1.0)
+        preds, dropped, _ = degraded_predict(h, queries, alive, 1.0, boxes=boxes)
         assert dropped == ()
         assert np.array_equal(preds, reference_predict(small_trees, queries))
 
-    def test_quorum_lost_raises(self, small_trees, queries):
+    def test_quorum_lost_raises(self, small_trees, queries, boxes):
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         alive = np.zeros(h.n_trees, dtype=bool)
         alive[0] = True
         with pytest.raises(QuorumLostError, match="quorum"):
-            degraded_predict(h, queries, alive, 0.5)
+            degraded_predict(h, queries, alive, 0.5, boxes=boxes)
 
-    def test_bad_mask_length(self, small_trees, queries):
+    def test_bad_mask_length(self, small_trees, queries, boxes):
         h = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
         with pytest.raises(ValueError, match="mask"):
-            degraded_predict(h, queries, np.ones(3, dtype=bool), 0.5)
+            degraded_predict(h, queries, np.ones(3, dtype=bool), 0.5, boxes=boxes)
 
 
 class TestDegradedUnderRealCorruption:
@@ -229,7 +241,7 @@ class TestDegradedUnderRealCorruption:
     @pytest.mark.parametrize("family", ["hier", "csr"])
     @pytest.mark.parametrize("seed", range(50))
     def test_quorum_vote_equals_surviving_host_trees(
-        self, small_trees, queries, family, seed
+        self, small_trees, queries, boxes, family, seed
     ):
         if family == "hier":
             layout = HierarchicalForest.from_trees(small_trees, LayoutParams(4))
@@ -240,9 +252,9 @@ class TestDegradedUnderRealCorruption:
         assert np.flatnonzero(~alive).tolist() == list(hit)
         if alive.sum() < quorum_size(layout.n_trees, 0.5):
             with pytest.raises(QuorumLostError):
-                degraded_predict(layout, queries, alive, 0.5)
+                degraded_predict(layout, queries, alive, 0.5, boxes=boxes)
             return
-        preds, dropped, _ = degraded_predict(layout, queries, alive, 0.5)
+        preds, dropped, _ = degraded_predict(layout, queries, alive, 0.5, boxes=boxes)
         assert dropped == hit
         survivors = [t for t, ok in zip(small_trees, alive) if ok]
         assert np.array_equal(preds, reference_predict(survivors, queries))

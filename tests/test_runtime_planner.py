@@ -121,6 +121,25 @@ class TestAutotune:
         assert plan.platform == platform.value
         assert plan.cost_estimate_s > 0
 
+    @pytest.mark.parametrize("platform", [Platform.GPU, Platform.FPGA])
+    def test_one_autotune_walks_the_probe_once(self, workload, monkeypatch, platform):
+        """Every candidate's counts come from one walk of the probe sample."""
+        from repro.runtime import planner as planner_module
+
+        forest, X = workload
+        planner = make_planner(forest)
+        walks = []
+        real = planner_module.level_counts
+
+        def spy(table, probe):
+            walks.append(probe.shape[0])
+            return real(table, probe)
+
+        monkeypatch.setattr(planner_module, "level_counts", spy)
+        planner.autotune(X, platform=platform)
+        assert walks == [planner.probe_queries]
+        assert planner.stats["cost_evaluations"] == len(planner.candidates(platform))
+
     def test_fpga_estimate_is_the_simulated_seconds(self, workload):
         """With the whole query set as the sample, the FPGA estimate is the
         simulator's own pricing of the same counts, for every candidate."""
