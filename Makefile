@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test lint faults serve-chaos serve-chaos-baseline slo slo-baseline fastpath fastpath-baseline layout-bench train-bench quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
+.PHONY: install test lint faults slo slo-baseline fastpath fastpath-baseline layout-bench train-bench quantize bench bench-smoke experiments report plan trace obs-diff clean-cache loc
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -22,28 +22,18 @@ faults:
 		tests/test_reliability_integrity.py tests/test_forest_io_integrity.py \
 		tests/test_experiments_fault_sweep.py tests/test_failure_injection.py
 
-# Serving chaos soak (docs/architecture.md §10): replay the seeded chaos
-# grid twice, insist the survivability reports are byte-identical, and
-# gate p99 latency / shed rate / wrong answers against the checked-in
-# baseline.  Fails (non-zero) on any wrong answer or regression.
-serve-chaos:
-	PYTHONPATH=src python -m repro.experiments.serving_chaos --scale smoke
-
-# Regenerate the soak baseline after an intentional serving-layer change.
-serve-chaos-baseline:
-	PYTHONPATH=src python -m repro.experiments.serving_chaos \
-		--scale smoke --write-baseline
-
-# SLO soak (docs/architecture.md §8): replay the observed chaos grid
+# Chaos soak (docs/architecture.md §8, §10): replay the seeded chaos grid
 # twice with request-scoped tracing, insist slo_report.json and every
-# Chrome trace are byte-identical across the replays, then gate burn
-# rates and cost-model calibration drift against the checked-in baseline
-# (results/slo_baseline.json).  Artifacts land in results/slo/.
+# Chrome trace are byte-identical across the replays, then gate every
+# scenario against the checked-in baseline (results/slo_baseline.json):
+# any wrong answer, a p99 latency above 1.25x or a shed rate more than
+# 0.05 above the baseline's, a newly violated SLO, or cost-model
+# calibration drift fails.  Artifacts land in results/slo/.
 slo:
 	PYTHONPATH=src python -m repro.obs slo --scale smoke \
 		--out results/slo --check
 
-# Regenerate the SLO baseline after an intentional serving/SLO change.
+# Regenerate the soak baseline after an intentional serving/SLO change.
 slo-baseline:
 	PYTHONPATH=src python -m repro.obs slo --scale smoke \
 		--out results/slo --write-baseline

@@ -30,18 +30,14 @@ from repro.fastpath.engine import (
     FASTPATH_LAUNCH_OVERHEAD_S,
     FASTPATH_SECONDS_PER_LANE_LEVEL,
     FastpathStats,
-    family_for_variant,
     fastpath_predict,
     fastpath_seconds,
-    supports_variant,
 )
 
 __all__ = [
     "FASTPATH_LAUNCH_OVERHEAD_S",
     "FASTPATH_SECONDS_PER_LANE_LEVEL",
     "FastpathStats",
-    "family_for_variant",
     "fastpath_predict",
     "fastpath_seconds",
-    "supports_variant",
 ]

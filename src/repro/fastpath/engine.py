@@ -74,19 +74,6 @@ FASTPATH_LAUNCH_OVERHEAD_S = 2e-5
 #: orders of magnitude below the trace path's per-step accounting.
 FASTPATH_SECONDS_PER_LANE_LEVEL = 2e-10
 
-#: Kernel-variant -> layout family.  The hierarchical variants all run
-#: over the same packed subtree arrays; CSR and the cuML baseline each have
-#: their own layout and therefore their own EdgeTable lowering.  Every
-#: family shares one traversal, :func:`traverse_edges`.
-FAMILY_BY_VARIANT = {
-    "independent": "hier",
-    "collaborative": "hier",
-    "hybrid": "hier",
-    "csr": "csr",
-    "cuml": "fil",
-}
-
-
 @dataclass(frozen=True)
 class FastpathStats:
     """What one fastpath launch did (feeds obs + backend details).
@@ -136,21 +123,6 @@ def fastpath_seconds(lane_levels: int) -> float:
         FASTPATH_LAUNCH_OVERHEAD_S
         + float(lane_levels) * FASTPATH_SECONDS_PER_LANE_LEVEL
     )
-
-
-def family_for_variant(variant: str) -> str:
-    """Traversal family serving a kernel variant (KeyError for unknown)."""
-    variant = str(getattr(variant, "value", variant))
-    if variant not in FAMILY_BY_VARIANT:
-        raise KeyError(
-            f"no fastpath family for variant {variant!r}; "
-            f"known: {tuple(sorted(FAMILY_BY_VARIANT))}"
-        )
-    return FAMILY_BY_VARIANT[variant]
-
-
-def supports_variant(variant: str) -> bool:
-    return str(getattr(variant, "value", variant)) in FAMILY_BY_VARIANT
 
 
 #: Upper bound on lanes materialized per traversal block.  Each thread

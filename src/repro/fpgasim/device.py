@@ -44,16 +44,8 @@ class FPGASpec:
             raise ValueError("base_stall must be in [0, 1)")
 
     @property
-    def clock_hz(self) -> float:
-        return self.clock_mhz * 1e6
-
-    @property
     def total_ext_bandwidth(self) -> float:
         return self.n_slrs * self.ext_bandwidth_per_slr
-
-    @property
-    def total_onchip_bytes(self) -> int:
-        return self.n_slrs * self.onchip_bytes_per_slr
 
 
 #: The paper's evaluation card.  ``ext_load_latency=72`` reproduces the

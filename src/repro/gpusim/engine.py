@@ -43,10 +43,6 @@ class WarpGrid:
             arr = np.concatenate([arr, pad])
         return arr.reshape(self.n_warps, self.warp_size)
 
-    def block_of(self, query_idx: np.ndarray) -> np.ndarray:
-        """Block id of each query (for cooperative-load accounting)."""
-        return np.asarray(query_idx) // self.spec.threads_per_block
-
     def launch_dims(self) -> dict:
         """Launch geometry as flat span/report args (obs timeline export)."""
         return {

@@ -39,20 +39,13 @@ class AddressSpace:
         base = self._cursor
         nbytes = int(n_elements) * int(element_bytes)
         self._cursor += -(-nbytes // self.alignment) * self.alignment
-        self._regions[name] = (base, nbytes, element_bytes)
+        self._regions[name] = (base, element_bytes)
         return base
 
     def addr(self, name: str, index: np.ndarray) -> np.ndarray:
         """Byte addresses of ``index`` elements within region ``name``."""
-        base, _, ebytes = self._regions[name]
+        base, ebytes = self._regions[name]
         return base + np.asarray(index, dtype=np.int64) * ebytes
-
-    def region_bytes(self, name: str) -> int:
-        return self._regions[name][1]
-
-    @property
-    def total_bytes(self) -> int:
-        return self._cursor
 
 
 @dataclass

@@ -12,8 +12,8 @@ the tolerance — wire it into CI to turn "did this PR slow the simulated
 kernels down?" into a check instead of a code-review guess.  ``slo`` runs
 the traced chaos soak twice (determinism contract), writes
 ``slo_report.json`` plus one Chrome trace per scenario, and with
-``--check`` gates burn rates and cost-model calibration against the
-checked-in baseline.
+``--check`` gates wrong answers, p99 latency, shed rate, burn rates and
+cost-model calibration against the checked-in baseline.
 """
 
 from __future__ import annotations
@@ -165,12 +165,17 @@ def cmd_trace(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# slo: the traced chaos soak + burn-rate/calibration CI gate
+# slo: the traced chaos soak + survivability/burn-rate/calibration CI gate
 # ----------------------------------------------------------------------
 def cmd_slo(args) -> int:
     import os
 
-    from repro.experiments.serving_chaos import run_slo_soak
+    from repro.experiments.serving_chaos import (
+        render,
+        rows_from_reports,
+        run_slo_soak,
+        survivability_reports,
+    )
     from repro.obs.slo import (
         check_slo_report,
         read_slo_report,
@@ -204,6 +209,7 @@ def cmd_slo(args) -> int:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(first.traces[name])
         print(f"[trace: {path}]")
+    print(render(rows_from_reports(survivability_reports(first))))
     for scenario in first.report["scenarios"]:
         verdicts = ", ".join(
             f"{o['name']}={'VIOLATED' if o['violated'] else 'ok'}"
@@ -230,7 +236,8 @@ def cmd_slo(args) -> int:
         return 1
     print(
         f"slo ok: {len(first.report['scenarios'])} scenarios deterministic, "
-        f"within burn-rate and calibration gates ({args.baseline})"
+        "0 wrong answers, within p99, shed-rate, burn-rate and calibration "
+        f"gates ({args.baseline})"
     )
     return 0
 
@@ -334,8 +341,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--baseline", default="results/slo_baseline.json")
     p.add_argument("--check", action="store_true",
-                   help="exit 1 on burn-rate or calibration regressions "
-                   "vs the baseline")
+                   help="exit 1 on wrong answers or on p99, shed-rate, "
+                   "burn-rate or calibration regressions vs the baseline")
     p.add_argument("--write-baseline", action="store_true",
                    help="regenerate the baseline instead of gating")
     p.add_argument("--inject-miscalibration", type=float, default=1.0,

@@ -13,12 +13,12 @@ module turns that stream into service-level verdicts:
   is ``error_rate / budget``, and an alert window *breaches* when both
   its long and short window burn above the window's threshold (the short
   window is the "is it still happening" guard against stale alerts);
-* :func:`check_slo_report` is the CI gate: newly-violated objectives and
-  calibration-error growth against a checked-in baseline fail the build.
+* :func:`check_slo_report` is the CI gate: newly-violated objectives,
+  survivability regressions (p99 latency, shed rate) and calibration-error
+  growth against a checked-in baseline fail the build.
 
 Everything is a pure function of its inputs and every float is rounded
-to 9 decimals, so a seeded soak emits a byte-identical ``slo_report.json``
-— the same replay contract the survivability soak enforces.
+to 9 decimals, so a seeded soak emits a byte-identical ``slo_report.json``.
 """
 
 from __future__ import annotations
@@ -36,6 +36,12 @@ ZERO_BUDGET_BURN = 1e9
 #: log2 cost-model error may exceed the baseline's by at most this much
 #: (0.5 in log2 ≈ a 1.41x multiplicative drift) before CI fails.
 CALIBRATION_TOLERANCE_LOG2 = 0.5
+
+#: Survivability gates: a scenario's p99 latency may be at most
+#: ``P99_TOLERANCE`` x the baseline's, and its shed rate at most
+#: ``SHED_TOLERANCE`` (5 points) above the baseline's.
+P99_TOLERANCE = 1.25
+SHED_TOLERANCE = 0.05
 
 
 def _round(x: float) -> float:
@@ -252,6 +258,9 @@ def check_slo_report(
       tolerance, baseline or not — wrong answers are never acceptable);
     * any objective violated now but not in the baseline fails
       (burn-rate regression);
+    * a survivability p99 latency above ``P99_TOLERANCE`` x the
+      baseline's, or a shed rate more than ``SHED_TOLERANCE`` above the
+      baseline's, fails;
     * any per-(platform, variant) cost-model calibration error more than
       ``calibration_tolerance_log2`` above the baseline's fails (the
       drift monitor's re-probes are recorded, not forgiven).
@@ -281,6 +290,19 @@ def check_slo_report(
                     f"{obj['burn_rate']:.3f} newly violates the objective "
                     "(baseline was healthy)"
                 )
+        surv, base_surv = scenario["survivability"], base["survivability"]
+        p99, base_p99 = surv["latency_s"]["p99"], base_surv["latency_s"]["p99"]
+        if base_p99 > 0 and p99 > base_p99 * P99_TOLERANCE:
+            failures.append(
+                f"{name}: p99 {p99:.6f}s exceeds baseline "
+                f"{base_p99:.6f}s x {P99_TOLERANCE}"
+            )
+        shed, base_shed = surv["rates"]["shed"], base_surv["rates"]["shed"]
+        if shed > base_shed + SHED_TOLERANCE:
+            failures.append(
+                f"{name}: shed rate {shed:.3f} exceeds baseline "
+                f"{base_shed:.3f} + {SHED_TOLERANCE}"
+            )
         base_cal = base.get("calibration", {})
         for key, row in scenario.get("calibration", {}).items():
             base_err = base_cal.get(key, {}).get("mean_abs_log2_error", 0.0)

@@ -40,10 +40,8 @@ from repro.core.config import (
 from repro.fastpath import (
     FASTPATH_LAUNCH_OVERHEAD_S,
     FASTPATH_SECONDS_PER_LANE_LEVEL,
-    family_for_variant,
     fastpath_predict,
     fastpath_seconds,
-    supports_variant,
 )
 from repro.fastpath import engine, hierpath
 from repro.fastpath.engine import (
@@ -164,18 +162,6 @@ class TestGoldenEquivalence:
 # Engine mechanics
 # ----------------------------------------------------------------------
 class TestFastpathEngine:
-    def test_family_mapping(self):
-        assert family_for_variant("hybrid") == "hier"
-        assert family_for_variant("independent") == "hier"
-        assert family_for_variant("collaborative") == "hier"
-        assert family_for_variant("csr") == "csr"
-        assert family_for_variant("cuml") == "fil"
-        assert family_for_variant(KernelVariant.HYBRID) == "hier"
-        assert supports_variant("csr")
-        assert not supports_variant("auto")
-        with pytest.raises(KeyError):
-            family_for_variant("auto")
-
     def test_unknown_layout_type_raises(self, queries):
         with pytest.raises(TypeError):
             fastpath_predict(object(), queries)

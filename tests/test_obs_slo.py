@@ -184,6 +184,10 @@ def _mini_report(violated=False, wrong=False, cal_err=0.0, reprobes=0):
                         "reprobes": reprobes,
                     }
                 },
+                "survivability": {
+                    "latency_s": {"p99": 0.01},
+                    "rates": {"shed": 0.0},
+                },
             }
         ]
     }
