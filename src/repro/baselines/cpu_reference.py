@@ -20,8 +20,15 @@ one tree the leaves' boxes partition float32 space: every finite row lies
 in exactly one box, the one of the leaf the walk reaches.  So a claimed
 leaf of the lane's own tree whose box holds the row *is* the walk's leaf,
 and the check needs no level-by-level loop.  A NaN or ``+inf`` feature
-lies in no box and fails closed.  The table holds ``leaves x (max_feature
-+ 1) x 8`` bytes (2.3 MB on the served 20-tree depth-20 susy forest).  The
+lies in no box and fails closed.
+
+Each box is one row of bounds, ``[lo | -nextafter(hi, -inf)]``, so that
+``lo <= x < hi`` is the single compare ``row <= [x | -x]`` on every
+column, as an analog CAM matches a stored row of per-feature intervals in
+one step.  The table holds ``(leaves + 1) x (max_feature + 1) x 8``
+bytes, the extra row an empty sentinel box that every claim of a
+non-leaf maps to (2.3 MB on the served 20-tree depth-20 susy forest),
+beside a node-to-row and a row-to-tree map of 4 bytes per entry.  The
 full walk stays the oracle for the trace-model kernels, the CPU rung and
 the tests.
 """
@@ -70,21 +77,34 @@ def reference_predict(
 
 @dataclass(frozen=True)
 class LeafBoxes:
-    """Every leaf's box over the split features.
+    """Every leaf's box over the split features, one row of bounds per leaf.
 
-    ``box`` maps each host node (its :class:`~repro.forest.tree.TreeStack`
-    global id) to its leaf row, -1 on inner nodes.  Rows follow node ids,
-    so tree ``t``'s leaves hold the rows ``first[t]`` to ``first[t + 1]``.
-    Per row: the class ``label``, and ``lo`` / ``hi``, each
-    ``float32[max_feature + 1]``; a row ``x`` lies in leaf ``l``'s box iff
-    ``lo[l] <= x < hi[l]`` on every feature.
+    Rows follow host node ids (their
+    :class:`~repro.forest.tree.TreeStack` global ids), so tree ``t``'s
+    leaves hold consecutive rows; one extra row, the *sentinel*, is last.
+    Per row:
+
+    * ``bounds`` — ``float32[2 * (max_feature + 1)]``, ``[lo | -hi']``
+      with ``hi' = nextafter(hi, -inf)``: for float32 ``x``, ``x < hi``
+      holds iff ``x <= hi'`` (at ``hi = -inf`` no ``x`` does, and that
+      half stores NaN, which fails every compare).  So a row ``x`` lies
+      in the box iff ``bounds <= [x | -x]`` on every column.  The
+      sentinel's box, like a leaf no walk reaches, is empty (``lo =
+      +inf``).
+    * ``tree`` — the row's tree, -1 on the sentinel.
+    * ``label`` — the leaf's class (0 on the sentinel).
+
+    ``node_row[node + 1]`` is host node ``node``'s row.  Inner nodes and
+    both pads (``node_row[0]`` for a claim of -1, ``node_row[-1]``, which
+    a clipped gather returns for every claim past the last node) map to
+    the sentinel.
     """
 
-    box: np.ndarray
-    first: np.ndarray
+    bounds: np.ndarray
+    tree: np.ndarray
     label: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    node_row: np.ndarray
+    n_trees: int
     n_classes: int
 
 
@@ -95,42 +115,49 @@ def leaf_boxes(trees: Union[Sequence[DecisionTree], TreeStack]) -> LeafBoxes:
     width = stack.max_feature + 1
     leaf = stack.feature == LEAF
     n_leaves = int(np.count_nonzero(leaf))
-    box = np.full(n_nodes, -1, dtype=np.int32)
-    box[leaf] = np.arange(n_leaves, dtype=np.int32)
-    # A leaf no walk reaches keeps an empty box, which holds no row.
-    lo = np.full((n_leaves, width), np.inf, dtype=np.float32)
-    hi = np.full((n_leaves, width), -np.inf, dtype=np.float32)
-    level_lo = level_hi = up = None
+    node_row = np.full(n_nodes + 2, n_leaves, dtype=np.int32)
+    node_row[1:-1][leaf] = np.arange(n_leaves, dtype=np.int32)
+    # ``hi`` is kept as ``-nextafter(hi, -inf)`` from the root down, so a
+    # left branch raises it to its split's ``cap``, as a right branch
+    # raises ``lo`` to the threshold.  At ``t = -inf`` no ``x`` lies
+    # below the cap: NaN, which fails every compare and every later cap.
+    cap = np.negative(np.nextafter(stack.threshold, -np.inf))
+    cap[stack.threshold == -np.inf] = np.nan
+    # A leaf no walk reaches keeps the sentinel's box, all ``+inf``: its
+    # ``lo`` half admits only ``x = +inf`` and its ``hi`` half only
+    # ``x = -inf``, so it holds no row.
+    bounds = np.full((n_leaves + 1, 2 * width), np.inf, dtype=np.float32)
+    level = up = None
     for node, parent in breadth_first_levels(stack):
         if up is None:
-            level_lo = np.full((node.shape[0], width), -np.inf, dtype=np.float32)
-            level_hi = np.full((node.shape[0], width), np.inf, dtype=np.float32)
+            level = np.full((node.shape[0], 2 * width), -np.inf, dtype=np.float32)
+            level[:, width:] = -np.finfo(np.float32).max  # ``hi = +inf``
         else:
-            # A node's side is its position's parity: a left child caps
-            # ``hi`` at its parent's threshold, a right child raises ``lo``.
-            level_lo = level_lo.take(parent, axis=0)
-            level_hi = level_hi.take(parent, axis=0)
+            # A node's side is its position's parity: a left child raises
+            # ``hi``'s column, a right child ``lo``'s.
+            level = level.take(parent, axis=0)
             split = up.take(parent[0::2])
-            at = np.arange(0, node.shape[0], 2, dtype=np.int64) * width
+            at = np.arange(0, node.shape[0], 2, dtype=np.int64) * (2 * width)
             at += stack.feature.take(split)
-            t = stack.threshold.take(split)
-            flat = level_hi.reshape(-1)
-            flat.put(at, np.minimum(flat.take(at), t))
+            flat = level.reshape(-1)
             at += width
-            flat = level_lo.reshape(-1)
-            flat.put(at, np.maximum(flat.take(at), t))
+            flat.put(at, np.maximum(flat.take(at), cap.take(split)))
+            at += width
+            flat.put(at, np.maximum(flat.take(at), stack.threshold.take(split)))
         done = np.flatnonzero(leaf.take(node))
-        rows = box.take(node.take(done))
-        lo[rows] = level_lo.take(done, axis=0)
-        hi[rows] = level_hi.take(done, axis=0)
+        bounds[node_row.take(node.take(done) + 1)] = level.take(done, axis=0)
         up = node
-    ends = np.append(stack.roots, n_nodes)
+    tree = np.full(n_leaves + 1, -1, dtype=np.int32)
+    tree[:-1] = np.repeat(
+        np.arange(stack.roots.shape[0], dtype=np.int32),
+        np.add.reduceat(leaf, stack.roots, dtype=np.int64),
+    )
     return LeafBoxes(
-        box=box,
-        first=np.concatenate([[0], np.cumsum(leaf)])[ends].astype(np.int64),
-        label=stack.value[leaf],
-        lo=lo,
-        hi=hi,
+        bounds=bounds,
+        tree=tree,
+        label=np.append(stack.value[leaf], np.int32(0)),
+        node_row=node_row,
+        n_trees=int(stack.roots.shape[0]),
         n_classes=stack.n_classes,
     )
 
@@ -164,12 +191,17 @@ def certify_votes(
     :class:`CertificateError`.  Returns per-class vote counts from the host labels,
     shape ``(n_rows, n_classes)``: their ``argmax`` is what
     :func:`reference_predict` over those trees returns.
+
+    One gather maps every claim to its row (a claim that is no leaf to the
+    sentinel), one compare checks every row's tree, and each block of lanes
+    gathers its rows of ``bounds`` once and compares them against
+    ``[x | -x]`` in one reduction.
     """
     X = np.ascontiguousarray(X, dtype=np.float32)
-    width = boxes.lo.shape[1]
+    width = boxes.bounds.shape[1] // 2
     check_feature_width(X, width - 1)
     if trees is None:
-        trees = np.arange(boxes.first.shape[0] - 1, dtype=np.int64)
+        trees = np.arange(boxes.n_trees, dtype=np.int64)
     trees = np.asarray(trees)
     n_rows, k = int(X.shape[0]), int(trees.shape[0])
     leaves = np.asarray(leaves)
@@ -178,25 +210,23 @@ def certify_votes(
             f"need {n_rows * k} claimed leaves ({n_rows} rows x {k} trees), "
             f"got shape {leaves.shape}"
         )
-    if leaves.size and (leaves.min() < 0 or leaves.max() >= boxes.box.shape[0]):
-        raise _disagree("a claim is not a host node")
-    rows = boxes.box.take(leaves)
-    # Inner nodes map to row -1, below every tree's first row.
-    own = rows.reshape(n_rows, k)
-    if np.any(own < boxes.first[trees]) or np.any(own >= boxes.first[trees + 1]):
+    # Shifted by one, a claim of -1 lands on the front pad; clipping sends
+    # every other claim outside the host nodes to the back pad.
+    rows = boxes.node_row.take(leaves + 1, mode="clip")
+    if not (boxes.tree.take(rows).reshape(n_rows, k) == trees).all():
+        n_nodes = boxes.node_row.shape[0] - 2
+        if leaves.min() < 0 or leaves.max() >= n_nodes:
+            raise _disagree("a claim is not a host node")
         raise _disagree("a claim is not a leaf of its lane's tree")
+    x = X[:, :width]
+    x = np.concatenate((x, -x), axis=1)
     step = max(1, CERTIFY_CHUNK_LANES // max(1, k))
     for r0 in range(0, n_rows, step):
         r1 = min(n_rows, r0 + step)
-        shape = (r1 - r0, k, width)
-        block = rows[r0 * k : r1 * k]
-        x = X[r0:r1, None, :width]
-        if not (
-            (boxes.lo.take(block, axis=0).reshape(shape) <= x).all()
-            and (x < boxes.hi.take(block, axis=0).reshape(shape)).all()
-        ):
+        bounds = boxes.bounds.take(rows[r0 * k : r1 * k], axis=0)
+        if not (bounds.reshape(r1 - r0, k, 2 * width) <= x[r0:r1, None]).all():
             raise _disagree("a row lies outside its claimed leaf's box")
-    lane_row = np.repeat(np.arange(n_rows, dtype=np.int64), k)
+    lane_row = np.arange(n_rows, dtype=np.int64).repeat(k)
     return np.bincount(
         lane_row * boxes.n_classes + boxes.label.take(rows),
         minlength=n_rows * boxes.n_classes,

@@ -134,7 +134,7 @@ FASTPATH_CHUNK_LANES = 65536
 #: Largest call, in lanes, that takes the flat walk: every lane steps
 #: the table's ``max_levels`` levels in lock-step, with no retirement
 #: bookkeeping.  Below it a walk is bound by NumPy dispatch per level, and
-#: the flat walk makes 8 NumPy calls per level against the compacting
+#: the flat walk makes 9 NumPy calls per level against the compacting
 #: walk's 11-13; above it the compacting walk wins by dropping retired
 #: lanes and stopping at the batch's deepest leaf, not the table's.  Measured on
 #: 2 vCPUs over the served hybrid tables (SD4/RSD10 and SD6/RSD6), flat
@@ -494,9 +494,16 @@ def traverse_edges(
         # does: a lane on a terminal slot steps on its self-loop, so no lane
         # is retired or compacted.  The counters, the vote and the leaf
         # claims are read once, after the walk, from the ``feature`` gather
-        # each level keeps in its row of ``kept``.
-        rx = np.repeat(np.arange(0, n * n_feat, n_feat, dtype=idx_dtype), n_trees)
-        slot = np.tile(table.roots, n)
+        # each level keeps in its row of ``kept``.  Row offsets and slots
+        # are carried as ``intp``, the index type of a gather, so no gather
+        # converts its index array; each level converts the ``succ``
+        # gather's result once instead.  Array methods stand in for
+        # NumPy's ``repeat``, ``tile`` and ``flatnonzero`` functions, each
+        # several Python calls, which at this size cost about a gather.
+        rx = np.arange(0, n * n_feat, n_feat, dtype=np.intp).repeat(n_trees)
+        slot = np.empty((n, n_trees), dtype=np.intp)
+        slot[:] = table.roots
+        slot = slot.reshape(-1)
         kept = np.empty((limit, slot.size), dtype=feature.dtype)
         feats = feature.take(slot, mode="clip", out=kept[0])
         level = 1
@@ -504,13 +511,13 @@ def traverse_edges(
             went_right = flat_x.take(rx + feats, mode="clip") >= value.take(
                 slot, mode="clip"
             )
-            slot = succ.take(slot + slot + went_right, mode="clip")
+            slot = succ.take(slot + slot + went_right, mode="clip").astype(np.intp)
             feats = feature.take(slot, mode="clip", out=kept[level])
             level += 1
         inner = kept >= 0
         # A lane still walking at the last level claims -1 and votes
         # nothing, as in the compacting walk.
-        done = np.flatnonzero(feats < 0)
+        done = (feats < 0).nonzero()[0]
         leaf_slot = slot.take(done)
         votes_for = np.minimum(
             label.take(leaf_slot, mode="clip").view(np.uint32), top_class
@@ -538,23 +545,35 @@ def traverse_edges(
     return votes.reshape(n, n_classes).argmax(axis=1), levels, lane_levels
 
 
+#: Family module per layout type, filled by :func:`family_module`.
+_FAMILIES: dict = {}
+
+
 def family_module(layout):
     """The family module (``hierpath`` / ``csrpath`` / ``filpath``) of ``layout``.
 
     Duck-typed on each family's topology array, so this module never
     imports :mod:`repro.baselines.cuml_fil` and its GPU kernel machinery.
+    Resolved once per layout type.  Callers call the module's
+    ``traverse_edges`` through the module, where a tracer may wrap it.
     """
+    family = _FAMILIES.get(type(layout))
+    if family is not None:
+        return family
     from repro.fastpath import csrpath, filpath, hierpath
 
     if hasattr(layout, "subtree_connection"):
-        return hierpath
-    if hasattr(layout, "children_arr"):
-        return csrpath
-    if hasattr(layout, "left_child"):
-        return filpath
-    raise TypeError(
-        f"no fastpath traversal for layout type {type(layout).__name__}"
-    )
+        family = hierpath
+    elif hasattr(layout, "children_arr"):
+        family = csrpath
+    elif hasattr(layout, "left_child"):
+        family = filpath
+    else:
+        raise TypeError(
+            f"no fastpath traversal for layout type {type(layout).__name__}"
+        )
+    _FAMILIES[type(layout)] = family
+    return family
 
 
 def host_map(table: EdgeTable, stack: TreeStack) -> Tuple[np.ndarray, int]:

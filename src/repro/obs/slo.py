@@ -248,9 +248,7 @@ def read_slo_report(path: str) -> Dict[str, object]:
 
 
 def check_slo_report(
-    report: Dict[str, object],
-    baseline: Dict[str, object],
-    calibration_tolerance_log2: float = CALIBRATION_TOLERANCE_LOG2,
+    report: Dict[str, object], baseline: Dict[str, object]
 ) -> List[str]:
     """CI gate: the report may not be worse than the checked-in baseline.
 
@@ -262,7 +260,7 @@ def check_slo_report(
       baseline's, or a shed rate more than ``SHED_TOLERANCE`` above the
       baseline's, fails;
     * any per-(platform, variant) cost-model calibration error more than
-      ``calibration_tolerance_log2`` above the baseline's fails (the
+      ``CALIBRATION_TOLERANCE_LOG2`` above the baseline's fails (the
       drift monitor's re-probes are recorded, not forgiven).
     """
     failures: List[str] = []
@@ -307,11 +305,11 @@ def check_slo_report(
         for key, row in scenario.get("calibration", {}).items():
             base_err = base_cal.get(key, {}).get("mean_abs_log2_error", 0.0)
             err = row["mean_abs_log2_error"]
-            if err > base_err + calibration_tolerance_log2:
+            if err > base_err + CALIBRATION_TOLERANCE_LOG2:
                 failures.append(
                     f"{name}: cost-model calibration error for {key} is "
                     f"{err:.3f} log2 (baseline {base_err:.3f} + "
-                    f"{calibration_tolerance_log2} allowed) — "
+                    f"{CALIBRATION_TOLERANCE_LOG2} allowed) — "
                     f"{row['reprobes']} latency-model re-probe(s) recorded"
                 )
     return failures

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -243,6 +243,18 @@ class ReliabilityReport:
 # ----------------------------------------------------------------------
 # The guard itself
 # ----------------------------------------------------------------------
+class _Rung(NamedTuple):
+    """One rung of the fallback ladder, resolved once per requested config."""
+
+    plan: ExecutionPlan
+    #: The rung's accelerator; ``None`` on the CPU rung.
+    platform: Optional[Platform]
+    #: The config its results carry: the plan's own
+    #: :meth:`~repro.runtime.plan.ExecutionPlan.to_run_config` on an
+    #: accelerator rung, the requested config on the CPU rung.
+    config: RunConfig
+
+
 class ResilientClassifier:
     """Failure-hardened front end over :class:`HierarchicalForestClassifier`.
 
@@ -271,8 +283,8 @@ class ResilientClassifier:
     name the damaged trees (see :meth:`_survivors`).
     """
 
-    #: Accelerator rung order per requested platform; the ladder-plan list
-    #: built by :meth:`ladder_plans` always appends the CPU rung last.
+    #: Accelerator rung order per requested platform; the ladder built by
+    #: :meth:`_rungs` always appends the CPU rung last.
     _LADDERS = {
         Platform.GPU: (Platform.GPU, Platform.FPGA),
         Platform.FPGA: (Platform.FPGA, Platform.GPU),
@@ -313,7 +325,11 @@ class ResilientClassifier:
         self.breakers: Dict[Platform, CircuitBreaker] = {
             p: CircuitBreaker(breaker, p.value) for p in Platform
         }
-        self._ladders: Dict[RunConfig, Tuple[ExecutionPlan, ...]] = {}
+        self._ladders: Dict[RunConfig, Tuple[_Rung, ...]] = {}
+        #: The last ``(config, rungs)`` :meth:`_rungs` returned.  A served
+        #: stream passes one config object on every call, and an identity
+        #: test spares it the config's hash.
+        self._last_rungs: Optional[Tuple[RunConfig, Tuple[_Rung, ...]]] = None
 
     # ------------------------------------------------------------------
     def _rung_config(self, config: RunConfig, platform: Platform) -> RunConfig:
@@ -323,6 +339,32 @@ class ResilientClassifier:
             variant = KernelVariant.HYBRID  # cuML baseline is GPU-only
         return replace(config, platform=platform, variant=variant)
 
+    def _rungs(self, config: RunConfig) -> Tuple[_Rung, ...]:
+        """The :meth:`ladder_plans` rungs of ``config``, resolved once per
+        config."""
+        last = self._last_rungs
+        if last is not None and last[0] is config:
+            return last[1]
+        if config not in self._ladders:
+            accelerators = tuple(
+                compile_plan(None, self._rung_config(config, platform))
+                for platform in self._LADDERS[config.platform]
+            )
+            cpu = ExecutionPlan(
+                platform=CPU_PLATFORM,
+                variant=config.variant.value,
+                layout=config.layout,
+                replication=config.replication,
+                source="ladder",
+                trace=config.trace,
+            )
+            self._ladders[config] = tuple(
+                _Rung(plan, Platform(plan.platform), plan.to_run_config())
+                for plan in accelerators
+            ) + (_Rung(cpu, None, config),)
+        self._last_rungs = (config, self._ladders[config])
+        return self._last_rungs[1]
+
     def ladder_plans(self, config: RunConfig) -> Tuple[ExecutionPlan, ...]:
         """The fallback ladder as an ordered :class:`ExecutionPlan` tuple.
 
@@ -330,24 +372,9 @@ class ResilientClassifier:
         CPU rung (which always answers).  Each accelerator plan carries the
         rung's adapted config (variant swap for GPU-only kernels); the
         plan's index is the call's ``fallback_depth`` when that rung serves
-        it.  Compiled once per config.
+        it.
         """
-        if config not in self._ladders:
-            accelerators = tuple(
-                compile_plan(None, self._rung_config(config, platform))
-                for platform in self._LADDERS[config.platform]
-            )
-            self._ladders[config] = accelerators + (
-                ExecutionPlan(
-                    platform=CPU_PLATFORM,
-                    variant=config.variant.value,
-                    layout=config.layout,
-                    replication=config.replication,
-                    source="ladder",
-                    trace=config.trace,
-                ),
-            )
-        return self._ladders[config]
+        return tuple(rung.plan for rung in self._rungs(config))
 
     def notify_layout_rebuild(self) -> None:
         """Does nothing: the guard keeps no per-image state to forget.
@@ -379,8 +406,7 @@ class ResilientClassifier:
         self, X: np.ndarray, plan: ExecutionPlan, config: RunConfig
     ) -> RunResult:
         """One guarded kernel launch on one rung's plan (``config`` is its
-        :meth:`~repro.runtime.plan.ExecutionPlan.to_run_config`), checked
-        by the CPU oracle."""
+        :attr:`_Rung.config`), checked by the CPU oracle."""
         gate = self.fault_plan.launch_gate if self.fault_plan else None
         session = self.inner.runtime
         session.verify_against_reference = True
@@ -448,7 +474,7 @@ class ResilientClassifier:
     ) -> RunResult:
         """Guarded classification: never raises for injected fault kinds.
 
-        Walks the :meth:`ladder_plans` list until a rung's plan produces
+        Walks the :meth:`ladder_plans` rungs until a rung's plan produces
         predictions; the attached :class:`ReliabilityReport` says exactly
         what it took.  ``variant="auto"`` is resolved by the planner once,
         before the ladder is built.
@@ -467,21 +493,20 @@ class ResilientClassifier:
             config = self.inner.planner.plan(X, config).to_run_config()
         report = ReliabilityReport()
         result: Optional[RunResult] = None
-        for depth, plan in enumerate(self.ladder_plans(config)):
-            if plan.platform == CPU_PLATFORM:
-                result = self._cpu_rung(X, plan, config)
+        for depth, rung in enumerate(self._rungs(config)):
+            if rung.platform is None:
+                result = self._cpu_rung(X, rung.plan, rung.config)
                 report.fallback_depth = depth
                 report.platform_used = CPU_PLATFORM
                 break
-            platform = Platform(plan.platform)
-            breaker = self.breakers[platform]
+            breaker = self.breakers[rung.platform]
             if not breaker.allow():
                 report.breaker_skips += 1
                 continue
-            result = self._run_rung(X, plan, breaker, report)
+            result = self._run_rung(X, rung, breaker, report)
             if result is not None:
                 report.fallback_depth = depth
-                report.platform_used = platform.value
+                report.platform_used = rung.plan.platform
                 break
         if y_true is not None:
             result.accuracy = accuracy_score(y_true, result.predictions)
@@ -492,12 +517,12 @@ class ResilientClassifier:
     def _run_rung(
         self,
         X: np.ndarray,
-        plan: ExecutionPlan,
+        rung: _Rung,
         breaker: CircuitBreaker,
         report: ReliabilityReport,
     ) -> Optional[RunResult]:
         """Retry loop on one rung's plan; None means the rung gave up."""
-        config = plan.to_run_config()
+        plan, config = rung.plan, rung.config
         for attempt in range(self.retry.max_attempts):
             report.attempts += 1
             self._obs.on_rung_attempt(plan, attempt, report.retries)

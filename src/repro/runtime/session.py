@@ -103,6 +103,10 @@ class RuntimeSession:
         )
         self._oracle_stacks: Dict[str, TreeStack] = {}
         self._oracle_boxes: Dict[str, LeafBoxes] = {}
+        #: The last ``(plan, backend, layout key)`` :meth:`layout_for`
+        #: resolved.  A served stream runs one plan object again and again;
+        #: an identity test spares it the key's rebuild.
+        self._last_key: Optional[Tuple[ExecutionPlan, Backend, Tuple]] = None
 
     @classmethod
     def from_forest(cls, forest, **kwargs) -> "RuntimeSession":
@@ -116,7 +120,10 @@ class RuntimeSession:
     def layout_for(self, plan: ExecutionPlan):
         """Build (or fetch from the shared cache) the layout ``plan`` needs."""
         backend = backend_for(self.backends, plan)
-        key = backend.layout_key(plan)
+        last = self._last_key
+        if last is None or last[0] is not plan or last[1] is not backend:
+            last = self._last_key = (plan, backend, backend.layout_key(plan))
+        key = last[2]
         if key not in self._layout_cache:
             self._layout_cache[key] = backend.build_layout(self.trees, plan)
         return self._layout_cache[key]

@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import cpu_reference
 from repro.baselines.cpu_reference import (
+    CertificateError,
     certify_votes,
     leaf_boxes,
     reference_predict,
@@ -52,7 +53,7 @@ from repro.fastpath.engine import (
     traverse_edges,
 )
 from repro.fastpath.hierpath import build_edges
-from repro.forest.tree import LEAF, random_tree, stack_trees
+from repro.forest.tree import LEAF, DecisionTree, random_tree, stack_trees
 from repro.fpgasim.replication import Replication
 from repro.kernels import registered_pairs
 from repro.layout.codec import PRECISIONS, quantize_trees
@@ -945,6 +946,101 @@ class TestQuantizedGolden:
 # ----------------------------------------------------------------------
 # Leaf certificate
 # ----------------------------------------------------------------------
+#: Thresholds and row values at the edges of float32 compares.
+SPECIAL_FLOATS = (
+    0.0,
+    -0.0,
+    1e-40,  # subnormal
+    -1e-40,
+    np.inf,
+    -np.inf,
+    np.nan,
+)
+
+
+def _two_table_verdict(trees, X, leaves, chosen):
+    """What the certificate's three checks over separate ``lo`` / ``hi``
+    tables say of ``leaves``: the message it raises, or None to accept.
+
+    Each node's box is its path's: a left branch caps ``hi`` at the
+    split's threshold, a right branch raises ``lo`` to it (NumPy's
+    ``minimum`` / ``maximum``, so a NaN threshold propagates).
+    """
+    stack = stack_trees(trees)
+    width = stack.max_feature + 1
+    n_nodes = int(stack.feature.size)
+    lo = np.full((n_nodes, width), -np.inf, dtype=np.float32)
+    hi = np.full((n_nodes, width), np.inf, dtype=np.float32)
+    owner = np.empty(n_nodes, dtype=np.int64)
+    offset = 0
+    for t, tree in enumerate(trees):
+        todo = [0]
+        while todo:
+            node = todo.pop()
+            owner[offset + node] = t
+            f = tree.feature[node]
+            if f == LEAF:
+                continue
+            for child, side in ((tree.left_child[node], hi), (tree.right_child[node], lo)):
+                lo[offset + child] = lo[offset + node]
+                hi[offset + child] = hi[offset + node]
+                op = np.minimum if side is hi else np.maximum
+                side[offset + child, f] = op(side[offset + child, f], tree.threshold[node])
+                todo.append(child)
+        offset += tree.n_nodes
+    if leaves.size and (leaves.min() < 0 or leaves.max() >= n_nodes):
+        return "a claim is not a host node"
+    lane_tree = np.tile(chosen, X.shape[0])
+    if not np.all((stack.feature[leaves] == LEAF) & (owner[leaves] == lane_tree)):
+        return "a claim is not a leaf of its lane's tree"
+    x = np.repeat(X[:, :width], chosen.size, axis=0)
+    if not np.all((lo[leaves] <= x) & (x < hi[leaves])):
+        return "a row lies outside its claimed leaf's box"
+    return None
+
+
+#: Mutations of the certificate, as ``(function, source text, mutated
+#: text)``: each lets a planted wrong claim through.
+CERT_MUTANTS = {
+    "cert-no-tree-compare": (
+        "certify_votes",
+        "if not (boxes.tree.take(rows).reshape(n_rows, k) == trees).all():",
+        "if False:",
+    ),
+    "cert-no-lo-half": (
+        "certify_votes",
+        "np.concatenate((x, -x), axis=1)",
+        "np.concatenate((np.full_like(x, np.inf), -x), axis=1)",
+    ),
+    "cert-no-hi-half": (
+        "certify_votes",
+        "np.concatenate((x, -x), axis=1)",
+        "np.concatenate((x, np.full_like(x, np.inf)), axis=1)",
+    ),
+    "cert-no-sentinel": (
+        "leaf_boxes",
+        "node_row = np.full(n_nodes + 2, n_leaves, dtype=np.int32)",
+        "node_row = np.full(n_nodes + 2, n_leaves - 1, dtype=np.int32)",
+    ),
+}
+
+
+def _mutated(module, func, name, old, new):
+    """``module``'s namespace with ``func`` recompiled from its source with
+    ``old`` replaced by ``new``."""
+    source = inspect.getsource(getattr(module, func))
+    assert source.count(old) == 1, f"{name}: {func} no longer reads {old!r}"
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), f"<{name}>", "exec"), namespace)
+    return namespace
+
+
+def _cert_mutant(name):
+    """``cpu_reference``'s namespace with mutant ``name`` compiled in."""
+    func, old, new = CERT_MUTANTS[name]
+    return _mutated(cpu_reference, func, name, old, new)
+
+
 class TestLeafCertificate:
     """A served batch is verified by certifying each lane's claimed host
     leaf against its box, not by a second walk.  The certificate must
@@ -979,8 +1075,11 @@ class TestLeafCertificate:
         walked = host_leaf_nodes(host, X) + offsets[:-1]
         assert np.array_equal(leaves, walked.ravel())
         boxes = leaf_boxes(host)
+        stack = stack_trees(host)
         n_leaves = sum(t.n_leaves for t in trees)
-        assert boxes.lo.nbytes + boxes.hi.nbytes == n_leaves * boxes.lo.shape[1] * 8
+        # The two float32 tables ``lo`` and ``hi`` in one, plus the sentinel.
+        width = stack.max_feature + 1
+        assert boxes.bounds.nbytes == (n_leaves + 1) * width * 8
         votes = certify_votes(boxes, X, leaves)
         assert np.array_equal(votes, reference_votes(host, X))
         assert np.array_equal(preds, votes.argmax(axis=1))
@@ -988,12 +1087,12 @@ class TestLeafCertificate:
         lane = int(rng.integers(leaves.size))
         tree = lane % len(trees)
         own = np.arange(offsets[tree], offsets[tree + 1])
-        is_leaf = boxes.box[own] >= 0
+        is_leaf = stack.feature[own] == LEAF
         nxt = (tree + 1) % len(trees)
         other = np.arange(offsets[nxt], offsets[nxt + 1])
         claims = {
             "another leaf of the same tree": own[is_leaf & (own != leaves[lane])],
-            "a leaf of another tree": other[boxes.box[other] >= 0],
+            "a leaf of another tree": other[stack.feature[other] == LEAF],
             "an inner node of the same tree": own[~is_leaf],
         }
         for what, nodes in claims.items():
@@ -1027,6 +1126,143 @@ class TestLeafCertificate:
             X[2, small_trees[0].feature[0]] = bad
             with pytest.raises(RuntimeError, match="outside its claimed leaf"):
                 certify_votes(boxes, X, leaves)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        specials=st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=6),
+        wrong=st.integers(0, 3),
+        subset=st.booleans(),
+    )
+    def test_accepts_exactly_what_the_two_table_checks_accepted(
+        self, seed, specials, wrong, subset
+    ):
+        """The one-gather certificate against the three checks of ``lo <= x
+        < hi`` over two tables, computed here by a plain path walk: same
+        verdict, same message, same votes on every claim set."""
+        rng = np.random.default_rng(seed)
+        n_features = int(rng.integers(1, 5))
+        trees = []
+        for _ in range(int(rng.integers(1, 4))):
+            tree = random_tree(rng, n_features, int(rng.integers(0, 5)), 0.3)
+            threshold = tree.threshold.copy()
+            inner = np.flatnonzero(tree.feature != LEAF)
+            for value in specials[: inner.size]:
+                threshold[inner[int(rng.integers(inner.size))]] = value
+            trees.append(replace(tree, threshold=threshold))
+        stack = stack_trees(trees)
+        n_nodes = int(stack.feature.size)
+        rows = int(rng.integers(1, 12))
+        X = rng.standard_normal((rows, n_features)).astype(np.float32)
+        X = np.where(rng.random(X.shape) < 0.5, snap_to_thresholds(trees, X), X)
+        # Row values at the special thresholds and beside them, and NaN and
+        # +-inf, passed to the certificate directly.
+        for value in specials:
+            near = np.float32(value)
+            if np.isfinite(near) and rng.random() < 0.5:
+                near = np.nextafter(near, np.float32(rng.choice([-np.inf, np.inf])))
+            X.flat[int(rng.integers(X.size))] = near
+        chosen = np.arange(len(trees))
+        if subset:
+            chosen = np.flatnonzero(rng.random(len(trees)) < 0.6)
+        k = chosen.size
+        offsets = np.cumsum([0] + [t.n_nodes for t in trees])
+        walked = host_leaf_nodes(trees, X) + offsets[:-1]
+        leaves = walked[:, chosen].ravel().astype(np.int32)
+        other_leaf = np.flatnonzero(stack.feature == LEAF)
+        for _ in range(wrong if leaves.size else 0):
+            lane = int(rng.integers(leaves.size))
+            own = chosen[lane % k]
+            leaves[lane] = rng.choice(
+                [
+                    -1,
+                    n_nodes,
+                    2**31 - 1,
+                    -(2**31),
+                    offsets[own],  # the root: inner unless a one-leaf tree
+                    int(rng.integers(offsets[own], offsets[own + 1])),
+                    int(rng.choice(other_leaf)),
+                ]
+            )
+
+        expected = _two_table_verdict(trees, X, leaves, chosen)
+        boxes = leaf_boxes(trees)
+        trees_arg = chosen if subset else None
+        if expected is None:
+            votes = certify_votes(boxes, X, leaves, trees=trees_arg)
+            label = stack.value.take(leaves).reshape(rows, k)
+            want = np.stack([np.bincount(r, minlength=stack.n_classes) for r in label])
+            assert np.array_equal(votes, want.reshape(rows, stack.n_classes))
+        else:
+            with pytest.raises(CertificateError) as err:
+                certify_votes(boxes, X, leaves, trees=trees_arg)
+            assert str(err.value).endswith(expected)
+
+    @pytest.mark.parametrize("t", SPECIAL_FLOATS + (0.5,))
+    def test_float_edges_match_the_two_table_checks(self, t):
+        """A one-split tree on threshold ``t``: every claim (-1 to 3) of a
+        row at each special value, at ``t`` and one ULP either side of it."""
+        tree = DecisionTree(
+            feature=[0, LEAF, LEAF],
+            threshold=[t, 0.0, 0.0],
+            left_child=[1, -1, -1],
+            right_child=[2, -1, -1],
+            value=[-1, 0, 1],
+        )
+        t = np.float32(t)
+        values = np.array(SPECIAL_FLOATS + (t, 0.5), dtype=np.float32)
+        values = np.concatenate(
+            [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
+        )
+        boxes = leaf_boxes([tree])
+        one = np.zeros(1, dtype=np.int64)
+        for x in values:
+            X = np.array([[x]], dtype=np.float32)
+            for claim in range(-1, 4):
+                leaves = np.array([claim], dtype=np.int32)
+                expected = _two_table_verdict([tree], X, leaves, one)
+                if expected is None:
+                    votes = certify_votes(boxes, X, leaves)
+                    assert votes.tolist() == [[int(claim == 1), int(claim == 2)]]
+                else:
+                    with pytest.raises(CertificateError) as err:
+                        certify_votes(boxes, X, leaves)
+                    assert str(err.value).endswith(expected), (x, claim)
+
+    @pytest.mark.parametrize("name", sorted(CERT_MUTANTS))
+    def test_every_certificate_mutant_lets_a_planted_claim_through(self, name):
+        """Two one-split trees, ``x0 < 0.5`` left (class 0) else right
+        (class 1): nodes 0-2 and 3-5.  Each mutant accepts the wrong claims
+        planted for it, which the certificate rejects."""
+        split = DecisionTree(
+            feature=[0, LEAF, LEAF],
+            threshold=[0.5, 0.0, 0.0],
+            left_child=[1, -1, -1],
+            right_child=[2, -1, -1],
+            value=[-1, 0, 1],
+        )
+        trees = [split, split]
+        X = np.array([[0.0], [1.0]], dtype=np.float32)
+        walked = np.array([1, 4, 2, 5], dtype=np.int32)
+        # Per mutant, lane -> wrong claim.
+        planted = {
+            "cert-no-tree-compare": {0: 4},  # tree 1's left leaf in tree 0
+            "cert-no-lo-half": {0: 2},  # x0 = 0 claims the right leaf
+            "cert-no-hi-half": {2: 1},  # x0 = 1 claims the left leaf
+            "cert-no-sentinel": {3: 3},  # tree 1's root, an inner node
+        }[name]
+        leaves = walked.copy()
+        for lane, node in planted.items():
+            leaves[lane] = node
+        assert np.array_equal(
+            certify_votes(leaf_boxes(trees), X, walked), [[2, 0], [0, 2]]
+        )
+        with pytest.raises(CertificateError):
+            certify_votes(leaf_boxes(trees), X, leaves)
+
+        mutant = _cert_mutant(name)
+        votes = mutant["certify_votes"](mutant["leaf_boxes"](trees), X, leaves)
+        assert votes.shape == (2, 2), "mutant is not live"
 
     def test_lowering_maps_every_slot_to_its_host_node(self, small_trees):
         """The host channel pairs each reachable slot with the host node of
@@ -1080,24 +1316,19 @@ FLAT_MUTANTS = {
         "while level < limit - 1:",
     ),
     "flat-no-went-right": (
-        "slot = succ.take(slot + slot + went_right, mode=\"clip\")\n"
-        "            feats",
-        "slot = succ.take(slot + slot, mode=\"clip\")\n            feats",
+        "succ.take(slot + slot + went_right, mode=\"clip\").astype(np.intp)",
+        "succ.take(slot + slot, mode=\"clip\").astype(np.intp)",
     ),
     "flat-no-row-offset": (
-        "np.arange(0, n * n_feat, n_feat, dtype=idx_dtype)",
-        "np.zeros(n, dtype=idx_dtype)",
+        "np.arange(0, n * n_feat, n_feat, dtype=np.intp)",
+        "np.zeros(n, dtype=np.intp)",
     ),
 }
 
 
 def _mutant(name):
     old, new = {**CORE_MUTANTS, **FLAT_MUTANTS}[name]
-    source = inspect.getsource(engine.traverse_edges)
-    assert source.count(old) == 1, f"{name}: the core no longer reads {old!r}"
-    namespace = dict(vars(engine))
-    exec(compile(source.replace(old, new), f"<{name}>", "exec"), namespace)
-    return namespace["traverse_edges"]
+    return _mutated(engine, "traverse_edges", name, old, new)["traverse_edges"]
 
 
 class TestCertificateDetection:

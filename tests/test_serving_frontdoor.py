@@ -10,6 +10,8 @@ The serving contract under test:
 * a seeded chaos scenario replays byte-identically.
 """
 
+import collections
+import gc
 import json
 import sys
 
@@ -134,6 +136,57 @@ class TestFrontDoorCleanPath:
         (resp,) = front.drain()
         assert resp.latency_s > 0.0
         assert resp.finish_s > resp.arrival_s
+
+
+#: Python and C function calls (``sys.setprofile``'s ``call`` and
+#: ``c_call`` events; ufuncs and operators are not calls) of one warm
+#: 1-row batch of the served susy forest through the front door, from
+#: ``submit`` to the end of ``drain``.  Measured: 284 (front door 73, guard
+#: 17, session 34, flat walk 133, certificate 26, ``setprofile`` 1).
+SERVED_BATCH_CALLS = 284
+
+
+class TestPerBatchCallCount:
+    """A small served batch costs about a microsecond per call, so its
+    call count pins the fixed cost the front door, guard, session, walk
+    and certificate add per batch."""
+
+    def test_one_warm_row_batch(self):
+        from repro.experiments.common import get_forest
+        from repro.layout.hierarchical import LayoutParams
+
+        forest = get_forest("susy", 20, 20, "default")
+        clf = HierarchicalForestClassifier.from_forest(forest)
+        X = np.random.default_rng(0).standard_normal((64, 18)).astype(np.float32)
+        front = ServingFrontDoor(
+            ResilientClassifier(clf),
+            RunConfig(platform="gpu", variant="hybrid", layout=LayoutParams(4, 10)),
+            clock=SimulatedClock(),
+            probe_X=X,
+        )
+        for k in range(8):  # warm: layouts, boxes, rungs and keys are built
+            front.submit(X[k : k + 1])
+            front.drain()
+        calls = []
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+            elif event == "c_call":
+                calls.append(getattr(arg, "__qualname__", repr(arg)))
+
+        front.clock.advance(1.0)
+        gc.disable()  # a collection would run finalizers inside the count
+        sys.setprofile(count)
+        try:
+            front.submit(X[8:9])
+            front.drain()
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert front.stats.served == 9
+        top = collections.Counter(calls).most_common(12)
+        assert len(calls) <= SERVED_BATCH_CALLS, top
 
 
 class TestLatencyModels:
