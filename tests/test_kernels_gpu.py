@@ -5,11 +5,17 @@ reference — this is the contract that makes the performance counters
 meaningful.
 """
 
+import json
+import zlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.baselines.cpu_reference import reference_predict
 from repro.baselines.cuml_fil import CuMLFILKernel, FILForest
+from repro.extensions.block_per_tree import GPUBlockPerTreeKernel
+from repro.extensions.packed_nodes import GPUPackedHybridKernel
 from repro.fastpath import fastpath_predict
 from repro.kernels import (
     GPUCSRKernel,
@@ -19,6 +25,7 @@ from repro.kernels import (
 )
 from repro.layout.csr import CSRForest
 from repro.layout.hierarchical import HierarchicalForest, LayoutParams
+from repro.utils.validation import array_crc32
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +195,82 @@ class TestFILForestLayout:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             FILForest.from_trees([])
+
+
+class TestPinnedSmokeRun:
+    """Every counter, load-site entry, simulated second and prediction of
+    the GPU kernels on the checked-in susy smoke forest (256 queries),
+    pinned bit for bit, plus a checksum of the independent kernel's
+    address trace.
+
+    The pins live in ``tests/data/gpu_kernel_smoke_pins.json``: one
+    ``_observed`` dict per kernel name, written with ``json.dump`` (floats
+    round-trip exactly).  Regenerate it only for an intended change of the
+    simulated model.
+    """
+
+    PINS_PATH = Path(__file__).parent / "data" / "gpu_kernel_smoke_pins.json"
+    #: kernel -> the layout it runs on.
+    KERNELS = {
+        "gpu-csr": ("csr", GPUCSRKernel),
+        "gpu-independent": ("hier", GPUIndependentKernel),
+        "gpu-collaborative": ("hier", GPUCollaborativeKernel),
+        "gpu-hybrid": ("hier", GPUHybridKernel),
+        "cuml-fil": ("fil", CuMLFILKernel),
+        "gpu-hybrid-packed": ("hier", GPUPackedHybridKernel),
+        "gpu-block-per-tree": ("hier", GPUBlockPerTreeKernel),
+    }
+
+    @pytest.fixture(scope="class")
+    def smoke(self):
+        from repro.experiments.common import (
+            band_depths,
+            get_dataset,
+            get_forest,
+            get_scale,
+            queries_for,
+        )
+
+        scale = get_scale("smoke")
+        forest = get_forest("susy", band_depths("susy", scale)[0], scale.n_trees, scale)
+        X = queries_for(get_dataset("susy", scale), scale)[:256]
+        layouts = {
+            "csr": CSRForest.from_trees(forest.trees_),
+            "hier": HierarchicalForest.from_trees(forest.trees_, LayoutParams(6, 10)),
+            "fil": FILForest.from_trees(forest.trees_),
+        }
+        return forest.trees_, X, layouts
+
+    @staticmethod
+    def _observed(result):
+        return {
+            "metrics": result.metrics.as_dict(),
+            "site_stats": result.site_stats,
+            "seconds": result.seconds,
+            "predictions_crc": array_crc32(np.asarray(result.predictions, dtype=np.int64)),
+        }
+
+    @staticmethod
+    def _trace_crc(trace):
+        crc = 0
+        for site, segments in trace.events:
+            crc = zlib.crc32(site.encode(), crc)
+            crc = array_crc32(np.asarray(segments), crc)
+        return crc
+
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_pinned(self, smoke, name):
+        trees, X, layouts = smoke
+        family, kernel_cls = self.KERNELS[name]
+        pins = json.loads(self.PINS_PATH.read_text())
+        res = kernel_cls().run(layouts[family], X)
+        assert np.array_equal(res.predictions, reference_predict(trees, X))
+        assert self._observed(res) == pins[name]
+
+    def test_pinned_trace(self, smoke):
+        _, X, layouts = smoke
+        pins = json.loads(self.PINS_PATH.read_text())
+        kernel = GPUIndependentKernel(record_trace=True)
+        kernel.run(layouts["hier"], X)
+        assert kernel.trace.n_events == pins["independent_trace"]["events"]
+        assert self._trace_crc(kernel.trace) == pins["independent_trace"]["crc"]
