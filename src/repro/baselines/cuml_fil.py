@@ -29,9 +29,9 @@ import numpy as np
 from repro.fastpath.engine import lower
 from repro.forest.tree import LEAF, DecisionTree, breadth_first_levels, stack_trees
 from repro.gpusim.engine import WarpGrid
-from repro.gpusim.memory import CoalescingTracker
+from repro.gpusim.memory import CoalescingTracker, record_levels
 from repro.kernels.base import AddressSpace, GPUKernel
-from repro.kernels.traversal_stats import accumulate_votes
+from repro.kernels.traversal_stats import accumulate_votes, current_table, tree_levels
 
 
 @dataclass
@@ -130,38 +130,18 @@ class CuMLFILKernel(GPUKernel):
         )
         tr_x = CoalescingTracker("X", metrics, l1_resident=True)
         self._register_sites([tr_nodes, tr_x])
-        rows = np.arange(n, dtype=np.int64)
+        table = current_table(layout)
+        queries = np.arange(n, dtype=np.int64)
         for t in range(layout.n_trees):
-            base = layout.tree_offset[t]
-            cur = np.zeros(n, dtype=np.int64)
-            out = np.full(n, -1, dtype=np.int64)
-            active = np.ones(n, dtype=bool)
-            # Bounded walk (see accumulate_votes): a longer one loops.
-            for _ in range(layout.tree_offset[t + 1] - base):
-                if not np.any(active):
-                    break
-                g = base + cur
-                tr_nodes.record(space.addr("nodes", g), active)
-                feats = np.where(active, layout.feature[g], 0)
-                is_leaf = active & (feats == LEAF)
-                inner = active & ~is_leaf
-                if np.any(is_leaf):
-                    out[is_leaf] = layout.value[g[is_leaf]].astype(np.int64)
-                if np.any(inner):
-                    f_safe = np.where(inner, feats, 0).astype(np.int64)
-                    tr_x.record(
-                        self._query_addresses(space, f_safe, rows, n_features),
-                        inner,
-                    )
-                    go_left = np.zeros(n, dtype=bool)
-                    gi = g[inner]
-                    go_left[inner] = (
-                        X[rows[inner], feats[inner]] < layout.value[gi]
-                    )
-                    cur[inner] = layout.left_child[gi] + np.where(
-                        go_left[inner], 0, 1
-                    )
-                grid.record_step(metrics, active, self.INSTR_PER_STEP)
-                grid.record_loop_branch(metrics, active, inner)
-                active = inner
-            accumulate_votes(votes, out)
+            levels = tree_levels(table, X, t, layout.feature, layout.value)
+            record_levels([
+                (tr_nodes, space.addr("nodes", levels.slot), levels.walking),
+                (
+                    tr_x,
+                    self._query_addresses(space, levels.feature, queries, n_features),
+                    levels.inner,
+                ),
+            ])
+            grid.record_step(metrics, levels.walking, self.INSTR_PER_STEP)
+            grid.record_loop_branch(metrics, levels.walking, levels.inner)
+            accumulate_votes(votes, levels.labels)

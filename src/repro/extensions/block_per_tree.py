@@ -18,11 +18,7 @@ the execution organisation differs.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.forest.tree import EMPTY, LEAF
 from repro.gpusim.engine import WarpGrid
-from repro.gpusim.memory import CoalescingTracker
 from repro.gpusim.timing import KernelTiming
 from repro.kernels.gpu_independent import GPUIndependentKernel
 from repro.layout.hierarchical import HierarchicalForest

@@ -17,6 +17,11 @@ This kernel reproduces the tradeoff:
 The net effect in the model matches the paper's expectation: warp
 efficiency rises, coalescing degrades, and total time is not better than
 the plain independent kernel on tree workloads.
+
+Refilled lanes hold queries at unrelated depths, so the lanes do not walk
+in lock-step and no per-level fastpath walk describes them: this kernel
+keeps its own step loop and records one level per call, the one-row case
+of :meth:`~repro.gpusim.memory.CoalescingTracker.record`.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import numpy as np
 
 from repro.forest.tree import EMPTY, LEAF
 from repro.gpusim.engine import WarpGrid
-from repro.gpusim.memory import CoalescingTracker
 from repro.kernels.gpu_independent import GPUIndependentKernel
 from repro.kernels.traversal_stats import accumulate_votes
 from repro.layout.hierarchical import HierarchicalForest
@@ -43,23 +47,7 @@ class GPUGreedyKernel(GPUIndependentKernel):
             raise TypeError("GPUGreedyKernel expects a HierarchicalForest")
         n, n_features = X.shape
         space = self._make_space(layout, n, n_features)
-        trackers = {
-            name: CoalescingTracker(
-                name,
-                metrics,
-                l1_resident=(name == "X"),
-                l1_hit_rate=0.0 if name == "X" else self.NODE_L1_HIT,
-            )
-            for name in (
-                "feature_id",
-                "value",
-                "subtree_node_offset",
-                "subtree_depth",
-                "connection_offset",
-                "subtree_connection",
-                "X",
-            )
-        }
+        trackers = self._make_trackers(metrics)
         self._register_sites(trackers)
         tr = trackers
         # Persistent-threads launch: far fewer lanes than queries, each lane

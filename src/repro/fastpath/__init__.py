@@ -1,9 +1,10 @@
 """Vectorized trace-free inference — the serving-speed execution mode.
 
-Every kernel in :mod:`repro.kernels` executes in warp-lockstep NumPy so the
-simulators can count memory transactions; faithful to the paper's Fig. 7/8
-modeling, and orders of magnitude too slow to serve traffic.  This package
-is the other half of the execution-mode axis (``trace="off"`` on a
+The kernels in :mod:`repro.kernels` count memory transactions, branches
+and pipeline work items on top of a traversal, so the simulators can
+reproduce the paper's Fig. 7/8 and Table 3; that accounting is orders of
+magnitude too slow to serve traffic.  This package is the other half of
+the execution-mode axis (``trace="off"`` on a
 :class:`~repro.runtime.ExecutionPlan`): fully array-oriented batched
 traversal over the *same* device layouts, with no per-row or per-warp
 Python loop anywhere — one level-synchronous frontier loop bounded by tree
@@ -13,7 +14,11 @@ depth, gather/where over the packed node-record arrays, one
 Predictions are bit-identical to the trace path and the CPU host-tree
 oracle (the golden suite in ``tests/test_fastpath.py`` pins this for every
 registered (platform, variant) pair).  This is the one inference core:
-outside the trace kernels, nothing else walks a layout.  Each layout
+the FPGA kernels price its walk's per-level lane counts, and the CSR,
+independent, hybrid and cuML-FIL GPU kernels count their loads from its
+per-level slots (``traverse_edges(..., slots=)``).  Only the
+collaborative GPU kernel and the greedy extension still step their own
+loops over a layout; the CPU oracle walks the host trees.  Each layout
 family gets its own lowering to the shared edge table:
 
 * :mod:`repro.fastpath.hierpath` — hierarchical subtree layout

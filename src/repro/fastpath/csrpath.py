@@ -36,11 +36,23 @@ def build_edges(layout: CSRForest) -> EdgeTable:
     tree_children = layout.tree_children_offset.astype(np.int64)
     child_pos = tree_children[owner] + layout.children_arr_idx[inner].astype(np.int64)
     base = tree_nodes[owner]
+    n_children = layout.children_arr.shape[0]
+
+    def successor(pos):
+        # A damaged ``children_arr_idx`` can point outside ``children_arr``.
+        # Its successor is then one past the last slot: the walk clamps it,
+        # as every index it reads from a table, and a trace kernel's read
+        # of the slot fails only if a lane reaches it, as the layout's own
+        # children read would.
+        inside = (pos >= -n_children) & (pos < n_children)
+        child = layout.children_arr[np.where(inside, pos, 0)]
+        return np.where(inside, base + child, tree_nodes[-1])
+
     return edge_table(
         layout,
         layout.feature_id,
         inner,
-        base + layout.children_arr[child_pos],
-        base + layout.children_arr[child_pos + 1],
+        successor(child_pos),
+        successor(child_pos + 1),
         tree_nodes[:-1],
     )

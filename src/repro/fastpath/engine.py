@@ -308,6 +308,7 @@ def traverse_edges(
     X: np.ndarray,
     leaves: Optional[np.ndarray] = None,
     walking: Optional[np.ndarray] = None,
+    slots: Optional[np.ndarray] = None,
 ):
     """Run every ``(row, tree)`` lane of ``X`` through the successor table.
 
@@ -329,6 +330,13 @@ def traverse_edges(
     walking when the bound stops them, which only a damaged, looping
     ``succ`` leaves.  The work counts of the FPGA cost models are sums
     over it (:mod:`repro.kernels.traversal_stats`).
+
+    With ``slots`` (an integer array of shape ``(limit, n_rows * n_trees)``),
+    row ``d`` receives the slot each lane visits on level ``d``, in the
+    table's slot numbering, and -1 where the lane does not walk level
+    ``d``; so ``walking[d] == (slots[d] >= 0).sum()``.  The simulated GPU
+    kernels count their loads, crossings and branches from it, one tree
+    at a time.
 
     ``levels`` is the deepest frontier iteration count of any block (a
     lane reaching a leaf at depth ``d`` retires on iteration ``d + 1``, so
@@ -388,6 +396,13 @@ def traverse_edges(
         raise ValueError(
             f"walking must hold {limit + 1} levels, got shape {walking.shape}"
         )
+    if slots is not None:
+        if slots.shape != (limit, n * n_trees):
+            raise ValueError(
+                f"slots must hold {limit} levels of {n * n_trees} lanes, "
+                f"got shape {slots.shape}"
+            )
+        slots.fill(-1)
     votes = np.zeros(n * n_classes, dtype=np.int32)
     block = max(1, FASTPATH_CHUNK_LANES // max(1, n_trees))
     # One row of walked levels per block, so threads never share a row.
@@ -397,7 +412,8 @@ def traverse_edges(
 
     def run_block(start):
         # Writes only this block's rows of ``votes`` and lanes of
-        # ``leaves``, so blocks can run on several threads at once.
+        # ``leaves`` and ``slots``, so blocks can run on several threads
+        # at once.
         stop = min(n, start + block)
         row_base = idx_dtype(start) * n_feat
         # Per-lane state: row offset into flat_x, current slot, and (on
@@ -414,7 +430,7 @@ def traverse_edges(
         slot = np.tile(table.roots, stop - start)
         base = slot - 1 if rsd is not None else None
         lane = None
-        if leaves is not None:
+        if leaves is not None or slots is not None:
             lane = np.arange(start * n_trees, stop * n_trees, dtype=idx_dtype)
         walked = None
         if block_walking is not None:
@@ -431,6 +447,13 @@ def traverse_edges(
             live = int(rx.size) - retired_before
             if walked is not None:
                 walked[depth] = live
+            if slots is not None:
+                # Lanes retired on an earlier level are carried, not walking.
+                if retired_before:
+                    walks = ~at_leaf
+                    slots[depth, lane[walks]] = slot[walks]
+                else:
+                    slots[depth, lane] = slot
             depth += 1
             lane_levels += live
             feats = feature.take(slot, mode="clip")
@@ -457,8 +480,9 @@ def traverse_edges(
                 feats = feats.take(keep)
                 if base is not None:
                     base = base.take(keep)
-                if lane is not None:
+                if leaves is not None:
                     leaves[lane.take(done)] = table.host.take(leaf_slot, mode="clip")
+                if lane is not None:
                     lane = lane.take(keep)
                 retired_before = 0
                 if not rx.size or depth == limit:
@@ -479,7 +503,7 @@ def traverse_edges(
                     step *= ~at_leaf
                 slot += step
         if rx.size:  # walked past every leaf: a damaged table
-            if lane is not None:
+            if leaves is not None:
                 leaves[lane] = -1
             if walked is not None:
                 walked[depth] = rx.size
@@ -506,15 +530,23 @@ def traverse_edges(
         slot = slot.reshape(-1)
         kept = np.empty((limit, slot.size), dtype=feature.dtype)
         feats = feature.take(slot, mode="clip", out=kept[0])
+        if slots is not None:
+            slots[0] = slot
         level = 1
         while level < limit:
             went_right = flat_x.take(rx + feats, mode="clip") >= value.take(
                 slot, mode="clip"
             )
             slot = succ.take(slot + slot + went_right, mode="clip").astype(np.intp)
+            if slots is not None:
+                slots[level] = slot
             feats = feature.take(slot, mode="clip", out=kept[level])
             level += 1
         inner = kept >= 0
+        if slots is not None:
+            # A lane walks level ``d + 1`` when level ``d`` left it on an
+            # inner slot; on a leaf it steps in place and walks no further.
+            slots[1:][~inner[:-1]] = -1
         # A lane still walking at the last level claims -1 and votes
         # nothing, as in the compacting walk.
         done = (feats < 0).nonzero()[0]

@@ -5,10 +5,12 @@ A :class:`WarpGrid` fixes the query -> thread -> warp -> block mapping (query
 launch the paper uses) and provides vectorised per-step accounting of
 divergence, branches and instruction issue over the whole grid at once.
 
-Kernels drive it level-synchronously: at each traversal level they compute
-per-query addresses / branch directions with NumPy, then call
-:meth:`record_step` / :meth:`record_branch` so the counters reflect exactly
-what a lock-step SIMT execution of that level would do.
+Kernels drive it level-synchronously: they compute per-query addresses /
+branch directions with NumPy and call :meth:`record_step` /
+:meth:`record_branch` so the counters reflect exactly what a lock-step SIMT
+execution of those levels would do.  A mask is one level's lane vector or a
+(levels x lanes) matrix of a run of levels; every counter is a sum over
+warp-levels, so a matrix counts the same as its rows one by one.
 """
 
 from __future__ import annotations
@@ -34,14 +36,15 @@ class WarpGrid:
 
     # ------------------------------------------------------------------
     def _grid(self, arr: np.ndarray, fill) -> np.ndarray:
-        """Pad a per-query array to full warps and reshape (n_warps, 32)."""
+        """Pad per-query arrays (the last axis) to full warps and reshape
+        to ``(..., n_warps, 32)``."""
         arr = np.asarray(arr)
-        if arr.shape[0] != self.n:
-            raise ValueError(f"expected length {self.n}, got {arr.shape[0]}")
+        if arr.shape[-1] != self.n:
+            raise ValueError(f"expected length {self.n}, got {arr.shape[-1]}")
         if self._pad:
-            pad = np.full(self._pad, fill, dtype=arr.dtype)
-            arr = np.concatenate([arr, pad])
-        return arr.reshape(self.n_warps, self.warp_size)
+            pad = np.full(arr.shape[:-1] + (self._pad,), fill, dtype=arr.dtype)
+            arr = np.concatenate([arr, pad], axis=-1)
+        return arr.reshape(arr.shape[:-1] + (self.n_warps, self.warp_size))
 
     def launch_dims(self) -> dict:
         """Launch geometry as flat span/report args (obs timeline export)."""
@@ -54,8 +57,8 @@ class WarpGrid:
 
     # ------------------------------------------------------------------
     def active_warps(self, active: np.ndarray) -> int:
-        """Number of warps with at least one active lane."""
-        return int(self._grid(active, False).any(axis=1).sum())
+        """Number of warp-levels with at least one active lane."""
+        return int(np.count_nonzero(self._grid(active, False).any(axis=-1)))
 
     def warps_in_active_blocks(self, active: np.ndarray) -> int:
         """Warps belonging to blocks with at least one active lane.
@@ -93,14 +96,13 @@ class WarpGrid:
         active: np.ndarray,
         instructions: int = 1,
     ) -> None:
-        """Account one lock-step round: instruction issue + lane occupancy.
+        """Account lock-step rounds: instruction issue + lane occupancy.
 
         ``instructions`` is the per-warp instruction cost of the loop body at
-        this step (a kernel-specific constant; inactive lanes still occupy
+        these steps (a kernel-specific constant; inactive lanes still occupy
         their warp's issue slots — that is the divergence penalty).
         """
-        grid = self._grid(active, False)
-        warps = int(grid.any(axis=1).sum())
+        warps = self.active_warps(active)
         if warps == 0:
             return
         metrics.warp_instructions += instructions * warps
@@ -126,22 +128,22 @@ class WarpGrid:
         active: np.ndarray,
         taken: np.ndarray,
     ) -> None:
-        """Account one branch: uniform iff all *active* lanes agree.
+        """Account one branch per level: uniform iff all *active* lanes agree.
 
         This is nvprof's branch-efficiency notion: a warp-level branch
         instruction counts as divergent when its active lanes split.
         """
         A = self._grid(active, False)
         T = self._grid(taken, False)
-        warp_any = A.any(axis=1)
-        n_warps = int(warp_any.sum())
+        warp_any = A.any(axis=-1)
+        n_warps = int(np.count_nonzero(warp_any))
         if n_warps == 0:
             return
-        all_taken = (T | ~A).all(axis=1)
-        none_taken = (~T | ~A).all(axis=1)
+        all_taken = (T | ~A).all(axis=-1)
+        none_taken = (~T | ~A).all(axis=-1)
         uniform = warp_any & (all_taken | none_taken)
         metrics.branches += n_warps
-        metrics.uniform_branches += int(uniform.sum())
+        metrics.uniform_branches += int(np.count_nonzero(uniform))
 
     def record_loop_branch(
         self,
@@ -154,8 +156,4 @@ class WarpGrid:
         Uniform iff, per warp, either every previously active lane continues
         or every one exits — partial exits serialise the warp.
         """
-        self.record_branch(
-            metrics,
-            active_before,
-            np.asarray(active_after, dtype=bool),
-        )
+        self.record_branch(metrics, active_before, np.asarray(active_after, dtype=bool))

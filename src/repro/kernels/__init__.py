@@ -15,7 +15,14 @@ pipeline cost models with the paper's initiation intervals.
 
 Every kernel executes *functionally*: it really classifies the queries, and
 tests assert the predictions equal the CPU reference, so the performance
-counters are derived from genuine traversal traces.
+counters are derived from genuine traversal traces.  The traversal is one
+walk of the fastpath core (:mod:`repro.fastpath`) over the layout's
+current buffers (:mod:`repro.kernels.traversal_stats`): the FPGA kernels
+price its per-level lane counts, and the GPU CSR, independent and hybrid
+kernels (and the cuML-FIL baseline) derive every address, crossing and
+branch from the slot each query visits on each level, one tree at a time.
+The collaborative kernel keeps its block-serial step loop and records one
+level per call.
 """
 
 from importlib import import_module

@@ -15,6 +15,12 @@ the independent variant on GPU because
   critical path that other blocks cannot hide.
 
 All three effects fall out of the cost accounting here.
+
+Unlike the other GPU kernels, which count a whole tree from one fastpath
+walk, this one keeps its block-serial step loop over the subtree batches:
+it records one level per call, the one-row case of
+:meth:`~repro.gpusim.memory.CoalescingTracker.record` and the
+:class:`~repro.gpusim.engine.WarpGrid` counters.
 """
 
 from __future__ import annotations

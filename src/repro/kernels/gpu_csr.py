@@ -9,20 +9,19 @@ indirection.  Per traversal step a thread loads, from global memory:
   the two indirect topology accesses the paper identifies as the layout's
   bottleneck (two potentially irregular loads per child).
 
-All addresses are real (derived from the layout arrays), so coalescing,
-cold-miss and divergence counters come from the actual traversal trace.
+All addresses are real (derived from the layout arrays along one fastpath
+walk of each tree), so coalescing, cold-miss and divergence counters come
+from the actual traversal trace.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.forest.tree import LEAF
 from repro.gpusim.engine import WarpGrid
-from repro.gpusim.memory import CoalescingTracker
-from repro.gpusim.metrics import KernelMetrics
+from repro.gpusim.memory import CoalescingTracker, record_levels
 from repro.kernels.base import AddressSpace, GPUKernel
-from repro.kernels.traversal_stats import accumulate_votes
+from repro.kernels.traversal_stats import accumulate_votes, current_table, tree_levels
 from repro.layout.csr import CSRForest
 
 
@@ -60,47 +59,25 @@ class GPUCSRKernel(GPUKernel):
         tr_x = CoalescingTracker("X", metrics, l1_resident=True)
         self._register_sites([tr_feat, tr_val, tr_caidx, tr_ca, tr_x])
 
-        rows = np.arange(n, dtype=np.int64)
+        table = current_table(layout)
+        queries = np.arange(n, dtype=np.int64)
         for t in range(layout.n_trees):
-            base = layout.tree_node_offset[t]
-            cbase = layout.tree_children_offset[t]
-            cur = np.zeros(n, dtype=np.int64)
-            out = np.full(n, -1, dtype=np.int64)
-            active = np.ones(n, dtype=bool)
-            # Bounded walk (see accumulate_votes): a longer one loops.
-            for _ in range(layout.tree_node_offset[t + 1] - base):
-                if not np.any(active):
-                    break
-                g = base + cur
-                # Node attribute loads (masked to active lanes).
-                tr_feat.record(space.addr("feature_id", g), active)
-                tr_val.record(space.addr("value", g), active)
-                feats = np.where(active, layout.feature_id[g], 0)
-                is_leaf = active & (feats == LEAF)
-                inner = active & ~is_leaf
-                if np.any(is_leaf):
-                    out[is_leaf] = layout.value[g[is_leaf]].astype(np.int64)
-                # Inner lanes: query feature + double topology indirection.
-                if np.any(inner):
-                    f_safe = np.where(inner, feats, 0).astype(np.int64)
-                    tr_x.record(
-                        self._query_addresses(space, f_safe, rows, n_features),
-                        inner,
-                    )
-                    go_left = np.zeros(n, dtype=bool)
-                    gi = g[inner]
-                    go_left[inner] = (
-                        X[rows[inner], feats[inner]] < layout.value[gi]
-                    )
-                    tr_caidx.record(space.addr("children_arr_idx", g), inner)
-                    ci = np.zeros(n, dtype=np.int64)
-                    ci[inner] = layout.children_arr_idx[gi] + np.where(
-                        go_left[inner], 0, 1
-                    )
-                    tr_ca.record(space.addr("children_arr", cbase + ci), inner)
-                    cur[inner] = layout.children_arr[cbase + ci[inner]]
-                grid.record_step(metrics, active, self.INSTR_PER_STEP)
-                new_active = inner
-                grid.record_loop_branch(metrics, active, new_active)
-                active = new_active
-            accumulate_votes(votes, out)
+            levels = tree_levels(table, X, t, layout.feature_id, layout.value)
+            g, walking, features, inner, _ = levels
+            # Inner lanes: query feature + double topology indirection.
+            go_left = X[queries, features] < layout.value[g]
+            child = layout.children_arr_idx[g] + np.where(go_left, 0, 1)
+            record_levels([
+                (tr_feat, space.addr("feature_id", g), walking),
+                (tr_val, space.addr("value", g), walking),
+                (tr_x, self._query_addresses(space, features, queries, n_features), inner),
+                (tr_caidx, space.addr("children_arr_idx", g), inner),
+                (
+                    tr_ca,
+                    space.addr("children_arr", layout.tree_children_offset[t] + child),
+                    inner,
+                ),
+            ])
+            grid.record_step(metrics, walking, self.INSTR_PER_STEP)
+            grid.record_loop_branch(metrics, walking, inner)
+            accumulate_votes(votes, levels.labels)

@@ -17,14 +17,9 @@ stage-1 loop is uniform.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.forest.tree import EMPTY, LEAF
 from repro.gpusim.engine import WarpGrid
-from repro.gpusim.memory import CoalescingTracker
-from repro.kernels.base import AddressSpace
 from repro.kernels.gpu_independent import GPUIndependentKernel
-from repro.kernels.traversal_stats import accumulate_votes
+from repro.kernels.traversal_stats import accumulate_votes, current_table, tree_levels
 from repro.layout.hierarchical import HierarchicalForest
 
 
@@ -44,56 +39,35 @@ class GPUHybridKernel(GPUIndependentKernel):
     def _run(self, layout: HierarchicalForest, X, grid: WarpGrid, metrics, votes):
         if not isinstance(layout, HierarchicalForest):
             raise TypeError("GPUHybridKernel expects a HierarchicalForest")
-        n, n_features = X.shape
-        space = self._make_space(layout, n, n_features)
-        trackers = {
-            name: CoalescingTracker(
-                name,
-                metrics,
-                l1_resident=(name == "X"),
-                l1_hit_rate=0.0 if name == "X" else self.NODE_L1_HIT,
-            )
-            for name in (
-                "feature_id",
-                "value",
-                "subtree_node_offset",
-                "subtree_depth",
-                "connection_offset",
-                "subtree_connection",
-                "X",
-            )
-        }
+        space = self._make_space(layout, *X.shape)
+        trackers = self._make_trackers(metrics)
         self._register_sites(trackers)
-        rows = np.arange(n, dtype=np.int64)
+        table = current_table(layout)
         shared_limit = self.spec.shared_mem_per_sm
+        stage1 = slice(None, layout.params.rsd)
+        stage2 = slice(layout.params.rsd, None)
         for t in range(layout.n_trees):
-            off, size = layout.root_subtree_slots(t)
+            _, size = layout.root_subtree_slots(t)
             root_bytes = size * 8  # feature_id + value copies
             if root_bytes > shared_limit:
                 raise ValueError(
                     f"root subtree of tree {t} needs {root_bytes} B of shared "
                     f"memory but the device has {shared_limit} B; reduce RSD"
                 )
-            self._stage_root_subtree(layout, grid, metrics, space, trackers, t)
-            out, st, local, active = self._stage1(
-                layout, X, t, grid, metrics, space, trackers, rows
-            )
-            if np.any(active):
-                out = self._traverse_tree(
-                    layout, X, t, grid, metrics, space, trackers, rows,
-                    start_st=st, start_local=local, start_active=active, out=out,
-                )
-            accumulate_votes(votes, out)
+            levels = tree_levels(table, X, t, layout.feature_id, layout.value)
+            self._stage_root_subtree(grid, metrics, size)
+            self._count_stage1(layout, X, levels, stage1, grid, metrics, space, trackers)
+            self._count_global_levels(layout, X, levels, stage2, grid, metrics, space, trackers)
+            accumulate_votes(votes, levels.labels)
 
     # ------------------------------------------------------------------
-    def _stage_root_subtree(self, layout, grid, metrics, space, trackers, t):
-        """Account the cooperative load of tree ``t``'s root subtree.
+    def _stage_root_subtree(self, grid, metrics, size):
+        """Account the cooperative load of a root subtree of ``size`` slots.
 
         Every block stages its own copy: the loads are perfectly coalesced
         (adjacent lanes -> adjacent elements), the first block's traffic is
         cold (DRAM), the remaining blocks hit L2.
         """
-        off, size = layout.root_subtree_slots(t)
         txn_bytes = self.spec.transaction_bytes
         n_blocks = grid.n_blocks
         for name in ("feature_id", "value"):
@@ -116,82 +90,17 @@ class GPUHybridKernel(GPUIndependentKernel):
         grid.record_sync(metrics)
 
     # ------------------------------------------------------------------
-    def _stage1(self, layout, X, t, grid, metrics, space, trackers, rows):
-        """Lock-step traversal of the root subtree out of shared memory.
-
-        Returns ``(out, st, local, active)`` where ``active`` marks queries
-        that crossed into stage 2 with their start states.
-        """
-        n, n_features = X.shape
-        st_root = int(layout.tree_root_subtree[t])
-        base = int(layout.subtree_node_offset[st_root])
-        sd = int(layout.subtree_depth[st_root])
-        frontier_start = (1 << (sd - 1)) - 1
-
-        local = np.zeros(n, dtype=np.int64)
-        out = np.full(n, -1, dtype=np.int64)
-        in_stage1 = np.ones(n, dtype=bool)
-        next_st = np.zeros(n, dtype=np.int64)
-        crossed = np.zeros(n, dtype=bool)
-
-        for _level in range(sd):
-            if not np.any(in_stage1):
-                break
-            g = base + local
-            # Two shared-memory node loads per active warp-step.
-            metrics.shared_load_requests += 2 * grid.active_warps(in_stage1)
-            feats = np.where(in_stage1, layout.feature_id[g], EMPTY)
-            is_leaf = in_stage1 & (feats == LEAF)
-            inner = in_stage1 & ~is_leaf
-            if np.any(is_leaf):
-                out[is_leaf] = layout.value[g[is_leaf]].astype(np.int64)
-            go_right = np.zeros(n, dtype=bool)
-            if np.any(inner):
-                f_safe = np.where(inner, feats, 0).astype(np.int64)
-                trackers["X"].record(
-                    self._query_addresses(space, f_safe, rows, n_features), inner
-                )
-                gi = g[inner]
-                go_right[inner] = X[rows[inner], feats[inner]] >= layout.value[gi]
-            # Frontier inner lanes cross to stage 2 (connection arrays are
-            # in global memory, as in the independent kernel).
-            crossing = inner & (local >= frontier_start)
-            stay = inner & ~crossing
-            if np.any(crossing):
-                rank = local[crossing] - frontier_start
-                cidx = np.zeros(n, dtype=np.int64)
-                cidx[crossing] = (
-                    layout.connection_offset[st_root]
-                    + 2 * rank
-                    + go_right[crossing]
-                )
-                trackers["connection_offset"].record(
-                    space.addr(
-                        "connection_offset", np.full(n, st_root, dtype=np.int64)
-                    ),
-                    crossing,
-                )
-                trackers["subtree_connection"].record(
-                    space.addr("subtree_connection", cidx), crossing
-                )
-                nxt = layout.subtree_connection[cidx[crossing]].astype(np.int64)
-                next_st[crossing] = nxt
-                crossed |= crossing
-                trackers["subtree_node_offset"].record(
-                    space.addr("subtree_node_offset", next_st), crossing
-                )
-                trackers["subtree_depth"].record(
-                    space.addr("subtree_depth", next_st), crossing
-                )
-                grid.record_step(metrics, crossing, self.INSTR_PER_CROSS)
-            local[stay] = 2 * local[stay] + 1 + go_right[stay]
-            grid.record_step(metrics, in_stage1, self.INSTR_PER_STEP_S1)
-            # Fixed-trip-count level loop -> uniform loop branch.
-            warps = grid.active_warps(in_stage1)
-            metrics.branches += warps
-            metrics.uniform_branches += warps
-            in_stage1 = stay
-
-        st = np.where(crossed, next_st, 0).astype(np.int64)
-        local_out = np.zeros(n, dtype=np.int64)
-        return out, st, local_out, crossed
+    def _count_stage1(self, layout, X, levels, rows, grid, metrics, space, trackers):
+        """Count the root-subtree levels ``rows`` of one tree's walk: node
+        attributes come from shared memory (two shared load requests per
+        active warp-level), the rest as in the independent kernel.  The
+        level loop has a fixed trip count, so its branch is uniform, and no
+        crossing check diverges."""
+        walking = levels.walking[rows]
+        warps = grid.active_warps(walking)
+        metrics.shared_load_requests += 2 * warps
+        crossing = self._record_loads(layout, X, levels, rows, space, trackers, nodes=False)
+        grid.record_step(metrics, crossing, self.INSTR_PER_CROSS)
+        grid.record_step(metrics, walking, self.INSTR_PER_STEP_S1)
+        metrics.branches += warps
+        metrics.uniform_branches += warps

@@ -11,14 +11,19 @@ instead of two per *node*).
 
 from __future__ import annotations
 
+from typing import Dict
+
 import numpy as np
 
-from repro.forest.tree import EMPTY, LEAF
 from repro.gpusim.engine import WarpGrid
-from repro.gpusim.memory import CoalescingTracker
-from repro.gpusim.metrics import KernelMetrics
+from repro.gpusim.memory import CoalescingTracker, record_levels
 from repro.kernels.base import AddressSpace, GPUKernel
-from repro.kernels.traversal_stats import accumulate_votes
+from repro.kernels.traversal_stats import (
+    TreeLevels,
+    accumulate_votes,
+    current_table,
+    tree_levels,
+)
 from repro.layout.hierarchical import HierarchicalForest
 
 
@@ -52,133 +57,97 @@ class GPUIndependentKernel(GPUKernel):
         space.alloc("X", n * n_features, 4)
         return space
 
-    def _run(self, layout: HierarchicalForest, X, grid: WarpGrid, metrics, votes):
-        if not isinstance(layout, HierarchicalForest):
-            raise TypeError("GPUIndependentKernel expects a HierarchicalForest")
-        n, n_features = X.shape
-        space = self._make_space(layout, n, n_features)
-        trackers = {
+    def _make_trackers(self, metrics) -> Dict[str, CoalescingTracker]:
+        sites = ("feature_id", "value", "subtree_node_offset", "subtree_depth")
+        sites += ("connection_offset", "subtree_connection", "X")
+        return {
             name: CoalescingTracker(
                 name,
                 metrics,
                 l1_resident=(name == "X"),
                 l1_hit_rate=0.0 if name == "X" else self.NODE_L1_HIT,
             )
-            for name in (
-                "feature_id",
-                "value",
-                "subtree_node_offset",
-                "subtree_depth",
-                "connection_offset",
-                "subtree_connection",
-                "X",
-            )
+            for name in sites
         }
+
+    def _run(self, layout: HierarchicalForest, X, grid: WarpGrid, metrics, votes):
+        if not isinstance(layout, HierarchicalForest):
+            raise TypeError("GPUIndependentKernel expects a HierarchicalForest")
+        space = self._make_space(layout, *X.shape)
+        trackers = self._make_trackers(metrics)
         self._register_sites(trackers)
-        rows = np.arange(n, dtype=np.int64)
+        table = current_table(layout)
         for t in range(layout.n_trees):
-            out = self._traverse_tree(
-                layout, X, t, grid, metrics, space, trackers, rows,
+            levels = tree_levels(table, X, t, layout.feature_id, layout.value)
+            self._count_global_levels(
+                layout, X, levels, slice(None), grid, metrics, space, trackers
             )
-            accumulate_votes(votes, out)
+            accumulate_votes(votes, levels.labels)
 
     # ------------------------------------------------------------------
-    def _traverse_tree(
-        self, layout, X, t, grid, metrics, space, trackers, rows,
-        start_st=None, start_local=None, start_active=None, out=None,
-        stage1_uniform=False, node_trackers=None,
-    ):
-        """Instrumented lock-step traversal of one tree.
+    @staticmethod
+    def _crossings(layout, X, levels: TreeLevels, rows: slice):
+        """Subtree crossings on the levels ``rows`` of one tree's walk.
 
-        The hybrid kernel reuses this loop for its stage 2 by passing
-        explicit start states and (for stage 1) shared-memory node trackers.
+        Returns ``(crossing, st, cidx, nxt)``: whether each lane leaves its
+        subtree on that level and, for crossing lanes (0 elsewhere), its
+        subtree, the ``subtree_connection`` index it reads and the child
+        subtree it lands in.  Subtree roots sit at depths 0, RSD, RSD + SD,
+        ..., so an inner lane crosses exactly on the level above the next
+        of them, from its subtree's frontier (the lowering checks every
+        subtree's depth against the layout's RSD and SD).
         """
-        n = X.shape[0]
-        n_features = X.shape[1]
-        st = (
-            np.full(n, layout.tree_root_subtree[t], dtype=np.int64)
-            if start_st is None
-            else start_st
+        rsd, sd = layout.params.rsd, layout.params.sd
+        depth = np.arange(levels.slot.shape[0], dtype=np.int64)[rows]
+        hops = np.where(depth < rsd, depth == rsd - 1, (depth - rsd) % sd == sd - 1)
+        crossing = levels.inner[rows] & hops[:, None]
+        g = levels.slot[rows][crossing]
+        node_off = layout.subtree_node_offset
+        st = np.searchsorted(node_off, g, side="right") - 1
+        frontier_start = (np.int64(1) << (layout.subtree_depth[st].astype(np.int64) - 1)) - 1
+        q = crossing.nonzero()[1]
+        go_right = X[q, levels.feature[rows][crossing]] >= layout.value[g]
+        cidx = layout.connection_offset[st] + 2 * (g - node_off[st] - frontier_start) + go_right
+        out = np.zeros((3,) + crossing.shape, dtype=np.int64)
+        out[:, crossing] = st, cidx, layout.subtree_connection[cidx]
+        return (crossing, *out)
+
+    def _record_loads(self, layout, X, levels, rows, space, trackers, nodes=True):
+        """Record the global loads of the levels ``rows`` of one tree's walk.
+
+        Per level, every walking lane loads its node's attributes (unless
+        ``nodes`` is false: the hybrid's stage 1 reads them from shared
+        memory), an inner lane its query feature, and a lane leaving its
+        subtree the connection arrays and then the new subtree's base
+        offset and depth.  Returns the crossing mask.
+        """
+        crossing, st, cidx, nxt = self._crossings(layout, X, levels, rows)
+        walking, inner = levels.walking[rows], levels.inner[rows]
+        streams = {
+            "feature_id": (levels.slot[rows], walking),
+            "value": (levels.slot[rows], walking),
+            "X": (np.arange(X.shape[0], dtype=np.int64) * X.shape[1] + levels.feature[rows], inner),
+            "connection_offset": (st, crossing),
+            "subtree_connection": (cidx, crossing),
+            "subtree_node_offset": (nxt, crossing),
+            "subtree_depth": (nxt, crossing),
+        }
+        order = list(streams)[0 if nodes else 2 :]
+        record_levels(
+            [(trackers[k], space.addr(k, streams[k][0]), streams[k][1]) for k in order]
         )
-        local = np.zeros(n, dtype=np.int64) if start_local is None else start_local
-        active = np.ones(n, dtype=bool) if start_active is None else start_active
-        if out is None:
-            out = np.full(n, -1, dtype=np.int64)
-        tr = trackers
+        return crossing
 
-        # Bounded walk (see accumulate_votes): a longer one loops.
-        for _ in range(layout.tree_slots(t)):
-            if not np.any(active):
-                break
-            g = layout.subtree_node_offset[st] + local
-            if node_trackers is None:
-                tr["feature_id"].record(space.addr("feature_id", g), active)
-                tr["value"].record(space.addr("value", g), active)
-            else:
-                # Stage 1 of the hybrid kernel: node attributes come from
-                # shared memory (two shared load requests per warp-step).
-                node_trackers(grid, metrics, active)
-            feats = np.where(active, layout.feature_id[g], EMPTY)
-            is_leaf = active & (feats == LEAF)
-            inner = active & ~is_leaf
-            if np.any(is_leaf):
-                out[is_leaf] = layout.value[g[is_leaf]].astype(np.int64)
-            go_right = np.zeros(n, dtype=bool)
-            if np.any(inner):
-                f_safe = np.where(inner, feats, 0).astype(np.int64)
-                tr["X"].record(
-                    self._query_addresses(space, f_safe, rows, n_features), inner
-                )
-                gi = g[inner]
-                # The left/right select compiles to predication on real
-                # hardware, so it is not counted as a branch (nvprof's
-                # branch_efficiency only sees divergent control flow).
-                go_right[inner] = X[rows[inner], feats[inner]] >= layout.value[gi]
-
-            # Split inner lanes into in-subtree steps vs subtree crossings.
-            sd = layout.subtree_depth[st]
-            frontier_start = (np.int64(1) << (sd - 1).astype(np.int64)) - 1
-            crossing = inner & (local >= frontier_start)
-            stay = inner & ~crossing
-            if np.any(stay):
-                local[stay] = 2 * local[stay] + 1 + go_right[stay]
-            if np.any(crossing):
-                rank = local[crossing] - frontier_start[crossing]
-                cidx = np.zeros(n, dtype=np.int64)
-                cidx[crossing] = (
-                    layout.connection_offset[st[crossing]]
-                    + 2 * rank
-                    + go_right[crossing]
-                )
-                tr["connection_offset"].record(
-                    space.addr("connection_offset", st), crossing
-                )
-                tr["subtree_connection"].record(
-                    space.addr("subtree_connection", cidx), crossing
-                )
-                nxt = layout.subtree_connection[cidx[crossing]].astype(np.int64)
-                st[crossing] = nxt
-                local[crossing] = 0
-                # New subtree's base offset + depth are fetched on crossing.
-                tr["subtree_node_offset"].record(
-                    space.addr("subtree_node_offset", st), crossing
-                )
-                tr["subtree_depth"].record(
-                    space.addr("subtree_depth", st), crossing
-                )
-                grid.record_step(metrics, crossing, self.INSTR_PER_CROSS)
-            if np.any(inner):
-                # The crossing check itself is a branch (divergent when some
-                # lanes cross and others stay).
-                grid.record_branch(metrics, inner, crossing)
-
-            grid.record_step(metrics, active, self.INSTR_PER_STEP)
-            if stage1_uniform:
-                # Fixed-trip-count level loop: the loop branch is uniform.
-                warps = grid.active_warps(active)
-                metrics.branches += warps
-                metrics.uniform_branches += warps
-            else:
-                grid.record_loop_branch(metrics, active, inner)
-            active = inner
-        return out
+    def _count_global_levels(self, layout, X, levels, rows, grid, metrics, space, trackers):
+        """Count the levels ``rows`` of one tree's walk through global memory
+        (the whole walk; the hybrid's stage 2).  The crossing check is a
+        branch (divergent when some lanes cross and others stay); the
+        left/right select compiles to predication on real hardware, so it is
+        not counted as one (nvprof's branch_efficiency only sees divergent
+        control flow)."""
+        crossing = self._record_loads(layout, X, levels, rows, space, trackers)
+        walking, inner = levels.walking[rows], levels.inner[rows]
+        grid.record_step(metrics, crossing, self.INSTR_PER_CROSS)
+        grid.record_branch(metrics, inner, crossing)
+        grid.record_step(metrics, walking, self.INSTR_PER_STEP)
+        grid.record_loop_branch(metrics, walking, inner)

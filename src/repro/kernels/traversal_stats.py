@@ -1,4 +1,5 @@
-"""Work-item counts for the FPGA cost models, from one walk of the fastpath core.
+"""Work-item counts for the FPGA cost models and per-level walks for the GPU
+kernels, from one walk of the fastpath core.
 
 The FPGA pipeline algebra (paper §3.2, Table 3) needs work-item counts
 rather than addresses: node visits (= inner-loop iterations), subtree
@@ -12,16 +13,22 @@ forest, and each count is a sum over it (:meth:`WorkloadProfile.from_levels`).
 An FPGA kernel prices the counts of its own walk (:func:`profile_workload`);
 the planner walks a probe sample once and prices every candidate layout's
 counts from that walk, scaled to the workload.
+
+The simulated GPU kernels need addresses, so they keep the walk itself:
+:func:`tree_levels` walks one tree and returns the slot every query visits
+on every level, from which a kernel counts a whole tree's loads, crossings
+and branches as (levels x queries) matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from repro.fastpath.engine import EdgeTable, family_module, traverse_edges
+from repro.fastpath.engine import EdgeTable, family_module, select_trees, traverse_edges
+from repro.forest.tree import LEAF
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,13 @@ def accumulate_votes(votes: np.ndarray, labels: np.ndarray) -> None:
     """Add one tree's per-query class labels into the vote table.
 
     A label of -1 marks a lane that reached no leaf, and raises.  Every
-    simulated GPU kernel bounds its walk of a tree by the tree's node
-    count from the layout's offsets: an intact walk never visits more, so
-    a lane still walking there follows damaged pointers round a loop (one
-    flipped bit of a CSR ``children_arr`` can send a node back to the
-    root).  The raise then reaches the reliability guard, which hashes the
-    layout to name the damaged tree, where an unbounded walk would hang.
+    simulated GPU kernel bounds its walk of a tree (:func:`tree_levels` by
+    the table's ``max_levels``, the collaborative kernel by each subtree's
+    slots): an intact walk never goes further, so a lane still walking
+    there follows damaged pointers round a loop (one flipped bit of a CSR
+    ``children_arr`` can send a node back to the root).  The raise then
+    reaches the reliability guard, which hashes the layout to name the
+    damaged tree, where an unbounded walk would hang.
     """
     if np.any(labels < 0):
         raise RuntimeError("traversal left some queries unclassified")
@@ -113,18 +121,65 @@ def level_counts(table: EdgeTable, X: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return preds, walking[:-1]
 
 
-def profile_workload(layout, X: np.ndarray) -> Tuple[np.ndarray, WorkloadProfile]:
-    """Classify ``X`` over ``layout`` and count the walk's work items.
+def current_table(layout) -> EdgeTable:
+    """``layout``'s *current* buffers lowered afresh, as
+    :func:`repro.layout.verify.verify_layouts` does.
 
-    The layout's *current* buffers are lowered afresh, as
-    :func:`repro.layout.verify.verify_layouts` does, so a trace-model launch
-    reads the bytes the reliability guard hashes, not the table cached at
-    build time.  The walk is bounded by the build-time table's
-    ``max_levels``.  Returns ``(predictions, counts)``.
+    Every trace-model launch walks this table, so it reads the bytes the
+    reliability guard hashes, not the table cached at build time.  The walk
+    is bounded by the build-time table's ``max_levels``, and a query matrix
+    is checked against its ``max_feature``: a damaged feature id fails a
+    launch only where a query reaches it, as the layout's own read would.
     """
-    table = replace(
+    built = layout._fastpath_edges
+    return replace(
         family_module(layout).build_edges(layout),
-        max_levels=layout._fastpath_edges.max_levels,
+        max_levels=built.max_levels,
+        max_feature=built.max_feature,
     )
-    preds, walking = level_counts(table, X)
+
+
+def profile_workload(layout, X: np.ndarray) -> Tuple[np.ndarray, WorkloadProfile]:
+    """Classify ``X`` over ``layout`` (:func:`current_table`) and count the
+    walk's work items.  Returns ``(predictions, counts)``."""
+    preds, walking = level_counts(current_table(layout), X)
     return preds, WorkloadProfile.from_levels(walking, X.shape[0], layout)
+
+
+class TreeLevels(NamedTuple):
+    """One tree's walk of a query set, as (levels x queries) matrices."""
+
+    #: The slot each query visits on each level (0 where it walks none).
+    slot: np.ndarray
+    #: Whether the query walks the level.
+    walking: np.ndarray
+    #: The split's feature id where ``inner``, 0 elsewhere (a query column
+    #: every lane may read).
+    feature: np.ndarray
+    #: Walking on a split node: the query walks the next level too.
+    inner: np.ndarray
+    #: Each query's leaf label, -1 where it reached no leaf.
+    labels: np.ndarray
+
+
+def tree_levels(table: EdgeTable, X: np.ndarray, tree: int, feature, value) -> TreeLevels:
+    """Walk ``tree`` of ``table`` (:func:`current_table`) for every row of ``X``.
+
+    ``feature`` and ``value`` are the layout's node arrays in the table's
+    slot numbering: a query on a slot whose ``feature`` is ``LEAF`` takes
+    its label from ``value`` there, as a kernel reads it, and a query on a
+    split of a feature ``X`` lacks raises ``IndexError``.  Memory stays at
+    one tree's ``max_levels x queries`` matrices.
+    """
+    slots = np.empty((table.max_levels, X.shape[0]), dtype=np.int64)
+    traverse_edges(select_trees(table, [tree]), X, slots=slots)
+    walking = slots >= 0
+    slot = np.where(walking, slots, 0)
+    feats = feature[slot]
+    leaf = walking & (feats == LEAF)
+    if np.any((feats >= X.shape[1]) & walking):
+        raise IndexError("a query reached a split on a feature it lacks")
+    labels = np.full(X.shape[0], -1, dtype=np.int64)
+    labels[leaf.nonzero()[1]] = value[slot[leaf]].astype(np.int64)
+    inner = walking & ~leaf
+    return TreeLevels(slot, walking, np.where(inner, feats, 0), inner, labels)

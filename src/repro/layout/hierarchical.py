@@ -213,11 +213,6 @@ class HierarchicalForest:
             return first, int(self.tree_root_subtree[tree + 1])
         return first, self.n_subtrees
 
-    def tree_slots(self, tree: int) -> int:
-        """Slots of ``tree``'s subtrees: no walk of the intact tree is longer."""
-        first, last = self.tree_subtrees(tree)
-        return int(self.subtree_node_offset[last] - self.subtree_node_offset[first])
-
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------

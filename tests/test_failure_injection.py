@@ -134,3 +134,55 @@ class TestCSRCorruption:
         csr.feature_id[0] = 99
         with pytest.raises(ValueError, match="feature_id"):
             csr.validate(small_trees)
+
+
+class TestTraceKernelDamageIsLazy:
+    """A trace kernel walks the layout's current buffers: damage that no
+    query reaches changes no answer, and damage a query reaches fails the
+    launch, as the layout's own read would."""
+
+    @staticmethod
+    def _visited(layout, X):
+        from repro.fastpath.engine import traverse_edges
+
+        table = layout._fastpath_edges
+        slots = np.empty((table.max_levels, X.shape[0] * len(table.roots)), np.int64)
+        traverse_edges(table, X, slots=slots)
+        return np.unique(slots[slots >= 0])
+
+    @pytest.mark.parametrize(
+        "family,damage",
+        [
+            ("csr", lambda lay, g: lay.children_arr_idx.__setitem__(g, 10**6)),
+            ("hier", lambda lay, g: lay.feature_id.__setitem__(g, 2**30)),
+        ],
+        ids=["csr-children-index", "hier-feature-id"],
+    )
+    def test_unreached_damage_serves_reached_damage_fails(
+        self, small_trees, queries, family, damage
+    ):
+        from repro.baselines.cpu_reference import reference_predict
+        from repro.kernels import GPUCSRKernel, GPUIndependentKernel
+
+        X = queries[:64]
+        kernel = GPUCSRKernel() if family == "csr" else GPUIndependentKernel()
+
+        def fresh():
+            if family == "csr":
+                return CSRForest.from_trees(small_trees)
+            return HierarchicalForest.from_trees(small_trees, LayoutParams(4))
+
+        layout = fresh()
+        features = layout.feature_id
+        visited = self._visited(layout, X)
+        inner = np.flatnonzero(features >= 0)
+        unreached = np.setdiff1d(inner, visited)
+        reached = np.intersect1d(inner, visited)
+        assert unreached.size and reached.size
+        damage(layout, unreached[0])
+        res = kernel.run(layout, X)
+        assert np.array_equal(res.predictions, reference_predict(small_trees, X))
+        layout = fresh()
+        damage(layout, reached[0])
+        with pytest.raises(IndexError):
+            kernel.run(layout, X)

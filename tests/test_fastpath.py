@@ -260,6 +260,23 @@ def host_leaf_depths(trees, X):
     return np.stack([tree.depth[nodes[:, t]] for t, tree in enumerate(trees)], axis=1)
 
 
+def host_level_nodes(trees, X, levels):
+    """Stacked host node each ``(row, tree)`` lane visits on each level, -1
+    on the levels below its leaf, ``(levels, rows * trees)``."""
+    offsets = np.cumsum([0] + [t.n_nodes for t in trees])
+    out = np.full((levels, X.shape[0], len(trees)), -1, dtype=np.int64)
+    for t, tree in enumerate(trees):
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        rows = np.arange(X.shape[0])
+        for d in range(levels):
+            out[d, rows, t] = offsets[t] + node[rows]
+            rows = rows[tree.feature[node[rows]] != LEAF]
+            n = node[rows]
+            right = ~(X[rows, tree.feature[n]] < tree.threshold[n])
+            node[rows] = np.where(right, tree.right_child[n], tree.left_child[n])
+    return out.reshape(levels, -1)
+
+
 COUNTER_CASES = [
     ("hier", "float32"),
     ("hier", "int8"),
@@ -319,6 +336,47 @@ class TestWorkCounters:
             assert walking.sum() == lane_levels
         with pytest.raises(ValueError, match="walking must hold"):
             traverse_edges(table, queries, walking=np.zeros(3, dtype=np.int64))
+
+    @pytest.mark.parametrize("family", ["hier", "csr", "fil"])
+    def test_slots_follow_the_host_walk(self, small_trees, queries, family):
+        """Row ``d`` of ``slots`` holds the slot each lane visits on level
+        ``d`` and -1 where it walks none, in a flat walk, one compacting
+        block and several threaded blocks, over all trees or one; asking
+        for it changes no other output."""
+        table = _family_layout(family, small_trees, "float32")._fastpath_edges
+        slot_of = np.full(sum(t.n_nodes for t in small_trees) + 1, -1, dtype=np.int64)
+        mapped = np.flatnonzero(table.host >= 0)
+        slot_of[table.host[mapped]] = mapped  # slot_of[-1] stays -1
+        wide = np.random.default_rng(11).standard_normal(
+            (FASTPATH_CHUNK_LANES // len(small_trees) + 300, queries.shape[1])
+        ).astype(np.float32)
+        walks = []
+        for X in (queries[:100], queries, wide):
+            for keep in (None, [3]):
+                sub = select_trees(table, keep)
+                lanes = X.shape[0] * sub.roots.shape[0]
+                walks.append((engine.walks_flat(sub, lanes), -(-lanes // FASTPATH_CHUNK_LANES)))
+                slots = np.full((table.max_levels, lanes), -7, dtype=np.int64)
+                walking = np.zeros(table.max_levels + 1, dtype=np.int64)
+                leaves = np.empty(lanes, dtype=np.int32)
+                got = traverse_edges(sub, X, leaves=leaves, walking=walking, slots=slots)
+                trees = small_trees if keep is None else [small_trees[t] for t in keep]
+                nodes = host_level_nodes(trees, X, table.max_levels)
+                if keep is not None:
+                    nodes[nodes >= 0] += sum(t.n_nodes for t in small_trees[: keep[0]])
+                assert np.array_equal(slots, slot_of[nodes])
+                assert np.array_equal(walking[:-1], np.count_nonzero(slots >= 0, axis=1))
+                plain_walking = np.zeros_like(walking)
+                plain_leaves = np.empty_like(leaves)
+                plain = traverse_edges(sub, X, leaves=plain_leaves, walking=plain_walking)
+                assert np.array_equal(got[0], plain[0]) and got[1:] == plain[1:]
+                assert np.array_equal(leaves, plain_leaves)
+                assert np.array_equal(walking, plain_walking)
+        # Flat, one compacting block and two blocks all ran.
+        assert {w[0] for w in walks} == {True, False}
+        assert max(w[1] for w in walks) == 2
+        with pytest.raises(ValueError, match="slots must hold"):
+            traverse_edges(table, queries, slots=np.zeros((2, 3), dtype=np.int64))
 
     def test_zero_selected_trees_terminate(self, small_trees, queries):
         table = CSRForest.from_trees(small_trees)._fastpath_edges

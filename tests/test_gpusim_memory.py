@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.gpusim.memory import CoalescingTracker, warp_transactions, _isin_sorted
+from repro.gpusim.memory import CoalescingTracker, record_levels, warp_transactions
 from repro.gpusim.metrics import KernelMetrics
+from repro.gpusim.trace import TraceLog
 
 
 class TestWarpTransactions:
@@ -69,17 +72,6 @@ class TestWarpTransactions:
             warp_transactions(np.arange(32), np.ones(31, bool))
 
 
-class TestIsinSorted:
-    def test_basic(self):
-        hay = np.array([1, 3, 5, 7])
-        out = _isin_sorted(np.array([0, 3, 5, 8]), hay)
-        assert out.tolist() == [False, True, True, False]
-
-    def test_empty_haystack(self):
-        out = _isin_sorted(np.array([1, 2]), np.empty(0, dtype=np.int64))
-        assert not out.any()
-
-
 class TestCoalescingTracker:
     def test_cold_counted_once(self):
         m = KernelMetrics()
@@ -133,3 +125,84 @@ class TestCoalescingTracker:
         assert tr.footprint_bytes == 0
         tr.record(np.arange(64) * 4)
         assert tr.footprint_bytes == 256
+
+
+def _sites(metrics):
+    """One site of each accounting kind: plain, issue-cost and L1-hit
+    discounted, and L1-resident."""
+    return [
+        CoalescingTracker("plain", metrics),
+        CoalescingTracker("chase", metrics, issue_cost=2.5, l1_hit_rate=0.1),
+        CoalescingTracker("x", metrics, l1_resident=True),
+    ]
+
+
+def _site_state(tracker):
+    return (
+        tracker.requests,
+        tracker.transactions,
+        tracker.cold_transactions,
+        tracker.footprint_bytes,
+    )
+
+
+def _trace_state(trace):
+    return [(site, segs.dtype, segs.tolist()) for site, segs in trace.events]
+
+
+class TestLevelMatrix:
+    """Recording a (levels x lanes) matrix per site is recording its rows
+    one by one, site by site within a row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.integers(1, 6),
+        lanes=st.integers(1, 100),
+        calls=st.integers(1, 3),
+        span=st.sampled_from([256, 4096, 1 << 20]),
+    )
+    def test_matrix_equals_rows(self, seed, levels, lanes, calls, span):
+        rng = np.random.default_rng(seed)
+        whole, rowwise = KernelMetrics(), KernelMetrics()
+        whole.trace, rowwise.trace = TraceLog(), TraceLog()
+        whole_sites, row_sites = _sites(whole), _sites(rowwise)
+        for _ in range(calls):
+            streams = [
+                (
+                    rng.integers(0, span, size=(levels, lanes)),
+                    rng.random((levels, lanes)) < rng.random(),
+                )
+                for _ in whole_sites
+            ]
+            record_levels(
+                [(tr, a, m) for tr, (a, m) in zip(whole_sites, streams)]
+            )
+            for level in range(levels):
+                for tr, (a, m) in zip(row_sites, streams):
+                    tr.record(a[level], m[level])
+        assert whole == rowwise
+        assert whole.issue_weighted_transactions == rowwise.issue_weighted_transactions
+        assert [_site_state(t) for t in whole_sites] == [
+            _site_state(t) for t in row_sites
+        ]
+        assert _trace_state(whole.trace) == _trace_state(rowwise.trace)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), lanes=st.integers(1, 100))
+    def test_row_matches_coalescing_rule(self, seed, lanes):
+        """One recorded row counts what warp_transactions counts, and its
+        cold segments are its distinct segments."""
+        rng = np.random.default_rng(seed)
+        addrs = rng.integers(0, 1 << 16, size=lanes)
+        active = rng.random(lanes) < 0.7
+        m = KernelMetrics()
+        m.trace = TraceLog()
+        tr = CoalescingTracker("a", m)
+        tr.record(addrs, active)
+        req, txn, uniq = warp_transactions(addrs, active)
+        assert (tr.requests, tr.transactions) == (req, txn)
+        assert tr.cold_transactions == uniq.size
+        assert _trace_state(m.trace) == (
+            [("a", uniq.dtype, uniq.tolist())] if req else []
+        )
