@@ -19,6 +19,7 @@ from repro.datasets.synthetic import (
     train_test_split_half,
 )
 from repro.forest.random_forest import RandomForestClassifier
+from repro.utils.validation import array_crc32
 
 
 class TestTeacherTree:
@@ -136,6 +137,69 @@ class TestProfiles:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             load_dataset("mnist")
+
+
+class TestPinnedStreams:
+    """The generators' output, byte for byte.
+
+    Cached forests, golden layout digests and the SLO baseline all derive
+    from these arrays, so a generator rewrite must keep every draw.  Each
+    entry is ``(shape, dtype, CRC32)`` of one returned array.
+    """
+
+    DATASETS = {
+        ("covertype", 100_000, 0): (
+            ((50000, 54), "<f4", 1550208736),
+            ((50000,), "<i8", 4246503887),
+            ((50000, 54), "<f4", 2598093373),
+            ((50000,), "<i8", 69051389),
+        ),
+        ("susy", 4_000, 0): (
+            ((2000, 18), "<f4", 2518341212),
+            ((2000,), "<i8", 2899290654),
+            ((2000, 18), "<f4", 2284414636),
+            ((2000,), "<i8", 2890546926),
+        ),
+        ("susy", 12_000, 7): (
+            ((6000, 18), "<f4", 3022322364),
+            ((6000,), "<i8", 2492272929),
+            ((6000, 18), "<f4", 2892254117),
+            ((6000,), "<i8", 2125657662),
+        ),
+        ("higgs", 40_000, 0): (
+            ((20000, 28), "<f4", 1384925516),
+            ((20000,), "<i8", 121250564),
+            ((20000, 28), "<f4", 4159101857),
+            ((20000,), "<i8", 999491627),
+        ),
+    }
+
+    @staticmethod
+    def _pin(a):
+        return (a.shape, a.dtype.str, array_crc32(a))
+
+    @pytest.mark.parametrize("case", sorted(DATASETS), ids=lambda c: "-".join(map(str, c)))
+    def test_load_dataset(self, case):
+        name, rows, seed = case
+        ds = load_dataset(name, rows=rows, seed=seed, source="synthetic")
+        got = tuple(
+            self._pin(a) for a in (ds.X_train, ds.y_train, ds.X_test, ds.y_test)
+        )
+        assert got == self.DATASETS[case]
+
+    def test_multiclass_refiner(self):
+        X, y = make_forest_classification(3000, 10, n_classes=3, seed=5)
+        assert self._pin(X) == ((3000, 10), "<f4", 3372957829)
+        assert self._pin(y) == ((3000,), "<i8", 3155481684)
+
+    def test_teacher_trees(self):
+        crc, nodes = 0, 0
+        for seed in range(20):
+            t = make_teacher_tree(seed, n_features=20, n_informative=8, depth=14)
+            for a in (t.feature, t.threshold, t.left_child, t.right_child, t.value, t.depth):
+                crc = array_crc32(a, crc)
+            nodes += t.n_nodes
+        assert (crc, nodes) == (1013819320, 96650)
 
 
 class TestSyntheticForest:
