@@ -1,13 +1,16 @@
-"""Cold-start layout build: per-stage wall time and golden digests.
+"""Cold start: per-stage wall time and golden layout digests.
 
 For each of the six checked-in forests (``.cache/forests``) under
 SD4/RSD10 and the float32 codec serving uses, records the median wall
-time of every stage of ``HierarchicalForest.from_trees`` — fill (stack
-the trees and pack the subtrees), quantize (the identity under float32),
-integrity (CRC32 digests) and lower (the fastpath edge table) — next to
-the whole build, the FIL baseline build and the build's tracemalloc
-peak, and writes them to ``BENCH_layout.json``.  Wall times depend on
-the host, so nothing gates on them.
+time of every stage a serving cold start runs over a cached forest —
+load_forest (read, checksum and decode the ``.npz``), then the stages of
+``HierarchicalForest.from_trees``: fill (stack the trees and pack the
+subtrees), quantize (the identity under float32), integrity (CRC32
+digests) and lower (the fastpath edge table), then leaf_boxes (the
+certificate's bounds table over the same stack) — next to the whole
+build, the FIL baseline build and the build's tracemalloc peak, and
+writes them to ``BENCH_layout.json``.  Wall times depend on the host, so
+nothing gates on them.
 
 ``tests/data/hier_layout_golden.json`` pins, for each of the six
 ``.cache/forests`` entries, the byte digests
@@ -34,6 +37,7 @@ import tracemalloc
 
 import numpy as np
 
+from repro.baselines.cpu_reference import leaf_boxes
 from repro.baselines.cuml_fil import FILForest
 from repro.fastpath.engine import lower
 from repro.forest.io import load_forest
@@ -54,7 +58,16 @@ BENCH_PATH = os.path.join(REPO, "BENCH_layout.json")
 GOLDEN_PARAMS = ((4, 10), (8, 8), (5, 2))
 #: Layout shape the stage timings use.
 BENCH_PARAMS = LayoutParams(4, 10)
-STAGES = ("fill", "quantize", "integrity", "lower", "from_trees", "fil")
+STAGES = (
+    "load_forest",
+    "fill",
+    "quantize",
+    "integrity",
+    "lower",
+    "leaf_boxes",
+    "from_trees",
+    "fil",
+)
 
 
 #: The tracked forest cache entries, sorted by file name.  Named rather
@@ -103,12 +116,16 @@ def golden_digests():
     return {"hier": hier, "fil": fil}
 
 
-def staged_build(trees, params):
-    """Run ``HierarchicalForest.from_trees`` stage by stage (float32 codec).
+def staged_cold_start(path, params):
+    """Load the forest at ``path`` and build its layout stage by stage.
 
-    Returns ``(layout, {stage: seconds})`` for the four build stages.
+    The build is ``HierarchicalForest.from_trees`` (float32 codec) cut
+    into its stages; ``leaf_boxes`` then runs over the same stack, as a
+    serving session does.  Returns ``(trees, layout, {stage: seconds})``.
     """
     sw = Stopwatch()
+    trees = load_forest(path).trees_
+    load = sw.restart()
     stack = stack_trees(trees)
     arrays = _pack_subtrees(stack, params)
     fill = sw.restart()
@@ -126,19 +143,25 @@ def staged_build(trees, params):
     attach_integrity(layout)
     integrity = sw.restart()
     lower(layout, stack)
-    return layout, {
+    lowered = sw.restart()
+    leaf_boxes(stack)
+    return trees, layout, {
+        "load_forest": load,
         "fill": fill,
         "quantize": quantize,
         "integrity": integrity,
-        "lower": sw.restart(),
+        "lower": lowered,
+        "leaf_boxes": sw.restart(),
     }
 
 
-def stage_timings(trees, repeats):
+def stage_timings(name, repeats):
     """Median milliseconds per stage, plus the build's tracemalloc peak."""
     samples = {stage: [] for stage in STAGES}
     for i in range(repeats):
-        layout, times = staged_build(trees, BENCH_PARAMS)
+        trees, layout, times = staged_cold_start(
+            os.path.join(FOREST_DIR, name), BENCH_PARAMS
+        )
         sw = Stopwatch()
         whole = HierarchicalForest.from_trees(trees, BENCH_PARAMS)
         times["from_trees"] = sw.restart()
@@ -202,10 +225,7 @@ def main(argv=None) -> int:
         n = len(payload["hier"]) + len(payload["fil"])
         print(f"golden digests: {n} layouts match")
 
-    results = {
-        name: stage_timings(load_trees(name), args.repeats)
-        for name in forest_names()
-    }
+    results = {name: stage_timings(name, args.repeats) for name in forest_names()}
     cols = [f"{stage}_ms" for stage in STAGES] + ["from_trees_peak_mb"]
     print(
         format_table(

@@ -30,6 +30,9 @@ from repro.forest.tree import LEAF, DecisionTree
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_in_range, check_positive_int
 
+#: The bias walk's step signs, indexed by one ``integers(0, 2)`` draw.
+_SIGNS = (-1.0, 1.0)
+
 
 def make_teacher_tree(
     rng,
@@ -50,10 +53,22 @@ def make_teacher_tree(
     probability ``branch_prob``, so the tree is sparse (a complete depth-20
     teacher would need 2M nodes) and, as in real data, only part of the
     feature space carries deep structure.
+
+    The draw order is a contract: every cached forest, golden layout
+    digest and the SLO baseline derive from this stream, pinned by
+    ``tests/test_datasets.py::TestPinnedStreams``.  Per node, depth-first
+    with the right child popped first: a ``random()`` branch draw past
+    ``min_depth``; at a leaf, a ``random()`` tie-break only when the bias
+    is exactly 0; at a split, one ``random()`` searched (``side="right"``)
+    in the normalised cumulative box widths picks the feature, which is
+    the draw ``rng.choice(n, p=widths / widths.sum())`` makes, then a
+    ``uniform(0.35, 0.65)`` threshold fraction and an ``integers(0, 2)``
+    step sign, the draw of ``rng.choice([-1.0, 1.0])``.
     """
     rng = as_rng(rng)
     n_informative = min(n_informative, n_features)
     info = rng.permutation(n_features)[:n_informative]
+    inv_cdf = NormalDist().inv_cdf
 
     feature, threshold, left, right, value, depths = [], [], [], [], [], []
 
@@ -88,18 +103,18 @@ def make_teacher_tree(
         # Pick the informative feature with the widest remaining box to keep
         # regions from collapsing, with some randomness.
         widths = hi - lo
-        probs = widths / widths.sum()
-        j = int(rng.choice(n_informative, p=probs))
+        cdf = (widths / widths.sum()).cumsum()
+        j = int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
         span = hi[j] - lo[j]
         u = lo[j] + span * rng.uniform(0.35, 0.65)
         feature[node] = int(info[j])
-        threshold[node] = NormalDist().inv_cdf(u)
+        threshold[node] = inv_cdf(u)
         value[node] = -1
         l = add_node(d + 1)
         r = add_node(d + 1)
         left[node], right[node] = l, r
         step = signal_decay**d
-        delta = step * rng.choice([-1.0, 1.0])
+        delta = step * _SIGNS[rng.integers(0, 2)]
         lo_l, hi_l = lo.copy(), hi.copy()
         hi_l[j] = u
         lo_r, hi_r = lo.copy(), hi.copy()

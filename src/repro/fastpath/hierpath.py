@@ -32,32 +32,36 @@ FAMILY = "hier"
 __all__ = ["FAMILY", "build_edges", "traverse_edges"]
 
 
-def _targets(layout, node_off, owner, local, frontier_start, crossing, go):
-    """Global successor slot of every inner slot for one branch direction.
+def _targets(layout, node_off, owner, local, frontier_start, crossing):
+    """Global successor slots of every inner slot, ``[:, went_right]``.
 
-    Raises ``RuntimeError`` when a successor would leave the tree: an
-    in-subtree step onto padding, or a frontier hop through an absent
-    connection.  A clean layout never has either; a damaged one must not
-    be lowered into a table that walks out of bounds or votes from a
-    padding slot.
+    Both branch directions are filled in one pass over the in-subtree and
+    the crossing selections.  Raises ``RuntimeError`` when a successor
+    would leave the tree: an in-subtree step onto padding, or a frontier
+    hop through an absent connection.  A clean layout never has either; a
+    damaged one must not be lowered into a table that walks out of bounds
+    or votes from a padding slot.
     """
-    tgt = np.empty(local.shape[0], dtype=np.int64)
-    st = owner[~crossing]
-    child = (2 * local + 1 + go)[~crossing]
-    inside = child < np.diff(node_off)[st]
-    child_slot = node_off[st] + np.where(inside, child, 0)
+    go = np.arange(2, dtype=np.int64)
+    tgt = np.empty((local.shape[0], 2), dtype=np.int64)
+    step = np.flatnonzero(~crossing)
+    st = owner[step]
+    child = (2 * local[step] + 1)[:, None] + go
+    inside = child < np.diff(node_off)[st][:, None]
+    child_slot = node_off[st][:, None] + np.where(inside, child, 0)
     if not np.all(inside & (layout.feature_id[child_slot] != EMPTY)):
         raise RuntimeError("traversal reached a padding slot")
-    tgt[~crossing] = child_slot
-    st = owner[crossing]
-    rank = (local - frontier_start)[crossing]
-    cidx = layout.connection_offset[st] + 2 * rank + go
-    present = cidx < layout.connection_offset[st + 1]
+    tgt[step] = child_slot
+    hop = np.flatnonzero(crossing)
+    st = owner[hop]
+    rank = (local - frontier_start)[hop]
+    cidx = (layout.connection_offset[st] + 2 * rank)[:, None] + go
+    present = cidx < layout.connection_offset[st + 1][:, None]
     nxt = np.full(cidx.shape, -1, dtype=np.int64)
     nxt[present] = layout.subtree_connection[cidx[present]]
     if not np.all((nxt >= 0) & (nxt < node_off.shape[0] - 1)):
         raise RuntimeError("traversal crossed into a missing subtree")
-    tgt[crossing] = node_off[nxt]
+    tgt[hop] = node_off[nxt]
     return tgt
 
 
@@ -82,13 +86,13 @@ def build_edges(layout: HierarchicalForest) -> EdgeTable:
     full[layout.tree_root_subtree] = rsd
     if np.any(sd > full) or np.any((sd < full)[owner[crossing]]):
         raise RuntimeError("subtree depth disagrees with the layout's RSD/SD")
-    args = (layout, node_off, owner, local, frontier_start, crossing)
+    tgt = _targets(layout, node_off, owner, local, frontier_start, crossing)
     return edge_table(
         layout,
         layout.feature_id,
         inner,
-        _targets(*args, 0),
-        _targets(*args, 1),
+        tgt[:, 0],
+        tgt[:, 1],
         node_off[layout.tree_root_subtree],
         rsd=rsd,
         sd=int(layout.params.sd),

@@ -4,7 +4,9 @@ Training deep forests dominates the wall-clock of the experiment pipeline, so
 the harness caches trained forests on disk.  The format is one compressed
 ``.npz`` holding the concatenated node arrays plus per-tree offsets — the same
 struct-of-arrays discipline used everywhere else, so loading is a handful of
-slices with no per-node Python work.
+slices with no per-node Python work.  Each ``.npz`` member is decompressed
+on every access, so :func:`load_forest` reads every stored array exactly
+once and verifies each CRC on the same array object it then decodes.
 
 Format history:
 
@@ -139,9 +141,26 @@ def save_forest(
     )
 
 
-def _verify_checksums(data, path: str, names) -> None:
+def _read_arrays(data, version: int) -> dict:
+    """Every array a ``version`` file stores, each read exactly once.
+
+    ``data[name]`` decompresses the member afresh on every access, so the
+    checksums and the decode both work on this one dict.
+    """
+    names = _CHECKSUMMED_V4 if version >= 4 else _CHECKSUMMED
+    if version < 2:
+        names = names[:-1]  # v1 predates ``n_samples``
+    names += ("n_classes", "n_features")
+    if version >= 3:
+        names += ("array_checksums",)
+    if version >= 4:
+        names += ("codec", "array_codecs")
+    return {name: data[name] for name in names}
+
+
+def _verify_checksums(arrays, path: str, names) -> None:
     """Compare each stored array against its build-time CRC32."""
-    stored = data["array_checksums"]
+    stored = arrays["array_checksums"]
     if stored.shape[0] != len(names):
         raise ForestIntegrityError(
             f"forest file {path!r}: checksum table has {stored.shape[0]} "
@@ -150,7 +169,7 @@ def _verify_checksums(data, path: str, names) -> None:
     bad = [
         name
         for name, crc in zip(names, stored)
-        if array_crc32(data[name]) != int(crc)
+        if array_crc32(arrays[name]) != int(crc)
     ]
     if bad:
         raise ForestIntegrityError(
@@ -160,18 +179,18 @@ def _verify_checksums(data, path: str, names) -> None:
         )
 
 
-def _decode_thresholds(data, path: str) -> np.ndarray:
-    """Recover the float32 threshold channel from a v4 file."""
+def _decode_thresholds(arrays, path: str) -> np.ndarray:
+    """Recover the float32 threshold channel from a v4 file's arrays."""
     from repro.layout.codec import get_codec
 
-    codec = str(data["codec"])
-    tags = [str(t) for t in data["array_codecs"]]
+    codec = str(arrays["codec"])
+    tags = [str(t) for t in arrays["array_codecs"]]
     if len(tags) != len(_CHECKSUMMED_V4):
         raise ForestIntegrityError(
             f"forest file {path!r}: codec-tag table has {len(tags)} "
             f"entries, expected {len(_CHECKSUMMED_V4)}"
         )
-    stored = data["threshold"]
+    stored = arrays["threshold"]
     tag = tags[_CHECKSUMMED_V4.index("threshold")]
     if codec == "float32":
         if tag != "float32":
@@ -187,11 +206,11 @@ def _decode_thresholds(data, path: str) -> np.ndarray:
             f"{stored.dtype.name!r} / tag {tag!r} do not match codec "
             f"{codec!r}"
         )
-    feature = data["feature"]
+    feature = arrays["feature"]
     inner = feature >= 0
     feats = np.where(inner, feature, 0).astype(np.int64)
     decoded = resolved.decode_thresholds(
-        stored, feats, data["threshold_scale"], data["threshold_offset"]
+        stored, feats, arrays["threshold_scale"], arrays["threshold_offset"]
     )
     return np.where(inner, decoded, np.float32(0.0)).astype(np.float32)
 
@@ -203,22 +222,20 @@ def _decode(data, path: str) -> RandomForestClassifier:
             f"unsupported forest file version {version} "
             f"(expected <= {_FORMAT_VERSION})"
         )
+    # Read every array once: each ``data[name]`` decompresses the whole
+    # member afresh, and a tree's slice of a second copy would keep that
+    # copy alive too.  The checksums cover the very arrays decoded below.
+    arrays = _read_arrays(data, version)
     if version == 3:
-        _verify_checksums(data, path, _CHECKSUMMED)
+        _verify_checksums(arrays, path, _CHECKSUMMED)
     elif version >= 4:
-        _verify_checksums(data, path, _CHECKSUMMED_V4)
-    offsets = data["tree_offsets"]
-    n_classes = int(data["n_classes"])
+        _verify_checksums(arrays, path, _CHECKSUMMED_V4)
+    offsets = arrays["tree_offsets"]
+    n_classes = int(arrays["n_classes"])
     threshold = (
-        _decode_thresholds(data, path) if version >= 4 else data["threshold"]
+        _decode_thresholds(arrays, path) if version >= 4 else arrays["threshold"]
     )
-    # Each ``data[name]`` decompresses the whole array afresh, and a tree's
-    # slice would keep its own full copy alive: read every array once.
-    cols = {
-        name: data[name]
-        for name in ("feature", "left_child", "right_child", "value", "depth")
-    }
-    all_samples = data["n_samples"] if version >= 2 else None
+    all_samples = arrays.get("n_samples")
     trees: List[DecisionTree] = []
     for i in range(len(offsets) - 1):
         lo, hi = int(offsets[i]), int(offsets[i + 1])
@@ -227,19 +244,19 @@ def _decode(data, path: str) -> RandomForestClassifier:
             n_samples = all_samples[lo:hi]
         trees.append(
             DecisionTree(
-                feature=cols["feature"][lo:hi],
+                feature=arrays["feature"][lo:hi],
                 threshold=threshold[lo:hi],
-                left_child=cols["left_child"][lo:hi],
-                right_child=cols["right_child"][lo:hi],
-                value=cols["value"][lo:hi],
+                left_child=arrays["left_child"][lo:hi],
+                right_child=arrays["right_child"][lo:hi],
+                value=arrays["value"][lo:hi],
                 n_classes=n_classes,
-                depth=cols["depth"][lo:hi],
+                depth=arrays["depth"][lo:hi],
                 n_samples=n_samples,
             )
         )
-    rf = RandomForestClassifier.from_trees(trees, int(data["n_features"]))
+    rf = RandomForestClassifier.from_trees(trees, int(arrays["n_features"]))
     # Which precision axis the thresholds round-tripped through (v4).
-    rf.codec_ = str(data["codec"]) if version >= 4 else "float32"
+    rf.codec_ = str(arrays["codec"]) if version >= 4 else "float32"
     return rf
 
 

@@ -18,11 +18,11 @@ the one traversal every inference path runs through.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.forest.tree import LEAF, DecisionTree
+from repro.forest.tree import LEAF, DecisionTree, TreeStack, stack_trees
 
 
 @dataclass
@@ -70,54 +70,44 @@ class CSRForest:
     @classmethod
     def from_trees(
         cls,
-        trees: Sequence[DecisionTree],
+        trees: Union[Sequence[DecisionTree], TreeStack],
         codec: str = "float32",
     ) -> "CSRForest":
-        """Build the CSR layout from trained trees.
+        """Build the CSR layout from trained trees (or their stack).
 
         ``codec`` selects the precision-axis encoding of the value
         channel (:data:`repro.layout.codec.PRECISIONS`); thresholds are
         quantized and immediately decoded so the stored ``value`` array
         is the round-tripped float32 channel.
         """
-        if len(trees) == 0:
-            raise ValueError("need at least one tree")
-        feature_parts: List[np.ndarray] = []
-        value_parts: List[np.ndarray] = []
-        caidx_parts: List[np.ndarray] = []
-        ca_parts: List[np.ndarray] = []
-        node_off = np.zeros(len(trees) + 1, dtype=np.int64)
-        child_off = np.zeros(len(trees) + 1, dtype=np.int64)
-        for t, tree in enumerate(trees):
-            inner = tree.feature != LEAF
-            n_inner = int(inner.sum())
-            feature_parts.append(tree.feature)
-            # Leaves keep their class label in `value` (paper's Fig. 2c).
-            val = np.where(inner, tree.threshold, tree.value.astype(np.float32))
-            value_parts.append(val.astype(np.float32))
-            caidx = np.full(tree.n_nodes, -1, dtype=np.int64)
-            caidx[inner] = 2 * np.arange(n_inner, dtype=np.int64)
-            caidx_parts.append(caidx)
-            ca = np.empty(2 * n_inner, dtype=np.int32)
-            ca[0::2] = tree.left_child[inner]
-            ca[1::2] = tree.right_child[inner]
-            ca_parts.append(ca)
-            node_off[t + 1] = node_off[t] + tree.n_nodes
-            child_off[t + 1] = child_off[t] + 2 * n_inner
-        feature_id = np.concatenate(feature_parts)
+        stack = stack_trees(trees)
+        feature_id = stack.feature.copy()  # the layout owns its buffers
+        inner = feature_id != LEAF
+        node_off = np.append(stack.roots, feature_id.shape[0])
+        tree_ids = np.arange(stack.n_trees, dtype=np.int64)
+        owner = np.repeat(tree_ids, np.diff(node_off))
+        # Inner nodes before each node, and before each tree's root: a
+        # tree's children-array entries start at twice the latter.
+        rank = np.cumsum(inner) - inner
+        first = np.append(rank[stack.roots], rank[-1] + inner[-1])
+        caidx = np.where(inner, 2 * (rank - first[owner]), -1).astype(np.int64)
+        # ``child`` holds rebased (global) ids; the CSR arrays are tree-local.
+        children = stack.child.reshape(-1, 2)[inner] - stack.roots[owner[inner], None]
         from repro.layout.codec import quantize_layout_values
 
+        # Leaves keep their class label in `value` (paper's Fig. 2c).
+        value = np.where(inner, stack.threshold, stack.value.astype(np.float32))
         value, quant = quantize_layout_values(
-            codec, np.concatenate(value_parts), feature_id
+            codec, value.astype(np.float32), feature_id
         )
         layout = cls(
             feature_id=feature_id,
             value=value,
-            children_arr_idx=np.concatenate(caidx_parts),
-            children_arr=np.concatenate(ca_parts),
+            children_arr_idx=caidx,
+            children_arr=children.ravel().astype(np.int32),
             tree_node_offset=node_off,
-            tree_children_offset=child_off,
-            n_classes=max(t.n_classes for t in trees),
+            tree_children_offset=2 * first,
+            n_classes=stack.n_classes,
             codec=quant.codec if quant is not None else "float32",
             quant=quant,
         )
@@ -125,7 +115,7 @@ class CSRForest:
         from repro.reliability.integrity import attach_integrity
 
         attach_integrity(layout)
-        lower(layout, trees)
+        lower(layout, stack)
         return layout
 
     # ------------------------------------------------------------------

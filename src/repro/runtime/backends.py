@@ -16,7 +16,7 @@ the guard has always used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -52,8 +52,14 @@ class Backend:
         """Cache key of the layout ``plan`` needs (shared across plans)."""
         raise NotImplementedError
 
-    def build_layout(self, trees: Sequence, plan: ExecutionPlan):
-        """Construct the device-resident representation for ``plan``."""
+    def build_layout(self, trees: TreeStack, plan: ExecutionPlan):
+        """Construct the device-resident representation for ``plan``.
+
+        ``trees`` is the session's one float32 host stack
+        (:meth:`RuntimeSession.oracle_trees
+        <repro.runtime.session.RuntimeSession.oracle_trees>`); every
+        builder lowers against it instead of stacking the trees again.
+        """
         raise NotImplementedError
 
     def run(
@@ -90,17 +96,15 @@ def _accelerator_layout_key(plan: ExecutionPlan) -> Tuple:
     return key
 
 
-def _build_accelerator_layout(trees: Sequence, plan: ExecutionPlan):
+def _build_accelerator_layout(trees: TreeStack, plan: ExecutionPlan):
     if plan.variant == "csr":
-        return CSRForest.from_trees(list(trees), codec=plan.precision)
+        return CSRForest.from_trees(trees, codec=plan.precision)
     if plan.variant == "cuml":
         from repro.baselines.cuml_fil import FILForest
 
         # ExecutionPlan rejects cuml+quantized, so no codec to thread.
-        return FILForest.from_trees(list(trees))
-    return HierarchicalForest.from_trees(
-        list(trees), plan.layout, codec=plan.precision
-    )
+        return FILForest.from_trees(trees)
+    return HierarchicalForest.from_trees(trees, plan.layout, codec=plan.precision)
 
 
 def _run_fastpath(plan, layout, X, launch_gate, observer, leaves) -> BackendOutput:
@@ -143,7 +147,7 @@ class GPUBackend(Backend):
     def layout_key(self, plan: ExecutionPlan) -> Tuple:
         return _accelerator_layout_key(plan)
 
-    def build_layout(self, trees: Sequence, plan: ExecutionPlan):
+    def build_layout(self, trees: TreeStack, plan: ExecutionPlan):
         return _build_accelerator_layout(trees, plan)
 
     def run(
@@ -171,7 +175,7 @@ class FPGABackend(Backend):
     def layout_key(self, plan: ExecutionPlan) -> Tuple:
         return _accelerator_layout_key(plan)
 
-    def build_layout(self, trees: Sequence, plan: ExecutionPlan):
+    def build_layout(self, trees: TreeStack, plan: ExecutionPlan):
         return _build_accelerator_layout(trees, plan)
 
     def run(
@@ -203,8 +207,8 @@ class CPUBackend(Backend):
     def layout_key(self, plan: ExecutionPlan) -> Tuple:
         return ("host-trees",)
 
-    def build_layout(self, trees: Sequence, plan: ExecutionPlan) -> TreeStack:
-        # Stacked once per layout cache, not once per call.
+    def build_layout(self, trees: TreeStack, plan: ExecutionPlan) -> TreeStack:
+        # Called once per layout cache; the session's stack passes through.
         return stack_trees(trees)
 
     @classmethod

@@ -125,7 +125,9 @@ class RuntimeSession:
             last = self._last_key = (plan, backend, backend.layout_key(plan))
         key = last[2]
         if key not in self._layout_cache:
-            self._layout_cache[key] = backend.build_layout(self.trees, plan)
+            self._layout_cache[key] = backend.build_layout(
+                self.oracle_trees("float32"), plan
+            )
         return self._layout_cache[key]
 
     def oracle_trees(self, precision: str) -> TreeStack:
@@ -135,6 +137,8 @@ class RuntimeSession:
         codec round trip applied to the host trees gives the oracle,
         independent of the layout it checks.  Host trees never change
         during a session, so each precision's trees are stacked once.
+        The float32 stack is also what every layout is built and lowered
+        from, and it is the CPU rung's layout itself.
         """
         if precision not in self._oracle_stacks:
             trees = self.trees

@@ -83,15 +83,23 @@ class TestCorruptionErrors:
         with pytest.raises(ForestIntegrityError):
             load_forest(path)
 
-    def test_stale_checksums_name_the_array(self, saved):
-        """Payload altered but checksum table untouched -> named mismatch."""
-        path, _ = saved
+    @pytest.mark.parametrize("name", _CHECKSUMMED_V4)
+    def test_stale_checksums_name_the_array(self, tmp_path, trained_small, name):
+        """Payload altered but checksum table untouched -> named mismatch.
 
-        def swap_threshold(p):
-            p["threshold"] = p["threshold"] + np.float64(1.0)
+        An int8 file, so the calibration tables are non-empty too; one
+        flipped bit in ``name`` must fail its CRC and name only it.
+        """
+        clf, *_ = trained_small
+        path = str(tmp_path / "forest.npz")
+        save_forest(path, clf, codec="int8")
 
-        _resave(path, swap_threshold)
-        with pytest.raises(ForestIntegrityError, match="threshold"):
+        def flip_one_bit(p):
+            p[name] = p[name].copy()
+            p[name].view(np.uint8)[0] ^= 1
+
+        _resave(path, flip_one_bit)
+        with pytest.raises(ForestIntegrityError, match=rf"array\(s\): {name} —"):
             load_forest(path)
 
     def test_wrong_checksum_table_length(self, saved):
@@ -117,6 +125,58 @@ class TestCorruptionErrors:
     def test_missing_file_still_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_forest(str(tmp_path / "nope.npz"))
+
+
+def _reads_per_array(monkeypatch, path):
+    """``{name: times read}`` of the ``.npz`` members during one load."""
+    reads = {}
+    real = np.lib.npyio.NpzFile.__getitem__
+
+    def spy(self, key):
+        reads[key] = reads.get(key, 0) + 1
+        return real(self, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
+    load_forest(path)
+    monkeypatch.undo()
+    return reads
+
+
+class TestReadOnce:
+    """``load_forest`` decompresses each stored array exactly once: the
+    checksums are taken on the arrays the decoder then uses."""
+
+    @pytest.mark.parametrize("codec", PRECISIONS)
+    def test_v4_every_codec(self, tmp_path, trained_small, monkeypatch, codec):
+        clf, *_ = trained_small
+        path = str(tmp_path / "forest.npz")
+        save_forest(path, clf, codec=codec)
+        with np.load(path) as data:
+            stored = dict.fromkeys(data.files, 1)
+        assert _reads_per_array(monkeypatch, path) == stored
+
+    @pytest.mark.parametrize("version", (1, 2))
+    def test_pre_checksum_versions(self, saved, monkeypatch, version):
+        path, _ = saved
+
+        def downgrade(p):
+            v4_only = ("array_checksums", "array_codecs", "codec")
+            for name in v4_only + ("threshold_scale", "threshold_offset"):
+                p.pop(name)
+            if version == 1:
+                p.pop("n_samples")
+            p["version"] = np.int64(version)
+
+        _resave(path, downgrade)
+        with np.load(path) as data:
+            stored = dict.fromkeys(data.files, 1)
+        assert _reads_per_array(monkeypatch, path) == stored
+
+    def test_checked_in_v3_file(self, monkeypatch):
+        with np.load(V3_FIXTURE) as data:
+            # ``prediction_crc`` is the fixture's own pin, not forest data.
+            stored = dict.fromkeys(set(data.files) - {"prediction_crc"}, 1)
+        assert _reads_per_array(monkeypatch, V3_FIXTURE) == stored
 
 
 class TestBackCompat:

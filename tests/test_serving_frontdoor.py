@@ -27,7 +27,7 @@ from repro.fastpath import (
     fastpath_predict,
     fastpath_seconds,
 )
-from repro.forest.tree import random_tree
+from repro.forest.tree import TreeStack, random_tree
 from repro.obs import context
 from repro.obs.context import TraceContext
 from repro.reliability import FaultPlan, ResilientClassifier, integrity
@@ -144,6 +144,43 @@ class TestFrontDoorCleanPath:
 #: ``submit`` to the end of ``drain``.  Measured: 284 (front door 73, guard
 #: 17, session 34, flat walk 133, certificate 26, ``setprofile`` 1).
 SERVED_BATCH_CALLS = 284
+
+
+class TestColdStartStacksOnce:
+    """A cold start stacks the host trees once per precision.
+
+    Every layout, its lowering, the leaf boxes and the CPU rung share the
+    session's float32 :class:`~repro.forest.tree.TreeStack`; a quantized
+    plan adds its round-tripped oracle stack.  Pass-through calls of
+    ``stack_trees`` construct nothing, so they are not counted.
+    """
+
+    @pytest.mark.parametrize(
+        "config, stacks",
+        [
+            (RunConfig(platform="gpu", variant="auto"), 1),
+            (RunConfig(platform="gpu", variant="csr"), 1),
+            (RunConfig(platform="gpu", variant="cuml"), 1),
+            (RunConfig(platform="fpga", variant="hybrid", precision="int8"), 2),
+        ],
+        ids=["auto", "csr", "cuml", "int8"],
+    )
+    def test_front_door_probe_and_one_batch(
+        self, trees, X_pool, monkeypatch, config, stacks
+    ):
+        built = []
+        real = TreeStack.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(TreeStack, "__init__", spy)
+        _, front, _ = make_front(trees, X_pool, config=config)
+        front.submit(X_pool[:5])
+        (response,) = front.drain()
+        assert response.status is RequestStatus.SERVED and not response.degraded
+        assert len(built) == stacks
 
 
 class TestPerBatchCallCount:
