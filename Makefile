@@ -51,11 +51,13 @@ fastpath:
 fastpath-baseline:
 	PYTHONPATH=src python benchmarks/bench_fastpath.py --scale smoke --write-baseline
 
-# Cold-start layout build (docs/architecture.md §11): per-stage median
-# wall time of HierarchicalForest.from_trees and the FIL build on the six
-# checked-in forests, written to BENCH_layout.json.  Also compares every
-# rebuilt layout to tests/data/hier_layout_golden.json; only a digest
-# mismatch fails (wall times depend on the host, so none is gated).
+# Cold start (docs/architecture.md §1, §11): per-stage median wall time
+# on the six checked-in forests -- load_forest, then
+# HierarchicalForest.from_trees as fill, quantize, integrity and lower,
+# then leaf_boxes over the same stack -- beside the whole build and the
+# FIL build, written to BENCH_layout.json.  Also compares every rebuilt
+# layout to tests/data/hier_layout_golden.json; only a digest mismatch
+# fails (wall times depend on the host, so none is gated).
 layout-bench:
 	PYTHONPATH=src python benchmarks/bench_layout_build.py
 

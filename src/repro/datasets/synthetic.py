@@ -56,14 +56,15 @@ def make_teacher_tree(
 
     The draw order is a contract: every cached forest, golden layout
     digest and the SLO baseline derive from this stream, pinned by
-    ``tests/test_datasets.py::TestPinnedStreams``.  Per node, depth-first
-    with the right child popped first: a ``random()`` branch draw past
-    ``min_depth``; at a leaf, a ``random()`` tie-break only when the bias
-    is exactly 0; at a split, one ``random()`` searched (``side="right"``)
-    in the normalised cumulative box widths picks the feature, which is
-    the draw ``rng.choice(n, p=widths / widths.sum())`` makes, then a
-    ``uniform(0.35, 0.65)`` threshold fraction and an ``integers(0, 2)``
-    step sign, the draw of ``rng.choice([-1.0, 1.0])``.
+    ``tests/test_datasets.py::TestPinnedStreams``.  After one
+    ``permutation`` of the features, nodes are visited depth-first, right
+    child first.  Each node draws a ``random()`` branch test when
+    ``min_depth <= d < depth``; a leaf draws a ``random()`` tie-break only
+    when its bias is exactly 0; a split draws one ``random()`` searched
+    (``side="right"``) in the normalised cumulative box widths for its
+    feature, the draw ``rng.choice(n, p=widths / widths.sum())`` makes,
+    then a ``uniform(0.35, 0.65)`` threshold fraction, then an
+    ``integers(0, 2)`` step sign, the draw of ``rng.choice([-1.0, 1.0])``.
     """
     rng = as_rng(rng)
     n_informative = min(n_informative, n_features)

@@ -142,11 +142,7 @@ def save_forest(
 
 
 def _read_arrays(data, version: int) -> dict:
-    """Every array a ``version`` file stores, each read exactly once.
-
-    ``data[name]`` decompresses the member afresh on every access, so the
-    checksums and the decode both work on this one dict.
-    """
+    """Every array a ``version`` file stores, each read exactly once."""
     names = _CHECKSUMMED_V4 if version >= 4 else _CHECKSUMMED
     if version < 2:
         names = names[:-1]  # v1 predates ``n_samples``
